@@ -100,15 +100,6 @@ def build_chain(
     return GraphChain(tuple(graphs), dict(typings))
 
 
-def partial_inclusion(src: Graph, dst: Graph, domain: Subgraph) -> PartialMorphism:
-    return PartialMorphism(
-        src,
-        dst,
-        {n: n for n in domain.nodes},
-        {a: a for a in domain.arrows},
-    )
-
-
 def refactor_inclusion_chain(
     host: Graph, subgraphs: Sequence[Subgraph], names: Optional[Sequence[str]] = None
 ) -> GraphChain:
@@ -155,17 +146,6 @@ class ChainMorphism:
 
     def f(self, i: int) -> int:
         return self.level_map[i]
-
-
-def identity_chain_morphism(chain: GraphChain) -> ChainMorphism:
-    from .graphs import identity
-
-    return ChainMorphism(
-        chain,
-        chain,
-        {i: i for i in range(chain.length + 1)},
-        {i: identity(chain.graph_at(i)) for i in range(chain.length + 1)},
-    )
 
 
 def validate_chain_morphism(cm: ChainMorphism) -> List[str]:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, rules check, proliferate, apply, run, fmt.
-Exit codes: 0 success, 1 validation/application failure, 2 usage or parse
-errors.  Log verbosity comes from the MLM_LOG environment variable.
+Exit codes: 0 success, 1 validation/application failure, 2 usage, parse
+or input errors.  Log verbosity comes from the MLM_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import sys
 from typing import List, Optional
 
 from .engine import apply_two_level_rule, run as run_engine
-from .errors import MlmtError, ParseError
+from .errors import InputError, MlmtError, ParseError
 from .hierarchy import (
     hierarchy_to_json,
     load_hierarchy,
-    save_hierarchy,
+    read_text,
     validate_hierarchy,
 )
 from .matching import proliferate_all, rule_set_to_json
@@ -45,10 +45,7 @@ def _configure_logging():
 
 
 def _load_inputs(args):
-    h = load_hierarchy(args.hierarchy)
-    with open(args.rules, encoding="utf-8") as fh:
-        module = parse_rule_module(fh.read())
-    return h, module
+    return load_hierarchy(args.hierarchy), parse_rule_module(read_text(args.rules))
 
 
 def _validate_all(h, module):
@@ -69,10 +66,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rules_check(args) -> int:
-    with open(args.rules, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        module = parse_rule_module(text)
+        module = parse_rule_module(read_text(args.rules))
     except ParseError as err:
         print(f"{args.rules}: SyntaxError: {err}", file=sys.stderr)
         return 1
@@ -171,8 +166,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    with open(args.rules, encoding="utf-8") as fh:
-        module = parse_rule_module(fh.read())
+    module = parse_rule_module(read_text(args.rules))
     sys.stdout.write(print_rule_module(module))
     return 0
 
@@ -238,6 +232,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except FileNotFoundError as err:
         print(f"cannot read {err.filename}", file=sys.stderr)
+        return 2
+    except InputError as err:
+        print(f"input error: {err}", file=sys.stderr)
         return 2
     except MlmtError as err:
         print(f"error: {err}", file=sys.stderr)

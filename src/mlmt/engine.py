@@ -9,7 +9,7 @@ typing chain at once.  A seeded scheduler drives repeated application.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
@@ -17,15 +17,16 @@ from .chains import (
     GraphChain,
     chain_pullback_complement,
     chain_pushout,
+    refactor_inclusion_chain,
     typing_to_chain,
 )
 from .errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
 from .graphs import (
-    Arrow,
     Graph,
     Subgraph,
     TotalMorphism,
     inclusion,
+    injective_matches,
     pullback_complement,
     pushout,
 )
@@ -34,68 +35,68 @@ from .hierarchy import (
     ElementKey,
     ModelNode,
     MultilevelHierarchy,
+    TypeRef,
     derive_typing_chain,
     transitive_type_at,
 )
 from .matching import (
     MetaMatch,
     TwoLevelRule,
+    instance_profile,
     proliferate,
+    type_profile,
     typing_stack,
 )
-from .rules import ARROW, NODE, McmtRule, MetaElement
+from .rules import ARROW, NODE, McmtRule
+
+
+class TypeIndex:
+    """The elements of a bottom model that carry each level-type profile.
+
+    Above its model an element has its direct type's types, as that lies higher, so a profile
+    is decided once per direct type.  In `run` only the bottom model changes: `regroup` it."""
+
+    def __init__(self, h: MultilevelHierarchy, model: ModelNode):
+        self.h, self.verdicts = h, {}
+        self.regroup(model)
+
+    def regroup(self, model: ModelNode) -> None:
+        self.model, self.groups, self.found = model, {}, {}
+        for e in (*model.graph.nodes, *model.graph.arrows):
+            key = (isinstance(e, tuple), model.info_for(e).direct_type)
+            self.groups.setdefault(key, []).append(e)
+
+    def candidates(self, element: ElementKey, profile: tuple) -> List[ElementKey]:
+        key, n = (isinstance(element, tuple), profile), self.model.level
+        if key not in self.found:  # at level n an element is its own type; below n, untyped
+            above = tuple(p for p in profile if p[0] < n)
+            own = [(lvl, want) for lvl, want in profile if lvl >= n]
+            groups = [g for (a, t), g in self.groups.items() if a == key[0] and self._holds(t, above)]
+            self.found[key] = [
+                e for g in groups for e in g if all(w == (e if lvl == n else None) for lvl, w in own)
+            ]
+        return self.found[key]
+
+    def _holds(self, t: TypeRef, profile: tuple) -> bool:
+        if (t, profile) not in self.verdicts:
+            up = self.h.model(t[0]).level < self.model.level
+            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in profile]
+            self.verdicts[t, profile] = types == [want for _, want in profile]
+        return self.verdicts[t, profile]
 
 
 def typed_matches(
-    rule: TwoLevelRule, model: ModelNode, h: MultilevelHierarchy
+    rule: TwoLevelRule, model: ModelNode, h: MultilevelHierarchy, index: Optional[TypeIndex] = None
 ) -> List[TotalMorphism]:
-    """All injective matches of the rule's left pattern into the model."""
-
-    def satisfies(pattern_elem: ElementKey, target_elem: ElementKey) -> bool:
-        for level, required in rule.level_types[pattern_elem]:
-            actual = transitive_type_at(h, model.name, target_elem, level)
-            if actual != required:
-                return False
-        return True
-
-    lhs = rule.lhs
-    nodes = sorted(lhs.nodes)
-    arrows = sorted(lhs.arrows)
-    results: List[TotalMorphism] = []
-
-    def assign(i: int, node_map: Dict[str, str], used: set):
-        if i == len(nodes):
-            place_arrows(0, dict(node_map), {}, set())
-            return
-        for cand in sorted(model.graph.nodes):
-            if cand in used or not satisfies(nodes[i], cand):
-                continue
-            node_map[nodes[i]] = cand
-            used.add(cand)
-            assign(i + 1, node_map, used)
-            used.discard(cand)
-            del node_map[nodes[i]]
-
-    def place_arrows(i, node_map, arrow_map, used):
-        if i == len(arrows):
-            results.append(TotalMorphism(lhs, model.graph, node_map, dict(arrow_map)))
-            return
-        a = arrows[i]
-        for cand in sorted(model.graph.arrows):
-            if cand in used:
-                continue
-            if cand[0] != node_map[a[0]] or cand[2] != node_map[a[2]]:
-                continue
-            if not satisfies(a, cand):
-                continue
-            arrow_map[a] = cand
-            used.add(cand)
-            place_arrows(i + 1, node_map, arrow_map, used)
-            used.discard(cand)
-            del arrow_map[a]
-
-    assign(0, {}, set())
-    return results
+    """All injective matches of the rule's left pattern into the model, ordered by the images of
+    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` regrouped at `model`."""
+    index = index or TypeIndex(h, model)
+    nodes, arrows = sorted(rule.lhs.nodes), sorted(rule.lhs.arrows)
+    candidates = {e: index.candidates(e, rule.level_types[e]) for e in nodes + arrows}
+    return [
+        TotalMorphism(rule.lhs, model.graph, dict(zip(nodes, m)), dict(zip(arrows, m[len(nodes):])))
+        for m in injective_matches(nodes, [(a, a[0], a[2]) for a in arrows], candidates)
+    ]
 
 
 def _created_info(rule: TwoLevelRule, element: ElementKey) -> ElementInfo:
@@ -184,13 +185,11 @@ def _pattern_level_subgraphs(
 ) -> List[Subgraph]:
     """Inclusion-chain layers of a pattern: level i holds the elements whose
     META type chain passes through META level i."""
-    from .matching import _type_profile
-
     layers = [Subgraph(pattern_graph, pattern_graph.nodes, pattern_graph.arrows)]
     profiles = {}
     for e in pattern_elements:
         meta_el = rule.meta_element(e.type_name, e.type_level)
-        anchors, floor, _ = _type_profile(rule, meta_el)
+        anchors, floor, _ = type_profile(rule, meta_el)
         key = e.name if e.kind == NODE else (e.source, e.name, e.target)
         profiles[key] = set(anchors) | {meta_el.level}
     for i in range(1, depth + 1):
@@ -204,14 +203,6 @@ def _pattern_level_subgraphs(
         )
         layers.append(Subgraph(pattern_graph, nodes, arrows))
     return layers
-
-
-def _chain_from_layers(
-    host: Graph, layers: List[Subgraph], names: List[str]
-) -> GraphChain:
-    from .chains import refactor_inclusion_chain
-
-    return refactor_inclusion_chain(host, layers, names=names)
 
 
 def apply_mcmt(
@@ -231,8 +222,6 @@ def apply_mcmt(
     interface_elems = list(rule.from_pattern.elements) + [
         e for e in rhs_elems if e.name not in rule.from_pattern.by_name()
     ]
-    from .matching import _instance_profile
-
     inter_nodes = [e.name for e in interface_elems if e.kind == NODE]
     inter_arrows = [
         (e.source, e.name, e.target) for e in interface_elems if e.kind == ARROW
@@ -251,7 +240,7 @@ def apply_mcmt(
         key = e.name if e.kind == NODE else (e.source, e.name, e.target)
         meta_el = rule.meta_element(e.type_name, e.type_level)
         img = m(key)
-        for level, required in _instance_profile(rule, meta_el, mm_match, stack):
+        for level, required in instance_profile(rule, meta_el, mm_match, stack):
             if transitive_type_at(h, target_model, img, level) != required:
                 raise IncompatibleMatch(level, key)
 
@@ -262,20 +251,20 @@ def apply_mcmt(
     names_l = [f"{rule.name}.L@{i}" for i in range(depth + 1)]
     names_i = [f"{rule.name}.I@{i}" for i in range(depth + 1)]
     names_r = [f"{rule.name}.R@{i}" for i in range(depth + 1)]
-    l_chain = _chain_from_layers(
+    l_chain = refactor_inclusion_chain(
         lhs,
         _pattern_level_subgraphs(rule, lhs, rule.from_pattern.elements, mm_match, depth),
-        names_l,
+        names=names_l,
     )
-    i_chain = _chain_from_layers(
+    i_chain = refactor_inclusion_chain(
         interface,
         _pattern_level_subgraphs(rule, interface, interface_elems, mm_match, depth),
-        names_i,
+        names=names_i,
     )
-    r_chain = _chain_from_layers(
+    r_chain = refactor_inclusion_chain(
         rhs,
         _pattern_level_subgraphs(rule, rhs, rhs_elems, mm_match, depth),
-        names_r,
+        names=names_r,
     )
 
     def chain_inclusion(src: GraphChain, dst: GraphChain) -> ChainMorphism:
@@ -392,11 +381,13 @@ def run(
     rng = random.Random(seed)
     steps: List[TraceStep] = []
     current = h
+    index = TypeIndex(h, h.model(target_model))
     for step in range(max_steps):
         model = current.model(target_model)
+        index.regroup(model)
         pairs: List[Tuple[TwoLevelRule, TotalMorphism]] = []
         for tl_rule in compiled:
-            for m in typed_matches(tl_rule, model, current):
+            for m in typed_matches(tl_rule, model, current, index):
                 pairs.append((tl_rule, m))
         applied = False
         while pairs:

@@ -77,6 +77,12 @@ class ParseError(MlmtError):
         super().__init__(f"{line}:{column}: {message}")
 
 
+class InputError(MlmtError):
+    """An input file is malformed: it is not valid UTF-8, or a field is
+    missing or of the wrong kind.  The message names the byte or the JSON
+    path of the field."""
+
+
 class SchemaError(MlmtError):
     """A structurally valid file references unknown models or elements."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DanglingArrow,
@@ -113,14 +113,6 @@ class Subgraph:
         return self.nodes <= other.nodes and self.arrows <= other.arrows
 
 
-def full_subgraph(g: Graph) -> Subgraph:
-    return Subgraph(g, g.nodes, g.arrows)
-
-
-def empty_subgraph(g: Graph) -> Subgraph:
-    return Subgraph(g, frozenset(), frozenset())
-
-
 @dataclass(frozen=True)
 class TotalMorphism:
     """A total graph homomorphism given by node and arrow maps."""
@@ -157,32 +149,6 @@ class TotalMorphism:
         return all(k == v for k, v in self.node_map.items()) and all(
             k == v for k, v in self.arrow_map.items()
         )
-
-    def is_injective(self) -> bool:
-        return len(set(self.node_map.values())) == len(self.node_map) and len(
-            set(self.arrow_map.values())
-        ) == len(self.arrow_map)
-
-    def image(self) -> Subgraph:
-        return Subgraph(
-            self.dst,
-            frozenset(self.node_map.values()),
-            frozenset(self.arrow_map.values()),
-        )
-
-    def then(self, other: "TotalMorphism") -> "TotalMorphism":
-        if other.src.name != self.dst.name or other.src.elements != self.dst.elements:
-            raise GraphMismatch("morphisms not composable")
-        return TotalMorphism(
-            self.src,
-            other.dst,
-            {k: other.node_map[v] for k, v in self.node_map.items()},
-            {k: other.arrow_map[v] for k, v in self.arrow_map.items()},
-        )
-
-
-def identity(g: Graph) -> TotalMorphism:
-    return TotalMorphism(g, g, {n: n for n in g.nodes}, {a: a for a in g.arrows})
 
 
 def inclusion(sub: Graph, sup: Graph) -> TotalMorphism:
@@ -229,38 +195,6 @@ class PartialMorphism:
         if element in self.node_map:
             return self.node_map[element]
         return self.arrow_map[element]
-
-    def total_part(self) -> TotalMorphism:
-        return TotalMorphism(
-            self.domain.as_graph(), self.dst, dict(self.node_map), dict(self.arrow_map)
-        )
-
-    def restricted_to(self, nodes, arrows) -> "PartialMorphism":
-        return PartialMorphism(
-            self.src,
-            self.dst,
-            {n: v for n, v in self.node_map.items() if n in nodes},
-            {a: v for a, v in self.arrow_map.items() if a in arrows},
-        )
-
-    def agrees_with(self, other: "PartialMorphism") -> bool:
-        """Domain inclusion plus pointwise agreement on the smaller domain."""
-        for n, v in self.node_map.items():
-            if other.node_map.get(n) != v:
-                return False
-        for a, v in self.arrow_map.items():
-            if other.arrow_map.get(a) != v:
-                return False
-        return True
-
-
-def partial_from_total(t: TotalMorphism, host: Graph) -> PartialMorphism:
-    """View a total morphism out of a subgraph of `host` as partial on `host`."""
-    return PartialMorphism(host, t.dst, dict(t.node_map), dict(t.arrow_map))
-
-
-def total_as_partial(t: TotalMorphism) -> PartialMorphism:
-    return PartialMorphism(t.src, t.dst, dict(t.node_map), dict(t.arrow_map))
 
 
 def compose_partial(g: PartialMorphism, h: PartialMorphism) -> PartialMorphism:
@@ -422,3 +356,41 @@ def find_homomorphisms(
             arrow_map = dict(zip(p_arrows, choice))
             results.append(TotalMorphism(pattern, target, node_map, arrow_map))
     return results
+
+
+def injective_matches(nodes: Sequence, arrows: Sequence[tuple], candidates: Dict) -> List[tuple]:
+    """All injective matches of a pattern, sorted, as tuples of the images of
+    `nodes`, then of `arrows` ((arrow, source, target) triples).  Each
+    element's `candidates` must not depend on the other elements' images.
+    Nodes are bound fewest candidates first among those next to bound ones
+    (connected-first, as in VF2), each arrow as soon as both its ends are."""
+    ends = {a: (s, t) for a, s, t in arrows}
+    by_ends: Dict = {a: {} for a in ends}  # candidates keyed by (source, target)
+    for a, c in ((a, c) for a in ends for c in candidates[a]):
+        by_ends[a].setdefault((c[0], c[2]), []).append(c)
+    plan, near = [], set()
+    for _ in nodes:
+        todo = [n for n in nodes if n not in plan]
+        node = min([n for n in todo if n in near] or todo, key=lambda n: len(candidates[n]))
+        plan.append(node)
+        near.update(x for st in ends.values() if node in st for x in st)
+        plan += [a for a, st in ends.items() if node in st and set(st) <= set(plan)]
+    if len(plan) < len(nodes) + len(ends) or not all(candidates[e] for e in plan):
+        return []  # an empty candidate list, or an arrow off the pattern's nodes
+    image, used, found = {}, set(), []
+
+    def extend(i: int) -> None:
+        if i == len(plan):
+            found.append(tuple(image[e] for e in (*nodes, *ends)))
+            return
+        e = plan[i]
+        pool = by_ends[e].get(tuple(image[x] for x in ends[e]), ()) if e in ends else candidates[e]
+        for c in pool:
+            if c not in used:
+                image[e] = c
+                used.add(c)
+                extend(i + 1)
+                used.discard(c)
+
+    extend(0)
+    return sorted(found)

@@ -17,6 +17,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 from .chains import GraphChain, MultilevelTyping, build_chain
 from .errors import (
     InheritanceCycle,
+    InputError,
     ParseError,
     SchemaError,
 )
@@ -122,17 +123,18 @@ def build_hierarchy(models: List[ModelNode]) -> MultilevelHierarchy:
 def type_walk(
     h: MultilevelHierarchy, model: str, element: ElementKey
 ) -> Iterator[Tuple[str, ElementKey]]:
-    """Yield the transitive types of an element down to the root fixpoint.
+    """Yield the transitive types of an element, up toward the root.
 
-    Starts with the element's own (model, element) pair; ends when the walk
-    reaches a self-typed root element.
+    Starts with the element's own (model, element) pair.  A direct type
+    lies on a strictly higher level than the element it types, so the walk
+    ends at the first step that does not go up: at the self-typed root
+    element, or where an invalid hierarchy types in a cycle.
     """
     cur_model, cur_elem = model, element
     yield cur_model, cur_elem
     while True:
-        info = h.model(cur_model).info_for(cur_elem)
-        t_model, t_elem = info.direct_type
-        if (t_model, t_elem) == (cur_model, cur_elem):
+        t_model, t_elem = h.model(cur_model).info_for(cur_elem).direct_type
+        if h.model(t_model).level >= h.model(cur_model).level:
             return
         cur_model, cur_elem = t_model, t_elem
         yield cur_model, cur_elem
@@ -414,7 +416,7 @@ def _split_type_ref(text: str) -> Tuple[str, str]:
 
 
 def _resolve_arrow_type(
-    h_models: Dict[str, "ModelNode"],
+    graphs: Dict[str, Graph],
     levels: Dict[str, int],
     walks,
     model: str,
@@ -423,11 +425,9 @@ def _resolve_arrow_type(
 ) -> Arrow:
     """Pick the arrow named `ref` whose endpoints fit this arrow's typing."""
     t_model, label = ref
-    if t_model not in h_models:
+    if t_model not in graphs:
         raise SchemaError(f"{model}: unknown type model {t_model!r}")
-    candidates = sorted(
-        a for a in h_models[t_model].graph.arrows if a[1] == label
-    )
+    candidates = sorted(a for a in graphs[t_model].arrows if a[1] == label)
     if not candidates:
         raise SchemaError(
             f"{model}: no arrow named {label!r} in model {t_model}"
@@ -445,10 +445,51 @@ def _resolve_arrow_type(
     return fitting[0]
 
 
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not valid UTF-8 at byte {err.start}") from err
+
+
 def load_hierarchy(path: str) -> MultilevelHierarchy:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_hierarchy(text)
+    return parse_hierarchy(read_text(path))
+
+
+def _items(record: dict, key: str, path: str) -> list:
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{path}.{key}: expected a list")
+    return value
+
+
+def _field(record, key: str, path: str, default: Optional[str] = None) -> str:
+    """A string field of a JSON object, or an InputError naming its path."""
+    if not isinstance(record, dict):
+        raise InputError(f"{path}: expected an object")
+    value = record.get(key, default)
+    if not isinstance(value, str):
+        raise InputError(f"{path}.{key}: {'missing' if value is None else 'expected a string'}")
+    return value
+
+
+def _node_record(n, path: str) -> tuple:
+    """(name, type, potency, supertypes) of a node entry."""
+    name, type_ref = _field(n, "name", path), _field(n, "type", path)
+    return name, type_ref, _field(n, "potency", path, "1-1"), n.get("supertypes", [])
+
+
+def _arrow_record(a, path: str) -> tuple:
+    """((source, name, target), type, potency, multiplicity) of an arrow entry."""
+    key = (_field(a, "source", path), _field(a, "name", path), _field(a, "target", path))
+    return (
+        key,
+        _field(a, "type", path),
+        _field(a, "potency", path, "1-1"),
+        _field(a, "multiplicity", path, "0..n"),
+    )
 
 
 def parse_hierarchy(text: str) -> MultilevelHierarchy:
@@ -457,21 +498,24 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.lineno, err.colno) from err
     if not isinstance(data, dict) or not isinstance(data.get("models"), list):
-        raise SchemaError("top level must be an object with a 'models' list")
+        raise InputError("top level must be an object with a 'models' list")
 
-    # first pass: graphs and raw records
+    # first pass: graphs and records with their fields checked
     records = []
     graphs: Dict[str, Graph] = {}
     parents: Dict[str, Optional[str]] = {}
-    for entry in data["models"]:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise SchemaError("every model needs a 'name'")
-        name = entry["name"]
-        nodes = entry.get("nodes", [])
-        arrows = entry.get("arrows", [])
-        node_names = [n["name"] for n in nodes]
-        arrow_keys = [(a["source"], a["name"], a["target"]) for a in arrows]
-        graphs[name] = build_graph(name, node_names, arrow_keys)
+    for i, entry in enumerate(data["models"]):
+        path = f"models[{i}]"
+        name = _field(entry, "name", path)
+        nodes = [
+            _node_record(n, f"{path}.nodes[{j}]")
+            for j, n in enumerate(_items(entry, "nodes", path))
+        ]
+        arrows = [
+            _arrow_record(a, f"{path}.arrows[{j}]")
+            for j, a in enumerate(_items(entry, "arrows", path))
+        ]
+        graphs[name] = build_graph(name, [n[0] for n in nodes], [a[0] for a in arrows])
         parents[name] = entry.get("parent")
         records.append((name, nodes, arrows))
     for name, parent in parents.items():
@@ -491,17 +535,14 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
 
     # second pass: node typing (needed to disambiguate arrow types)
     node_types: Dict[Tuple[str, str], Tuple[str, str]] = {}
-    node_records: Dict[str, Dict[str, dict]] = {}
     for name, nodes, _ in records:
-        node_records[name] = {}
-        for n in nodes:
-            t_model, t_elem = _split_type_ref(n["type"])
+        for node, type_ref, _, _ in nodes:
+            t_model, t_elem = _split_type_ref(type_ref)
             if t_model not in graphs or t_elem not in graphs[t_model].nodes:
                 raise SchemaError(
-                    f"{name}: node {n['name']!r} has unknown type {n['type']!r}"
+                    f"{name}: node {node!r} has unknown type {type_ref!r}"
                 )
-            node_types[(name, n["name"])] = (t_model, t_elem)
-            node_records[name][n["name"]] = n
+            node_types[(name, node)] = (t_model, t_elem)
 
     def node_type_at(model: str, node: str, level: int) -> Optional[str]:
         cur = (model, node)
@@ -509,37 +550,25 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
             if levels[cur[0]] == level:
                 return cur[1]
             nxt = node_types.get(cur)
-            if nxt is None or nxt == cur:
+            if nxt is None or levels[nxt[0]] >= levels[cur[0]]:
                 return None
             cur = nxt
 
     models = []
     for name, nodes, arrows in records:
         info: Dict[ElementKey, ElementInfo] = {}
-        for n in nodes:
-            info[n["name"]] = ElementInfo(
-                direct_type=node_types[(name, n["name"])],
-                potency=_parse_potency(n.get("potency", "1-1")),
-                supertypes=frozenset(n.get("supertypes", [])),
+        for node, _, potency, supertypes in nodes:
+            info[node] = ElementInfo(
+                direct_type=node_types[(name, node)],
+                potency=_parse_potency(potency),
+                supertypes=frozenset(supertypes),
             )
-        for a in arrows:
-            key = (a["source"], a["name"], a["target"])
-            ref = _split_type_ref(a["type"])
-            t_model = ref[0]
-            if t_model not in graphs:
-                raise SchemaError(f"{name}: unknown type model {t_model!r}")
-            resolved = _resolve_arrow_type(
-                {m: ModelNode(m, parents[m], levels[m], graphs[m]) for m in graphs},
-                levels,
-                node_type_at,
-                name,
-                key,
-                ref,
-            )
-            mult = a.get("multiplicity", "0..n")
+        for key, type_ref, potency, mult in arrows:
+            ref = _split_type_ref(type_ref)
+            resolved = _resolve_arrow_type(graphs, levels, node_type_at, name, key, ref)
             info[key] = ElementInfo(
-                direct_type=(t_model, resolved),
-                potency=_parse_potency(a.get("potency", "1-1")),
+                direct_type=(ref[0], resolved),
+                potency=_parse_potency(potency),
                 multiplicity=_parse_multiplicity(mult),
             )
         models.append(

@@ -10,11 +10,19 @@ and expanding bounded multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import ChainMorphism, GraphChain, build_chain
 from .errors import UnresolvedReference
-from .graphs import Arrow, Graph, PartialMorphism, TotalMorphism, build_graph
+from .graphs import (
+    Arrow,
+    Graph,
+    PartialMorphism,
+    TotalMorphism,
+    build_graph,
+    injective_matches,
+)
 from .hierarchy import (
     ElementKey,
     ModelNode,
@@ -27,7 +35,6 @@ from .rules import (
     NODE,
     McmtRule,
     MetaElement,
-    RulePattern,
     expand_cardinalities,
     type_chain,
 )
@@ -40,11 +47,20 @@ class MetaMatch:
     level_map: Tuple[Tuple[int, int], ...]  # meta level -> stack level
     bindings: Tuple[Tuple[int, Tuple[Tuple[str, ElementKey], ...]], ...]
 
+    @cached_property
+    def _levels(self) -> Dict[int, int]:
+        return dict(self.level_map)
+
+    @cached_property
+    def _bindings(self) -> Dict[int, Dict[str, ElementKey]]:
+        return {lvl: dict(b) for lvl, b in self.bindings}
+
     def f(self, meta_level: int) -> int:
-        return dict(self.level_map)[meta_level]
+        return self._levels[meta_level]
 
     def binding(self, meta_level: int) -> Dict[str, ElementKey]:
-        return dict(dict(self.bindings)[meta_level])
+        """The bindings of one META level; shared, so read-only."""
+        return self._bindings[meta_level]
 
 
 def _freeze_match(level_map: Dict[int, int], bindings: Dict[int, Dict[str, ElementKey]]) -> MetaMatch:
@@ -83,7 +99,7 @@ def _root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
     return binding
 
 
-def _type_profile(
+def type_profile(
     rule: McmtRule, element: MetaElement
 ) -> Tuple[Dict[int, Tuple[str, int]], int, bool]:
     """Anchors of an element's META type chain, keyed by META level.
@@ -113,7 +129,7 @@ def _element_satisfies(
     bindings: Dict[int, Dict[str, ElementKey]],
 ) -> bool:
     """Type consistency via transitive types, over the whole chain profile."""
-    anchors, floor, open_chain = _type_profile(rule, meta_el)
+    anchors, floor, open_chain = type_profile(rule, meta_el)
     for meta_level in range(meta_el.level - 1, floor - 1, -1):
         stack_level = level_map[meta_level]
         actual = transitive_type_at(h, model.name, candidate, stack_level)
@@ -149,55 +165,22 @@ def graph_match(
     level_map: Dict[int, int],
     bindings: Dict[int, Dict[str, ElementKey]],
 ) -> List[Dict[str, ElementKey]]:
-    """All injective, type- and structure-consistent bindings of one level."""
-    nodes = [el for el in pattern if el.kind == NODE]
-    arrows = [el for el in pattern if el.kind == ARROW]
-    results: List[Dict[str, ElementKey]] = []
-
-    def assign_nodes(i: int, binding: Dict[str, ElementKey], used: set):
-        if i == len(nodes):
-            assign_arrows(0, binding, set())
-            return
-        el = nodes[i]
-        for cand in sorted(target.graph.nodes):
-            if cand in used:
-                continue
-            if el.constant and cand != el.name:
-                continue
-            if not _element_satisfies(
-                h, rule, el, target, cand, level_map, {**bindings, el.level: binding}
-            ):
-                continue
-            binding[el.name] = cand
-            used.add(cand)
-            assign_nodes(i + 1, binding, used)
-            used.discard(cand)
-            del binding[el.name]
-
-    def assign_arrows(i: int, binding: Dict[str, ElementKey], used: set):
-        if i == len(arrows):
-            results.append(dict(binding))
-            return
-        el = arrows[i]
-        for cand in sorted(target.graph.arrows):
-            if cand in used:
-                continue
-            if el.constant and cand[1] != el.name:
-                continue
-            if binding.get(el.source) != cand[0] or binding.get(el.target) != cand[2]:
-                continue
-            if not _element_satisfies(
-                h, rule, el, target, cand, level_map, {**bindings, el.level: binding}
-            ):
-                continue
-            binding[el.name] = cand
-            used.add(cand)
-            assign_arrows(i + 1, binding, used)
-            used.discard(cand)
-            del binding[el.name]
-
-    assign_nodes(0, {}, set())
-    return results
+    """All injective, type- and structure-consistent bindings of one level, in
+    lexicographic order of node, then arrow images.  Type checks read only
+    lower levels' bindings, so candidates come first."""
+    nodes = [el.name for el in pattern if el.kind == NODE]
+    ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
+    candidates = {
+        el.name: [
+            c
+            for c in (target.graph.nodes if el.kind == NODE else target.graph.arrows)
+            if (not el.constant or (c if el.kind == NODE else c[1]) == el.name)
+            and _element_satisfies(h, rule, el, target, c, level_map, bindings)
+        ]
+        for el in pattern
+    }
+    found = injective_matches(nodes, ends, candidates)
+    return [dict(zip(nodes + [a for a, _, _ in ends], m)) for m in found]
 
 
 def match(
@@ -292,14 +275,14 @@ def _element_key(e) -> ElementKey:
     return e.name if e.kind == NODE else (e.source, e.name, e.target)
 
 
-def _instance_profile(
+def instance_profile(
     rule: McmtRule,
     meta_el: MetaElement,
     mm_match: MetaMatch,
     stack: Sequence[ModelNode],
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """Per-stack-level type constraints for an instance of `meta_el`."""
-    anchors, floor, open_chain = _type_profile(rule, meta_el)
+    anchors, floor, open_chain = type_profile(rule, meta_el)
     anchors = dict(anchors)
     anchors[meta_el.level] = (meta_el.name, meta_el.level)
     constraints: List[Tuple[int, Optional[ElementKey]]] = []
@@ -353,7 +336,7 @@ def proliferate(
                 stack_level = mm_match.f(meta_el.level)
                 bound = mm_match.binding(meta_el.level)[meta_el.name]
                 types[key] = (stack[stack_level].name, bound)
-                level_types[key] = _instance_profile(rule, meta_el, mm_match, stack)
+                level_types[key] = instance_profile(rule, meta_el, mm_match, stack)
             out.append(
                 TwoLevelRule(
                     name, lhs, inter, rhs, types, level_types, rule.name, mm_match

@@ -121,14 +121,6 @@ class McmtRule:
             raise UnresolvedReference(f"no META element {name!r}")
         return best
 
-    def created(self) -> List[PatternElement]:
-        from_names = {e.name for e in self.from_pattern.elements}
-        return [e for e in self.to_pattern.elements if e.name not in from_names]
-
-    def deleted(self) -> List[PatternElement]:
-        to_names = {e.name for e in self.to_pattern.elements}
-        return [e for e in self.from_pattern.elements if e.name not in to_names]
-
 
 @dataclass(frozen=True)
 class McmtModule:

@@ -10,13 +10,22 @@ import random
 from itertools import combinations, permutations, product
 from typing import Dict, List, Optional, Tuple
 
-from mlmt.graphs import Arrow, Graph, PartialMorphism, TotalMorphism, build_graph
+from mlmt.graphs import (
+    Arrow,
+    Graph,
+    PartialMorphism,
+    TotalMorphism,
+    build_graph,
+    find_homomorphisms,
+)
 from mlmt.hierarchy import (
     ElementInfo,
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
+    transitive_type_at,
 )
+from mlmt.matching import TwoLevelRule
 from mlmt.rules import ARROW, NODE, McmtRule, MetaElement, RulePattern
 
 # ---------------------------------------------------------------------------
@@ -410,54 +419,184 @@ def _all_structural_bindings(elements, model) -> List[Dict]:
 
 
 def _binding_consistent(rule, stack, h, level_map, bindings) -> bool:
-    from mlmt.hierarchy import transitive_type_at
+    return all(
+        _elements_consistent(
+            rule, rule.meta_at(lvl), stack[level_map[lvl]], h, level_map, bindings
+        )
+        for lvl in range(1, rule.depth + 1)
+    )
+
+
+def _elements_consistent(rule, elements, model, h, level_map, bindings) -> bool:
+    """Each element's binding fits its constant name, type chain, potency
+    and multiplicity."""
     from mlmt.rules import type_chain
 
-    for lvl in range(1, rule.depth + 1):
-        model = stack[level_map[lvl]]
-        for el in rule.meta_at(lvl):
-            bound = bindings[lvl][el.name]
-            if el.constant:
-                want = el.name
-                got = bound if el.kind == NODE else bound[1]
-                if got != want:
+    for el in elements:
+        lvl = el.level
+        bound = bindings[lvl][el.name]
+        if el.constant:
+            want = el.name
+            got = bound if el.kind == NODE else bound[1]
+            if got != want:
+                return False
+        # walk the declared type chain and compare anchors
+        chain = type_chain(rule, el)
+        anchor_levels = {c.level: c for c in chain}
+        if chain[-1].type_name is not None and chain[-1].type_level == 0:
+            floor = 0
+            root_anchor = chain[-1].type_name
+        else:
+            floor = chain[-1].level
+            root_anchor = None
+        for meta_level in range(el.level - 1, floor - 1, -1):
+            actual = transitive_type_at(
+                h, model.name, bound, level_map[meta_level]
+            )
+            if meta_level in anchor_levels and meta_level > 0:
+                want = bindings[meta_level][anchor_levels[meta_level].name]
+                if actual != want:
                     return False
-            # walk the declared type chain and compare anchors
-            chain = type_chain(rule, el)
-            anchor_levels = {c.level: c for c in chain}
-            if chain[-1].type_name is not None and chain[-1].type_level == 0:
-                floor = 0
-                root_anchor = chain[-1].type_name
-            else:
-                floor = chain[-1].level
-                root_anchor = None
-            for meta_level in range(el.level - 1, floor - 1, -1):
-                actual = transitive_type_at(
-                    h, model.name, bound, level_map[meta_level]
-                )
-                if meta_level in anchor_levels and meta_level > 0:
-                    want = bindings[meta_level][anchor_levels[meta_level].name]
-                    if actual != want:
-                        return False
-                elif meta_level == 0 and root_anchor is not None:
-                    want = bindings[0][root_anchor]
-                    if actual != want:
-                        return False
-                elif meta_level not in anchor_levels:
-                    if actual is not None:
-                        return False
-            if el.potency is not None:
-                lo, hi = model.info_for(bound).potency
-                if not (lo <= el.potency[0] and el.potency[1] <= hi):
+            elif meta_level == 0 and root_anchor is not None:
+                want = bindings[0][root_anchor]
+                if actual != want:
                     return False
-            if el.multiplicity is not None:
-                tm = model.info_for(bound).multiplicity or (0, None)
-                plo, phi = el.multiplicity
-                if tm[0] > plo:
+            elif meta_level not in anchor_levels:
+                if actual is not None:
                     return False
-                if tm[1] is not None and (phi is None or phi > tm[1]):
-                    return False
+        if el.potency is not None:
+            lo, hi = model.info_for(bound).potency
+            if not (lo <= el.potency[0] and el.potency[1] <= hi):
+                return False
+        if el.multiplicity is not None:
+            tm = model.info_for(bound).multiplicity or (0, None)
+            plo, phi = el.multiplicity
+            if tm[0] > plo:
+                return False
+            if tm[1] is not None and (phi is None or phi > tm[1]):
+                return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# ordered matcher oracles
+#
+# Both matchers promise an order, not just a set: `run` draws a match by its
+# index, and proliferation numbers rules in META match order.  A typed match
+# comes in lexicographic order of the images of the sorted pattern nodes,
+# then of the sorted pattern arrows; a META binding in lexicographic order of
+# the images of its nodes, then of its arrows, in META pattern order.
+
+
+def brute_force_graph_match(pattern, target, h, rule, level_map, bindings):
+    """`graph_match` by exhaustive enumeration, in its emission order."""
+    order = [e.name for e in pattern if e.kind == NODE]
+    order += [e.name for e in pattern if e.kind == ARROW]
+    level = pattern[0].level if pattern else 0
+    found = [
+        b
+        for b in _all_structural_bindings(pattern, target)
+        if _elements_consistent(
+            rule, pattern, target, h, level_map, {**bindings, level: b}
+        )
+    ]
+    return sorted(found, key=lambda b: [b[name] for name in order])
+
+
+def _typed(rule, model, h, element, image) -> bool:
+    return all(
+        transitive_type_at(h, model.name, image, level) == want
+        for level, want in rule.level_types[element]
+    )
+
+
+def _emission_key(rule):
+    elements = sorted(rule.lhs.nodes) + sorted(rule.lhs.arrows)
+    return lambda m: [m(e) for e in elements]
+
+
+def filtered_homomorphisms(rule, model, h) -> List[TotalMorphism]:
+    """`typed_matches` from the exhaustive homomorphism search: the injective
+    homomorphisms of the left pattern whose images all carry the element's
+    level types, in emission order.  Enumerates every injective node
+    assignment, so only for small hosts."""
+    elements = sorted(rule.lhs.nodes) + sorted(rule.lhs.arrows)
+    found = [
+        m
+        for m in find_homomorphisms(rule.lhs, model.graph, injective=True)
+        if all(_typed(rule, model, h, e, m(e)) for e in elements)
+    ]
+    return sorted(found, key=_emission_key(rule))
+
+
+def brute_force_typed_matches(rule, model, h) -> List[TotalMorphism]:
+    """`typed_matches` by a product over typed images, in emission order.
+
+    Equal to `filtered_homomorphisms` (the random-hierarchy tests check
+    this), but it enumerates only images that carry the element's level
+    types, so it stays fast on hosts of a few dozen nodes.
+    """
+    nodes, arrows = sorted(rule.lhs.nodes), sorted(rule.lhs.arrows)
+    host = model.graph
+    pools = [
+        [c for c in sorted(host.nodes) if _typed(rule, model, h, n, c)]
+        for n in nodes
+    ]
+    found = []
+    for images in product(*pools):
+        if len(set(images)) != len(images):
+            continue
+        node_map = dict(zip(nodes, images))
+        arrow_pools = [
+            [
+                c
+                for c in sorted(host.arrows)
+                if (c[0], c[2]) == (node_map[a[0]], node_map[a[2]])
+                and _typed(rule, model, h, a, c)
+            ]
+            for a in arrows
+        ]
+        for choice in product(*arrow_pools):
+            if len(set(choice)) == len(choice):
+                found.append(
+                    TotalMorphism(rule.lhs, host, node_map, dict(zip(arrows, choice)))
+                )
+    return sorted(found, key=_emission_key(rule))
+
+
+def random_two_level_rule(
+    rng: random.Random, h: MultilevelHierarchy, model: ModelNode
+) -> TwoLevelRule:
+    """A left pattern of 1-3 nodes and up to 3 arrows over `model`.
+
+    Each element's level types are read off a random host element at random
+    levels, the model's own level included, and sometimes replaced by None
+    or by another element, so that some patterns match and some do not.
+    """
+    host_nodes = sorted(model.graph.nodes)
+    host_arrows = sorted(model.graph.arrows)
+
+    def profile(pool):
+        seed = rng.choice(pool)
+        levels = rng.sample(range(model.level + 1), rng.randint(0, model.level + 1))
+        out = []
+        for level in sorted(levels, reverse=True):
+            want = transitive_type_at(h, model.name, seed, level)
+            if rng.random() < 0.15:
+                want = rng.choice([None, rng.choice(pool)])
+            out.append((level, want))
+        return tuple(out)
+
+    nodes = [f"x{i}" for i in range(rng.randint(1, 3))]
+    arrows = []
+    for i in range(rng.randint(0, 3) if host_arrows else 0):
+        arrows.append((rng.choice(nodes), f"a{i}", rng.choice(nodes)))
+    lhs = build_graph(model.name, nodes, arrows)
+    level_types = {n: profile(host_nodes) for n in nodes}
+    level_types.update({a: profile(host_arrows) for a in arrows})
+    return TwoLevelRule(
+        "Random", lhs, lhs, lhs, {}, level_types, "Random", None
+    )
 
 
 def pls_fixture_paths():

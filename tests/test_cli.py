@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from mlmt.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture
@@ -55,6 +58,98 @@ class TestValidate:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 2
+
+    def test_type_cycle_is_reported_not_followed(self, capsys):
+        # A.x : B.y and B.y : A.x; the arrow on x makes validation walk x's
+        # types, which used to loop forever
+        path = os.path.join(FIXTURES, "type_cycle.json")
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert "3 violation(s)" in captured.out
+        assert "A/'x': [TypeOffBranch]" in captured.err
+        assert "B/'y': [TypeOffBranch]" in captured.err
+
+
+def small_hierarchy():
+    return {
+        "models": [
+            {
+                "name": "root",
+                "parent": None,
+                "nodes": [{"name": "Node", "type": "root.Node", "potency": "1-2"}],
+                "arrows": [
+                    {
+                        "name": "Arrow",
+                        "source": "Node",
+                        "target": "Node",
+                        "type": "root.Arrow",
+                        "potency": "1-2",
+                    }
+                ],
+            },
+            {
+                "name": "m1",
+                "parent": "root",
+                "nodes": [{"name": "a", "type": "root.Node"}],
+                "arrows": [
+                    {"name": "e", "source": "a", "target": "a", "type": "root.Arrow"}
+                ],
+            },
+        ]
+    }
+
+
+class TestMalformedInput:
+    def test_small_hierarchy_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(small_hierarchy()))
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            ("nodes", "name"),
+            ("nodes", "type"),
+            ("arrows", "name"),
+            ("arrows", "source"),
+            ("arrows", "target"),
+            ("arrows", "type"),
+        ],
+    )
+    def test_missing_field_names_its_json_path(self, tmp_path, capsys, kind, field):
+        data = small_hierarchy()
+        del data["models"][1][kind][0][field]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: models[1].{kind}[0].{field}: missing\n"
+
+    def test_field_of_the_wrong_kind_names_its_json_path(self, tmp_path, capsys):
+        data = small_hierarchy()
+        data["models"][0]["nodes"][0]["potency"] = 2
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: models[0].nodes[0].potency: expected a string\n"
+
+    def test_hierarchy_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_bytes(json.dumps(small_hierarchy()).encode() + b"\xff\xfe")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: not valid UTF-8 at byte" in err
+
+    def test_rules_that_are_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "r.mcmt"
+        path.write_bytes(b"rules X {\n  \xc3\x28\n}\n")
+        assert main(["fmt", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: not valid UTF-8 at byte 12" in err
 
 
 class TestRulesCheck:

@@ -1,11 +1,13 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from mlmt.engine import apply_mcmt, apply_two_level_rule, run, typed_matches
+from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import TypeMismatch
-from mlmt.hierarchy import transitive_type_at, validate_hierarchy
+from mlmt.graphs import Graph
+from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_hierarchy
 from mlmt.matching import proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
@@ -138,6 +140,40 @@ class TestDirectApplication:
         rule = pls_rules["CreatePart"]
         h2, _ = apply_mcmt(rule, pls, "hammer_config", tl_rule.source_match, m)
         assert validate_hierarchy(h2) == []
+
+
+class TestTypeIndex:
+    def test_one_index_serves_every_state_of_a_run(self, pls, pls_module):
+        from test_matcher_order import run_states
+
+        compiled, states = run_states(pls_module.rules, pls, seed=2)
+        index = TypeIndex(pls, pls.model("hammer_config"))
+        for state in states:
+            model = state.model("hammer_config")
+            index.regroup(model)
+            for tl_rule in compiled:
+                assert typed_matches(tl_rule, model, state, index) == typed_matches(
+                    tl_rule, model, state
+                )
+
+    def test_elements_typed_sideways_have_no_upper_types(self, pls):
+        # z types itself and w types z: neither direct type lies on a
+        # higher level, so neither element has a type above its model
+        from support import brute_force_typed_matches, random_two_level_rule
+
+        model = pls.model("hammer_config")
+        info = dict(model.info)
+        info["z"] = ElementInfo(("hammer_config", "z"))
+        info["w"] = ElementInfo(("hammer_config", "z"))
+        graph = Graph(model.name, model.graph.nodes | {"z", "w"}, model.graph.arrows)
+        model = ModelNode(model.name, model.parent, model.level, graph, info)
+        h = pls.with_model(model)
+        rng = random.Random(7)
+        for _ in range(200):
+            tl_rule = random_two_level_rule(rng, h, model)
+            assert typed_matches(tl_rule, model, h) == brute_force_typed_matches(
+                tl_rule, model, h
+            )
 
 
 class TestRun:
