@@ -35,7 +35,7 @@ from .hierarchy import (
     ElementKey,
     ModelNode,
     MultilevelHierarchy,
-    TypeRef,
+    TypeIndex,
     derive_typing_chain,
     transitive_type_at,
 )
@@ -50,41 +50,6 @@ from .matching import (
 from .rules import ARROW, NODE, McmtRule
 
 
-class TypeIndex:
-    """The elements of a bottom model that carry each level-type profile.
-
-    Above its model an element has its direct type's types, as that lies higher, so a profile
-    is decided once per direct type.  In `run` only the bottom model changes: `regroup` it."""
-
-    def __init__(self, h: MultilevelHierarchy, model: ModelNode):
-        self.h, self.verdicts = h, {}
-        self.regroup(model)
-
-    def regroup(self, model: ModelNode) -> None:
-        self.model, self.groups, self.found = model, {}, {}
-        for e in (*model.graph.nodes, *model.graph.arrows):
-            key = (isinstance(e, tuple), model.info_for(e).direct_type)
-            self.groups.setdefault(key, []).append(e)
-
-    def candidates(self, element: ElementKey, profile: tuple) -> List[ElementKey]:
-        key, n = (isinstance(element, tuple), profile), self.model.level
-        if key not in self.found:  # at level n an element is its own type; below n, untyped
-            above = tuple(p for p in profile if p[0] < n)
-            own = [(lvl, want) for lvl, want in profile if lvl >= n]
-            groups = [g for (a, t), g in self.groups.items() if a == key[0] and self._holds(t, above)]
-            self.found[key] = [
-                e for g in groups for e in g if all(w == (e if lvl == n else None) for lvl, w in own)
-            ]
-        return self.found[key]
-
-    def _holds(self, t: TypeRef, profile: tuple) -> bool:
-        if (t, profile) not in self.verdicts:
-            up = self.h.model(t[0]).level < self.model.level
-            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in profile]
-            self.verdicts[t, profile] = types == [want for _, want in profile]
-        return self.verdicts[t, profile]
-
-
 def typed_matches(
     rule: TwoLevelRule, model: ModelNode, h: MultilevelHierarchy, index: Optional[TypeIndex] = None
 ) -> List[TotalMorphism]:
@@ -92,7 +57,7 @@ def typed_matches(
     sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` regrouped at `model`."""
     index = index or TypeIndex(h, model)
     nodes, arrows = sorted(rule.lhs.nodes), sorted(rule.lhs.arrows)
-    candidates = {e: index.candidates(e, rule.level_types[e]) for e in nodes + arrows}
+    candidates = {e: index.candidates(isinstance(e, tuple), rule.level_types[e]) for e in nodes + arrows}
     return [
         TotalMorphism(rule.lhs, model.graph, dict(zip(nodes, m)), dict(zip(arrows, m[len(nodes):])))
         for m in injective_matches(nodes, [(a, a[0], a[2]) for a in arrows], candidates)

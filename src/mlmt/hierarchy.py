@@ -152,6 +152,43 @@ def transitive_type_at(
     return None
 
 
+class TypeIndex:
+    """The elements of a model that carry each level-type profile.
+
+    A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
+    Above its model an element has its direct type's types, as that lies higher, so a profile is
+    decided once per direct type.  In `run` only the bottom model changes: `regroup` it."""
+
+    def __init__(self, h: MultilevelHierarchy, model: ModelNode):
+        self.h, self.verdicts = h, {}
+        self.regroup(model)
+
+    def regroup(self, model: ModelNode) -> None:
+        self.model, self.groups, self.found = model, {}, {}
+        for e in (*model.graph.nodes, *model.graph.arrows):
+            key = (isinstance(e, tuple), model.info_for(e).direct_type)
+            self.groups.setdefault(key, []).append(e)
+
+    def candidates(self, arrows: bool, profile: tuple) -> List[ElementKey]:
+        """The model's arrows, or nodes, that carry `profile`, grouped by direct type."""
+        key, n = (arrows, profile), self.model.level
+        if key not in self.found:  # at level n an element is its own type; below n, untyped
+            above = tuple(p for p in profile if p[0] < n)
+            own = [(lvl, want) for lvl, want in profile if lvl >= n]
+            groups = [g for (a, t), g in self.groups.items() if a == arrows and self._holds(t, above)]
+            self.found[key] = [
+                e for g in groups for e in g if all(w == (e if lvl == n else None) for lvl, w in own)
+            ]
+        return self.found[key]
+
+    def _holds(self, t: TypeRef, profile: tuple) -> bool:
+        if (t, profile) not in self.verdicts:
+            up = self.h.model(t[0]).level < self.model.level
+            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in profile]
+            self.verdicts[t, profile] = types == [want for _, want in profile]
+        return self.verdicts[t, profile]
+
+
 def level_jump(h: MultilevelHierarchy, model: str, element: ElementKey) -> int:
     info = h.model(model).info_for(element)
     return h.model(model).level - h.model(info.direct_type[0]).level
@@ -379,24 +416,26 @@ _POTENCY_RE = re.compile(r"^(\d+)-(\d+)$")
 _MULT_RE = re.compile(r"^(\d+)\.\.(\d+|n|\*)$")
 
 
-def _parse_potency(text: str) -> Tuple[int, int]:
+def _parse_potency(record: dict, path: str) -> Tuple[int, int]:
+    text = _field(record, "potency", path, "1-1")
     m = _POTENCY_RE.match(text)
     if not m:
-        raise SchemaError(f"bad potency {text!r}, expected 'min-max'")
+        raise InputError(f"{path}.potency: bad potency {text!r}, expected 'min-max'")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise SchemaError(f"bad potency {text!r}: min exceeds max")
+        raise InputError(f"{path}.potency: bad potency {text!r}: min exceeds max")
     return lo, hi
 
 
-def _parse_multiplicity(text: str) -> Tuple[int, Optional[int]]:
+def _parse_multiplicity(record: dict, path: str) -> Tuple[int, Optional[int]]:
+    text = _field(record, "multiplicity", path, "0..n")
     m = _MULT_RE.match(text)
     if not m:
-        raise SchemaError(f"bad multiplicity {text!r}, expected 'l..u'")
+        raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}, expected 'l..u'")
     lo = int(m.group(1))
     hi = None if m.group(2) in ("n", "*") else int(m.group(2))
     if hi is not None and lo > hi:
-        raise SchemaError(f"bad multiplicity {text!r}: lower exceeds upper")
+        raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}: lower exceeds upper")
     return lo, hi
 
 
@@ -408,35 +447,31 @@ def _format_multiplicity(mu: Tuple[int, Optional[int]]) -> str:
     return f"{mu[0]}..{'n' if mu[1] is None else mu[1]}"
 
 
-def _split_type_ref(text: str) -> Tuple[str, str]:
+def _split_type_ref(record: dict, path: str) -> Tuple[str, str]:
+    text = _field(record, "type", path)
     if "." not in text:
-        raise SchemaError(f"type reference {text!r} must be 'model.element'")
+        raise InputError(f"{path}.type: type reference {text!r} must be 'model.element'")
     model, elem = text.split(".", 1)
     return model, elem
 
 
 def _resolve_arrow_type(
-    graphs: Dict[str, Graph],
-    levels: Dict[str, int],
-    walks,
-    model: str,
-    arrow: Arrow,
-    ref: Tuple[str, str],
+    h: MultilevelHierarchy, model: str, arrow: Arrow, ref: Tuple[str, str]
 ) -> Arrow:
     """Pick the arrow named `ref` whose endpoints fit this arrow's typing."""
     t_model, label = ref
-    if t_model not in graphs:
+    if t_model not in h.models:
         raise SchemaError(f"{model}: unknown type model {t_model!r}")
-    candidates = sorted(a for a in graphs[t_model].arrows if a[1] == label)
+    candidates = sorted(a for a in h.model(t_model).graph.arrows if a[1] == label)
     if not candidates:
         raise SchemaError(
             f"{model}: no arrow named {label!r} in model {t_model}"
         )
     if len(candidates) == 1:
         return candidates[0]
-    t_level = levels[t_model]
-    src_t = walks(model, arrow[0], t_level)
-    tgt_t = walks(model, arrow[2], t_level)
+    t_level = h.model(t_model).level
+    src_t = transitive_type_at(h, model, arrow[0], t_level)
+    tgt_t = transitive_type_at(h, model, arrow[2], t_level)
     fitting = [a for a in candidates if a[0] == src_t and a[2] == tgt_t]
     if len(fitting) != 1:
         raise SchemaError(
@@ -477,8 +512,12 @@ def _field(record, key: str, path: str, default: Optional[str] = None) -> str:
 
 def _node_record(n, path: str) -> tuple:
     """(name, type, potency, supertypes) of a node entry."""
-    name, type_ref = _field(n, "name", path), _field(n, "type", path)
-    return name, type_ref, _field(n, "potency", path, "1-1"), n.get("supertypes", [])
+    name, type_ref = _field(n, "name", path), _split_type_ref(n, path)
+    supertypes = _items(n, "supertypes", path)
+    for k, sup in enumerate(supertypes):
+        if not isinstance(sup, str):
+            raise InputError(f"{path}.supertypes[{k}]: expected a string")
+    return name, type_ref, _parse_potency(n, path), frozenset(supertypes)
 
 
 def _arrow_record(a, path: str) -> tuple:
@@ -486,9 +525,9 @@ def _arrow_record(a, path: str) -> tuple:
     key = (_field(a, "source", path), _field(a, "name", path), _field(a, "target", path))
     return (
         key,
-        _field(a, "type", path),
-        _field(a, "potency", path, "1-1"),
-        _field(a, "multiplicity", path, "0..n"),
+        _split_type_ref(a, path),
+        _parse_potency(a, path),
+        _parse_multiplicity(a, path),
     )
 
 
@@ -497,6 +536,8 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.lineno, err.colno) from err
+    except RecursionError as err:
+        raise InputError("JSON nested too deeply") from err
     if not isinstance(data, dict) or not isinstance(data.get("models"), list):
         raise InputError("top level must be an object with a 'models' list")
 
@@ -516,7 +557,7 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
             for j, a in enumerate(_items(entry, "arrows", path))
         ]
         graphs[name] = build_graph(name, [n[0] for n in nodes], [a[0] for a in arrows])
-        parents[name] = entry.get("parent")
+        parents[name] = None if entry.get("parent") is None else _field(entry, "parent", path)
         records.append((name, nodes, arrows))
     for name, parent in parents.items():
         if parent is not None and parent not in graphs:
@@ -531,49 +572,33 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
             d, cur = d + 1, parents[cur]
         return d
 
-    levels = {name: depth(name) for name in graphs}
-
-    # second pass: node typing (needed to disambiguate arrow types)
-    node_types: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    # second pass: the node-typed models, over which arrow types are resolved
+    models = []
     for name, nodes, _ in records:
-        for node, type_ref, _, _ in nodes:
-            t_model, t_elem = _split_type_ref(type_ref)
+        info: Dict[ElementKey, ElementInfo] = {}
+        for node, (t_model, t_elem), potency, supertypes in nodes:
             if t_model not in graphs or t_elem not in graphs[t_model].nodes:
                 raise SchemaError(
-                    f"{name}: node {node!r} has unknown type {type_ref!r}"
+                    f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}"
                 )
-            node_types[(name, node)] = (t_model, t_elem)
-
-    def node_type_at(model: str, node: str, level: int) -> Optional[str]:
-        cur = (model, node)
-        while True:
-            if levels[cur[0]] == level:
-                return cur[1]
-            nxt = node_types.get(cur)
-            if nxt is None or levels[nxt[0]] >= levels[cur[0]]:
-                return None
-            cur = nxt
-
-    models = []
-    for name, nodes, arrows in records:
-        info: Dict[ElementKey, ElementInfo] = {}
-        for node, _, potency, supertypes in nodes:
             info[node] = ElementInfo(
-                direct_type=node_types[(name, node)],
-                potency=_parse_potency(potency),
-                supertypes=frozenset(supertypes),
+                direct_type=(t_model, t_elem),
+                potency=potency,
+                supertypes=supertypes,
             )
-        for key, type_ref, potency, mult in arrows:
-            ref = _split_type_ref(type_ref)
-            resolved = _resolve_arrow_type(graphs, levels, node_type_at, name, key, ref)
+        models.append(ModelNode(name, parents[name], depth(name), graphs[name], info))
+    node_typed = build_hierarchy(models)
+
+    for i, (name, _, arrows) in enumerate(records):
+        info = dict(models[i].info)
+        for key, ref, potency, mult in arrows:
+            resolved = _resolve_arrow_type(node_typed, name, key, ref)
             info[key] = ElementInfo(
                 direct_type=(ref[0], resolved),
-                potency=_parse_potency(potency),
-                multiplicity=_parse_multiplicity(mult),
+                potency=potency,
+                multiplicity=mult,
             )
-        models.append(
-            ModelNode(name, parents[name], levels[name], graphs[name], info)
-        )
+        models[i] = replace(models[i], info=info)
     return build_hierarchy(models)
 
 

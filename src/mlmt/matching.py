@@ -27,7 +27,9 @@ from .hierarchy import (
     ElementKey,
     ModelNode,
     MultilevelHierarchy,
+    TypeIndex,
     TypeRef,
+    derive_typing_chain,
     transitive_type_at,
 )
 from .rules import (
@@ -119,28 +121,23 @@ def type_profile(
     return anchors, last.level, True
 
 
-def _element_satisfies(
-    h: MultilevelHierarchy,
+def _meta_profile(
     rule: McmtRule,
     meta_el: MetaElement,
-    model: ModelNode,
-    candidate: ElementKey,
     level_map: Dict[int, int],
     bindings: Dict[int, Dict[str, ElementKey]],
-) -> bool:
-    """Type consistency via transitive types, over the whole chain profile."""
-    anchors, floor, open_chain = type_profile(rule, meta_el)
-    for meta_level in range(meta_el.level - 1, floor - 1, -1):
-        stack_level = level_map[meta_level]
-        actual = transitive_type_at(h, model.name, candidate, stack_level)
-        if meta_level in anchors:
-            name, lvl = anchors[meta_level]
-            required = bindings[lvl].get(name)
-            if required is None or actual != required:
-                return False
-        else:
-            if actual is not None:
-                return False
+) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
+    """The types an image of `meta_el` must have at the stack levels of the META levels below its
+    own, top down: the binding of its META type chain there, or None where the chain skips."""
+    anchors, floor, _ = type_profile(rule, meta_el)
+    return tuple(
+        (level_map[k], bindings[k][anchors[k][0]] if k in anchors else None)
+        for k in range(meta_el.level - 1, floor - 1, -1)
+    )
+
+
+def _element_satisfies(meta_el: MetaElement, model: ModelNode, candidate: ElementKey) -> bool:
+    """The potency and multiplicity a META element asks of its image."""
     if meta_el.potency is not None:
         lo, hi = model.info_for(candidate).potency
         if not (lo <= meta_el.potency[0] and meta_el.potency[1] <= hi):
@@ -170,12 +167,13 @@ def graph_match(
     lower levels' bindings, so candidates come first."""
     nodes = [el.name for el in pattern if el.kind == NODE]
     ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
+    index = TypeIndex(h, target)
     candidates = {
         el.name: [
             c
-            for c in (target.graph.nodes if el.kind == NODE else target.graph.arrows)
+            for c in index.candidates(el.kind == ARROW, _meta_profile(rule, el, level_map, bindings))
             if (not el.constant or (c if el.kind == NODE else c[1]) == el.name)
-            and _element_satisfies(h, rule, el, target, c, level_map, bindings)
+            and _element_satisfies(el, target, c)
         ]
         for el in pattern
     }
@@ -192,7 +190,7 @@ def match(
     h: MultilevelHierarchy,
     _level_map: Optional[Dict[int, int]] = None,
     _bindings: Optional[Dict[int, Dict[str, ElementKey]]] = None,
-) -> bool:
+) -> None:
     """Recursive META-chain matching; complete matches land in `matches`.
 
     `stack` is the typing chain above the target model, root first.  Both
@@ -206,8 +204,7 @@ def match(
         _bindings = {0: _root_binding(rule, stack[0])}
     if mm_level == depth:
         matches.append(_freeze_match(_level_map, _bindings))
-        return True
-    found = False
+        return
     # leave room below for the remaining META levels
     for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
         level_map = {**_level_map, mm_level + 1: t}
@@ -215,11 +212,7 @@ def match(
             rule.meta_at(mm_level + 1), stack[t], h, rule, level_map, _bindings
         ):
             bindings = {**_bindings, mm_level + 1: binding}
-            if match(
-                rule, stack, mm_level + 1, t, matches, h, level_map, bindings
-            ):
-                found = True
-    return found
+            match(rule, stack, mm_level + 1, t, matches, h, level_map, bindings)
 
 
 def find_meta_matches(
@@ -281,28 +274,14 @@ def instance_profile(
     mm_match: MetaMatch,
     stack: Sequence[ModelNode],
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
-    """Per-stack-level type constraints for an instance of `meta_el`."""
-    anchors, floor, open_chain = type_profile(rule, meta_el)
-    anchors = dict(anchors)
-    anchors[meta_el.level] = (meta_el.name, meta_el.level)
-    constraints: List[Tuple[int, Optional[ElementKey]]] = []
-    for meta_level in range(meta_el.level, floor - 1, -1):
-        stack_level = mm_match.f(meta_level)
-        if meta_level in anchors:
-            name, lvl = anchors[meta_level]
-            constraints.append(
-                (stack_level, mm_match.binding(lvl)[name])
-            )
-        else:
-            constraints.append((stack_level, None))
-    # stack levels between mapped meta levels must also be untyped
-    mapped = {mm_match.f(l) for l in range(meta_el.level, floor - 1, -1)}
+    """Per-stack-level type constraints for an instance of `meta_el`: its own
+    binding, its META profile, and untyped at the stack levels in between."""
     top = mm_match.f(meta_el.level)
-    bottom = mm_match.f(floor)
-    for stack_level in range(bottom, top):
-        if stack_level not in mapped:
-            constraints.append((stack_level, None))
-    return tuple(sorted(constraints, reverse=True))
+    profile = ((top, mm_match.binding(meta_el.level)[meta_el.name]),)
+    profile += _meta_profile(rule, meta_el, mm_match._levels, mm_match._bindings)
+    mapped = {level for level, _ in profile}
+    between = tuple((level, None) for level in range(profile[-1][0], top) if level not in mapped)
+    return tuple(sorted(profile + between, reverse=True))
 
 
 def proliferate(
@@ -456,23 +435,7 @@ def meta_chain_for_match(
             )
     meta_chain = build_chain(graphs, typings)
 
-    tg_graphs = [m.graph.renamed(m.name) for m in stack]
-    tg_typings: Dict[Tuple[int, int], PartialMorphism] = {}
-    for j in range(1, len(stack)):
-        for i in range(j):
-            node_map, arrow_map = {}, {}
-            for n in tg_graphs[j].nodes:
-                t = transitive_type_at(h, stack[j].name, n, i)
-                if t is not None:
-                    node_map[n] = t
-            for a in tg_graphs[j].arrows:
-                t = transitive_type_at(h, stack[j].name, a, i)
-                if t is not None:
-                    arrow_map[a] = t
-            tg_typings[(j, i)] = PartialMorphism(
-                tg_graphs[j], tg_graphs[i], node_map, arrow_map
-            )
-    tg_chain = build_chain(tg_graphs, tg_typings)
+    tg_chain, _ = derive_typing_chain(h, stack[-1].name)
 
     components = {}
     for lvl in range(depth + 1):

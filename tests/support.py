@@ -478,6 +478,35 @@ def _elements_consistent(rule, elements, model, h, level_map, bindings) -> bool:
     return True
 
 
+def reference_instance_profile(rule, meta_el, mm_match):
+    """`instance_profile` as it first stood: walks the element's META type
+    chain level by level, then marks the stack levels the level map skips
+    inside its range untyped."""
+    from mlmt.rules import type_chain
+
+    chain = type_chain(rule, meta_el)
+    anchors = {c.level: c.name for c in chain}
+    if chain[-1].type_name is not None and chain[-1].type_level == 0:
+        anchors[0] = chain[-1].type_name
+        floor = 0
+    else:
+        floor = chain[-1].level
+    constraints = []
+    for meta_level in range(meta_el.level, floor - 1, -1):
+        stack_level = mm_match.f(meta_level)
+        if meta_level in anchors:
+            constraints.append(
+                (stack_level, mm_match.binding(meta_level)[anchors[meta_level]])
+            )
+        else:
+            constraints.append((stack_level, None))
+    mapped = {mm_match.f(l) for l in range(meta_el.level, floor - 1, -1)}
+    for stack_level in range(mm_match.f(floor), mm_match.f(meta_el.level)):
+        if stack_level not in mapped:
+            constraints.append((stack_level, None))
+    return tuple(sorted(constraints, reverse=True))
+
+
 # ---------------------------------------------------------------------------
 # ordered matcher oracles
 #

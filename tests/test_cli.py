@@ -69,6 +69,13 @@ class TestValidate:
         assert "A/'x': [TypeOffBranch]" in captured.err
         assert "B/'y': [TypeOffBranch]" in captured.err
 
+    def test_arrow_type_no_endpoint_typing_fits_exits_one(self, capsys):
+        path = os.path.join(FIXTURES, "shared_arrow_label_ambiguous.json")
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m3: ambiguous arrow type m1.r for ('x', 'e', 'w')\n"
+
 
 def small_hierarchy():
     return {
@@ -134,6 +141,56 @@ class TestMalformedInput:
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "input error: models[0].nodes[0].potency: expected a string\n"
+
+    @pytest.mark.parametrize(
+        "kind,field,value,message",
+        [
+            ("nodes", "potency", "x", "potency: bad potency 'x', expected 'min-max'"),
+            ("nodes", "potency", "2-1", "potency: bad potency '2-1': min exceeds max"),
+            ("nodes", "type", "Node", "type: type reference 'Node' must be 'model.element'"),
+            ("nodes", "supertypes", ["a", 3], "supertypes[1]: expected a string"),
+            ("arrows", "potency", "1", "potency: bad potency '1', expected 'min-max'"),
+            ("arrows", "multiplicity", "1..x", "multiplicity: bad multiplicity '1..x', expected 'l..u'"),
+            ("arrows", "multiplicity", "2..1", "multiplicity: bad multiplicity '2..1': lower exceeds upper"),
+            ("arrows", "type", "Arrow", "type: type reference 'Arrow' must be 'model.element'"),
+        ],
+    )
+    def test_malformed_value_names_its_json_path(
+        self, tmp_path, capsys, kind, field, value, message
+    ):
+        data = small_hierarchy()
+        data["models"][1][kind][0][field] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: models[1].{kind}[0].{message}\n"
+
+    def test_parent_of_the_wrong_kind_names_its_json_path(self, tmp_path, capsys):
+        data = small_hierarchy()
+        data["models"][1]["parent"] = ["root"]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "input error: models[1].parent: expected a string\n"
+
+    @pytest.mark.parametrize(
+        "kind,type_ref,message",
+        [
+            ("nodes", "ghost.Node", "m1: node 'a' has unknown type 'ghost.Node'"),
+            ("arrows", "ghost.Arrow", "m1: unknown type model 'ghost'"),
+        ],
+    )
+    def test_unknown_type_model_is_a_schema_error(
+        self, tmp_path, capsys, kind, type_ref, message
+    ):
+        data = small_hierarchy()
+        data["models"][1][kind][0]["type"] = type_ref
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_hierarchy_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         path = tmp_path / "h.json"

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from mlmt.hierarchy import (
 )
 
 from support import random_hierarchy
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class TestLoadSave:
@@ -70,6 +73,15 @@ class TestLoadSave:
                 "generic_plant",
                 ("Machine", "creates", "Part"),
             )
+
+    def test_shared_arrow_label_resolved_two_levels_up(self):
+        # m1 has two arrows labelled r; each m3 arrow typed m1.r takes the one
+        # whose endpoints are its endpoints' types at level 1, through m2
+        h = load_hierarchy(os.path.join(FIXTURES, "shared_arrow_label.json"))
+        m3 = h.model("m3")
+        assert m3.info_for(("x", "e", "y")).direct_type == ("m1", ("A", "r", "B"))
+        assert m3.info_for(("x", "e", "z")).direct_type == ("m1", ("A", "r", "C"))
+        assert validate_hierarchy(h) == []
 
 
 class TestValidation:
