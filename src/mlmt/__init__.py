@@ -13,6 +13,7 @@ from .chains import (
     chain_pullback_complement,
     chain_pushout,
     check_compatibility,
+    lift,
     refactor_inclusion_chain,
     typing_to_chain,
     validate_chain_morphism,
@@ -66,6 +67,7 @@ from .rules import (
     MetaElement,
     PatternElement,
     RulePattern,
+    element_key,
     expand_cardinalities,
     parse_rule_module,
     print_rule_module,

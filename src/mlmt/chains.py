@@ -148,6 +148,24 @@ class ChainMorphism:
         return self.level_map[i]
 
 
+def lift(
+    base: TotalMorphism, src: GraphChain, dst: GraphChain, f: Dict[int, int]
+) -> ChainMorphism:
+    """The chain morphism src -> dst between inclusion chains whose component
+    at level i is `base`, a morphism of the level-0 graphs, restricted to
+    src level i and dst level f(i)."""
+    components = {
+        i: TotalMorphism(
+            g,
+            dst.graph_at(f[i]),
+            {n: base.node_map[n] for n in g.nodes},
+            {a: base.arrow_map[a] for a in g.arrows},
+        )
+        for i, g in enumerate(src.graphs)
+    }
+    return ChainMorphism(src, dst, dict(f), components)
+
+
 def validate_chain_morphism(cm: ChainMorphism) -> List[str]:
     """Check Def.-2 conditions; returns one message per failure."""
     problems: List[str] = []
@@ -240,12 +258,8 @@ def typing_to_chain(mt: MultilevelTyping) -> Tuple[GraphChain, ChainMorphism]:
         i: TotalMorphism(
             incl_chain.graph_at(i),
             mt.chain.graph_at(i),
-            dict(mt.sigmas[i].node_map) if i > 0 else {
-                n: mt.sigmas[0].node_map[n] for n in mt.subject.nodes
-            },
-            dict(mt.sigmas[i].arrow_map) if i > 0 else {
-                a: mt.sigmas[0].arrow_map[a] for a in mt.subject.arrows
-            },
+            dict(mt.sigmas[i].node_map),
+            dict(mt.sigmas[i].arrow_map),
         )
         for i in range(m + 1)
     }
@@ -313,26 +327,7 @@ def chain_pushout(
         D0, subgraphs, names=[S.graph_at(j).name for j in range(M + 1)]
     )
 
-    s = ChainMorphism(
-        S,
-        D,
-        {j: j for j in range(M + 1)},
-        {
-            j: inclusion(S.graph_at(j), D.graph_at(j))
-            for j in range(M + 1)
-        },
-    )
-    d_components = {0: TotalMorphism(I.graph_at(0), D.graph_at(0), d0.node_map, d0.arrow_map)}
-    for i in range(1, n + 1):
-        gi = I.graph_at(i)
-        d_components[i] = TotalMorphism(
-            gi,
-            D.graph_at(f[i]),
-            {nd: d0.node_map[nd] for nd in gi.nodes},
-            {a: d0.arrow_map[a] for a in gi.arrows},
-        )
-    d = ChainMorphism(I, D, dict(f), d_components)
-    return D, s, d
+    return D, lift(s0, S, D, {j: j for j in range(M + 1)}), lift(d0, I, D, f)
 
 
 def chain_pullback_complement(
@@ -347,10 +342,9 @@ def chain_pullback_complement(
     if R.length != I.length:
         raise DepthMismatch("rule chains must have equal depth")
     _require_inclusion_chains(R, I, D)
-    n, M = R.length, D.length
-    f = d.level_map
+    M = D.length
 
-    T0, t_in0, _ = pullback_complement(
+    T0, t_in0, t_sub0 = pullback_complement(
         inclusion(R.graph_at(0), I.graph_at(0)), d.component(0)
     )
 
@@ -364,22 +358,4 @@ def chain_pullback_complement(
         T0, subgraphs, names=[D.graph_at(j).name for j in range(M + 1)]
     )
 
-    t_in_components = {
-        0: TotalMorphism(R.graph_at(0), T.graph_at(0), t_in0.node_map, t_in0.arrow_map)
-    }
-    for i in range(1, n + 1):
-        gi = R.graph_at(i)
-        t_in_components[i] = TotalMorphism(
-            gi,
-            T.graph_at(f[i]),
-            {nd: t_in0.node_map[nd] for nd in gi.nodes},
-            {a: t_in0.arrow_map[a] for a in gi.arrows},
-        )
-    t_in = ChainMorphism(R, T, dict(f), t_in_components)
-    t_sub = ChainMorphism(
-        T,
-        D,
-        {j: j for j in range(M + 1)},
-        {j: inclusion(T.graph_at(j), D.graph_at(j)) for j in range(M + 1)},
-    )
-    return T, t_in, t_sub
+    return T, lift(t_in0, R, T, d.level_map), lift(t_sub0, T, D, {j: j for j in range(M + 1)})

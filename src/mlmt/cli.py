@@ -45,15 +45,16 @@ def _configure_logging():
 
 
 def _load_inputs(args):
-    return load_hierarchy(args.hierarchy), parse_rule_module(read_text(args.rules))
-
-
-def _validate_all(h, module):
+    """The hierarchy and rule module of a command, or None once every problem
+    that validation finds in them is printed."""
+    h, module = load_hierarchy(args.hierarchy), parse_rule_module(read_text(args.rules))
     problems = [str(i) for i in validate_hierarchy(h)]
     root_graph = h.model(h.root).graph
     for rule in module.rules:
         problems.extend(validate_rule(rule, root_graph))
-    return problems
+    for p in problems:
+        print(p, file=sys.stderr)
+    return None if problems else (h, module)
 
 
 def cmd_validate(args) -> int:
@@ -89,12 +90,10 @@ def cmd_rules_check(args) -> int:
 
 
 def cmd_proliferate(args) -> int:
-    h, module = _load_inputs(args)
-    problems = _validate_all(h, module)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    inputs = _load_inputs(args)
+    if inputs is None:
         return 1
+    h, module = inputs
     per_rule = proliferate_all(module.rules, h, args.target)
     total = 0
     all_rules = []
@@ -112,12 +111,10 @@ def cmd_proliferate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    h, module = _load_inputs(args)
-    problems = _validate_all(h, module)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    inputs = _load_inputs(args)
+    if inputs is None:
         return 1
+    h, module = inputs
     per_rule = proliferate_all(module.rules, h, args.target)
     candidates = [r for rules in per_rule.values() for r in rules]
     chosen = [r for r in candidates if r.name == args.rule or r.source_rule == args.rule]
@@ -149,12 +146,10 @@ def cmd_apply(args) -> int:
 
 
 def cmd_run(args) -> int:
-    h, module = _load_inputs(args)
-    problems = _validate_all(h, module)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    inputs = _load_inputs(args)
+    if inputs is None:
         return 1
+    h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
-    ChainMorphism,
-    GraphChain,
     chain_pullback_complement,
     chain_pushout,
+    lift,
     refactor_inclusion_chain,
     typing_to_chain,
 )
@@ -47,7 +46,7 @@ from .matching import (
     type_profile,
     typing_stack,
 )
-from .rules import ARROW, NODE, McmtRule
+from .rules import McmtRule, RulePattern, element_key
 
 
 def typed_matches(
@@ -145,7 +144,6 @@ def _pattern_level_subgraphs(
     rule: McmtRule,
     pattern_graph: Graph,
     pattern_elements,
-    mm_match: MetaMatch,
     depth: int,
 ) -> List[Subgraph]:
     """Inclusion-chain layers of a pattern: level i holds the elements whose
@@ -155,8 +153,7 @@ def _pattern_level_subgraphs(
     for e in pattern_elements:
         meta_el = rule.meta_element(e.type_name, e.type_level)
         anchors, floor, _ = type_profile(rule, meta_el)
-        key = e.name if e.kind == NODE else (e.source, e.name, e.target)
-        profiles[key] = set(anchors) | {meta_el.level}
+        profiles[element_key(e)] = set(anchors) | {meta_el.level}
     for i in range(1, depth + 1):
         nodes = frozenset(
             n for n in pattern_graph.nodes if i in profiles[n]
@@ -181,28 +178,13 @@ def apply_mcmt(
     stack = typing_stack(h, target_model)
     model = h.model(target_model)
     depth = rule.depth
-
-    lhs = rule.from_pattern.graph(target_model)
-    rhs_elems = rule.to_pattern.elements
-    interface_elems = list(rule.from_pattern.elements) + [
-        e for e in rhs_elems if e.name not in rule.from_pattern.by_name()
-    ]
-    inter_nodes = [e.name for e in interface_elems if e.kind == NODE]
-    inter_arrows = [
-        (e.source, e.name, e.target) for e in interface_elems if e.kind == ARROW
-    ]
-    interface = Graph(
-        target_model, frozenset(inter_nodes), frozenset(inter_arrows)
-    )
-    rhs_nodes = frozenset(e.name for e in rhs_elems if e.kind == NODE)
-    rhs_arrows = frozenset(
-        (e.source, e.name, e.target) for e in rhs_elems if e.kind == ARROW
-    )
-    rhs = Graph(target_model, rhs_nodes, rhs_arrows)
+    lhs_names = rule.from_pattern.by_name()
+    created = [e for e in rule.to_pattern.elements if e.name not in lhs_names]
+    interface = RulePattern(rule.from_pattern.elements + tuple(created))
 
     # type-compatibility of the bottom match
     for e in rule.from_pattern.elements:
-        key = e.name if e.kind == NODE else (e.source, e.name, e.target)
+        key = element_key(e)
         meta_el = rule.meta_element(e.type_name, e.type_level)
         img = m(key)
         for level, required in instance_profile(rule, meta_el, mm_match, stack):
@@ -210,69 +192,30 @@ def apply_mcmt(
                 raise IncompatibleMatch(level, key)
 
     # inclusion chains for L, I, R and the chain match into S
-    chain, mt = derive_typing_chain(h, target_model)
-    s_chain, s_morph = typing_to_chain(mt)
+    _, mt = derive_typing_chain(h, target_model)
+    s_chain, _ = typing_to_chain(mt)
+    chains = []
+    for tag, pattern in (("L", rule.from_pattern), ("I", interface), ("R", rule.to_pattern)):
+        g = pattern.graph(target_model)
+        layers = _pattern_level_subgraphs(rule, g, pattern.elements, depth)
+        names = [f"{rule.name}.{tag}@{i}" for i in range(depth + 1)]
+        chains.append(refactor_inclusion_chain(g, layers, names))
+    l_chain, i_chain, r_chain = chains
+    ident = {i: i for i in range(depth + 1)}
+    l_morph = lift(inclusion(l_chain.graph_at(0), i_chain.graph_at(0)), l_chain, i_chain, ident)
+    r_morph = lift(inclusion(r_chain.graph_at(0), i_chain.graph_at(0)), r_chain, i_chain, ident)
+    m_chain = lift(m, l_chain, s_chain, dict(mm_match.level_map))
 
-    names_l = [f"{rule.name}.L@{i}" for i in range(depth + 1)]
-    names_i = [f"{rule.name}.I@{i}" for i in range(depth + 1)]
-    names_r = [f"{rule.name}.R@{i}" for i in range(depth + 1)]
-    l_chain = refactor_inclusion_chain(
-        lhs,
-        _pattern_level_subgraphs(rule, lhs, rule.from_pattern.elements, mm_match, depth),
-        names=names_l,
-    )
-    i_chain = refactor_inclusion_chain(
-        interface,
-        _pattern_level_subgraphs(rule, interface, interface_elems, mm_match, depth),
-        names=names_i,
-    )
-    r_chain = refactor_inclusion_chain(
-        rhs,
-        _pattern_level_subgraphs(rule, rhs, rhs_elems, mm_match, depth),
-        names=names_r,
-    )
-
-    def chain_inclusion(src: GraphChain, dst: GraphChain) -> ChainMorphism:
-        return ChainMorphism(
-            src,
-            dst,
-            {i: i for i in range(src.length + 1)},
-            {
-                i: inclusion(src.graph_at(i), dst.graph_at(i))
-                for i in range(src.length + 1)
-            },
-        )
-
-    l_morph = chain_inclusion(l_chain, i_chain)
-    r_morph = chain_inclusion(r_chain, i_chain)
-
-    level_map = {0: 0}
-    for i in range(1, depth + 1):
-        level_map[i] = mm_match.f(i)
-    m_components = {0: TotalMorphism(l_chain.graph_at(0), s_chain.graph_at(0), m.node_map, m.arrow_map)}
-    for i in range(1, depth + 1):
-        g = l_chain.graph_at(i)
-        m_components[i] = TotalMorphism(
-            g,
-            s_chain.graph_at(level_map[i]),
-            {n: m.node_map[n] for n in g.nodes},
-            {a: m.arrow_map[a] for a in g.arrows},
-        )
-    m_chain = ChainMorphism(l_chain, s_chain, level_map, m_components)
-
-    d_chain, s_incl, d_morph = chain_pushout(l_morph, m_chain)
-    t_chain, t_in, t_sub = chain_pullback_complement(r_morph, d_morph)
+    _, _, d_morph = chain_pushout(l_morph, m_chain)
+    t_chain, _, _ = chain_pullback_complement(r_morph, d_morph)
 
     # install the result as the new bottom model
     t0 = t_chain.graph_at(0).renamed(target_model)
     d0 = d_morph.component(0)
     created_keys = []
     info = {k: v for k, v in model.info.items() if t0.has(k)}
-    for e in interface_elems:
-        if e.name in rule.from_pattern.by_name():
-            continue
-        key = e.name if e.kind == NODE else (e.source, e.name, e.target)
-        img = d0(key)
+    for e in created:
+        img = d0(element_key(e))
         if not t0.has(img):
             continue
         created_keys.append(img)

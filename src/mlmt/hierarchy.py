@@ -337,19 +337,15 @@ def derive_typing_chain(
     """
     path = h.root_path(model_name)
     graphs = [h.model(p).graph.renamed(p) for p in path]
-    levels = {p: i for i, p in enumerate(path)}
     typings: Dict[Tuple[int, int], PartialMorphism] = {}
     for j in range(1, len(path)):
-        for i in range(j):
-            node_map, arrow_map = {}, {}
-            for n in graphs[j].nodes:
-                t = transitive_type_at(h, path[j], n, i)
-                if t is not None:
-                    node_map[n] = t
-            for a in graphs[j].arrows:
-                t = transitive_type_at(h, path[j], a, i)
-                if t is not None:
-                    arrow_map[a] = t
+        maps = [({}, {}) for _ in range(j)]  # node and arrow maps of typing (j, i)
+        for e in (*graphs[j].nodes, *graphs[j].arrows):
+            walk = type_walk(h, path[j], e)
+            next(walk)  # the element itself; the levels of its types strictly decrease
+            for t_model, t in walk:
+                maps[h.model(t_model).level][isinstance(e, tuple)][e] = t
+        for i, (node_map, arrow_map) in enumerate(maps):
             typings[(j, i)] = PartialMorphism(
                 graphs[j], graphs[i], node_map, arrow_map
             )
@@ -412,16 +408,19 @@ def flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
     return build_hierarchy(new_models)
 
 
-_POTENCY_RE = re.compile(r"^(\d+)-(\d+)$")
-_MULT_RE = re.compile(r"^(\d+)\.\.(\d+|n|\*)$")
+_POTENCY_RE = re.compile(r"([0-9]+)-([0-9]+)")
+_MULT_RE = re.compile(r"([0-9]+)\.\.([0-9]+|n|\*)")
 
 
 def _parse_potency(record: dict, path: str) -> Tuple[int, int]:
     text = _field(record, "potency", path, "1-1")
-    m = _POTENCY_RE.match(text)
+    m = _POTENCY_RE.fullmatch(text)
     if not m:
         raise InputError(f"{path}.potency: bad potency {text!r}, expected 'min-max'")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than the interpreter converts
+        raise InputError(f"{path}.potency: bad potency: a bound has too many digits") from None
     if lo > hi:
         raise InputError(f"{path}.potency: bad potency {text!r}: min exceeds max")
     return lo, hi
@@ -429,11 +428,14 @@ def _parse_potency(record: dict, path: str) -> Tuple[int, int]:
 
 def _parse_multiplicity(record: dict, path: str) -> Tuple[int, Optional[int]]:
     text = _field(record, "multiplicity", path, "0..n")
-    m = _MULT_RE.match(text)
+    m = _MULT_RE.fullmatch(text)
     if not m:
         raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}, expected 'l..u'")
-    lo = int(m.group(1))
-    hi = None if m.group(2) in ("n", "*") else int(m.group(2))
+    try:
+        lo = int(m.group(1))
+        hi = None if m.group(2) in ("n", "*") else int(m.group(2))
+    except ValueError:  # more digits than the interpreter converts
+        raise InputError(f"{path}.multiplicity: bad multiplicity: a bound has too many digits") from None
     if hi is not None and lo > hi:
         raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}: lower exceeds upper")
     return lo, hi

@@ -37,6 +37,7 @@ from .rules import (
     NODE,
     McmtRule,
     MetaElement,
+    element_key,
     expand_cardinalities,
     type_chain,
 )
@@ -264,10 +265,6 @@ def _pattern_graphs(rule: McmtRule, name: str) -> Tuple[Graph, Graph, Graph]:
     return lhs, inter, rhs
 
 
-def _element_key(e) -> ElementKey:
-    return e.name if e.kind == NODE else (e.source, e.name, e.target)
-
-
 def instance_profile(
     rule: McmtRule,
     meta_el: MetaElement,
@@ -308,7 +305,7 @@ def proliferate(
             types: Dict[ElementKey, TypeRef] = {}
             level_types = {}
             for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
-                key = _element_key(e)
+                key = element_key(e)
                 if key in types:
                     continue
                 meta_el = rule.meta_element(e.type_name, e.type_level)
@@ -362,7 +359,8 @@ def rule_set_to_json(rules: Sequence[TwoLevelRule]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# chain-morphism view of a match (used by validation and the direct engine)
+# chain-morphism view of a match, checked against Def. 2 by the tests; the
+# direct engine builds its own chain match
 
 
 def meta_chain_for_match(
@@ -384,7 +382,7 @@ def meta_chain_for_match(
             build_graph(
                 f"{rule.name}@{lvl}",
                 [e.name for e in els if e.kind == NODE],
-                [(e.source, e.name, e.target) for e in els if e.kind == ARROW],
+                [element_key(e) for e in els if e.kind == ARROW],
             )
         )
 
@@ -417,19 +415,11 @@ def meta_chain_for_match(
                     ]
                     if not named:
                         continue
-                    image_el = rule.meta_element(named[0], i)
-                    image = (
-                        image_el.name
-                        if image_el.kind == NODE
-                        else (image_el.source, image_el.name, image_el.target)
-                    )
-                key = (
-                    el.name if el.kind == NODE else (el.source, el.name, el.target)
-                )
+                    image = element_key(rule.meta_element(named[0], i))
                 if el.kind == NODE:
-                    node_map[key] = image
+                    node_map[el.name] = image
                 else:
-                    arrow_map[key] = image
+                    arrow_map[element_key(el)] = image
             typings[(j, i)] = PartialMorphism(
                 graphs[j], graphs[i], node_map, arrow_map
             )

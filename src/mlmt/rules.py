@@ -23,14 +23,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     DuplicateDeclaration,
     ParseError,
     UnresolvedReference,
 )
-from .graphs import Graph, build_graph
+from .graphs import Arrow, Graph, build_graph
 
 NODE = "node"
 ARROW = "arrow"
@@ -65,6 +65,12 @@ class PatternElement:
     target: Optional[str] = None
 
 
+def element_key(e) -> Union[str, Arrow]:
+    """The graph key of a META or pattern element: a node's name, or an
+    arrow's (source, name, target)."""
+    return e.name if e.kind == NODE else (e.source, e.name, e.target)
+
+
 @dataclass(frozen=True)
 class RulePattern:
     elements: Tuple[PatternElement, ...] = ()
@@ -82,7 +88,7 @@ class RulePattern:
         return build_graph(
             name,
             [e.name for e in self.nodes()],
-            [(e.source, e.name, e.target) for e in self.arrows()],
+            [element_key(e) for e in self.arrows()],
         )
 
 
@@ -136,7 +142,7 @@ _TOKEN_RE = re.compile(
       | (?P<comment>//[^\n]*)
       | (?P<arrow>->)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<sym>[{}:=@$\-])
     """,
     re.VERBOSE,
@@ -271,22 +277,31 @@ class _Parser:
             constant = True
         mm: Optional[int] = None
         tok = self.peek()
-        if tok.kind == "id" and re.fullmatch(r"mm\d+", tok.text):
+        if tok.kind == "id" and re.fullmatch(r"mm[0-9]+", tok.text):
             self.next()
-            mm = int(tok.text[2:])
+            try:
+                mm = int(tok.text[2:])
+            except ValueError:  # more digits than the interpreter converts
+                self.fail("META level has too many digits", tok)
         potency: Optional[Tuple[int, int]] = None
         if self.peek().text == "@":
             self.next()
             lo_tok = self.next()
             if lo_tok.kind != "int":
                 self.fail("expected potency bound", lo_tok)
-            lo = hi = int(lo_tok.text)
+            try:
+                lo = hi = int(lo_tok.text)
+            except ValueError:
+                self.fail("potency bound has too many digits", lo_tok)
             if self.peek().text == "-":
                 self.next()
                 hi_tok = self.next()
                 if hi_tok.kind != "int":
                     self.fail("expected potency bound", hi_tok)
-                hi = int(hi_tok.text)
+                try:
+                    hi = int(hi_tok.text)
+                except ValueError:
+                    self.fail("potency bound has too many digits", hi_tok)
             potency = (lo, hi)
         return _RawDecl(name_tok.text, type_tok.text, constant, mm, potency, name_tok.line)
 

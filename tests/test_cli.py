@@ -4,6 +4,8 @@ import os
 import pytest
 
 from mlmt.cli import main
+from mlmt.hierarchy import load_hierarchy, read_text, validate_hierarchy
+from mlmt.rules import parse_rule_module, validate_rule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -153,6 +155,20 @@ class TestMalformedInput:
             ("arrows", "multiplicity", "1..x", "multiplicity: bad multiplicity '1..x', expected 'l..u'"),
             ("arrows", "multiplicity", "2..1", "multiplicity: bad multiplicity '2..1': lower exceeds upper"),
             ("arrows", "type", "Arrow", "type: type reference 'Arrow' must be 'model.element'"),
+            ("nodes", "potency", "1-1\n", "potency: bad potency '1-1\\n', expected 'min-max'"),
+            ("nodes", "potency", "\u0661-\u0662", "potency: bad potency '\u0661-\u0662', expected 'min-max'"),
+            ("arrows", "multiplicity", "0..1\n", "multiplicity: bad multiplicity '0..1\\n', expected 'l..u'"),
+            ("arrows", "multiplicity", "\u0660..n", "multiplicity: bad multiplicity '\u0660..n', expected 'l..u'"),
+            pytest.param(
+                "nodes", "potency", "1-" + "9" * 5000,
+                "potency: bad potency: a bound has too many digits",
+                id="nodes-potency-5000-digits",
+            ),
+            pytest.param(
+                "arrows", "multiplicity", "0.." + "9" * 5000,
+                "multiplicity: bad multiplicity: a bound has too many digits",
+                id="arrows-multiplicity-5000-digits",
+            ),
         ],
     )
     def test_malformed_value_names_its_json_path(
@@ -207,6 +223,37 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{path}: not valid UTF-8 at byte 12" in err
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["proliferate"],
+            ["apply", "--rule", "CreatePart"],
+            ["run", "--steps", "5", "--seed", "0"],
+        ],
+    )
+    def test_every_problem_is_reported_and_nothing_written(
+        self, paths, tmp_path, capsys, command
+    ):
+        _, rules = paths
+        data = small_hierarchy()
+        for kind in ("nodes", "arrows"):  # m1.a and m1.e jump one level
+            data["models"][0][kind][0]["potency"] = "2-2"
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        h = load_hierarchy(str(path))
+        problems = [str(issue) for issue in validate_hierarchy(h)]
+        for rule in parse_rule_module(read_text(rules)).rules:
+            problems.extend(validate_rule(rule, h.model(h.root).graph))
+        assert len(problems) > 1
+
+        code = main([command[0], str(path), rules, "--target", "m1", *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == problems
 
 
 class TestRulesCheck:

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from mlmt import engine
+from mlmt.chains import chain_pullback_complement, chain_pushout, validate_chain_morphism
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
-from mlmt.errors import TypeMismatch
+from mlmt.errors import DanglingDeletion, TypeMismatch
 from mlmt.graphs import Graph
 from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_hierarchy
 from mlmt.matching import proliferate, typing_stack
@@ -140,6 +142,54 @@ class TestDirectApplication:
         rule = pls_rules["CreatePart"]
         h2, _ = apply_mcmt(rule, pls, "hammer_config", tl_rule.source_match, m)
         assert validate_hierarchy(h2) == []
+
+    def test_chain_morphisms_are_restrictions_of_level_zero(
+        self, pls, pls_module, pls_rules, monkeypatch
+    ):
+        """Every chain morphism the direct route passes to or gets back from
+        the chain pushout and pullback complement, at every match of every
+        compiled rule over the states of a seeded run, is valid, and its
+        component at each level is its level-0 component restricted there."""
+        from test_matcher_order import run_states
+
+        seen = []
+
+        def recording(construction):
+            def wrapper(*morphisms):
+                seen.extend(morphisms)
+                result = construction(*morphisms)
+                seen.extend(result[1:])
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(engine, "chain_pushout", recording(chain_pushout))
+        monkeypatch.setattr(
+            engine, "chain_pullback_complement", recording(chain_pullback_complement)
+        )
+        compiled, states = run_states(pls_module.rules, pls, seed=0)
+        variants = [
+            (tl, expanded_mcmt_for(tl, pls_rules[tl.source_rule], pls)) for tl in compiled
+        ]
+        applied = 0
+        for state in states:
+            model = state.model("hammer_config")
+            for tl_rule, variant in variants:
+                for m in typed_matches(tl_rule, model, state):
+                    try:
+                        apply_mcmt(variant, state, "hammer_config", tl_rule.source_match, m)
+                        applied += 1
+                    except DanglingDeletion:
+                        pass
+        assert applied > 0
+        assert len(seen) >= 7 * applied
+        for cm in seen:
+            assert validate_chain_morphism(cm) == []
+            base = cm.component(0)
+            for i, component in cm.components.items():
+                g = cm.src.graph_at(i)
+                assert component.node_map == {n: base.node_map[n] for n in g.nodes}
+                assert component.arrow_map == {a: base.arrow_map[a] for a in g.arrows}
 
 
 class TestTypeIndex:

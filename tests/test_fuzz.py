@@ -4,11 +4,13 @@
 Whatever the input, the parsers raise nothing but `MlmtError`, and
 `mlmt validate` ends with exit code 0, 1 or 2.  The runs are derandomized
 and bounded, so the suite sees the same examples on every run; inputs that
-once broke these promises are kept in `fixtures/fuzz/` and replayed.
+once broke these promises are kept in `fixtures/fuzz/` and replayed:
+hierarchies as `.json`, rule modules as `.mcmt`.
 """
 
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -152,8 +154,18 @@ def test_validate_exits_zero_one_or_two(data):
     assert validate_exit(data) in (0, 1, 2)
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(FUZZ_FIXTURES)))
+def fuzz_fixtures(extension):
+    return sorted(name for name in os.listdir(FUZZ_FIXTURES) if name.endswith(extension))
+
+
+@pytest.mark.parametrize("name", fuzz_fixtures(".json"))
 def test_inputs_found_by_fuzzing_end_in_an_input_error(name, capsys):
     with open(os.path.join(FUZZ_FIXTURES, name), "rb") as fh:
         assert validate_exit(fh.read()) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("name", fuzz_fixtures(".mcmt"))
+def test_rules_found_by_fuzzing_end_in_a_parse_error(name, capsys):
+    assert main(["fmt", os.path.join(FUZZ_FIXTURES, name)]) == 2
+    assert re.fullmatch(r"parse error: \d+:\d+: [^\n]*\n", capsys.readouterr().err)

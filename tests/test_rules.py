@@ -81,6 +81,13 @@ class TestParsing:
         assert err.value.line == 2
         assert err.value.column > 0
 
+    @pytest.mark.parametrize("suffix", ["@١", "@1-٢"])
+    def test_potency_digits_are_ascii(self, suffix):
+        assert parse_rule_module(CREATE_PART.replace("Part mm1", "Part mm1 @1-2"))
+        with pytest.raises(ParseError) as err:
+            parse_rule_module(CREATE_PART.replace("Part mm1", f"Part mm1 {suffix}"))
+        assert (err.value.line, err.value.column) == (5, 20 + len(suffix))
+
     def test_from_to_shared_names_must_agree(self):
         bad = CREATE_PART.replace(
             "      m1 : M1\n      p1 : P1", "      m1 : P1\n      p1 : P1"
