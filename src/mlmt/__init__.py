@@ -56,7 +56,6 @@ from .matching import (
     TwoLevelRule,
     find_meta_matches,
     graph_match,
-    match,
     proliferate,
     proliferate_all,
     rule_set_to_json,

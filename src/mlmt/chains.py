@@ -217,9 +217,6 @@ class MultilevelTyping:
     chain: GraphChain
     sigmas: Dict[int, PartialMorphism]
 
-    def domain_at(self, i: int) -> Subgraph:
-        return self.sigmas[i].domain
-
 
 def check_compatibility(mt: MultilevelTyping) -> None:
     """Enforce the strong compatibility between sigmas and chain typings."""

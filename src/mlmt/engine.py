@@ -63,15 +63,6 @@ def typed_matches(
     ]
 
 
-def _created_info(rule: TwoLevelRule, element: ElementKey) -> ElementInfo:
-    model_name, type_elem = rule.types[element]
-    if isinstance(element, tuple):
-        return ElementInfo(
-            direct_type=(model_name, type_elem), potency=(1, 1), multiplicity=(0, None)
-        )
-    return ElementInfo(direct_type=(model_name, type_elem), potency=(1, 1))
-
-
 @dataclass(frozen=True)
 class ApplicationResult:
     model: ModelNode
@@ -113,27 +104,27 @@ def apply_two_level_rule(
 def _apply_at(
     rule: TwoLevelRule, model: ModelNode, m: TotalMorphism
 ) -> ApplicationResult:
-    D, s, d = pushout(inclusion(rule.lhs, rule.interface), m)
-    T, t_in, t_sub = pullback_complement(inclusion(rule.rhs, rule.interface), d)
-    created = tuple(
-        d(x)
-        for x in sorted(rule.interface.nodes - rule.lhs.nodes)
-        + sorted(rule.interface.arrows - rule.lhs.arrows)
-        if T.has(d(x))
-    )
-    deleted = tuple(
-        e for e in sorted(model.graph.nodes) + sorted(model.graph.arrows)
-        if not T.has(e)
-    )
-    info = {k: v for k, v in model.info.items() if T.has(k)}
-    for x in sorted(rule.interface.nodes - rule.lhs.nodes):
+    """One co-span step.  The pushout glues on a fresh copy of I \\ L and the
+    pullback complement removes d(I \\ R), so the created elements are the
+    kept copies of I \\ L and the deleted ones are m(L \\ R): the rest of
+    d(I \\ R) are copies that never reached the model."""
+    L, I, R = rule.lhs, rule.interface, rule.rhs
+    _, _, d = pushout(inclusion(L, I), m)
+    T, _, _ = pullback_complement(inclusion(R, I), d)
+    created: Dict[ElementKey, ElementInfo] = {}
+    for x in sorted(I.nodes - L.nodes) + sorted(I.arrows - L.arrows):
         if T.has(d(x)):
-            info[d(x)] = _created_info(rule, x)
-    for x in sorted(rule.interface.arrows - rule.lhs.arrows):
-        if T.has(d(x)):
-            info[d(x)] = _created_info(rule, x)
+            mult = (0, None) if isinstance(x, tuple) else None
+            created[d(x)] = ElementInfo(rule.types[x], (1, 1), mult)
+    deleted = tuple(sorted({m(x) for x in L.nodes - R.nodes})) + tuple(
+        sorted({m(x) for x in L.arrows - R.arrows})
+    )
+    info = dict(model.info)
+    for e in deleted:
+        info.pop(e, None)
+    info.update(created)
     successor = ModelNode(model.name, model.parent, model.level, T, info)
-    return ApplicationResult(successor, m, created, deleted)
+    return ApplicationResult(successor, m, tuple(created), deleted)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +143,7 @@ def _pattern_level_subgraphs(
     profiles = {}
     for e in pattern_elements:
         meta_el = rule.meta_element(e.type_name, e.type_level)
-        anchors, floor, _ = type_profile(rule, meta_el)
+        anchors, _ = type_profile(rule, meta_el)
         profiles[element_key(e)] = set(anchors) | {meta_el.level}
     for i in range(1, depth + 1):
         nodes = frozenset(

@@ -106,12 +106,6 @@ class Subgraph:
             self.host, self.nodes & other.nodes, self.arrows & other.arrows
         )
 
-    def __contains__(self, element) -> bool:
-        return element in self.nodes or element in self.arrows
-
-    def __le__(self, other: "Subgraph") -> bool:
-        return self.nodes <= other.nodes and self.arrows <= other.arrows
-
 
 @dataclass(frozen=True)
 class TotalMorphism:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chains import ChainMorphism, GraphChain, build_chain
 from .errors import UnresolvedReference
@@ -104,12 +104,12 @@ def _root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
 
 def type_profile(
     rule: McmtRule, element: MetaElement
-) -> Tuple[Dict[int, Tuple[str, int]], int, bool]:
+) -> Tuple[Dict[int, Tuple[str, int]], int]:
     """Anchors of an element's META type chain, keyed by META level.
 
-    Returns (anchors, floor, open); anchors maps a META level to the
-    (name, level) of the chain element there; `open` is true when the chain
-    ends at an implicit constant instead of reaching the root.
+    Returns (anchors, floor); anchors maps a META level to the (name, level)
+    of the chain element there; floor is the lowest META level the chain
+    reaches: 0 at the root, higher when it ends at an implicit constant.
     """
     anchors: Dict[int, Tuple[str, int]] = {}
     chain = type_chain(rule, element)
@@ -118,8 +118,8 @@ def type_profile(
     last = chain[-1]
     if last.type_name is not None and last.type_level == 0:
         anchors[0] = (last.type_name, 0)
-        return anchors, 0, False
-    return anchors, last.level, True
+        return anchors, 0
+    return anchors, last.level
 
 
 def _meta_profile(
@@ -130,7 +130,7 @@ def _meta_profile(
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """The types an image of `meta_el` must have at the stack levels of the META levels below its
     own, top down: the binding of its META type chain there, or None where the chain skips."""
-    anchors, floor, _ = type_profile(rule, meta_el)
+    anchors, floor = type_profile(rule, meta_el)
     return tuple(
         (level_map[k], bindings[k][anchors[k][0]] if k in anchors else None)
         for k in range(meta_el.level - 1, floor - 1, -1)
@@ -182,47 +182,33 @@ def graph_match(
     return [dict(zip(nodes + [a for a, _, _ in ends], m)) for m in found]
 
 
-def match(
-    rule: McmtRule,
-    stack: Sequence[ModelNode],
-    mm_level: int,
-    tg_level: int,
-    matches: List[MetaMatch],
-    h: MultilevelHierarchy,
-    _level_map: Optional[Dict[int, int]] = None,
-    _bindings: Optional[Dict[int, Dict[str, ElementKey]]] = None,
-) -> None:
-    """Recursive META-chain matching; complete matches land in `matches`.
-
-    `stack` is the typing chain above the target model, root first.  Both
-    level counters start at 0; descending a META level also advances the
-    stack level, and a while-style sweep lets the stack level slide further
-    down when the META chain is shorter than the stack.
-    """
-    depth = rule.depth
-    if _level_map is None:
-        _level_map = {0: 0}
-        _bindings = {0: _root_binding(rule, stack[0])}
-    if mm_level == depth:
-        matches.append(_freeze_match(_level_map, _bindings))
-        return
-    # leave room below for the remaining META levels
-    for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
-        level_map = {**_level_map, mm_level + 1: t}
-        for binding in graph_match(
-            rule.meta_at(mm_level + 1), stack[t], h, rule, level_map, _bindings
-        ):
-            bindings = {**_bindings, mm_level + 1: binding}
-            match(rule, stack, mm_level + 1, t, matches, h, level_map, bindings)
-
-
 def find_meta_matches(
     rule: McmtRule, h: MultilevelHierarchy, target_model: str
 ) -> List[MetaMatch]:
-    stack = typing_stack(h, target_model)
-    matches: List[MetaMatch] = []
-    match(rule, stack, 0, 0, matches, h)
-    return matches
+    """Every match of the rule's META chain into the typing chain above a
+    target model, depth first.
+
+    The root binds META level 0.  Descending a META level also advances the
+    stack level, and the stack level may slide further down when the META
+    chain is shorter than the stack.
+    """
+    stack = typing_stack(h, target_model)  # root first
+    if not stack:  # the root has no typing chain above it
+        return []
+    depth = rule.depth
+
+    def extend(mm_level, tg_level, level_map, bindings) -> Iterator[MetaMatch]:
+        if mm_level == depth:
+            yield _freeze_match(level_map, bindings)
+            return
+        pattern = rule.meta_at(mm_level + 1)
+        # leave room below for the remaining META levels
+        for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
+            deeper = {**level_map, mm_level + 1: t}
+            for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings):
+                yield from extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding})
+
+    return list(extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])}))
 
 
 def typing_stack(h: MultilevelHierarchy, target_model: str) -> List[ModelNode]:

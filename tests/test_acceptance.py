@@ -155,22 +155,24 @@ def test_criterion_5_pipeline_equivalence(pls, pls_module, pls_rules):
                         except DanglingDeletion:
                             via_rule = []
                         try:
-                            h2, _ = apply_mcmt(
+                            _, direct = apply_mcmt(
                                 expanded,
                                 state,
                                 "hammer_config",
                                 tl_rule.source_match,
                                 m,
                             )
-                            direct = h2.model("hammer_config")
                         except DanglingDeletion:
                             direct = None
                         if not via_rule:
                             assert direct is None
                             continue
                         assert direct is not None
-                        assert via_rule[0].model.graph == direct.graph
-                        assert via_rule[0].model.info == direct.info
+                        assert via_rule[0].model.graph == direct.model.graph
+                        assert via_rule[0].model.info == direct.model.info
+                        # the direct route lists created elements in TO-pattern order
+                        assert via_rule[0].deleted == direct.deleted
+                        assert set(via_rule[0].created) == set(direct.created)
         assert covered == {"CreatePart", "SendPartOut", "Assemble", "TransferPart"}
 
 

@@ -367,6 +367,28 @@ class TestRun:
         assert all(json.loads(line)["rule"] for line in lines)
 
 
+class TestRootTarget:
+    """The root has no typing chain above it, so no META pattern matches there."""
+
+    @pytest.mark.parametrize(
+        "command, extra, code, out_line, err_line",
+        [
+            ("proliferate", [], 0, "4 MCMT rules -> 0 two-level rules", None),
+            ("apply", ["--rule", "CreatePart"], 1, None, "no proliferated rule named 'CreatePart'"),
+            ("run", ["--steps", "5", "--seed", "0"], 0, None, "0 step(s) applied"),
+        ],
+        ids=["proliferate", "apply", "run"],
+    )
+    def test_root_target_has_no_matches(self, paths, capsys, command, extra, code, out_line, err_line):
+        hierarchy, rules = paths
+        assert main([command, hierarchy, rules, "--target", "root", *extra]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == ([err_line] if err_line else [])
+        if out_line:
+            assert captured.out.splitlines()[-1] == out_line
+
+
 class TestFmt:
     def test_formatting_is_idempotent(self, paths, capsys):
         hierarchy, rules = paths

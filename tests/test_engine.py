@@ -7,10 +7,10 @@ import pytest
 from mlmt import engine
 from mlmt.chains import chain_pullback_complement, chain_pushout, validate_chain_morphism
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
-from mlmt.errors import DanglingDeletion, TypeMismatch
-from mlmt.graphs import Graph
+from mlmt.errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
+from mlmt.graphs import Graph, TotalMorphism
 from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_hierarchy
-from mlmt.matching import proliferate, typing_stack
+from mlmt.matching import TwoLevelRule, proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
 
@@ -72,6 +72,53 @@ class TestTwoLevelApplication:
         (head_match,) = typed_matches(head_rule, model, pls)
         with pytest.raises(TypeMismatch):
             apply_two_level_rule(handle_rule, model, pls, at=head_match)
+
+    def test_incompatible_match_is_refused_by_the_direct_route(self, pls, pls_rules):
+        rules = two_level_rules(pls, pls_rules, "CreatePart")
+        handle_rule = next(
+            r for r in rules if r.types["p1"] == ("hammer_plant", "Handle")
+        )
+        head_rule = next(
+            r for r in rules if r.types["p1"] == ("hammer_plant", "Head")
+        )
+        (head_match,) = typed_matches(head_rule, pls.model("hammer_config"), pls)
+        with pytest.raises(IncompatibleMatch) as err:
+            apply_mcmt(
+                pls_rules["CreatePart"], pls, "hammer_config", handle_rule.source_match, head_match
+            )
+        assert (err.value.level, err.value.element) == (2, "m1")
+
+    def test_interface_element_outside_both_sides_is_neither_created_nor_deleted(
+        self, pls, pls_rules
+    ):
+        # x is glued on by the pushout and removed again by the pullback complement
+        rule = two_level_rules(pls, pls_rules, "CreatePart")[0]
+        inter = rule.interface
+        ghost = replace(rule, interface=Graph(inter.name, inter.nodes | {"x"}, inter.arrows))
+        model = pls.model("hammer_config")
+        (want,) = apply_two_level_rule(rule, model, pls)[0]
+        (got,) = apply_two_level_rule(ghost, model, pls)[0]
+        assert got.created == want.created == ("p1$0", ("ghandle", "c1$0", "p1$0"))
+        assert got.deleted == ()
+        assert got.model.graph == want.model.graph
+        assert got.model.info == want.model.info
+
+    def test_node_deleted_through_two_lhs_nodes_is_listed_once(self, pls):
+        model = pls.model("hammer_config")
+        graph = Graph(model.name, model.graph.nodes | {"z"}, model.graph.arrows)
+        info = {**model.info, "z": model.info["ghandle"]}
+        model = ModelNode(model.name, model.parent, model.level, graph, info)
+        h = pls.with_model(model)
+        lhs = Graph(model.name, frozenset({"a", "b"}))
+        rule = TwoLevelRule(
+            "drop_twice", lhs, lhs, Graph(model.name), {}, {"a": (), "b": ()}, "drop", None
+        )
+        at = TotalMorphism(lhs, model.graph, {"a": "z", "b": "z"})
+        (res,) = apply_two_level_rule(rule, model, h, at=at)[0]
+        assert res.deleted == ("z",)
+        assert res.created == ()
+        assert res.model.graph == pls.model("hammer_config").graph
+        assert res.model.info == pls.model("hammer_config").info
 
     def test_identity_rule_returns_the_same_graph(self, pls, pls_rules):
         rules = two_level_rules(pls, pls_rules, "CreatePart")

@@ -68,7 +68,9 @@ class TestFixtureMatches:
         assert find_meta_matches(with_mult((0, 2)), pls, "hammer_config") == []
 
     def test_pattern_deeper_than_stack_cannot_match(self, pls, pls_rules):
-        assert find_meta_matches(pls_rules["CreatePart"], pls, "generic_plant") == []
+        # the root has no typing chain above it at all
+        for target in ("generic_plant", "root"):
+            assert find_meta_matches(pls_rules["CreatePart"], pls, target) == []
 
     def test_shallow_pattern_slides_across_levels(self, pls):
         module = parse_rule_module(
