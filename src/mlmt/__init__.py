@@ -35,7 +35,6 @@ from .graphs import (
     TotalMorphism,
     build_graph,
     compose_partial,
-    find_homomorphisms,
     pullback_complement,
     pushout,
 )

@@ -146,6 +146,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.steps < 0:
+        print(f"usage error: --steps must be 0 or more, got {args.steps}", file=sys.stderr)
+        return 2
     inputs = _load_inputs(args)
     if inputs is None:
         return 1

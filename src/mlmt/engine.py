@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chains import (
     chain_pullback_complement,
@@ -50,16 +50,57 @@ from .rules import McmtRule, RulePattern, element_key
 
 
 def typed_matches(
-    rule: TwoLevelRule, model: ModelNode, h: MultilevelHierarchy, index: Optional[TypeIndex] = None
+    rule: TwoLevelRule,
+    model: ModelNode,
+    h: MultilevelHierarchy,
+    index: Optional[TypeIndex] = None,
+    touching: Optional[Iterable[ElementKey]] = None,
 ) -> List[TotalMorphism]:
     """All injective matches of the rule's left pattern into the model, ordered by the images of
-    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` regrouped at `model`."""
+    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`.
+
+    With `touching`, only the matches that use at least one of those elements, in the same
+    order.  Each touched element is tried as the image of every pattern element whose profile
+    accepts it (an arrow's ends are fixed with it); a touched arrow with a touched end is left
+    out, as every match that uses it also uses that end."""
     index = index or TypeIndex(h, model)
     nodes, arrows = sorted(rule.lhs.nodes), sorted(rule.lhs.arrows)
+
+    def accepts(p: ElementKey, x: ElementKey) -> bool:
+        return index.accepts(x, rule.level_types[p])
+
+    if touching is not None:
+        touched, anchors = set(touching), []  # (pattern element, touched element as its image)
+        for x in touched:
+            if not isinstance(x, tuple):
+                anchors += [(p, x) for p in nodes if accepts(p, x)]
+            elif x[0] not in touched and x[2] not in touched:
+                anchors += [
+                    (p, x)
+                    for p in arrows
+                    if accepts(p, x) and accepts(p[0], x[0]) and accepts(p[2], x[2])
+                ]
+        if not anchors:
+            return []
     candidates = {e: index.candidates(isinstance(e, tuple), rule.level_types[e]) for e in nodes + arrows}
+    if not all(candidates.values()):
+        return []
+    ends = [(a, a[0], a[2]) for a in arrows]
+    by_ends = {a: index.by_ends(rule.level_types[a]) for a in arrows}
+    if touching is None:
+        found = injective_matches(nodes, ends, candidates, by_ends)
+    else:
+        anchored = set()
+        for p, x in anchors:
+            fixed, fixed_ends = {**candidates, p: (x,)}, by_ends
+            if isinstance(x, tuple):
+                fixed.update({p[0]: (x[0],), p[2]: (x[2],)})
+                fixed_ends = {**by_ends, p: {(x[0], x[2]): [x]}}
+            anchored.update(injective_matches(nodes, ends, fixed, fixed_ends))
+        found = sorted(anchored)
     return [
         TotalMorphism(rule.lhs, model.graph, dict(zip(nodes, m)), dict(zip(arrows, m[len(nodes):])))
-        for m in injective_matches(nodes, [(a, a[0], a[2]) for a in arrows], candidates)
+        for m in found
     ]
 
 
@@ -266,6 +307,38 @@ class ExecutionTrace:
         ) + ("\n" if self.steps else "")
 
 
+class _LiveMatches:
+    """Each compiled rule's `typed_matches` in the bottom model of a run, kept across steps.
+
+    Rules have no negative conditions, and an element that survives a step keeps its type and
+    info, so a step removes exactly the matches that use a deleted element, and every new match
+    uses a created one (incremental matching, as in RETE).  A kept match still maps into the
+    model it was found in."""
+
+    def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
+        model = h.model(target_model)
+        self.rules, self.index = rules, TypeIndex(h, model)
+        self.lists = [typed_matches(r, model, h, self.index) for r in rules]
+
+    def step(self, h: MultilevelHierarchy, result: ApplicationResult) -> None:
+        """Move to `h`, whose bottom model `result` made."""
+        self.index.step(result.model, result.created, result.deleted)
+        gone = set(result.deleted)
+        for i, r in enumerate(self.rules):
+            found = self.lists[i]
+            if gone:
+                found = [
+                    m
+                    for m in found
+                    if gone.isdisjoint(m.node_map.values()) and gone.isdisjoint(m.arrow_map.values())
+                ]
+            new = typed_matches(r, result.model, h, self.index, touching=result.created)
+            if new:
+                order = sorted(r.lhs.nodes) + sorted(r.lhs.arrows)
+                found = sorted(found + new, key=lambda m: [m(e) for e in order])
+            self.lists[i] = found
+
+
 def run(
     rules: Sequence[McmtRule],
     h: MultilevelHierarchy,
@@ -280,23 +353,22 @@ def run(
     rng = random.Random(seed)
     steps: List[TraceStep] = []
     current = h
-    index = TypeIndex(h, h.model(target_model))
+    live = _LiveMatches(compiled, h, target_model)
     for step in range(max_steps):
         model = current.model(target_model)
-        index.regroup(model)
-        pairs: List[Tuple[TwoLevelRule, TotalMorphism]] = []
-        for tl_rule in compiled:
-            for m in typed_matches(tl_rule, model, current, index):
-                pairs.append((tl_rule, m))
+        pairs = [(r, m) for r, found in zip(compiled, live.lists) for m in found]
         applied = False
         while pairs:
             idx = rng.randrange(len(pairs))
             tl_rule, m = pairs.pop(idx)
+            # a kept match maps into the graph it was found in
+            m = TotalMorphism(tl_rule.lhs, model.graph, m.node_map, m.arrow_map)
             successors, _ = apply_two_level_rule(tl_rule, model, current, at=m)
             if not successors:
                 continue
             result = successors[0]
             current = current.with_model(result.model)
+            live.step(current, result)
             match_view = {}
             for k, v in result.match.node_map.items():
                 match_view[k] = v

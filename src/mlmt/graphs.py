@@ -10,7 +10,6 @@ removing the images of I \\ R (pullback complement).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,9 +54,6 @@ class Graph:
 
     def incident(self, node: str) -> FrozenSet[Arrow]:
         return frozenset(a for a in self.arrows if node in (a[0], a[2]))
-
-    def is_empty(self) -> bool:
-        return not self.nodes and not self.arrows
 
     def renamed(self, name: str) -> "Graph":
         return Graph(name, self.nodes, self.arrows)
@@ -309,68 +305,36 @@ def pullback_complement(
     return T, t_in, inclusion(T, D)
 
 
-def find_homomorphisms(
-    pattern: Graph, target: Graph, injective: bool = False
-) -> List[TotalMorphism]:
-    """Exhaustively enumerate all total homomorphisms pattern -> target.
-
-    Brute force by design: this is the oracle the optimised matcher is
-    checked against, so it must stay independent of it.
-    """
-    p_nodes = sorted(pattern.nodes)
-    results: List[TotalMorphism] = []
-    if injective and len(p_nodes) > len(target.nodes):
-        return results
-    candidates = (
-        itertools.permutations(sorted(target.nodes), len(p_nodes))
-        if injective
-        else itertools.product(sorted(target.nodes), repeat=len(p_nodes))
-    )
-    p_arrows = sorted(pattern.arrows)
-    for assignment in candidates:
-        node_map = dict(zip(p_nodes, assignment))
-        # each pattern arrow may map to any parallel target arrow
-        per_arrow = []
-        ok = True
-        for (src, label, tgt) in p_arrows:
-            options = sorted(
-                a
-                for a in target.arrows
-                if a[0] == node_map[src] and a[2] == node_map[tgt]
-            )
-            if not options:
-                ok = False
-                break
-            per_arrow.append(options)
-        if not ok:
-            continue
-        for choice in itertools.product(*per_arrow):
-            if injective and len(set(choice)) != len(choice):
-                continue
-            arrow_map = dict(zip(p_arrows, choice))
-            results.append(TotalMorphism(pattern, target, node_map, arrow_map))
-    return results
-
-
-def injective_matches(nodes: Sequence, arrows: Sequence[tuple], candidates: Dict) -> List[tuple]:
+def injective_matches(
+    nodes: Sequence, arrows: Sequence[tuple], candidates: Dict, by_ends: Optional[Dict] = None
+) -> List[tuple]:
     """All injective matches of a pattern, sorted, as tuples of the images of
     `nodes`, then of `arrows` ((arrow, source, target) triples).  Each
-    element's `candidates` must not depend on the other elements' images.
-    Nodes are bound fewest candidates first among those next to bound ones
-    (connected-first, as in VF2), each arrow as soon as both its ends are."""
+    element's `candidates` must not depend on the other elements' images;
+    `by_ends`, if given, holds each arrow's candidates keyed by (source,
+    target).  Nodes are bound fewest candidates first among those next to
+    bound ones (connected-first, as in VF2), each arrow as soon as both its
+    ends are."""
     ends = {a: (s, t) for a, s, t in arrows}
-    by_ends: Dict = {a: {} for a in ends}  # candidates keyed by (source, target)
-    for a, c in ((a, c) for a in ends for c in candidates[a]):
-        by_ends[a].setdefault((c[0], c[2]), []).append(c)
-    plan, near = [], set()
+    if not all(candidates[e] for e in (*nodes, *ends)):
+        return []
+    if by_ends is None:
+        by_ends = {a: {} for a in ends}
+        for a, c in ((a, c) for a in ends for c in candidates[a]):
+            by_ends[a].setdefault((c[0], c[2]), []).append(c)
+    incident = {n: [(a, st) for a, st in ends.items() if n in st] for n in nodes}
+    plan, bound, near = [], set(), set()
     for _ in nodes:
-        todo = [n for n in nodes if n not in plan]
+        todo = [n for n in nodes if n not in bound]
         node = min([n for n in todo if n in near] or todo, key=lambda n: len(candidates[n]))
         plan.append(node)
-        near.update(x for st in ends.values() if node in st for x in st)
-        plan += [a for a, st in ends.items() if node in st and set(st) <= set(plan)]
-    if len(plan) < len(nodes) + len(ends) or not all(candidates[e] for e in plan):
-        return []  # an empty candidate list, or an arrow off the pattern's nodes
+        bound.add(node)
+        for a, st in incident[node]:
+            near.update(st)
+            if bound.issuperset(st):
+                plan.append(a)
+    if len(plan) < len(nodes) + len(ends):
+        return []  # an arrow off the pattern's nodes
     image, used, found = {}, set(), []
 
     def extend(i: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .chains import GraphChain, MultilevelTyping, build_chain
 from .errors import (
@@ -157,36 +157,79 @@ class TypeIndex:
 
     A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
     Above its model an element has its direct type's types, as that lies higher, so a profile is
-    decided once per direct type.  In `run` only the bottom model changes: `regroup` it."""
+    decided once per direct type, and `accepts` decides one element by that memoised verdict.
+    In `run` a step only deletes and creates elements of the bottom model, and the survivors keep
+    their types: `step` updates every cached candidate list and `by_ends` bucket by that delta."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
-        self.h, self.verdicts = h, {}
-        self.regroup(model)
-
-    def regroup(self, model: ModelNode) -> None:
-        self.model, self.groups, self.found = model, {}, {}
+        self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
+        self.groups: Dict[Tuple[bool, TypeRef], List[ElementKey]] = {}
         for e in (*model.graph.nodes, *model.graph.arrows):
-            key = (isinstance(e, tuple), model.info_for(e).direct_type)
-            self.groups.setdefault(key, []).append(e)
+            self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), []).append(e)
+
+    def step(
+        self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
+    ) -> None:
+        """Move to `model`, which differs from the current one by `created` and `deleted`."""
+        for e in deleted:
+            self._update(e, list.remove)
+        self.model = model
+        for e in created:
+            self._update(e, list.append)
+
+    def _update(self, e: ElementKey, change) -> None:
+        """Remove `e` from, or add it to, its group and each cached list and bucket it belongs in."""
+        kind = isinstance(e, tuple)
+        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), []), e)
+        for (arrows, profile), found in self.found.items():
+            if arrows == kind and self.accepts(e, profile):
+                change(found, e)
+                if arrows and profile in self.ends:
+                    bucket = self.ends[profile].setdefault((e[0], e[2]), [])
+                    change(bucket, e)
+                    if not bucket:
+                        del self.ends[profile][e[0], e[2]]
 
     def candidates(self, arrows: bool, profile: tuple) -> List[ElementKey]:
         """The model's arrows, or nodes, that carry `profile`, grouped by direct type."""
-        key, n = (arrows, profile), self.model.level
-        if key not in self.found:  # at level n an element is its own type; below n, untyped
-            above = tuple(p for p in profile if p[0] < n)
-            own = [(lvl, want) for lvl, want in profile if lvl >= n]
-            groups = [g for (a, t), g in self.groups.items() if a == arrows and self._holds(t, above)]
+        key = (arrows, profile)
+        if key not in self.found:
+            own = any(lvl >= self.model.level for lvl, _ in profile)
             self.found[key] = [
-                e for g in groups for e in g if all(w == (e if lvl == n else None) for lvl, w in own)
+                e
+                for (a, t), g in self.groups.items()
+                if a == arrows and self._holds(t, profile)
+                for e in g
+                if not own or self._own(e, profile)
             ]
         return self.found[key]
 
+    def by_ends(self, profile: tuple) -> Dict[Tuple[str, str], List[Arrow]]:
+        """The arrows that carry `profile`, keyed by (source, target)."""
+        if profile not in self.ends:
+            ends = self.ends[profile] = {}
+            for a in self.candidates(True, profile):
+                ends.setdefault((a[0], a[2]), []).append(a)
+        return self.ends[profile]
+
+    def accepts(self, e: ElementKey, profile: tuple) -> bool:
+        """Whether the model's element `e` carries `profile`."""
+        return self._holds(self.model.info_for(e).direct_type, profile) and self._own(e, profile)
+
     def _holds(self, t: TypeRef, profile: tuple) -> bool:
+        """Whether an element of direct type `t` has the profile's types above the model."""
         if (t, profile) not in self.verdicts:
-            up = self.h.model(t[0]).level < self.model.level
-            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in profile]
-            self.verdicts[t, profile] = types == [want for _, want in profile]
+            n = self.model.level
+            above = [(lvl, want) for lvl, want in profile if lvl < n]
+            up = self.h.model(t[0]).level < n
+            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in above]
+            self.verdicts[t, profile] = types == [want for _, want in above]
         return self.verdicts[t, profile]
+
+    def _own(self, e: ElementKey, profile: tuple) -> bool:
+        # at level n an element is its own type; below n, untyped
+        n = self.model.level
+        return all(want == (e if lvl == n else None) for lvl, want in profile if lvl >= n)
 
 
 def level_jump(h: MultilevelHierarchy, model: str, element: ElementKey) -> int:

@@ -13,24 +13,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chains import ChainMorphism, GraphChain, build_chain
 from .errors import UnresolvedReference
-from .graphs import (
-    Arrow,
-    Graph,
-    PartialMorphism,
-    TotalMorphism,
-    build_graph,
-    injective_matches,
-)
+from .graphs import Arrow, Graph, build_graph, injective_matches
 from .hierarchy import (
     ElementKey,
     ModelNode,
     MultilevelHierarchy,
     TypeIndex,
     TypeRef,
-    derive_typing_chain,
-    transitive_type_at,
+    transitive_type_at,  # noqa: F401  (perfbench counts calls per module through this name)
 )
 from .rules import (
     ARROW,
@@ -342,85 +333,3 @@ def rule_set_to_json(rules: Sequence[TwoLevelRule]) -> dict:
             for r in rules
         ]
     }
-
-
-# ---------------------------------------------------------------------------
-# chain-morphism view of a match, checked against Def. 2 by the tests; the
-# direct engine builds its own chain match
-
-
-def meta_chain_for_match(
-    rule: McmtRule,
-    mm_match: MetaMatch,
-    h: MultilevelHierarchy,
-    stack: Sequence[ModelNode],
-) -> Tuple[GraphChain, ChainMorphism]:
-    """Realize a MetaMatch as a chain morphism META chain -> typing chain.
-
-    Implicit constants carry no declared root type, so their typing is
-    completed from the elements they are bound to.
-    """
-    depth = rule.depth
-    graphs = [stack[0].graph.renamed(f"{rule.name}@0")]
-    for lvl in range(1, depth + 1):
-        els = rule.meta_at(lvl)
-        graphs.append(
-            build_graph(
-                f"{rule.name}@{lvl}",
-                [e.name for e in els if e.kind == NODE],
-                [element_key(e) for e in els if e.kind == ARROW],
-            )
-        )
-
-    def bound(lvl: int, name: str) -> ElementKey:
-        return mm_match.binding(lvl)[name] if lvl > 0 else name
-
-    typings: Dict[Tuple[int, int], PartialMorphism] = {}
-    for j in range(1, depth + 1):
-        for i in range(j):
-            node_map: Dict[str, str] = {}
-            arrow_map: Dict[Arrow, Arrow] = {}
-            for el in rule.meta_at(j):
-                tt = transitive_type_at(
-                    h,
-                    stack[mm_match.f(j)].name,
-                    mm_match.binding(j)[el.name],
-                    mm_match.f(i),
-                )
-                if tt is None:
-                    continue
-                # name the type element inside the META graph at level i
-                if i == 0:
-                    image = tt
-                else:
-                    named = [
-                        e.name
-                        for e in rule.meta_at(i)
-                        if mm_match.binding(i).get(e.name) == tt
-                        and e.kind == el.kind
-                    ]
-                    if not named:
-                        continue
-                    image = element_key(rule.meta_element(named[0], i))
-                if el.kind == NODE:
-                    node_map[el.name] = image
-                else:
-                    arrow_map[element_key(el)] = image
-            typings[(j, i)] = PartialMorphism(
-                graphs[j], graphs[i], node_map, arrow_map
-            )
-    meta_chain = build_chain(graphs, typings)
-
-    tg_chain, _ = derive_typing_chain(h, stack[-1].name)
-
-    components = {}
-    for lvl in range(depth + 1):
-        g = meta_chain.graph_at(lvl)
-        tg = tg_chain.graph_at(mm_match.f(lvl))
-        node_map = {n: bound(lvl, n) for n in g.nodes}
-        arrow_map = {a: a if lvl == 0 else bound(lvl, a[1]) for a in g.arrows}
-        components[lvl] = TotalMorphism(g, tg, node_map, arrow_map)
-    cm = ChainMorphism(
-        meta_chain, tg_chain, dict(mm_match.level_map), components
-    )
-    return meta_chain, cm

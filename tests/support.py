@@ -8,25 +8,27 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from mlmt.chains import ChainMorphism, GraphChain, build_chain
 from mlmt.graphs import (
     Arrow,
     Graph,
     PartialMorphism,
     TotalMorphism,
     build_graph,
-    find_homomorphisms,
 )
 from mlmt.hierarchy import (
     ElementInfo,
+    ElementKey,
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
+    derive_typing_chain,
     transitive_type_at,
 )
-from mlmt.matching import TwoLevelRule
-from mlmt.rules import ARROW, NODE, McmtRule, MetaElement, RulePattern
+from mlmt.matching import MetaMatch, TwoLevelRule
+from mlmt.rules import ARROW, NODE, McmtRule, MetaElement, RulePattern, element_key
 
 # ---------------------------------------------------------------------------
 # brute-force categorical oracles
@@ -170,6 +172,49 @@ def compatibility_holds(mt) -> bool:
                 if lhs and tau(sj(e)) != si(e):
                     return False
     return True
+
+
+def find_homomorphisms(
+    pattern: Graph, target: Graph, injective: bool = False
+) -> List[TotalMorphism]:
+    """Exhaustively enumerate all total homomorphisms pattern -> target.
+
+    Brute force by design: this is the oracle the optimised matcher is
+    checked against, so it must stay independent of it.
+    """
+    p_nodes = sorted(pattern.nodes)
+    results: List[TotalMorphism] = []
+    if injective and len(p_nodes) > len(target.nodes):
+        return results
+    candidates = (
+        permutations(sorted(target.nodes), len(p_nodes))
+        if injective
+        else product(sorted(target.nodes), repeat=len(p_nodes))
+    )
+    p_arrows = sorted(pattern.arrows)
+    for assignment in candidates:
+        node_map = dict(zip(p_nodes, assignment))
+        # each pattern arrow may map to any parallel target arrow
+        per_arrow = []
+        ok = True
+        for (src, label, tgt) in p_arrows:
+            options = sorted(
+                a
+                for a in target.arrows
+                if a[0] == node_map[src] and a[2] == node_map[tgt]
+            )
+            if not options:
+                ok = False
+                break
+            per_arrow.append(options)
+        if not ok:
+            continue
+        for choice in product(*per_arrow):
+            if injective and len(set(choice)) != len(choice):
+                continue
+            arrow_map = dict(zip(p_arrows, choice))
+            results.append(TotalMorphism(pattern, target, node_map, arrow_map))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +681,85 @@ def pls_fixture_paths():
         os.path.abspath(os.path.join(base, "pls.json")),
         os.path.abspath(os.path.join(base, "pls.mcmt")),
     )
+
+
+# ---------------------------------------------------------------------------
+# chain-morphism view of a META match, checked against Def. 2; the direct
+# engine builds its own chain match
+
+
+def meta_chain_for_match(
+    rule: McmtRule,
+    mm_match: MetaMatch,
+    h: MultilevelHierarchy,
+    stack: Sequence[ModelNode],
+) -> Tuple[GraphChain, ChainMorphism]:
+    """Realize a MetaMatch as a chain morphism META chain -> typing chain.
+
+    Implicit constants carry no declared root type, so their typing is
+    completed from the elements they are bound to.
+    """
+    depth = rule.depth
+    graphs = [stack[0].graph.renamed(f"{rule.name}@0")]
+    for lvl in range(1, depth + 1):
+        els = rule.meta_at(lvl)
+        graphs.append(
+            build_graph(
+                f"{rule.name}@{lvl}",
+                [e.name for e in els if e.kind == NODE],
+                [element_key(e) for e in els if e.kind == ARROW],
+            )
+        )
+
+    def bound(lvl: int, name: str) -> ElementKey:
+        return mm_match.binding(lvl)[name] if lvl > 0 else name
+
+    typings: Dict[Tuple[int, int], PartialMorphism] = {}
+    for j in range(1, depth + 1):
+        for i in range(j):
+            node_map: Dict[str, str] = {}
+            arrow_map: Dict[Arrow, Arrow] = {}
+            for el in rule.meta_at(j):
+                tt = transitive_type_at(
+                    h,
+                    stack[mm_match.f(j)].name,
+                    mm_match.binding(j)[el.name],
+                    mm_match.f(i),
+                )
+                if tt is None:
+                    continue
+                # name the type element inside the META graph at level i
+                if i == 0:
+                    image = tt
+                else:
+                    named = [
+                        e.name
+                        for e in rule.meta_at(i)
+                        if mm_match.binding(i).get(e.name) == tt
+                        and e.kind == el.kind
+                    ]
+                    if not named:
+                        continue
+                    image = element_key(rule.meta_element(named[0], i))
+                if el.kind == NODE:
+                    node_map[el.name] = image
+                else:
+                    arrow_map[element_key(el)] = image
+            typings[(j, i)] = PartialMorphism(
+                graphs[j], graphs[i], node_map, arrow_map
+            )
+    meta_chain = build_chain(graphs, typings)
+
+    tg_chain, _ = derive_typing_chain(h, stack[-1].name)
+
+    components = {}
+    for lvl in range(depth + 1):
+        g = meta_chain.graph_at(lvl)
+        tg = tg_chain.graph_at(mm_match.f(lvl))
+        node_map = {n: bound(lvl, n) for n in g.nodes}
+        arrow_map = {a: a if lvl == 0 else bound(lvl, a[1]) for a in g.arrows}
+        components[lvl] = TotalMorphism(g, tg, node_map, arrow_map)
+    cm = ChainMorphism(
+        meta_chain, tg_chain, dict(mm_match.level_map), components
+    )
+    return meta_chain, cm

@@ -404,3 +404,11 @@ class TestUsage:
     def test_missing_required_option_exits_two(self, paths, capsys):
         hierarchy, rules = paths
         assert main(["proliferate", hierarchy, rules]) == 2
+
+    def test_negative_step_count_exits_two(self, paths, capsys):
+        hierarchy, rules = paths
+        argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "-1", "--seed", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["usage error: --steps must be 0 or more, got -1"]

@@ -244,14 +244,26 @@ class TestTypeIndex:
         from test_matcher_order import run_states
 
         compiled, states = run_states(pls_module.rules, pls, seed=2)
+        trace = run(pls_module.rules, pls, "hammer_config", 50, seed=2)
         index = TypeIndex(pls, pls.model("hammer_config"))
-        for state in states:
+        for state, step in zip(states, (None, *trace.steps)):
             model = state.model("hammer_config")
-            index.regroup(model)
+            if step is not None:
+                index.step(model, step.created, step.deleted)
             for tl_rule in compiled:
                 assert typed_matches(tl_rule, model, state, index) == typed_matches(
                     tl_rule, model, state
                 )
+            # every cached list and bucket holds what a fresh index's does,
+            # each element once
+            fresh = TypeIndex(state, model)
+            for (arrows, profile), found in index.found.items():
+                assert sorted(found) == sorted(fresh.candidates(arrows, profile))
+            for profile, buckets in index.ends.items():
+                want = fresh.by_ends(profile)
+                assert {k: sorted(v) for k, v in buckets.items()} == {
+                    k: sorted(v) for k, v in want.items()
+                }
 
     def test_elements_typed_sideways_have_no_upper_types(self, pls):
         # z types itself and w types z: neither direct type lies on a

@@ -4,10 +4,8 @@ from dataclasses import replace
 import pytest
 
 from mlmt.chains import validate_chain_morphism
-from mlmt.graphs import find_homomorphisms
 from mlmt.matching import (
     find_meta_matches,
-    meta_chain_for_match,
     proliferate,
     proliferate_all,
     rule_set_to_json,
@@ -15,7 +13,13 @@ from mlmt.matching import (
 )
 from mlmt.rules import parse_rule_module
 
-from support import brute_force_meta_matches, random_hierarchy, random_meta_rule
+from support import (
+    brute_force_meta_matches,
+    find_homomorphisms,
+    meta_chain_for_match,
+    random_hierarchy,
+    random_meta_rule,
+)
 
 
 class TestFixtureMatches:
