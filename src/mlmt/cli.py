@@ -2,7 +2,8 @@
 
 Subcommands: validate, rules check, proliferate, apply, run, fmt.
 Exit codes: 0 success, 1 validation/application failure, 2 usage, parse
-or input errors.  Log verbosity comes from the MLM_LOG environment variable.
+or input errors and paths that cannot be read or written.  Log verbosity
+comes from the MLM_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def _configure_logging():
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+
+
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`; False, once the reason is printed, if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"cannot write {path}: {err.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_inputs(args):
@@ -103,9 +115,8 @@ def cmd_proliferate(args) -> int:
         all_rules.extend(rules)
     print(f"{len(module.rules)} MCMT rules -> {total} two-level rules")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(rule_set_to_json(all_rules), fh, indent=2)
-            fh.write("\n")
+        if not _write(args.output, json.dumps(rule_set_to_json(all_rules), indent=2) + "\n"):
+            return 2
         log.info("wrote %d rules to %s", total, args.output)
     return 0
 
@@ -154,9 +165,8 @@ def cmd_run(args) -> int:
         return 1
     h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json_lines())
+    if args.trace and not _write(args.trace, trace.to_json_lines()):
+        return 2
     json.dump(hierarchy_to_json(trace.final), sys.stdout, indent=2)
     print()
     print(f"{len(trace.steps)} step(s) applied", file=sys.stderr)
@@ -228,8 +238,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=sys.stderr)
+    except OSError as err:  # an input path that is missing, a directory or unreadable
+        if err.filename is None:  # not a path, e.g. a closed stdout pipe
+            raise
+        print(f"cannot read {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)

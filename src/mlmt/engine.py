@@ -43,7 +43,6 @@ from .matching import (
     TwoLevelRule,
     instance_profile,
     proliferate,
-    type_profile,
     typing_stack,
 )
 from .rules import McmtRule, RulePattern, element_key
@@ -181,19 +180,17 @@ def _pattern_level_subgraphs(
     """Inclusion-chain layers of a pattern: level i holds the elements whose
     META type chain passes through META level i."""
     layers = [Subgraph(pattern_graph, pattern_graph.nodes, pattern_graph.arrows)]
-    profiles = {}
-    for e in pattern_elements:
-        meta_el = rule.meta_element(e.type_name, e.type_level)
-        anchors, _ = type_profile(rule, meta_el)
-        profiles[element_key(e)] = set(anchors) | {meta_el.level}
+    anchors = {
+        element_key(e): rule.type_profile(e.type_name, e.type_level)[0] for e in pattern_elements
+    }
     for i in range(1, depth + 1):
         nodes = frozenset(
-            n for n in pattern_graph.nodes if i in profiles[n]
+            n for n in pattern_graph.nodes if i in anchors[n]
         )
         arrows = frozenset(
             a
             for a in pattern_graph.arrows
-            if i in profiles[a] and a[0] in nodes and a[2] in nodes
+            if i in anchors[a] and a[0] in nodes and a[2] in nodes
         )
         layers.append(Subgraph(pattern_graph, nodes, arrows))
     return layers

@@ -30,7 +30,6 @@ from .rules import (
     MetaElement,
     element_key,
     expand_cardinalities,
-    type_chain,
 )
 
 
@@ -93,26 +92,6 @@ def _root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
     return binding
 
 
-def type_profile(
-    rule: McmtRule, element: MetaElement
-) -> Tuple[Dict[int, Tuple[str, int]], int]:
-    """Anchors of an element's META type chain, keyed by META level.
-
-    Returns (anchors, floor); anchors maps a META level to the (name, level)
-    of the chain element there; floor is the lowest META level the chain
-    reaches: 0 at the root, higher when it ends at an implicit constant.
-    """
-    anchors: Dict[int, Tuple[str, int]] = {}
-    chain = type_chain(rule, element)
-    for el in chain:
-        anchors[el.level] = (el.name, el.level)
-    last = chain[-1]
-    if last.type_name is not None and last.type_level == 0:
-        anchors[0] = (last.type_name, 0)
-        return anchors, 0
-    return anchors, last.level
-
-
 def _meta_profile(
     rule: McmtRule,
     meta_el: MetaElement,
@@ -121,9 +100,9 @@ def _meta_profile(
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """The types an image of `meta_el` must have at the stack levels of the META levels below its
     own, top down: the binding of its META type chain there, or None where the chain skips."""
-    anchors, floor = type_profile(rule, meta_el)
+    anchors, floor = rule.type_profile(meta_el.name, meta_el.level)
     return tuple(
-        (level_map[k], bindings[k][anchors[k][0]] if k in anchors else None)
+        (level_map[k], bindings[k][anchors[k]] if k in anchors else None)
         for k in range(meta_el.level - 1, floor - 1, -1)
     )
 
@@ -231,15 +210,20 @@ class TwoLevelRule:
     source_match: MetaMatch
 
 
-def _pattern_graphs(rule: McmtRule, name: str) -> Tuple[Graph, Graph, Graph]:
-    lhs = rule.from_pattern.graph(name)
-    rhs = rule.to_pattern.graph(name)
+def _variant(expanded: McmtRule, name: str):
+    """The graphs of one cardinality variant, and each of its pattern elements'
+    key with the (name, level) of the META element typing it."""
+    lhs = expanded.from_pattern.graph(name)
+    rhs = expanded.to_pattern.graph(name)
     inter = build_graph(
         name,
         sorted(lhs.nodes | rhs.nodes),
         sorted(lhs.arrows | rhs.arrows),
     )
-    return lhs, inter, rhs
+    typed_by: Dict[ElementKey, Tuple[str, int]] = {}
+    for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
+        typed_by.setdefault(element_key(e), (e.type_name, e.type_level))
+    return lhs, inter, rhs, list(typed_by.items())
 
 
 def instance_profile(
@@ -261,8 +245,19 @@ def instance_profile(
 def proliferate(
     rule: McmtRule, h: MultilevelHierarchy, target_model: str
 ) -> List[TwoLevelRule]:
-    """Compile one MCMT into concrete two-level rules over a branch."""
+    """Compile one MCMT into concrete two-level rules over a branch.
+
+    The cardinality variants depend only on the bound multiplicities, so each
+    distinct set of them is expanded once, and the rules compiled from one
+    variant share its graphs.  A META element's bound type and instance
+    profile depend only on the META match, so each is derived once per match.
+    """
     stack = typing_stack(h, target_model)
+    meta_els = {
+        (e.type_name, e.type_level): rule.meta_element(e.type_name, e.type_level)
+        for e in rule.from_pattern.elements + rule.to_pattern.elements
+    }
+    variants: Dict[tuple, list] = {}
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model):
         bound_mults = {}
@@ -276,25 +271,24 @@ def proliferate(
             bound_mults[(el.level, el.name)] = (
                 model.info_for(bound).multiplicity or (0, None)
             )
-        for expanded in expand_cardinalities(rule, bound_mults):
+        key = tuple(sorted(bound_mults.items()))
+        if key not in variants:
+            variants[key] = [
+                _variant(expanded, target_model)
+                for expanded in expand_cardinalities(rule, bound_mults)
+            ]
+        bound_types = {
+            ref: (stack[mm_match.f(el.level)].name, mm_match.binding(el.level)[el.name])
+            for ref, el in meta_els.items()
+        }
+        profiles = {
+            ref: instance_profile(rule, el, mm_match, stack) for ref, el in meta_els.items()
+        }
+        for lhs, inter, rhs, typed_by in variants[key]:
+            types = {k: bound_types[ref] for k, ref in typed_by}
+            level_types = {k: profiles[ref] for k, ref in typed_by}
             name = f"{rule.name}_{len(out)}"
-            lhs, inter, rhs = _pattern_graphs(expanded, target_model)
-            types: Dict[ElementKey, TypeRef] = {}
-            level_types = {}
-            for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
-                key = element_key(e)
-                if key in types:
-                    continue
-                meta_el = rule.meta_element(e.type_name, e.type_level)
-                stack_level = mm_match.f(meta_el.level)
-                bound = mm_match.binding(meta_el.level)[meta_el.name]
-                types[key] = (stack[stack_level].name, bound)
-                level_types[key] = instance_profile(rule, meta_el, mm_match, stack)
-            out.append(
-                TwoLevelRule(
-                    name, lhs, inter, rhs, types, level_types, rule.name, mm_match
-                )
-            )
+            out.append(TwoLevelRule(name, lhs, inter, rhs, types, level_types, rule.name, mm_match))
     return out
 
 

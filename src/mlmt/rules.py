@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -126,6 +127,29 @@ class McmtRule:
         if best is None:
             raise UnresolvedReference(f"no META element {name!r}")
         return best
+
+    @cached_property
+    def _type_profiles(self) -> Dict[Tuple[str, int], Tuple[Dict[int, str], int]]:
+        return {}
+
+    def type_profile(self, name: str, level: int) -> Tuple[Dict[int, str], int]:
+        """The type profile of the META element (name, level), derived once per rule.
+
+        A profile is (anchors, floor): anchors maps a META level to the name of
+        the element's META type chain there; floor is the lowest META level the
+        chain reaches: 0 at the root, higher when it ends at an implicit constant.
+        """
+        profiles = self._type_profiles
+        if (name, level) not in profiles:
+            chain = type_chain(self, self.meta_element(name, level))
+            anchors = {c.level: c.name for c in chain}
+            last = chain[-1]
+            if last.type_name is not None and last.type_level == 0:
+                anchors[0] = last.type_name
+                profiles[name, level] = (anchors, 0)
+            else:
+                profiles[name, level] = (anchors, last.level)
+        return profiles[name, level]
 
 
 @dataclass(frozen=True)

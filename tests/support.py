@@ -27,8 +27,16 @@ from mlmt.hierarchy import (
     derive_typing_chain,
     transitive_type_at,
 )
-from mlmt.matching import MetaMatch, TwoLevelRule
-from mlmt.rules import ARROW, NODE, McmtRule, MetaElement, RulePattern, element_key
+from mlmt.matching import MetaMatch, TwoLevelRule, find_meta_matches, typing_stack
+from mlmt.rules import (
+    ARROW,
+    NODE,
+    McmtRule,
+    MetaElement,
+    RulePattern,
+    element_key,
+    expand_cardinalities,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force categorical oracles
@@ -550,6 +558,58 @@ def reference_instance_profile(rule, meta_el, mm_match):
         if stack_level not in mapped:
             constraints.append((stack_level, None))
     return tuple(sorted(constraints, reverse=True))
+
+
+def reference_proliferate(rule: McmtRule, h, target_model: str) -> List[TwoLevelRule]:
+    """`proliferate` as it stood before its caches: every META match expands the
+    cardinality variants, builds their graphs and derives each pattern
+    element's type and profile anew.  Profiles come from
+    `reference_instance_profile`, so no table of the library's is shared."""
+    stack = typing_stack(h, target_model)
+    out: List[TwoLevelRule] = []
+    for mm_match in find_meta_matches(rule, h, target_model):
+        bound_mults = {}
+        for el in rule.meta_elements + rule.implicit_elements:
+            if el.kind != ARROW or el.level < 1:
+                continue
+            bound = mm_match.binding(el.level).get(el.name)
+            if bound is None:
+                continue
+            model = stack[mm_match.f(el.level)]
+            bound_mults[(el.level, el.name)] = (
+                model.info_for(bound).multiplicity or (0, None)
+            )
+        for expanded in expand_cardinalities(rule, bound_mults):
+            name = f"{rule.name}_{len(out)}"
+            lhs, inter, rhs = _pattern_graphs(expanded, target_model)
+            types: Dict[ElementKey, Tuple[str, ElementKey]] = {}
+            level_types = {}
+            for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
+                key = element_key(e)
+                if key in types:
+                    continue
+                meta_el = rule.meta_element(e.type_name, e.type_level)
+                stack_level = mm_match.f(meta_el.level)
+                bound = mm_match.binding(meta_el.level)[meta_el.name]
+                types[key] = (stack[stack_level].name, bound)
+                level_types[key] = reference_instance_profile(rule, meta_el, mm_match)
+            out.append(
+                TwoLevelRule(
+                    name, lhs, inter, rhs, types, level_types, rule.name, mm_match
+                )
+            )
+    return out
+
+
+def _pattern_graphs(rule: McmtRule, name: str) -> Tuple[Graph, Graph, Graph]:
+    lhs = rule.from_pattern.graph(name)
+    rhs = rule.to_pattern.graph(name)
+    inter = build_graph(
+        name,
+        sorted(lhs.nodes | rhs.nodes),
+        sorted(lhs.arrows | rhs.arrows),
+    )
+    return lhs, inter, rhs
 
 
 # ---------------------------------------------------------------------------

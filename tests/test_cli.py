@@ -1,8 +1,10 @@
+import errno
 import json
 import os
 
 import pytest
 
+import mlmt.hierarchy
 from mlmt.cli import main
 from mlmt.hierarchy import load_hierarchy, read_text, validate_hierarchy
 from mlmt.rules import parse_rule_module, validate_rule
@@ -254,6 +256,58 @@ class TestInvalidInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == problems
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written ends in one line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{dir}"],
+            ["rules", "check", "{dir}"],
+            ["proliferate", "{dir}", "{rules}", "--target", "hammer_config"],
+            ["run", "{hierarchy}", "{dir}", "--target", "hammer_config", "--steps", "1", "--seed", "0"],
+        ],
+        ids=["validate", "rules-check", "proliferate-hierarchy", "run-rules"],
+    )
+    def test_directory_as_input(self, paths, tmp_path, capsys, argv):
+        hierarchy, rules = paths
+        argv = [a.format(dir=tmp_path, hierarchy=hierarchy, rules=rules) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot read {tmp_path}: Is a directory"]
+
+    def test_unreadable_input(self, paths, monkeypatch, capsys):
+        hierarchy, _ = paths
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        # file modes do not stop a superuser, so the refusal is simulated
+        monkeypatch.setattr(mlmt.hierarchy, "open", denied, raising=False)
+        assert main(["validate", hierarchy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot read {hierarchy}: Permission denied"]
+
+    def test_output_in_a_missing_directory(self, paths, tmp_path, capsys):
+        hierarchy, rules = paths
+        out = tmp_path / "missing" / "rules.json"
+        argv = ["proliferate", hierarchy, rules, "--target", "hammer_config", "-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot write {out}: No such file or directory"]
+        assert not out.exists()
+
+    def test_directory_as_trace(self, paths, tmp_path, capsys):
+        hierarchy, rules = paths
+        argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "3", "--seed", "0"]
+        assert main([*argv, "--trace", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot write {tmp_path}: Is a directory"]
 
 
 class TestRulesCheck:

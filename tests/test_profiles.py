@@ -4,7 +4,9 @@ A compiled rule's `level_types` decide which model elements `run` may
 match, and its `types` the types of the elements it creates.  The golden
 file holds both for every rule proliferated onto the two PLS
 configurations, as `proliferated_types` prints them; `instance_profile`
-is also checked against the reference in `support` on random META matches.
+is also checked against the reference in `support` on random META matches,
+and `proliferate` against `reference_proliferate` on the PLS configurations
+and on a generated family plant with `k..k` bounds and skipped levels.
 """
 
 import json
@@ -13,11 +15,22 @@ import random
 
 import pytest
 
+from mlmt.hierarchy import load_hierarchy
 from mlmt.matching import find_meta_matches, instance_profile, proliferate, typing_stack
 
-from support import random_hierarchy, random_meta_rule, reference_instance_profile
+from support import (
+    random_hierarchy,
+    random_meta_rule,
+    reference_instance_profile,
+    reference_proliferate,
+)
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "proliferated_types.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+GOLDEN = os.path.join(FIXTURES, "proliferated_types.json")
+# a generated plant of two product families, with parts bounded `1..1` and
+# `2..2` and two refinement models that the META level map skips: the JSON
+# text of `wide_compile(5, 2, 2, 2)` from `perfbench/gen.py`, written once
+FAMILY_PLANT = os.path.join(FIXTURES, "family_plant.json")
 
 
 def _json(value):
@@ -73,3 +86,41 @@ def test_instance_profile_agrees_with_the_reference_on_random_matches():
                 checked += 1
     assert skipping >= 50
     assert checked >= 500
+
+
+@pytest.fixture(scope="module")
+def family_plant():
+    return load_hierarchy(FAMILY_PLANT)
+
+
+def leaves(h):
+    parents = {m.parent for m in h.models.values()}
+    return sorted(name for name in h.models if name not in parents)
+
+
+def compiled(rules):
+    """Every field of each rule, dicts as item lists so their order counts too."""
+    return [
+        (r.name, r.lhs, r.interface, r.rhs, list(r.types.items()),
+         list(r.level_types.items()), r.source_rule, r.source_match)
+        for r in rules
+    ]
+
+
+def test_proliferate_agrees_with_the_reference(pls, pls_module, family_plant):
+    cases = [(pls, "hammer_config"), (pls, "stool_config")]
+    cases += [(family_plant, leaf) for leaf in leaves(family_plant)]
+    assert len(cases) == 4
+    for h, target in cases:
+        for rule in pls_module.rules:
+            got = proliferate(rule, h, target)
+            assert compiled(got) == compiled(reference_proliferate(rule, h, target)), (rule.name, target)
+
+
+def test_matches_with_equal_bound_multiplicities_keep_their_own_types(pls_rules, family_plant):
+    # one match per generator machine; every `creates` arrow is unbounded, so
+    # all four share one cardinality variant but bind different types
+    rules = proliferate(pls_rules["CreatePart"], family_plant, "leaf_0")
+    assert len(rules) == 4
+    assert len({r.lhs for r in rules}) == 1
+    assert len({tuple(sorted(r.types.items(), key=repr)) for r in rules}) == 4
