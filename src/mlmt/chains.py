@@ -295,9 +295,7 @@ def chain_pushout(
     n, M = L.length, S.length
     f = m.level_map
 
-    D0, s0, d0 = pushout(
-        inclusion(L.graph_at(0), I.graph_at(0)), m.component(0)
-    )
+    D0, d0 = pushout(I.graph_at(0), m.component(0))
 
     level_subs: Dict[int, Tuple[set, set]] = {}
     for i in range(1, n + 1):
@@ -324,6 +322,7 @@ def chain_pushout(
         D0, subgraphs, names=[S.graph_at(j).name for j in range(M + 1)]
     )
 
+    s0 = inclusion(S.graph_at(0), D0)  # S is a subgraph of D by construction
     return D, lift(s0, S, D, {j: j for j in range(M + 1)}), lift(d0, I, D, f)
 
 
@@ -336,14 +335,14 @@ def chain_pullback_complement(
     levels with the survivors, and returns (T, R -> T, T -> D).
     """
     R, I, D = r.src, r.dst, d.dst
+    if I is not d.src and I.graphs != d.src.graphs:
+        raise GraphMismatch("r and d must share the interface chain")
     if R.length != I.length:
         raise DepthMismatch("rule chains must have equal depth")
     _require_inclusion_chains(R, I, D)
     M = D.length
 
-    T0, t_in0, t_sub0 = pullback_complement(
-        inclusion(R.graph_at(0), I.graph_at(0)), d.component(0)
-    )
+    T0, t_in0 = pullback_complement(R.graph_at(0), d.component(0))
 
     subgraphs = [Subgraph(T0, frozenset(T0.nodes), frozenset(T0.arrows))]
     for j in range(1, M + 1):
@@ -355,4 +354,5 @@ def chain_pullback_complement(
         T0, subgraphs, names=[D.graph_at(j).name for j in range(M + 1)]
     )
 
+    t_sub0 = inclusion(T0, D.graph_at(0))
     return T, lift(t_in0, R, T, d.level_map), lift(t_sub0, T, D, {j: j for j in range(M + 1)})

@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
     if args.trace and not _write(args.trace, trace.to_json_lines()):
         return 2
     json.dump(hierarchy_to_json(trace.final), sys.stdout, indent=2)
-    print()
+    print(flush=True)
     print(f"{len(trace.steps)} step(s) applied", file=sys.stderr)
     return 0
 
@@ -234,13 +234,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a stdout that cannot take the output fails here, not at exit
+        return code
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except OSError as err:  # an input path that is missing, a directory or unreadable
-        if err.filename is None:  # not a path, e.g. a closed stdout pipe
-            raise
+        if err.filename is None:  # not a path: stdout closed early or its device full
+            print(f"cannot write stdout: {err.strerror}", file=sys.stderr)
+            # the interpreter flushes stdout again at exit; send what is left nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
         print(f"cannot read {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except InputError as err:

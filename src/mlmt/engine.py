@@ -149,8 +149,8 @@ def _apply_at(
     kept copies of I \\ L and the deleted ones are m(L \\ R): the rest of
     d(I \\ R) are copies that never reached the model."""
     L, I, R = rule.lhs, rule.interface, rule.rhs
-    _, _, d = pushout(inclusion(L, I), m)
-    T, _, _ = pullback_complement(inclusion(R, I), d)
+    _, d = pushout(I, m)
+    T, _ = pullback_complement(R, d)
     created: Dict[ElementKey, ElementInfo] = {}
     for x in sorted(I.nodes - L.nodes) + sorted(I.arrows - L.arrows):
         if T.has(d(x)):
@@ -216,7 +216,7 @@ def apply_mcmt(
         key = element_key(e)
         meta_el = rule.meta_element(e.type_name, e.type_level)
         img = m(key)
-        for level, required in instance_profile(rule, meta_el, mm_match, stack):
+        for level, required in instance_profile(rule, meta_el, mm_match):
             if transitive_type_at(h, target_model, img, level) != required:
                 raise IncompatibleMatch(level, key)
 

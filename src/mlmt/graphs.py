@@ -135,16 +135,15 @@ class TotalMorphism:
             return self.node_map[element]
         return self.arrow_map[element]
 
-    def is_inclusion(self) -> bool:
-        return all(k == v for k, v in self.node_map.items()) and all(
-            k == v for k, v in self.arrow_map.items()
-        )
+
+def _require_subgraph(sub: Graph, sup: Graph) -> None:
+    if not (sub.nodes <= sup.nodes and sub.arrows <= sup.arrows):
+        raise NotInclusion(f"{sub.name} is not a subgraph of {sup.name}")
 
 
 def inclusion(sub: Graph, sup: Graph) -> TotalMorphism:
     """The inclusion of `sub` into `sup`; fails if `sub` is not contained."""
-    if not (sub.nodes <= sup.nodes and sub.arrows <= sup.arrows):
-        raise NotInclusion(f"{sub.name} is not a subgraph of {sup.name}")
+    _require_subgraph(sub, sup)
     return TotalMorphism(
         sub, sup, {n: n for n in sub.nodes}, {a: a for a in sub.arrows}
     )
@@ -214,20 +213,15 @@ def fresh_name(base: str, taken) -> str:
     return f"{base}${k}"
 
 
-def pushout(
-    l: TotalMorphism, m: TotalMorphism
-) -> Tuple[Graph, TotalMorphism, TotalMorphism]:
-    """Pushout of S <-m- L -l-> I where l is an inclusion.
+def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
+    """Pushout of S <-m- L c-> I, where L = m.src must be a subgraph of I.
 
-    Returns (D, s, d) with s: S -> D an inclusion and d: I -> D.  D extends S
-    with a fresh copy of I minus L; copied elements are renamed with a `$k`
+    Returns (D, d) with d: I -> D.  D extends S with a fresh copy of I minus
+    L, so S is a subgraph of D; copied elements are renamed with a `$k`
     suffix so repeated applications stay collision-free and deterministic.
     """
-    if not l.is_inclusion():
-        raise NotInclusion("left leg of the pushout span must be an inclusion")
-    if l.src.elements != m.src.elements:
-        raise GraphMismatch("pushout legs must share their source graph")
-    L, I, S = l.src, l.dst, m.dst
+    L, S = m.src, m.dst
+    _require_subgraph(L, I)
 
     new_nodes = sorted(I.nodes - L.nodes)
     taken = set(S.nodes)
@@ -253,31 +247,26 @@ def pushout(
         d_arrows.add(img)
 
     D = Graph(S.name, frozenset(d_nodes), frozenset(d_arrows))
-    s = inclusion(S, D)
     d = TotalMorphism(
         I,
         D,
         {n: map_node(n) for n in I.nodes},
         {a: (arrow_copy[a] if a in arrow_copy else m.arrow_map[a]) for a in I.arrows},
     )
-    return D, s, d
+    return D, d
 
 
-def pullback_complement(
-    r: TotalMorphism, d: TotalMorphism
-) -> Tuple[Graph, TotalMorphism, TotalMorphism]:
-    """Pullback complement of R -r-> I -d-> D where r is an inclusion.
+def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
+    """Pullback complement of R c-> I -d-> D, where R must be a subgraph of
+    I = d.src.
 
     Removes from D the d-images of all elements of I outside R, and returns
-    (T, R -> T, T -> D).  Raises DanglingDeletion when removing a node image
-    would orphan a surviving arrow, or when a deleted image is shared with a
-    preserved element (both are gluing-condition violations).
+    (T, R -> T); T is a subgraph of D.  Raises DanglingDeletion when removing
+    a node image would orphan a surviving arrow, or when a deleted image is
+    shared with a preserved element (both are gluing-condition violations).
     """
-    if not r.is_inclusion():
-        raise NotInclusion("right leg must be an inclusion")
-    if r.dst.elements != d.src.elements:
-        raise GraphMismatch("r and d must share the interface graph")
-    R, I, D = r.src, r.dst, d.dst
+    I, D = d.src, d.dst
+    _require_subgraph(R, I)
 
     gone_nodes = {d.node_map[n] for n in I.nodes - R.nodes}
     gone_arrows = {d.arrow_map[a] for a in I.arrows - R.arrows}
@@ -302,7 +291,7 @@ def pullback_complement(
         {n: d.node_map[n] for n in R.nodes},
         {a: d.arrow_map[a] for a in R.arrows},
     )
-    return T, t_in, inclusion(T, D)
+    return T, t_in
 
 
 def injective_matches(

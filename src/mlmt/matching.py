@@ -230,7 +230,6 @@ def instance_profile(
     rule: McmtRule,
     meta_el: MetaElement,
     mm_match: MetaMatch,
-    stack: Sequence[ModelNode],
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """Per-stack-level type constraints for an instance of `meta_el`: its own
     binding, its META profile, and untyped at the stack levels in between."""
@@ -281,9 +280,7 @@ def proliferate(
             ref: (stack[mm_match.f(el.level)].name, mm_match.binding(el.level)[el.name])
             for ref, el in meta_els.items()
         }
-        profiles = {
-            ref: instance_profile(rule, el, mm_match, stack) for ref, el in meta_els.items()
-        }
+        profiles = {ref: instance_profile(rule, el, mm_match) for ref, el in meta_els.items()}
         for lhs, inter, rhs, typed_by in variants[key]:
             types = {k: bound_types[ref] for k, ref in typed_by}
             level_types = {k: profiles[ref] for k, ref in typed_by}

@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,6 +310,45 @@ class TestUnusablePaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"cannot write {tmp_path}: Is a directory"]
+
+
+def _run_cli(argv, stdout):
+    """Run `python -m mlmt.cli` in a child process with `stdout` as its standard output."""
+    src = os.path.dirname(os.path.dirname(mlmt.hierarchy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "mlmt.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestStdoutFailures:
+    """A stdout that cannot take the output ends in exit 2 and one line, at any output size."""
+
+    def test_closed_pipe(self, paths):
+        hierarchy, rules = paths
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `| head -c 10` does once it has its bytes
+        try:
+            argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "400", "--seed", "0"]
+            proc = _run_cli(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["cannot write stdout: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_full_device(self, paths):
+        hierarchy, rules = paths
+        with open("/dev/full", "w") as full:
+            argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "5", "--seed", "0"]
+            proc = _run_cli(argv, full)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["cannot write stdout: No space left on device"]
 
 
 class TestRulesCheck:

@@ -60,7 +60,8 @@ class TestMorphisms:
     def test_inclusion_requires_containment(self):
         small = g("S", ["a"])
         big = g("B", ["a", "b"])
-        assert inclusion(small, big).is_inclusion()
+        incl = inclusion(small, big)
+        assert (incl.node_map, incl.arrow_map) == ({"a": "a"}, {})
         with pytest.raises(NotInclusion):
             inclusion(big, small)
 
@@ -100,9 +101,9 @@ class TestPushout:
         I = g("I", ["m", "p"], [("m", "c", "p")])
         S = g("S", ["m1"])
         m = TotalMorphism(L, S, {"m": "m1"}, {})
-        D, s, d = pushout(inclusion(L, I), m)
+        D, d = pushout(I, m)
         assert d.node_map["p"] == "p$0"
-        assert s.is_inclusion()
+        assert S.nodes <= D.nodes and S.arrows <= D.arrows
         assert ("m1", "c$0", "p$0") in D.arrows
 
     def test_commutes_on_shared_part(self):
@@ -110,14 +111,15 @@ class TestPushout:
         I = g("I", ["m", "p"])
         S = g("S", ["x", "y"])
         m = TotalMorphism(L, S, {"m": "y"}, {})
-        D, s, d = pushout(inclusion(L, I), m)
-        assert d.node_map["m"] == s.node_map[m.node_map["m"]]
+        D, d = pushout(I, m)
+        assert S.nodes <= D.nodes and S.arrows <= D.arrows
+        assert d.node_map["m"] == m.node_map["m"]
 
     def test_left_leg_must_be_inclusion(self):
         L = g("L", ["m"])
         I = g("I", ["q"])
         with pytest.raises(NotInclusion):
-            pushout(TotalMorphism(L, I, {"m": "q"}, {}), TotalMorphism(L, L, {"m": "m"}, {}))
+            pushout(I, TotalMorphism(L, L, {"m": "m"}, {}))
 
     def test_randomized_against_disjoint_union_oracle(self):
         rng = random.Random(7)
@@ -132,8 +134,8 @@ class TestPushout:
             m = random_total_morphism(rng, L, S) if L.nodes else TotalMorphism(L, S, {}, {})
             if m is None:
                 continue
-            D, s, d = pushout(inclusion(L, I), m)
-            assert pushout_agrees_with_oracle(L, I, m, D, s, d)
+            D, d = pushout(I, m)
+            assert pushout_agrees_with_oracle(L, I, m, D, inclusion(S, D), d)
             checked += 1
 
 
@@ -145,10 +147,10 @@ class TestPullbackComplement:
         d = TotalMorphism(
             I, S, {"m": "m1", "p": "p1"}, {("m", "c", "p"): ("m1", "c", "p1")}
         )
-        T, t_in, t_sub = pullback_complement(inclusion(R, I), d)
+        T, t_in = pullback_complement(R, d)
         assert T.nodes == frozenset({"m1"})
         assert T.arrows == frozenset()
-        assert t_sub.is_inclusion()
+        assert T.nodes <= S.nodes and T.arrows <= S.arrows
 
     def test_dangling_node_deletion_raises(self):
         R = g("R", [])
@@ -156,7 +158,7 @@ class TestPullbackComplement:
         S = g("S", ["p1", "q"], [("q", "x", "p1")])
         d = TotalMorphism(I, S, {"p": "p1"}, {})
         with pytest.raises(DanglingDeletion):
-            pullback_complement(inclusion(R, I), d)
+            pullback_complement(R, d)
 
     def test_shared_deleted_and_kept_image_raises(self):
         R = g("R", ["a"])
@@ -164,7 +166,14 @@ class TestPullbackComplement:
         S = g("S", ["x"])
         d = TotalMorphism(I, S, {"a": "x", "b": "x"}, {})
         with pytest.raises(DanglingDeletion):
-            pullback_complement(inclusion(R, I), d)
+            pullback_complement(R, d)
+
+    def test_right_leg_must_be_inclusion(self):
+        R = g("R", ["q"])
+        I = g("I", ["p"])
+        d = TotalMorphism(I, I, {"p": "p"}, {})
+        with pytest.raises(NotInclusion):
+            pullback_complement(R, d)
 
     def test_randomized_against_oracle(self):
         rng = random.Random(13)
@@ -180,9 +189,9 @@ class TestPullbackComplement:
             expected = oracle_pullback_complement(R, I, d)
             if expected is None:
                 with pytest.raises(DanglingDeletion):
-                    pullback_complement(inclusion(R, I), d)
+                    pullback_complement(R, d)
             else:
-                T, t_in, t_sub = pullback_complement(inclusion(R, I), d)
+                T, t_in = pullback_complement(R, d)
                 assert (T.nodes, T.arrows) == expected
                 for x in R.nodes:
                     assert t_in.node_map[x] == d.node_map[x]

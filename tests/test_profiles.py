@@ -16,7 +16,7 @@ import random
 import pytest
 
 from mlmt.hierarchy import load_hierarchy
-from mlmt.matching import find_meta_matches, instance_profile, proliferate, typing_stack
+from mlmt.matching import find_meta_matches, instance_profile, proliferate
 
 from support import (
     random_hierarchy,
@@ -77,11 +77,10 @@ def test_instance_profile_agrees_with_the_reference_on_random_matches():
         h = random_hierarchy(rng, depth=rng.randint(1, 3))
         rule = random_meta_rule(rng, depth=rng.randint(1, 2))
         bottom = max(h.models.values(), key=lambda m: m.level)
-        stack = typing_stack(h, bottom.name)
         for mm_match in find_meta_matches(rule, h, bottom.name):
             skipping += skips_a_level(mm_match)
             for el in rule.meta_elements + rule.implicit_elements:
-                got = instance_profile(rule, el, mm_match, stack)
+                got = instance_profile(rule, el, mm_match)
                 assert got == reference_instance_profile(rule, el, mm_match)
                 checked += 1
     assert skipping >= 50
