@@ -31,7 +31,6 @@ from .graphs import (
     Arrow,
     Graph,
     PartialMorphism,
-    Subgraph,
     TotalMorphism,
     build_graph,
     compose_partial,

@@ -3,14 +3,17 @@
 A chain is a sequence of graphs G_0 .. G_n (level 0 at the top) with a
 family of partial typing morphisms between them.  Levels are indexed by
 their distance from the top, matching the level numbering of multilevel
-hierarchies.  The two-step chain pushout and its pullback-complement twin
-drive direct rule application on a whole typing chain at once.
+hierarchies.  An inclusion chain is a host graph at level 0 with plain
+subgraphs of it at levels 1..m and identity typings on their intersections
+(`refactor_inclusion_chain`).  The two-step chain pushout and its
+pullback-complement twin drive direct rule application on a whole typing
+chain at once; both take and return inclusion chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     CompatibilityViolation,
@@ -18,13 +21,11 @@ from .errors import (
     GraphMismatch,
     NonTotalRootTyping,
     NotInclusionChain,
-    RootMismatch,
     UniquenessViolation,
 )
 from .graphs import (
     Graph,
     PartialMorphism,
-    Subgraph,
     TotalMorphism,
     compose_partial,
     inclusion,
@@ -100,36 +101,30 @@ def build_chain(
     return GraphChain(tuple(graphs), dict(typings))
 
 
-def refactor_inclusion_chain(
-    host: Graph, subgraphs: Sequence[Subgraph], names: Optional[Sequence[str]] = None
-) -> GraphChain:
-    """Turn subgraphs S_0 .. S_m of a host graph into an inclusion chain.
+def refactor_inclusion_chain(host: Graph, levels: Sequence[Graph]) -> GraphChain:
+    """The inclusion chain with `host` at level 0 and `levels` at 1..m.
 
-    subgraphs[0] must be the full host; typing (j, i) is the span of
-    inclusions through S_j intersect S_i.
+    Each level must be a subgraph of `host` (GraphMismatch otherwise) and
+    keeps its own name.  Typing (j, i) is the identity on the intersection
+    of levels j and i, so every typing to the root is total and composites
+    agree with direct typings: the chain meets `build_chain`'s conditions by
+    construction and is not re-checked.
     """
-    if (
-        subgraphs[0].nodes != host.nodes
-        or subgraphs[0].arrows != host.arrows
-    ):
-        raise RootMismatch("level-0 subgraph must be the host graph itself")
-    graphs = []
-    for i, sg in enumerate(subgraphs):
-        if sg.host.elements != host.elements:
-            raise GraphMismatch("subgraphs must share the host graph")
-        name = names[i] if names else f"{host.name}@{i}"
-        graphs.append(sg.as_graph(name))
+    for g in levels:
+        if not (g.nodes <= host.nodes and g.arrows <= host.arrows):
+            raise GraphMismatch(f"{g.name} is not a subgraph of {host.name}")
+    graphs = (host, *levels)
     typings = {}
     for j in range(1, len(graphs)):
         for i in range(j):
-            common = subgraphs[j].intersection(subgraphs[i])
+            gj, gi = graphs[j], graphs[i]
             typings[(j, i)] = PartialMorphism(
-                graphs[j],
-                graphs[i],
-                {n: n for n in common.nodes},
-                {a: a for a in common.arrows},
+                gj,
+                gi,
+                {n: n for n in gj.nodes & gi.nodes},
+                {a: a for a in gj.arrows & gi.arrows},
             )
-    return build_chain(graphs, typings)
+    return GraphChain(graphs, typings)
 
 
 @dataclass(frozen=True)
@@ -247,10 +242,11 @@ def check_compatibility(mt: MultilevelTyping) -> None:
 def typing_to_chain(mt: MultilevelTyping) -> Tuple[GraphChain, ChainMorphism]:
     """Refactor a multilevel typing into an inclusion chain plus morphism."""
     check_compatibility(mt)
-    m = mt.chain.length
-    subgraphs = [mt.sigmas[i].domain for i in range(m + 1)]
-    subgraphs[0] = Subgraph(mt.subject, mt.subject.nodes, mt.subject.arrows)
-    incl_chain = refactor_inclusion_chain(mt.subject, subgraphs)
+    m, name = mt.chain.length, mt.subject.name
+    incl_chain = refactor_inclusion_chain(
+        mt.subject.renamed(f"{name}@0"),
+        [mt.sigmas[i].domain.renamed(f"{name}@{i}") for i in range(1, m + 1)],
+    )
     components = {
         i: TotalMorphism(
             incl_chain.graph_at(i),
@@ -274,10 +270,6 @@ def _require_inclusion_chains(*chains: GraphChain) -> None:
             )
 
 
-def _element_sets(g: Graph):
-    return set(g.nodes), set(g.arrows)
-
-
 def chain_pushout(
     l: ChainMorphism, m: ChainMorphism
 ) -> Tuple[GraphChain, ChainMorphism, ChainMorphism]:
@@ -297,30 +289,15 @@ def chain_pushout(
 
     D0, d0 = pushout(I.graph_at(0), m.component(0))
 
-    level_subs: Dict[int, Tuple[set, set]] = {}
+    levels = list(S.graphs[1:])  # the levels f does not touch are S's verbatim
     for i in range(1, n + 1):
-        s_nodes, s_arrows = _element_sets(S.graph_at(f[i]))
-        extra_nodes = {
-            d0.node_map[nd]
-            for nd in I.graph_at(i).nodes - L.graph_at(i).nodes
-        }
-        extra_arrows = {
-            d0.arrow_map[a]
-            for a in I.graph_at(i).arrows - L.graph_at(i).arrows
-        }
-        level_subs[f[i]] = (s_nodes | extra_nodes, s_arrows | extra_arrows)
-    touched = set(level_subs)
-    for j in range(1, M + 1):
-        if j not in touched:
-            level_subs[j] = _element_sets(S.graph_at(j))
-
-    subgraphs = [Subgraph(D0, frozenset(D0.nodes), frozenset(D0.arrows))]
-    for j in range(1, M + 1):
-        nd, ar = level_subs[j]
-        subgraphs.append(Subgraph(D0, frozenset(nd), frozenset(ar)))
-    D = refactor_inclusion_chain(
-        D0, subgraphs, names=[S.graph_at(j).name for j in range(M + 1)]
-    )
+        g = S.graph_at(f[i])
+        levels[f[i] - 1] = Graph(
+            g.name,
+            g.nodes | {d0.node_map[nd] for nd in I.graph_at(i).nodes - L.graph_at(i).nodes},
+            g.arrows | {d0.arrow_map[a] for a in I.graph_at(i).arrows - L.graph_at(i).arrows},
+        )
+    D = refactor_inclusion_chain(D0, levels)  # D0 is named after S's level 0
 
     s0 = inclusion(S.graph_at(0), D0)  # S is a subgraph of D by construction
     return D, lift(s0, S, D, {j: j for j in range(M + 1)}), lift(d0, I, D, f)
@@ -344,14 +321,8 @@ def chain_pullback_complement(
 
     T0, t_in0 = pullback_complement(R.graph_at(0), d.component(0))
 
-    subgraphs = [Subgraph(T0, frozenset(T0.nodes), frozenset(T0.arrows))]
-    for j in range(1, M + 1):
-        gj = D.graph_at(j)
-        subgraphs.append(
-            Subgraph(T0, frozenset(gj.nodes & T0.nodes), frozenset(gj.arrows & T0.arrows))
-        )
-    T = refactor_inclusion_chain(
-        T0, subgraphs, names=[D.graph_at(j).name for j in range(M + 1)]
+    T = refactor_inclusion_chain(  # T0 is named after D's level 0
+        T0, [Graph(g.name, g.nodes & T0.nodes, g.arrows & T0.arrows) for g in D.graphs[1:]]
     )
 
     t_sub0 = inclusion(T0, D.graph_at(0))

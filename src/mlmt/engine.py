@@ -22,7 +22,6 @@ from .chains import (
 from .errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
 from .graphs import (
     Graph,
-    Subgraph,
     TotalMorphism,
     inclusion,
     injective_matches,
@@ -173,13 +172,15 @@ def _apply_at(
 
 def _pattern_level_subgraphs(
     rule: McmtRule,
+    tag: str,
     pattern_graph: Graph,
     pattern_elements,
     depth: int,
-) -> List[Subgraph]:
-    """Inclusion-chain layers of a pattern: level i holds the elements whose
-    META type chain passes through META level i."""
-    layers = [Subgraph(pattern_graph, pattern_graph.nodes, pattern_graph.arrows)]
+) -> List[Graph]:
+    """Inclusion-chain levels 1..depth of a pattern, named `<rule>.<tag>@i`:
+    level i holds the elements whose META type chain passes through META
+    level i."""
+    layers = []
     anchors = {
         element_key(e): rule.type_profile(e.type_name, e.type_level)[0] for e in pattern_elements
     }
@@ -192,7 +193,7 @@ def _pattern_level_subgraphs(
             for a in pattern_graph.arrows
             if i in anchors[a] and a[0] in nodes and a[2] in nodes
         )
-        layers.append(Subgraph(pattern_graph, nodes, arrows))
+        layers.append(Graph(f"{rule.name}.{tag}@{i}", nodes, arrows))
     return layers
 
 
@@ -225,10 +226,9 @@ def apply_mcmt(
     s_chain, _ = typing_to_chain(mt)
     chains = []
     for tag, pattern in (("L", rule.from_pattern), ("I", interface), ("R", rule.to_pattern)):
-        g = pattern.graph(target_model)
-        layers = _pattern_level_subgraphs(rule, g, pattern.elements, depth)
-        names = [f"{rule.name}.{tag}@{i}" for i in range(depth + 1)]
-        chains.append(refactor_inclusion_chain(g, layers, names))
+        g = pattern.graph(f"{rule.name}.{tag}@0")
+        layers = _pattern_level_subgraphs(rule, tag, g, pattern.elements, depth)
+        chains.append(refactor_inclusion_chain(g, layers))
     l_chain, i_chain, r_chain = chains
     ident = {i: i for i in range(depth + 1)}
     l_morph = lift(inclusion(l_chain.graph_at(0), i_chain.graph_at(0)), l_chain, i_chain, ident)

@@ -48,10 +48,6 @@ class UniquenessViolation(MlmtError):
         )
 
 
-class RootMismatch(MlmtError):
-    pass
-
-
 class CompatibilityViolation(MlmtError):
     """Multilevel typing violates the strong compatibility condition."""
 

@@ -78,32 +78,6 @@ def build_graph(name: str, nodes: Iterable[str], arrows: Iterable[Arrow]) -> Gra
 
 
 @dataclass(frozen=True)
-class Subgraph:
-    """A subset of a host graph's elements, closed under arrow endpoints."""
-
-    host: Graph
-    nodes: FrozenSet[str]
-    arrows: FrozenSet[Arrow]
-
-    def __post_init__(self):
-        if not self.nodes <= self.host.nodes or not self.arrows <= self.host.arrows:
-            raise GraphMismatch(f"subgraph not contained in {self.host.name}")
-        for src, _, tgt in self.arrows:
-            if src not in self.nodes or tgt not in self.nodes:
-                raise DanglingArrow(
-                    f"subgraph of {self.host.name} not closed at {(src, tgt)}"
-                )
-
-    def as_graph(self, name: Optional[str] = None) -> Graph:
-        return Graph(name or self.host.name, self.nodes, self.arrows)
-
-    def intersection(self, other: "Subgraph") -> "Subgraph":
-        return Subgraph(
-            self.host, self.nodes & other.nodes, self.arrows & other.arrows
-        )
-
-
-@dataclass(frozen=True)
 class TotalMorphism:
     """A total graph homomorphism given by node and arrow maps."""
 
@@ -159,17 +133,17 @@ class PartialMorphism:
     arrow_map: Dict[Arrow, Arrow] = field(default_factory=dict)
 
     def __post_init__(self):
-        # the domain of definition must be a genuine subgraph
-        dom = Subgraph(
-            self.src, frozenset(self.node_map), frozenset(self.arrow_map)
-        )
-        TotalMorphism(dom.as_graph(), self.dst, dict(self.node_map), dict(self.arrow_map))
+        # the domain of definition must be a genuine subgraph of src
+        src = self.src
+        if not (self.node_map.keys() <= src.nodes and self.arrow_map.keys() <= src.arrows):
+            raise GraphMismatch(f"domain of definition not contained in {src.name}")
+        TotalMorphism(self.domain, self.dst, dict(self.node_map), dict(self.arrow_map))
 
     @property
-    def domain(self) -> Subgraph:
-        return Subgraph(
-            self.src, frozenset(self.node_map), frozenset(self.arrow_map)
-        )
+    def domain(self) -> Graph:
+        """The domain of definition, named after `src`; building it checks
+        that it is closed under arrow endpoints."""
+        return Graph(self.src.name, frozenset(self.node_map), frozenset(self.arrow_map))
 
     def is_total(self) -> bool:
         return (

@@ -254,9 +254,17 @@ class _Parser:
         self.expect("rules")
         name = self.ident("module name").text
         self.expect("{")
-        rules = []
+        rules, first_line = [], {}
         while self.peek().text != "}":
-            rules.append(self.rule())
+            line = self.peek().line
+            rule = self.rule()
+            if rule.name in first_line:
+                raise DuplicateDeclaration(
+                    f"{name}: rule {rule.name!r} declared twice (line {line}, "
+                    f"first at line {first_line[rule.name]})"
+                )
+            first_line[rule.name] = line
+            rules.append(rule)
         self.expect("}")
         if self.peek().kind != "eof":
             self.fail("trailing input after module")
@@ -326,6 +334,8 @@ class _Parser:
                     hi = int(hi_tok.text)
                 except ValueError:
                     self.fail("potency bound has too many digits", hi_tok)
+                if lo > hi:
+                    self.fail(f"potency {lo}-{hi}: min exceeds max", lo_tok)
             potency = (lo, hi)
         return _RawDecl(name_tok.text, type_tok.text, constant, mm, potency, name_tok.line)
 

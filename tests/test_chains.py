@@ -16,14 +16,13 @@ from mlmt.chains import (
 )
 from mlmt.errors import (
     CompatibilityViolation,
+    GraphMismatch,
     NonTotalRootTyping,
-    RootMismatch,
     UniquenessViolation,
 )
 from mlmt.graphs import (
     Graph,
     PartialMorphism,
-    Subgraph,
     TotalMorphism,
     build_graph,
     inclusion,
@@ -90,20 +89,26 @@ class TestBuildChain:
 
 
 class TestRefactorInclusionChain:
-    def test_requires_full_graph_at_level_zero(self):
-        g = build_graph("g", ["a", "b"], [])
-        sub = Subgraph(g, frozenset({"a"}), frozenset())
-        with pytest.raises(RootMismatch):
-            refactor_inclusion_chain(g, [sub, sub])
+    def test_rejects_level_outside_host(self):
+        g = build_graph("g", ["a", "b"], [("a", "x", "b")])
+        inside = build_graph("in", ["a"], [])
+        for outside in (
+            build_graph("out", ["a", "z"], []),
+            build_graph("out", ["a", "b"], [("b", "x", "a")]),
+        ):
+            with pytest.raises(GraphMismatch):
+                refactor_inclusion_chain(g, [inside, outside])
 
     def test_builds_identity_typings_on_intersections(self):
         g = build_graph("g", ["a", "b", "c"], [("a", "x", "b")])
-        full = Subgraph(g, g.nodes, g.arrows)
-        s1 = Subgraph(g, frozenset({"a", "b"}), frozenset({("a", "x", "b")}))
-        s2 = Subgraph(g, frozenset({"a", "c"}), frozenset())
-        chain = refactor_inclusion_chain(g, [full, s1, s2])
+        s1 = build_graph("s1", ["a", "b"], [("a", "x", "b")])
+        s2 = build_graph("s2", ["a", "c"], [])
+        chain = refactor_inclusion_chain(g, [s1, s2])
         assert chain.is_inclusion_chain()
         assert chain.typing(2, 1).node_map == {"a": "a"}
+        assert [c.name for c in chain.graphs] == ["g", "s1", "s2"]
+        # valid by construction: the full re-check agrees
+        assert build_chain(chain.graphs, chain.typings) == chain
 
 
 class TestChainMorphism:
@@ -247,10 +252,8 @@ def two_level_rule_chains():
     lhs = build_graph("L", ["m1"], [])
     inter = build_graph("L", ["m1", "p1"], [("m1", "c1", "p1")])
     rhs = inter
-    full_l = Subgraph(lhs, lhs.nodes, lhs.arrows)
-    l_chain = refactor_inclusion_chain(lhs, [full_l, full_l])
-    full_i = Subgraph(inter, inter.nodes, inter.arrows)
-    i_chain = refactor_inclusion_chain(inter, [full_i, full_i])
+    l_chain = refactor_inclusion_chain(lhs, [lhs])
+    i_chain = refactor_inclusion_chain(inter, [inter])
     r_chain = i_chain
     return lhs, inter, rhs, l_chain, i_chain, r_chain
 
@@ -258,8 +261,7 @@ def two_level_rule_chains():
 class TestChainRewriting:
     def host_chain(self):
         host = build_graph("S", ["g1", "g2"], [])
-        full = Subgraph(host, host.nodes, host.arrows)
-        return host, refactor_inclusion_chain(host, [full, full])
+        return host, refactor_inclusion_chain(host, [host])
 
     def make_morphism(self, src_chain, dst_chain, node_map, level_map=None):
         level_map = level_map or {i: i for i in range(src_chain.length + 1)}
@@ -293,8 +295,7 @@ class TestChainRewriting:
         d_chain, _, d_morph = chain_pushout(l_morph, m_morph)
         # deleting rule: keep only m1 on the right
         keep = build_graph("L", ["m1"], [])
-        full_keep = Subgraph(keep, keep.nodes, keep.arrows)
-        keep_chain = refactor_inclusion_chain(keep, [full_keep, full_keep])
+        keep_chain = refactor_inclusion_chain(keep, [keep])
         r_morph = ChainMorphism(
             keep_chain,
             i_chain,

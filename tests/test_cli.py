@@ -365,6 +365,19 @@ class TestRulesCheck:
         assert "SyntaxError" in err
         assert "2:" in err  # the offending line number
 
+    def test_rule_declared_twice_exits_one(self, paths, tmp_path, capsys):
+        text = open(paths[1]).read()
+        first = text.index("  rule CreatePart")
+        end = text.index("  rule ", first + 1)
+        twice = tmp_path / "twice.mcmt"
+        twice.write_text(text[:end] + text[first:end] + text[end:])
+        assert main(["rules", "check", str(twice)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: PlantBehaviour: rule 'CreatePart' declared twice (line 19, first at line 2)"
+        ]
+
 
 class TestProliferate:
     def test_summary_line_and_breakdown(self, paths, capsys):

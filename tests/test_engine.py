@@ -5,7 +5,12 @@ from dataclasses import replace
 import pytest
 
 from mlmt import engine
-from mlmt.chains import chain_pullback_complement, chain_pushout, validate_chain_morphism
+from mlmt.chains import (
+    build_chain,
+    chain_pullback_complement,
+    chain_pushout,
+    validate_chain_morphism,
+)
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
 from mlmt.graphs import Graph, TotalMorphism
@@ -232,6 +237,10 @@ class TestDirectApplication:
         assert len(seen) >= 7 * applied
         for cm in seen:
             assert validate_chain_morphism(cm) == []
+            for c in (cm.src, cm.dst):
+                # refactor_inclusion_chain skips this re-check as valid by construction
+                assert build_chain(c.graphs, c.typings) == c
+                assert c.is_inclusion_chain()
             base = cm.component(0)
             for i, component in cm.components.items():
                 g = cm.src.graph_at(i)

@@ -9,6 +9,7 @@ from mlmt.errors import (
     DanglingDeletion,
     DuplicateArrow,
     DuplicateNode,
+    GraphMismatch,
     NotInclusion,
 )
 from mlmt.graphs import (
@@ -82,6 +83,24 @@ class TestMorphisms:
         h = PartialMorphism(b, c, {"b1": "c1"}, {})
         composed = compose_partial(f, h)
         assert composed.node_map == {"a1": "c1"}  # a2 falls outside the domain
+
+    def test_partial_domain_must_lie_in_source(self):
+        src = g("A", ["a1"], [("a1", "x", "a1")])
+        dst = g("B", ["b1"], [("b1", "y", "b1")])
+        with pytest.raises(GraphMismatch):
+            PartialMorphism(src, dst, {"a1": "b1", "a2": "b1"}, {})
+        with pytest.raises(GraphMismatch):
+            PartialMorphism(
+                src, dst, {"a1": "b1"}, {("a1", "z", "a1"): ("b1", "y", "b1")}
+            )
+
+    def test_partial_domain_must_be_closed(self):
+        src = g("A", ["a1", "a2"], [("a1", "x", "a2")])
+        dst = g("B", ["b1"], [("b1", "y", "b1")])
+        with pytest.raises(DanglingArrow):
+            PartialMorphism(src, dst, {"a1": "b1"}, {("a1", "x", "a2"): ("b1", "y", "b1")})
+        t = PartialMorphism(src, dst, {"a1": "b1"}, {})
+        assert t.domain == Graph("A", frozenset({"a1"}), frozenset())
 
 
 class TestFreshNames:

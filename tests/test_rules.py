@@ -88,6 +88,22 @@ class TestParsing:
             parse_rule_module(CREATE_PART.replace("Part mm1", f"Part mm1 {suffix}"))
         assert (err.value.line, err.value.column) == (5, 20 + len(suffix))
 
+    def test_reversed_potency_is_rejected_at_its_low_bound(self):
+        assert parse_rule_module(CREATE_PART.replace("Part mm1", "Part mm1 @1-1"))
+        with pytest.raises(ParseError) as err:
+            parse_rule_module(CREATE_PART.replace("Part mm1", "Part mm1 @3-1"))
+        assert (err.value.line, err.value.column) == (5, 22)
+        assert "min exceeds max" in str(err.value)
+
+    def test_rule_declared_twice_in_a_module(self):
+        body = CREATE_PART[CREATE_PART.index("  rule") : CREATE_PART.rindex("}")]
+        bad = CREATE_PART[: CREATE_PART.rindex("}")] + body + "}\n"
+        with pytest.raises(DuplicateDeclaration) as err:
+            parse_rule_module(bad)
+        assert str(err.value) == (
+            "Demo: rule 'CreatePart' declared twice (line 20, first at line 3)"
+        )
+
     def test_from_to_shared_names_must_agree(self):
         bad = CREATE_PART.replace(
             "      m1 : M1\n      p1 : P1", "      m1 : P1\n      p1 : P1"
