@@ -6,12 +6,21 @@ values.  The pushout and pullback-complement constructions implemented here
 are the building blocks for co-span rule application: a rule L -> I <- R is
 applied to a host graph by gluing I \\ L onto the host (pushout) and then
 removing the images of I \\ R (pullback complement).
+
+Each graph maps every node with an arrow to the frozenset of its incident
+arrows.  The map is built on first use and then carried along: the pushout
+derives D's map from S's by adding the copied arrows, the pullback
+complement derives T's from D's by removing the deleted ones, and neither
+re-validates its result, which is valid by construction.  So a rewrite step
+costs the rule plus the arrows incident to deleted nodes, not the whole
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     DanglingArrow,
@@ -39,11 +48,33 @@ class Graph:
     arrows: FrozenSet[Arrow] = frozenset()
 
     def __post_init__(self):
-        for src, _, tgt in self.arrows:
-            if src not in self.nodes or tgt not in self.nodes:
-                raise DanglingArrow(
-                    f"{self.name}: arrow endpoints {(src, tgt)} not declared"
-                )
+        nodes = self.nodes
+        bad = [a for a in self.arrows if a[0] not in nodes or a[2] not in nodes]
+        if bad:
+            src, _, tgt = min(bad)
+            raise DanglingArrow(f"{self.name}: arrow endpoints {(src, tgt)} not declared")
+
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        nodes: FrozenSet[str],
+        arrows: FrozenSet[Arrow],
+        incidence: Optional[Dict[str, FrozenSet[Arrow]]] = None,
+    ) -> "Graph":
+        """A graph its caller has proved valid, built without the endpoint
+        walk of `__post_init__`; `incidence`, if given, must be its map."""
+        g = object.__new__(cls)
+        g.__dict__.update(name=name, nodes=nodes, arrows=arrows)
+        if incidence is not None:
+            g.__dict__["_incidence"] = incidence
+        return g
+
+    @cached_property
+    def _incidence(self) -> Dict[str, FrozenSet[Arrow]]:
+        """Each node with an arrow -> its incident arrows; never mutated,
+        so graphs may share it."""
+        return {n: frozenset(s) for n, s in _by_end(self.arrows).items()}
 
     @property
     def elements(self) -> FrozenSet:
@@ -53,10 +84,19 @@ class Graph:
         return element in self.nodes or element in self.arrows
 
     def incident(self, node: str) -> FrozenSet[Arrow]:
-        return frozenset(a for a in self.arrows if node in (a[0], a[2]))
+        return self._incidence.get(node, frozenset())
 
     def renamed(self, name: str) -> "Graph":
-        return Graph(name, self.nodes, self.arrows)
+        return Graph._trusted(name, self.nodes, self.arrows, self.__dict__.get("_incidence"))
+
+
+def _by_end(arrows: Iterable[Arrow]) -> Dict[str, Set[Arrow]]:
+    """The given arrows grouped under each of their endpoints."""
+    ends: Dict[str, Set[Arrow]] = {}
+    for a in arrows:
+        ends.setdefault(a[0], set()).add(a)
+        ends.setdefault(a[2], set()).add(a)
+    return ends
 
 
 def build_graph(name: str, nodes: Iterable[str], arrows: Iterable[Arrow]) -> Graph:
@@ -197,30 +237,30 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
     L, S = m.src, m.dst
     _require_subgraph(L, I)
 
-    new_nodes = sorted(I.nodes - L.nodes)
-    taken = set(S.nodes)
-    node_copy: Dict[str, str] = {}
-    for n in new_nodes:
-        node_copy[n] = fresh_name(n, taken)
-        taken.add(node_copy[n])
+    # copies of distinct nodes cannot collide, as `base$k` determines base
+    # and k, so each only has to avoid S
+    node_copy = {n: fresh_name(n, S.nodes) for n in I.nodes - L.nodes}
 
     def map_node(n: str) -> str:
         return node_copy[n] if n in node_copy else m.node_map[n]
 
-    new_arrows = sorted(I.arrows - L.arrows)
-    d_nodes = set(S.nodes) | set(node_copy.values())
-    d_arrows = set(S.arrows)
     arrow_copy: Dict[Arrow, Arrow] = {}
-    for a in new_arrows:
+    copies: Set[Arrow] = set()
+    for a in sorted(I.arrows - L.arrows):
         src, label, tgt = map_node(a[0]), a[1], map_node(a[2])
         k = 0
-        while (src, f"{label}${k}", tgt) in d_arrows:
+        while (img := (src, f"{label}${k}", tgt)) in S.arrows or img in copies:
             k += 1
-        img = (src, f"{label}${k}", tgt)
         arrow_copy[a] = img
-        d_arrows.add(img)
+        copies.add(img)
 
-    D = Graph(S.name, frozenset(d_nodes), frozenset(d_arrows))
+    incidence = dict(S._incidence)
+    for n, added in _by_end(copies).items():
+        incidence[n] = incidence.get(n, frozenset()) | added
+    # valid: the copies' ends are S's nodes or copied nodes
+    D = Graph._trusted(
+        S.name, S.nodes.union(node_copy.values()), S.arrows.union(copies), incidence
+    )
     d = TotalMorphism(
         I,
         D,
@@ -236,8 +276,9 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
 
     Removes from D the d-images of all elements of I outside R, and returns
     (T, R -> T); T is a subgraph of D.  Raises DanglingDeletion when removing
-    a node image would orphan a surviving arrow, or when a deleted image is
-    shared with a preserved element (both are gluing-condition violations).
+    a node image would orphan a surviving arrow (naming the smallest such
+    arrow), or when a deleted image is shared with a preserved element (both
+    are gluing-condition violations).
     """
     I, D = d.src, d.dst
     _require_subgraph(R, I)
@@ -251,14 +292,18 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
             "deleted image coincides with a preserved one (non-injective match)"
         )
 
-    t_arrows = D.arrows - frozenset(gone_arrows)
-    t_nodes = D.nodes - frozenset(gone_nodes)
-    for a in t_arrows:
-        if a[0] in gone_nodes or a[2] in gone_nodes:
-            raise DanglingDeletion(
-                f"deleting a node would orphan surviving arrow {a!r}"
-            )
-    T = Graph(D.name, t_nodes, t_arrows)
+    orphans = [a for n in gone_nodes for a in D.incident(n) if a not in gone_arrows]
+    if orphans:
+        raise DanglingDeletion(
+            f"deleting a node would orphan surviving arrow {min(orphans)!r}"
+        )
+    incidence = dict(D._incidence)
+    for n, removed in _by_end(gone_arrows).items():
+        rest = incidence.pop(n) - removed
+        if rest:
+            incidence[n] = rest
+    # valid: no surviving arrow ends at a deleted node
+    T = Graph._trusted(D.name, D.nodes - gone_nodes, D.arrows - gone_arrows, incidence)
     t_in = TotalMorphism(
         R,
         T,

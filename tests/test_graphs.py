@@ -56,6 +56,17 @@ class TestBuildGraph:
         graph = g("G", ["a", "b"], [("a", "x", "b"), ("a", "y", "b")])
         assert len(graph.arrows) == 2
 
+    def test_dangling_arrow_message_names_the_smallest(self):
+        # not whichever arrow the frozenset yields first, which varies with
+        # PYTHONHASHSEED; many names make a lucky pass unlikely
+        for k in range(20):
+            p = f"p{k}"
+            bad = [(p, f"x{k}", f"q{k}"), (f"r{k}", f"y{k}", p), (f"q{k}", "z", f"s{k}")]
+            src, _, tgt = min(bad)
+            with pytest.raises(DanglingArrow) as err:
+                Graph("G", frozenset({p}), frozenset(bad + [(p, "w", p)]))
+            assert str(err.value) == f"G: arrow endpoints {(src, tgt)} not declared"
+
 
 class TestMorphisms:
     def test_inclusion_requires_containment(self):
@@ -179,6 +190,18 @@ class TestPullbackComplement:
         with pytest.raises(DanglingDeletion):
             pullback_complement(R, d)
 
+    def test_dangling_message_names_the_smallest_orphan(self):
+        for k in range(20):
+            p, q = f"p{k}", f"q{k}"
+            orphans = [(p, f"x{k}", q), (q, f"y{k}", p), (q, "z", q)]
+            S = g("S", [p, q], orphans)
+            d = TotalMorphism(g("I", ["a"]), S, {"a": q}, {})
+            with pytest.raises(DanglingDeletion) as err:
+                pullback_complement(g("R", []), d)
+            assert str(err.value) == (
+                f"deleting a node would orphan surviving arrow {min(orphans)!r}"
+            )
+
     def test_shared_deleted_and_kept_image_raises(self):
         R = g("R", ["a"])
         I = g("I", ["a", "b"])
@@ -195,6 +218,13 @@ class TestPullbackComplement:
             pullback_complement(R, d)
 
     def test_randomized_against_oracle(self):
+        self.check_against_oracle(derived=False)
+
+    def test_randomized_against_oracle_on_derived_hosts(self):
+        self.check_against_oracle(derived=True)
+
+    @staticmethod
+    def check_against_oracle(derived):
         rng = random.Random(13)
         checked = 0
         while checked < 220:
@@ -202,6 +232,8 @@ class TestPullbackComplement:
             nodes, arrows = random_subgraph_pair(rng, I)
             R = Graph("R", nodes, arrows)
             S = random_graph(rng, "S")
+            if derived:
+                S = with_derived_incidence(S)
             d = random_total_morphism(rng, I, S)
             if d is None:
                 continue
@@ -215,6 +247,64 @@ class TestPullbackComplement:
                 for x in R.nodes:
                     assert t_in.node_map[x] == d.node_map[x]
             checked += 1
+
+
+def with_derived_incidence(S: Graph) -> Graph:
+    """S again, through a pushout that adds a node with arrows to and from
+    every node of S and a pullback complement that deletes them: a graph
+    equal to S whose incidence map was derived twice, not built."""
+    L = Graph("L", S.nodes, frozenset())
+    junk = [(n, "j", "x") for n in S.nodes] + [("x", "j", n) for n in S.nodes]
+    I = Graph("I", S.nodes | {"x"}, frozenset(junk))
+    _, d = pushout(I, inclusion(L, S))
+    T, _ = pullback_complement(L, d)
+    assert T == S and "_incidence" in vars(T)
+    return T
+
+
+def assert_valid_with_carried_incidence(G: Graph) -> None:
+    fresh = Graph(G.name, G.nodes, G.arrows)
+    assert fresh == G
+    assert "_incidence" in vars(G)  # carried along, not built on first use
+    assert vars(G)["_incidence"] == fresh._incidence
+    for n in G.nodes:
+        assert G.incident(n) == frozenset(a for a in G.arrows if n in (a[0], a[2]))
+
+
+class TestDerivedGraphs:
+    """Pushout and pullback complement build their results without
+    re-validating them and derive their incidence maps step by step."""
+
+    def test_randomized_chain_of_steps(self):
+        rng = random.Random(31)
+        host = random_graph(rng, "S", 8)
+        host.incident("n0")  # builds the one map every later one derives from
+        steps, dangling = 0, 0
+        while steps < 60:
+            I = random_graph(rng, "I", 4)
+            L = Graph("L", *random_subgraph_pair(rng, I))
+            R = Graph("R", *random_subgraph_pair(rng, I))
+            if L.nodes and not host.nodes:
+                continue
+            m = random_total_morphism(rng, L, host)
+            if m is None:
+                continue
+            D, d = pushout(I, m)
+            assert_valid_with_carried_incidence(D)
+            expected = oracle_pullback_complement(R, I, d)
+            if expected is None:
+                with pytest.raises(DanglingDeletion):
+                    pullback_complement(R, d)
+                host = D
+                dangling += 1
+            else:
+                T, _ = pullback_complement(R, d)
+                assert (T.nodes, T.arrows) == expected
+                assert_valid_with_carried_incidence(T)
+                assert_valid_with_carried_incidence(T.renamed("T"))
+                host = T
+            steps += 1
+        assert 0 < dangling < steps
 
 
 class TestPartialCompositionAssociativity:
