@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chains import (
     chain_pullback_complement,
@@ -27,6 +27,7 @@ from .graphs import (
     injective_matches,
     pullback_complement,
     pushout,
+    search_plan,
 )
 from .hierarchy import (
     ElementInfo,
@@ -59,45 +60,39 @@ def typed_matches(
 
     With `touching`, only the matches that use at least one of those elements, in the same
     order.  Each touched element is tried as the image of every pattern element whose profile
-    accepts it (an arrow's ends are fixed with it); a touched arrow with a touched end is left
-    out, as every match that uses it also uses that end."""
+    accepts it (an arrow's ends are fixed with it), and the search starts there, by the rule's
+    plan for that element; a touched arrow with a touched end is left out, as every match that
+    uses it also uses that end."""
     index = index or TypeIndex(h, model)
-    nodes, arrows = sorted(rule.lhs.nodes), sorted(rule.lhs.arrows)
-
-    def accepts(p: ElementKey, x: ElementKey) -> bool:
-        return index.accepts(x, rule.level_types[p])
-
-    if touching is not None:
-        touched, anchors = set(touching), []  # (pattern element, touched element as its image)
-        for x in touched:
-            if not isinstance(x, tuple):
-                anchors += [(p, x) for p in nodes if accepts(p, x)]
-            elif x[0] not in touched and x[2] not in touched:
-                anchors += [
-                    (p, x)
-                    for p in arrows
-                    if accepts(p, x) and accepts(p[0], x[0]) and accepts(p[2], x[2])
-                ]
-        if not anchors:
-            return []
-    candidates = {e: index.candidates(isinstance(e, tuple), rule.level_types[e]) for e in nodes + arrows}
-    if not all(candidates.values()):
-        return []
-    ends = [(a, a[0], a[2]) for a in arrows]
-    by_ends = {a: index.by_ends(rule.level_types[a]) for a in arrows}
+    pools, incidence = index.pools(rule.pattern)
+    order = tuple(rule.pattern)
     if touching is None:
-        found = injective_matches(nodes, ends, candidates, by_ends)
+        nodes = sorted(rule.lhs.nodes)
+        arrows = [(a, a[0], a[2]) for a in order[len(nodes):]]
+        plan = search_plan(nodes, arrows, size=lambda n: len(pools[n]))
+        found = injective_matches(order, plan, pools, incidence)
     else:
-        anchored = set()
-        for p, x in anchors:
-            fixed, fixed_ends = {**candidates, p: (x,)}, by_ends
-            if isinstance(x, tuple):
-                fixed.update({p[0]: (x[0],), p[2]: (x[2],)})
-                fixed_ends = {**by_ends, p: {(x[0], x[2]): [x]}}
-            anchored.update(injective_matches(nodes, ends, fixed, fixed_ends))
+        touched, anchored = set(touching), set()
+        for x in touched:
+            arrow = isinstance(x, tuple)
+            if arrow and (x[0] in touched or x[2] in touched):
+                continue
+            for p in order:
+                if x not in pools[p]:
+                    continue
+                fixed = {p: x}
+                if arrow:
+                    if x[0] not in pools[p[0]] or x[2] not in pools[p[2]]:
+                        continue
+                    if (p[0] == p[2]) != (x[0] == x[2]):
+                        continue  # a loop only matches a loop, injectively
+                    fixed.update({p[0]: x[0], p[2]: x[2]})
+                plan = rule.lhs.anchored_plans[p]
+                anchored.update(injective_matches(order, plan, pools, incidence, fixed))
         found = sorted(anchored)
+    n = len(rule.lhs.nodes)
     return [
-        TotalMorphism(rule.lhs, model.graph, dict(zip(nodes, m)), dict(zip(arrows, m[len(nodes):])))
+        TotalMorphism(rule.lhs, model.graph, dict(zip(order[:n], m)), dict(zip(order[n:], m[n:])))
         for m in found
     ]
 
@@ -309,17 +304,27 @@ class _LiveMatches:
 
     Rules have no negative conditions, and an element that survives a step keeps its type and
     info, so a step removes exactly the matches that use a deleted element, and every new match
-    uses a created one (incremental matching, as in RETE).  A kept match still maps into the
-    model it was found in."""
+    uses a created one (incremental matching, as in RETE).  So a step searches only the rules
+    with a pattern element whose profile some created element carries.  A kept match still maps
+    into the model it was found in."""
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
         self.rules, self.index = rules, TypeIndex(h, model)
         self.lists = [typed_matches(r, model, h, self.index) for r in rules]
+        # (kind, profile) -> the rules with a left pattern element that asks for it
+        self.askers: Dict[tuple, Set[int]] = {}
+        for i, r in enumerate(rules):
+            for e, profile in r.pattern.items():
+                self.askers.setdefault((isinstance(e, tuple), profile), set()).add(i)
 
     def step(self, h: MultilevelHierarchy, result: ApplicationResult) -> None:
         """Move to `h`, whose bottom model `result` made."""
         self.index.step(result.model, result.created, result.deleted)
+        anchored: Set[int] = set()
+        for x in result.created:
+            for profile in self.index.profiles(x):
+                anchored.update(self.askers.get((isinstance(x, tuple), profile), ()))
         gone = set(result.deleted)
         for i, r in enumerate(self.rules):
             found = self.lists[i]
@@ -329,10 +334,10 @@ class _LiveMatches:
                     for m in found
                     if gone.isdisjoint(m.node_map.values()) and gone.isdisjoint(m.arrow_map.values())
                 ]
-            new = typed_matches(r, result.model, h, self.index, touching=result.created)
-            if new:
-                order = sorted(r.lhs.nodes) + sorted(r.lhs.arrows)
-                found = sorted(found + new, key=lambda m: [m(e) for e in order])
+            if i in anchored:
+                new = typed_matches(r, result.model, h, self.index, touching=result.created)
+                if new:
+                    found = sorted(found + new, key=lambda m: [m(e) for e in r.pattern])
             self.lists[i] = found
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     DanglingArrow,
@@ -74,7 +74,18 @@ class Graph:
     def _incidence(self) -> Dict[str, FrozenSet[Arrow]]:
         """Each node with an arrow -> its incident arrows; never mutated,
         so graphs may share it."""
-        return {n: frozenset(s) for n, s in _by_end(self.arrows).items()}
+        return {n: frozenset(s) for n, s in group_by_end(self.arrows).items()}
+
+    @cached_property
+    def anchored_plans(self) -> Dict[object, List[tuple]]:
+        """For each element, the `search_plan` of the matches of this graph, as a pattern, that
+        give that element one image (an arrow's ends are bound with it).  Rules that share a
+        left pattern graph share these plans."""
+        nodes, arrows = sorted(self.nodes), sorted(self.arrows)
+        ends = [(a, a[0], a[2]) for a in arrows]
+        plans = {n: search_plan(nodes, ends, (n,)) for n in nodes}
+        plans.update({a: search_plan(nodes, ends, (a, a[0], a[2])) for a in arrows})
+        return plans
 
     @property
     def elements(self) -> FrozenSet:
@@ -90,7 +101,7 @@ class Graph:
         return Graph._trusted(name, self.nodes, self.arrows, self.__dict__.get("_incidence"))
 
 
-def _by_end(arrows: Iterable[Arrow]) -> Dict[str, Set[Arrow]]:
+def group_by_end(arrows: Iterable[Arrow]) -> Dict[str, Set[Arrow]]:
     """The given arrows grouped under each of their endpoints."""
     ends: Dict[str, Set[Arrow]] = {}
     for a in arrows:
@@ -255,7 +266,7 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
         copies.add(img)
 
     incidence = dict(S._incidence)
-    for n, added in _by_end(copies).items():
+    for n, added in group_by_end(copies).items():
         incidence[n] = incidence.get(n, frozenset()) | added
     # valid: the copies' ends are S's nodes or copied nodes
     D = Graph._trusted(
@@ -298,7 +309,7 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
             f"deleting a node would orphan surviving arrow {min(orphans)!r}"
         )
     incidence = dict(D._incidence)
-    for n, removed in _by_end(gone_arrows).items():
+    for n, removed in group_by_end(gone_arrows).items():
         rest = incidence.pop(n) - removed
         if rest:
             incidence[n] = rest
@@ -313,44 +324,94 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
     return T, t_in
 
 
-def injective_matches(
-    nodes: Sequence, arrows: Sequence[tuple], candidates: Dict, by_ends: Optional[Dict] = None
-) -> List[tuple]:
-    """All injective matches of a pattern, sorted, as tuples of the images of
-    `nodes`, then of `arrows` ((arrow, source, target) triples).  Each
-    element's `candidates` must not depend on the other elements' images;
-    `by_ends`, if given, holds each arrow's candidates keyed by (source,
-    target).  Nodes are bound fewest candidates first among those next to
-    bound ones (connected-first, as in VF2), each arrow as soon as both its
-    ends are."""
+def search_plan(
+    nodes: Sequence,
+    arrows: Sequence[tuple],
+    bound: Iterable = (),
+    size: Optional[Callable] = None,
+) -> Optional[List[tuple]]:
+    """The order in which `injective_matches` binds the elements of a pattern
+    whose elements in `bound` are bound already; None if an arrow has an end
+    outside `nodes`.  `arrows` are (arrow, source, target) triples.
+
+    Nodes are bound connected-first, as in VF2: next to a bound node if one
+    is, else from anywhere.  Among those, the node `size` ranks lowest comes
+    first; without `size`, the one with the most arrows to bound nodes.  Each
+    arrow is bound as soon as both its ends are.  A node step is (node, None,
+    vias), each via (arrow, bound node, out) naming an arrow that joins the
+    node to a bound one, `out` if the arrow leaves the bound node; an arrow
+    step is (arrow, (source, target), None)."""
     ends = {a: (s, t) for a, s, t in arrows}
-    if not all(candidates[e] for e in (*nodes, *ends)):
-        return []
-    if by_ends is None:
-        by_ends = {a: {} for a in ends}
-        for a, c in ((a, c) for a in ends for c in candidates[a]):
-            by_ends[a].setdefault((c[0], c[2]), []).append(c)
-    incident = {n: [(a, st) for a, st in ends.items() if n in st] for n in nodes}
-    plan, bound, near = [], set(), set()
-    for _ in nodes:
-        todo = [n for n in nodes if n not in bound]
-        node = min([n for n in todo if n in near] or todo, key=lambda n: len(candidates[n]))
-        plan.append(node)
+    bound, plan = set(bound), []
+    waiting = [a for a in ends if a not in bound]
+    todo = [n for n in nodes if n not in bound]
+    while True:
+        ready = [a for a in waiting if bound.issuperset(ends[a])]
+        plan += [(a, ends[a], None) for a in ready]
+        waiting = [a for a in waiting if a not in ready]
+        if not todo:
+            return None if waiting else plan
+        near = {
+            n: tuple(
+                (a, s if t == n else t, t == n)
+                for a in waiting
+                for s, t in (ends[a],)
+                if s != t and n in (s, t) and (s if t == n else t) in bound
+            )
+            for n in todo
+        }
+        node = min(
+            [n for n in todo if near[n]] or todo,
+            key=size or (lambda n: -len(near[n])),
+        )
+        plan.append((node, None, near[node]))
         bound.add(node)
-        for a, st in incident[node]:
-            near.update(st)
-            if bound.issuperset(st):
-                plan.append(a)
-    if len(plan) < len(nodes) + len(ends):
-        return []  # an arrow off the pattern's nodes
-    image, used, found = {}, set(), []
+        todo.remove(node)
+
+
+def injective_matches(
+    order: Sequence,
+    plan: Sequence[tuple],
+    pools: Dict,
+    incidence: Dict,
+    fixed: Optional[Dict] = None,
+) -> List[tuple]:
+    """All injective matches of a pattern that extend the images `fixed`,
+    sorted, as tuples of the images of `order`, found by following `plan`
+    (see `search_plan`).
+
+    Each element's `pools` entry is the set of its possible images and must
+    not depend on the other elements' images.  Each arrow's `incidence`
+    entry groups the arrows of its pool whose ends are in its ends' pools
+    under each end, as `group_by_end` does.  An arrow step walks those at the
+    image of one of its ends.  A node step draws from its pool, or, where a
+    bound neighbour's image has fewer of the connecting arrow's than the
+    node's pool holds, from their far ends (the search plans of PROGRES)."""
+    if not all(pools.values()):
+        return []
+    image = dict(fixed or {})
+    used, found, last = set(image.values()), [], len(plan)
 
     def extend(i: int) -> None:
-        if i == len(plan):
-            found.append(tuple(image[e] for e in (*nodes, *ends)))
+        if i == last:
+            found.append(tuple(image[e] for e in order))
             return
-        e = plan[i]
-        pool = by_ends[e].get(tuple(image[x] for x in ends[e]), ()) if e in ends else candidates[e]
+        e, ends, vias = plan[i]
+        if ends is not None:
+            s, t = image[ends[0]], image[ends[1]]
+            at_s, at_t = incidence[e].get(s, ()), incidence[e].get(t, ())
+            near = at_s if len(at_s) <= len(at_t) else at_t
+            pool = [c for c in near if c[0] == s and c[2] == t]
+        else:
+            pool = pools[e]
+            for a, b, out in vias:
+                at = image[b]
+                near = incidence[a].get(at, ())
+                if len(near) < len(pool):
+                    if out:
+                        pool = {c[2] for c in near if c[0] == at}
+                    else:
+                        pool = {c[0] for c in near if c[2] == at}
         for c in pool:
             if c not in used:
                 image[e] = c

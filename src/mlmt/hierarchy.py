@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .chains import GraphChain, MultilevelTyping, build_chain
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .graphs import Arrow, Graph, PartialMorphism, build_graph
+from .graphs import Arrow, Graph, PartialMorphism, build_graph, group_by_end
 
 ElementKey = Union[str, Arrow]  # node name or (source, label, target)
 TypeRef = Tuple[str, ElementKey]  # (model name, element key)
@@ -157,64 +157,104 @@ class TypeIndex:
 
     A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
     Above its model an element has its direct type's types, as that lies higher, so a profile is
-    decided once per direct type, and `accepts` decides one element by that memoised verdict.
-    In `run` a step only deletes and creates elements of the bottom model, and the survivors keep
-    their types: `step` updates every cached candidate list and `by_ends` bucket by that delta."""
+    decided once per direct type, and each kind and direct type maps to the profiles asked of the
+    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile
+    with the profiles of its ends.  In `run` a step only deletes and creates elements of the
+    bottom model, and the survivors keep their types: `step` updates by that delta the candidate
+    sets and the joined arrows of the profiles each element carries."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
         self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
-        self.groups: Dict[Tuple[bool, TypeRef], List[ElementKey]] = {}
+        self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
+        self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
+        self.by_pattern: Dict[int, tuple] = {}  # id(pattern) -> (pattern, pools, by_ends groups)
+        self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
         for e in (*model.graph.nodes, *model.graph.arrows):
-            self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), []).append(e)
+            self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), set()).add(e)
 
     def step(
         self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
     ) -> None:
         """Move to `model`, which differs from the current one by `created` and `deleted`."""
         for e in deleted:
-            self._update(e, list.remove)
+            self._update(e, False)
         self.model = model
-        for e in created:
-            self._update(e, list.append)
+        for e in sorted(created, key=lambda e: isinstance(e, tuple)):  # an arrow's ends first
+            self._update(e, True)
 
-    def _update(self, e: ElementKey, change) -> None:
-        """Remove `e` from, or add it to, its group and each cached list and bucket it belongs in."""
+    def _update(self, e: ElementKey, add: bool) -> None:
+        """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows."""
         kind = isinstance(e, tuple)
-        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), []), e)
-        for (arrows, profile), found in self.found.items():
-            if arrows == kind and self.accepts(e, profile):
-                change(found, e)
-                if arrows and profile in self.ends:
-                    bucket = self.ends[profile].setdefault((e[0], e[2]), [])
-                    change(bucket, e)
-                    if not bucket:
-                        del self.ends[profile][e[0], e[2]]
+        change = set.add if add else set.remove
+        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
+        for profile in self.profiles(e):
+            change(self.found[kind, profile], e)
+            for source, target in self.joined.get(profile, ()) if kind else ():
+                groups = self.ends[profile, source, target]
+                if add:
+                    if e[0] in self.found[False, source] and e[2] in self.found[False, target]:
+                        for end in {e[0], e[2]}:
+                            groups.setdefault(end, set()).add(e)
+                elif e in groups.get(e[0], ()):
+                    for end in {e[0], e[2]}:
+                        groups[end].remove(e)
+                        if not groups[end]:
+                            del groups[end]
 
-    def candidates(self, arrows: bool, profile: tuple) -> List[ElementKey]:
-        """The model's arrows, or nodes, that carry `profile`, grouped by direct type."""
+    def profiles(self, e: ElementKey) -> List[tuple]:
+        """The profiles asked of this index so far that the model's element `e` carries."""
+        kind = isinstance(e, tuple)
+        key = (kind, self.model.info_for(e).direct_type)
+        if key not in self.held:
+            n = self.model.level
+            self.held[key] = [
+                (p, any(lvl >= n for lvl, _ in p))
+                for arrows, p in self.found
+                if arrows == kind and self._holds(key[1], p)
+            ]
+        return [p for p, own in self.held[key] if not own or self._own(e, p)]
+
+    def candidates(self, arrows: bool, profile: tuple) -> Set[ElementKey]:
+        """The model's arrows, or nodes, that carry `profile`."""
         key = (arrows, profile)
         if key not in self.found:
             own = any(lvl >= self.model.level for lvl, _ in profile)
-            self.found[key] = [
+            self.found[key] = {
                 e
                 for (a, t), g in self.groups.items()
                 if a == arrows and self._holds(t, profile)
                 for e in g
                 if not own or self._own(e, profile)
-            ]
+            }
+            self.held.clear()
         return self.found[key]
 
-    def by_ends(self, profile: tuple) -> Dict[Tuple[str, str], List[Arrow]]:
-        """The arrows that carry `profile`, keyed by (source, target)."""
-        if profile not in self.ends:
-            ends = self.ends[profile] = {}
-            for a in self.candidates(True, profile):
-                ends.setdefault((a[0], a[2]), []).append(a)
-        return self.ends[profile]
+    def by_ends(self, profile: tuple, source: tuple, target: tuple) -> Dict[str, Set[Arrow]]:
+        """The arrows that carry `profile` from a node that carries `source` to one that carries
+        `target`, grouped under each of their ends."""
+        key = (profile, source, target)
+        if key not in self.ends:
+            sources, targets = self.candidates(False, source), self.candidates(False, target)
+            self.ends[key] = group_by_end(
+                a for a in self.candidates(True, profile) if a[0] in sources and a[2] in targets
+            )
+            self.joined.setdefault(profile, []).append((source, target))
+        return self.ends[key]
 
-    def accepts(self, e: ElementKey, profile: tuple) -> bool:
-        """Whether the model's element `e` carries `profile`."""
-        return self._holds(self.model.info_for(e).direct_type, profile) and self._own(e, profile)
+    def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:
+        """The candidates of each element of `pattern`, a dict from pattern elements to their
+        profiles, and the `by_ends` groups of each of its arrows.  They are fetched once per
+        pattern dict, keyed by its identity, and then kept, as `step` updates them in place."""
+        entry = self.by_pattern.get(id(pattern))
+        if entry is None:  # the entry holds the pattern, so its id stays its own
+            pools = {e: self.candidates(isinstance(e, tuple), p) for e, p in pattern.items()}
+            by_ends = {
+                a: self.by_ends(p, pattern[a[0]], pattern[a[2]])
+                for a, p in pattern.items()
+                if isinstance(a, tuple)
+            }
+            entry = self.by_pattern[id(pattern)] = (pattern, pools, by_ends)
+        return entry[1], entry[2]
 
     def _holds(self, t: TypeRef, profile: tuple) -> bool:
         """Whether an element of direct type `t` has the profile's types above the model."""

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UnresolvedReference
-from .graphs import Arrow, Graph, build_graph, injective_matches
+from .graphs import Arrow, Graph, build_graph, group_by_end, injective_matches, search_plan
 from .hierarchy import (
     ElementKey,
     ModelNode,
@@ -139,17 +139,25 @@ def graph_match(
     nodes = [el.name for el in pattern if el.kind == NODE]
     ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
     index = TypeIndex(h, target)
-    candidates = {
-        el.name: [
+    pools = {
+        el.name: {
             c
             for c in index.candidates(el.kind == ARROW, _meta_profile(rule, el, level_map, bindings))
             if (not el.constant or (c if el.kind == NODE else c[1]) == el.name)
             and _element_satisfies(el, target, c)
-        ]
+        }
         for el in pattern
     }
-    found = injective_matches(nodes, ends, candidates)
-    return [dict(zip(nodes + [a for a, _, _ in ends], m)) for m in found]
+    plan = search_plan(nodes, ends, size=lambda n: len(pools[n]))
+    if plan is None:
+        return []  # an arrow with an end off this level's nodes
+    order = nodes + [a for a, _, _ in ends]
+    incidence = {
+        a: group_by_end(c for c in pools[a] if c[0] in pools[s] and c[2] in pools[t])
+        for a, s, t in ends
+    }
+    found = injective_matches(order, plan, pools, incidence)
+    return [dict(zip(order, m)) for m in found]
 
 
 def find_meta_matches(
@@ -209,6 +217,13 @@ class TwoLevelRule:
     source_rule: str
     source_match: MetaMatch
 
+    @cached_property
+    def pattern(self) -> Dict[ElementKey, Tuple[Tuple[int, Optional[ElementKey]], ...]]:
+        """The left pattern's elements with their level types, in the order a match lists its
+        images: nodes sorted, then arrows sorted."""
+        order = sorted(self.lhs.nodes) + sorted(self.lhs.arrows)
+        return {e: self.level_types[e] for e in order}
+
 
 def _variant(expanded: McmtRule, name: str):
     """The graphs of one cardinality variant, and each of its pattern elements'
@@ -226,6 +241,29 @@ def _variant(expanded: McmtRule, name: str):
     return lhs, inter, rhs, list(typed_by.items())
 
 
+def _profile_shape(
+    rule: McmtRule, meta_el: MetaElement, level_map: Dict[int, int]
+) -> Tuple[Tuple[int, Optional[Tuple[int, str]]], ...]:
+    """The stack levels that constrain an instance of `meta_el`, top down, each with the (META
+    level, name) whose binding the instance must have there, or None where it must be untyped:
+    its own level, the levels of its META type chain and the stack levels in between.  It
+    depends on the level map, not on the bindings."""
+    anchors, floor = rule.type_profile(meta_el.name, meta_el.level)
+    top = level_map[meta_el.level]
+    shape: Dict[int, Optional[Tuple[int, str]]] = {top: (meta_el.level, meta_el.name)}
+    for k in range(meta_el.level - 1, floor - 1, -1):
+        shape[level_map[k]] = (k, anchors[k]) if k in anchors else None
+    for level in range(level_map[floor], top):
+        shape.setdefault(level, None)
+    return tuple(sorted(shape.items(), reverse=True))
+
+
+def _filled(shape, mm_match: MetaMatch) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
+    """An instance profile: a `_profile_shape` with the META match's bindings filled in."""
+    bindings = mm_match._bindings
+    return tuple([(level, bindings[at[0]][at[1]] if at else None) for level, at in shape])
+
+
 def instance_profile(
     rule: McmtRule,
     meta_el: MetaElement,
@@ -233,12 +271,7 @@ def instance_profile(
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """Per-stack-level type constraints for an instance of `meta_el`: its own
     binding, its META profile, and untyped at the stack levels in between."""
-    top = mm_match.f(meta_el.level)
-    profile = ((top, mm_match.binding(meta_el.level)[meta_el.name]),)
-    profile += _meta_profile(rule, meta_el, mm_match._levels, mm_match._bindings)
-    mapped = {level for level, _ in profile}
-    between = tuple((level, None) for level in range(profile[-1][0], top) if level not in mapped)
-    return tuple(sorted(profile + between, reverse=True))
+    return _filled(_profile_shape(rule, meta_el, mm_match._levels), mm_match)
 
 
 def proliferate(
@@ -249,7 +282,9 @@ def proliferate(
     The cardinality variants depend only on the bound multiplicities, so each
     distinct set of them is expanded once, and the rules compiled from one
     variant share its graphs.  A META element's bound type and instance
-    profile depend only on the META match, so each is derived once per match.
+    profile depend only on the META match, so each is derived once per match,
+    and the profile's levels depend only on the level map, so they are laid
+    out once per level map.
     """
     stack = typing_stack(h, target_model)
     meta_els = {
@@ -257,6 +292,7 @@ def proliferate(
         for e in rule.from_pattern.elements + rule.to_pattern.elements
     }
     variants: Dict[tuple, list] = {}
+    shapes: Dict[tuple, dict] = {}  # level map -> each META element's profile shape
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model):
         bound_mults = {}
@@ -280,7 +316,12 @@ def proliferate(
             ref: (stack[mm_match.f(el.level)].name, mm_match.binding(el.level)[el.name])
             for ref, el in meta_els.items()
         }
-        profiles = {ref: instance_profile(rule, el, mm_match) for ref, el in meta_els.items()}
+        if mm_match.level_map not in shapes:
+            shapes[mm_match.level_map] = {
+                ref: _profile_shape(rule, el, mm_match._levels) for ref, el in meta_els.items()
+            }
+        shaped = shapes[mm_match.level_map].items()
+        profiles = {ref: _filled(shape, mm_match) for ref, shape in shaped}
         for lhs, inter, rhs, typed_by in variants[key]:
             types = {k: bound_types[ref] for k, ref in typed_by}
             level_types = {k: profiles[ref] for k, ref in typed_by}

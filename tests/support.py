@@ -699,13 +699,17 @@ def brute_force_typed_matches(rule, model, h) -> List[TotalMorphism]:
 
 
 def random_two_level_rule(
-    rng: random.Random, h: MultilevelHierarchy, model: ModelNode
+    rng: random.Random, h: MultilevelHierarchy, model: ModelNode, varied: bool = False
 ) -> TwoLevelRule:
     """A left pattern of 1-3 nodes and up to 3 arrows over `model`.
 
     Each element's level types are read off a random host element at random
     levels, the model's own level included, and sometimes replaced by None
     or by another element, so that some patterns match and some do not.
+
+    `varied` draws 1-5 nodes and up to 5 arrows instead, with self-loops,
+    arrows parallel to the one before (with its level types) and, at times,
+    a last node that no arrow touches.
     """
     host_nodes = sorted(model.graph.nodes)
     host_arrows = sorted(model.graph.arrows)
@@ -721,13 +725,30 @@ def random_two_level_rule(
             out.append((level, want))
         return tuple(out)
 
-    nodes = [f"x{i}" for i in range(rng.randint(1, 3))]
-    arrows = []
-    for i in range(rng.randint(0, 3) if host_arrows else 0):
-        arrows.append((rng.choice(nodes), f"a{i}", rng.choice(nodes)))
+    twins = {}  # a parallel arrow -> the arrow before it, whose level types it takes
+    if varied:
+        nodes = [f"x{i}" for i in range(rng.randint(1, 5))]
+        joined = nodes[:-1] if len(nodes) > 1 and rng.random() < 0.3 else nodes
+        arrows = []
+        for i in range(rng.randint(0, 5) if host_arrows else 0):
+            shape = rng.random()
+            if shape < 0.2:
+                src = tgt = rng.choice(joined)
+            elif shape < 0.5 and arrows:
+                src, _, tgt = arrows[-1]
+                twins[(src, f"a{i}", tgt)] = arrows[-1]
+            else:
+                src, tgt = rng.choice(joined), rng.choice(joined)
+            arrows.append((src, f"a{i}", tgt))
+    else:
+        nodes = [f"x{i}" for i in range(rng.randint(1, 3))]
+        arrows = []
+        for i in range(rng.randint(0, 3) if host_arrows else 0):
+            arrows.append((rng.choice(nodes), f"a{i}", rng.choice(nodes)))
     lhs = build_graph(model.name, nodes, arrows)
     level_types = {n: profile(host_nodes) for n in nodes}
     level_types.update({a: profile(host_arrows) for a in arrows})
+    level_types.update({a: level_types[twin] for a, twin in twins.items()})
     return TwoLevelRule(
         "Random", lhs, lhs, lhs, {}, level_types, "Random", None
     )

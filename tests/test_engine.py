@@ -268,8 +268,8 @@ class TestTypeIndex:
             fresh = TypeIndex(state, model)
             for (arrows, profile), found in index.found.items():
                 assert sorted(found) == sorted(fresh.candidates(arrows, profile))
-            for profile, buckets in index.ends.items():
-                want = fresh.by_ends(profile)
+            for key, buckets in index.ends.items():
+                want = fresh.by_ends(*key)
                 assert {k: sorted(v) for k, v in buckets.items()} == {
                     k: sorted(v) for k, v in want.items()
                 }
@@ -318,6 +318,35 @@ class TestRun:
         assert trace.final.model("hammer_config").graph == pls.model(
             "hammer_config"
         ).graph
+
+    def test_steps_search_only_rules_a_created_element_can_anchor(
+        self, pls, pls_module, monkeypatch
+    ):
+        # a step searches a rule only if a created element carries the level
+        # types of one of its left pattern elements of the same kind
+        calls = []
+        inner = engine.typed_matches
+
+        def counting(rule, model, h, index=None, touching=None):
+            calls.append((rule, model, h, touching))
+            return inner(rule, model, h, index, touching)
+
+        def carries(rule, model, h, p, x):
+            return isinstance(p, tuple) == isinstance(x, tuple) and all(
+                transitive_type_at(h, model.name, x, level) == want
+                for level, want in rule.level_types[p]
+            )
+
+        monkeypatch.setattr(engine, "typed_matches", counting)
+        trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
+        rules = {rule.name for rule, _, _, _ in calls}
+        assert len(rules) == 21 and len(trace.steps) == 200
+        assert len(calls) < 21 * len(trace.steps)
+        anchored = [c for c in calls if c[3] is not None]
+        assert anchored
+        for rule, model, h, created in anchored:
+            pattern = (*rule.lhs.nodes, *rule.lhs.arrows)
+            assert any(carries(rule, model, h, p, x) for p in pattern for x in created)
 
     def test_hammers_emerge_and_typing_is_preserved(self, pls, pls_module):
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=1)

@@ -160,6 +160,57 @@ def test_anchored_matches_on_random_steps():
     assert used >= 100
 
 
+def _doubled(rng, model):
+    """`model` plus a copy `n'` of each node and of each arrow between the
+    copies, some of them twice, as parallel arrows; every copy takes the
+    original's info."""
+    info = dict(model.info)
+    arrows = set(model.graph.arrows)
+    for n in model.graph.nodes:
+        info[n + "'"] = model.info[n]
+    for s, label, t in sorted(model.graph.arrows):
+        copies = [(s + "'", label, t + "'")]
+        if rng.random() < 0.5:
+            copies.append((s + "'", label + "'", t + "'"))
+        for c in copies:
+            info[c] = model.info[s, label, t]
+            arrows.add(c)
+    nodes = model.graph.nodes | {n + "'" for n in model.graph.nodes}
+    graph = Graph(model.name, frozenset(nodes), frozenset(arrows))
+    return ModelNode(model.name, model.parent, model.level, graph, info)
+
+
+def test_anchored_matches_agree_with_the_brute_force_oracle():
+    # `touching=X` returns the exhaustive search's matches that use X, for
+    # patterns of up to 5 nodes with self-loops, parallel arrows and a node
+    # without arrows, touching nodes and arrows alike
+    rng = random.Random(1996)
+    seen = dict.fromkeys(["loop", "parallel", "apart", "arrow anchor"], 0)
+    for _ in range(2500):
+        h = random_hierarchy(rng, depth=rng.randint(1, 3))
+        model = max(h.models.values(), key=lambda m: m.level)
+        model = _grown(rng, _doubled(rng, model))[0]
+        h = h.with_model(model)
+        if not model.graph.nodes:
+            continue
+        tl_rule = random_two_level_rule(rng, h, model, varied=True)
+        lhs = tl_rule.lhs
+        full = brute_force_typed_matches(tl_rule, model, h)
+        elements = sorted(model.graph.nodes) + sorted(model.graph.arrows)
+        arrows_only = sorted(model.graph.arrows)
+        for touching in ([e for e in elements if rng.random() < 0.3], arrows_only):
+            touched = set(touching)
+            want = [m for m in full if any(m(e) in touched for e in (*m.node_map, *m.arrow_map))]
+            assert typed_matches(tl_rule, model, h, touching=touching) == want
+            if not want:
+                continue
+            seen["loop"] += any(a[0] == a[2] for a in lhs.arrows)
+            seen["parallel"] += len({(a[0], a[2]) for a in lhs.arrows}) < len(lhs.arrows)
+            seen["apart"] += any(not lhs.incident(n) for n in lhs.nodes) and bool(lhs.arrows)
+            seen["arrow anchor"] += touching is arrows_only
+    assert min(seen.values()) >= 20, seen
+
+
 def recorded_graph_matches(monkeypatch, find):
     """Runs `find()` and returns every `graph_match` call it made, with its
     arguments and result."""
