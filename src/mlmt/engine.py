@@ -19,7 +19,7 @@ from .chains import (
     refactor_inclusion_chain,
     typing_to_chain,
 )
-from .errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
+from .errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
 from .graphs import (
     Graph,
     TotalMorphism,
@@ -112,12 +112,16 @@ def apply_two_level_rule(
     at: Optional[TotalMorphism] = None,
 ) -> Tuple[List[ApplicationResult], List[str]]:
     """Apply at every (or one given) match; returns successors and a report
-    of matches skipped because deletion would leave dangling arrows."""
+    of matches skipped because deletion would leave dangling arrows.  A given
+    match must map the rule's left pattern into the model's graph."""
     if at is not None:
+        g, lhs = model.graph, rule.lhs
+        if (at.dst is not g and at.dst != g) or (at.src is not lhs and at.src != lhs):
+            raise GraphMismatch(f"{rule.name}: match is not from {lhs.name} into {model.name}")
         matches = [at]
-        for elem in sorted(rule.lhs.nodes) + sorted(rule.lhs.arrows):
+        for elem, profile in rule.pattern.items():
             img = at(elem)
-            for level, required in rule.level_types[elem]:
+            for level, required in profile:
                 if transitive_type_at(h, model.name, img, level) != required:
                     raise TypeMismatch(
                         f"{rule.name}: match image {img!r} not typed "
@@ -142,16 +146,16 @@ def _apply_at(
     pullback complement removes d(I \\ R), so the created elements are the
     kept copies of I \\ L and the deleted ones are m(L \\ R): the rest of
     d(I \\ R) are copies that never reached the model."""
-    L, I, R = rule.lhs, rule.interface, rule.rhs
-    _, d = pushout(I, m)
-    T, _ = pullback_complement(R, d)
+    _, d = pushout(rule.interface, m)
+    T, _ = pullback_complement(rule.rhs, d)
     created: Dict[ElementKey, ElementInfo] = {}
-    for x in sorted(I.nodes - L.nodes) + sorted(I.arrows - L.arrows):
+    for x in rule.added:
         if T.has(d(x)):
             mult = (0, None) if isinstance(x, tuple) else None
             created[d(x)] = ElementInfo(rule.types[x], (1, 1), mult)
-    deleted = tuple(sorted({m(x) for x in L.nodes - R.nodes})) + tuple(
-        sorted({m(x) for x in L.arrows - R.arrows})
+    gone_nodes, gone_arrows = rule.removed
+    deleted = tuple(sorted({m.node_map[x] for x in gone_nodes})) + tuple(
+        sorted({m.arrow_map[x] for x in gone_arrows})
     )
     info = dict(model.info)
     for e in deleted:

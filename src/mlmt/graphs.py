@@ -11,9 +11,11 @@ Each graph maps every node with an arrow to the frozenset of its incident
 arrows.  The map is built on first use and then carried along: the pushout
 derives D's map from S's by adding the copied arrows, the pullback
 complement derives T's from D's by removing the deleted ones, and neither
-re-validates its result, which is valid by construction.  So a rewrite step
-costs the rule plus the arrows incident to deleted nodes, not the whole
-graph.
+re-validates its result, which is valid by construction.  A node set, arrow
+set or incidence map that a step leaves unchanged is shared with the result
+rather than copied; all three are immutable.  So a rewrite step costs the
+rule, the arrows incident to deleted nodes and a copy of each collection it
+changes.
 """
 
 from __future__ import annotations
@@ -265,13 +267,14 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
         arrow_copy[a] = img
         copies.add(img)
 
-    incidence = dict(S._incidence)
-    for n, added in group_by_end(copies).items():
-        incidence[n] = incidence.get(n, frozenset()) | added
+    nodes = S.nodes.union(node_copy.values()) if node_copy else S.nodes
+    arrows, incidence = S.arrows, S._incidence
+    if copies:
+        arrows, incidence = arrows.union(copies), dict(incidence)
+        for n, added in group_by_end(copies).items():
+            incidence[n] = incidence.get(n, frozenset()) | added
     # valid: the copies' ends are S's nodes or copied nodes
-    D = Graph._trusted(
-        S.name, S.nodes.union(node_copy.values()), S.arrows.union(copies), incidence
-    )
+    D = Graph._trusted(S.name, nodes, arrows, incidence)
     d = TotalMorphism(
         I,
         D,
@@ -308,13 +311,16 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
         raise DanglingDeletion(
             f"deleting a node would orphan surviving arrow {min(orphans)!r}"
         )
-    incidence = dict(D._incidence)
-    for n, removed in group_by_end(gone_arrows).items():
-        rest = incidence.pop(n) - removed
-        if rest:
-            incidence[n] = rest
+    nodes = D.nodes - gone_nodes if gone_nodes else D.nodes
+    arrows, incidence = D.arrows, D._incidence
+    if gone_arrows:
+        arrows, incidence = arrows - gone_arrows, dict(incidence)
+        for n, removed in group_by_end(gone_arrows).items():
+            rest = incidence.pop(n) - removed
+            if rest:
+                incidence[n] = rest
     # valid: no surviving arrow ends at a deleted node
-    T = Graph._trusted(D.name, D.nodes - gone_nodes, D.arrows - gone_arrows, incidence)
+    T = Graph._trusted(D.name, nodes, arrows, incidence)
     t_in = TotalMorphism(
         R,
         T,

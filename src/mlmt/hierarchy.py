@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from .chains import GraphChain, MultilevelTyping, build_chain
 from .errors import (
@@ -122,34 +122,40 @@ def build_hierarchy(models: List[ModelNode]) -> MultilevelHierarchy:
 
 def type_walk(
     h: MultilevelHierarchy, model: str, element: ElementKey
-) -> Iterator[Tuple[str, ElementKey]]:
-    """Yield the transitive types of an element, up toward the root.
+) -> List[Tuple[str, ElementKey]]:
+    """The transitive types of an element, up toward the root.
 
     Starts with the element's own (model, element) pair.  A direct type
     lies on a strictly higher level than the element it types, so the walk
     ends at the first step that does not go up: at the self-typed root
     element, or where an invalid hierarchy types in a cycle.
     """
-    cur_model, cur_elem = model, element
-    yield cur_model, cur_elem
+    models, cur = h.models, h.model(model)
+    walk = [(model, element)]
     while True:
-        t_model, t_elem = h.model(cur_model).info_for(cur_elem).direct_type
-        if h.model(t_model).level >= h.model(cur_model).level:
-            return
-        cur_model, cur_elem = t_model, t_elem
-        yield cur_model, cur_elem
+        t_model, element = cur.info[element].direct_type
+        up = models.get(t_model) or h.model(t_model)  # h.model raises for an unknown model
+        if up.level >= cur.level:
+            return walk
+        walk.append((t_model, element))
+        cur = up
 
 
 def transitive_type_at(
     h: MultilevelHierarchy, model: str, element: ElementKey, level: int
 ) -> Optional[ElementKey]:
-    """The unique transitive type of `element` at `level`, if the walk hits it."""
-    for m, e in type_walk(h, model, element):
-        if h.model(m).level == level:
-            return e
-        if h.model(m).level < level:
+    """The unique transitive type of `element` at `level`: the element itself
+    at its own level, None above it.  The walk up ends as `type_walk`'s does,
+    so on a cyclic or non-ascending typing it returns None for every level it
+    did not reach before the first step that does not go up."""
+    models, cur = h.models, h.model(model)
+    while cur.level > level:
+        t_model, element = cur.info[element].direct_type
+        up = models.get(t_model) or h.model(t_model)
+        if up.level >= cur.level:
             return None
-    return None
+        cur = up
+    return element if cur.level == level else None
 
 
 class TypeIndex:
@@ -424,9 +430,8 @@ def derive_typing_chain(
     for j in range(1, len(path)):
         maps = [({}, {}) for _ in range(j)]  # node and arrow maps of typing (j, i)
         for e in (*graphs[j].nodes, *graphs[j].arrows):
-            walk = type_walk(h, path[j], e)
-            next(walk)  # the element itself; the levels of its types strictly decrease
-            for t_model, t in walk:
+            # past the element itself; the levels of its types strictly decrease
+            for t_model, t in type_walk(h, path[j], e)[1:]:
                 maps[h.model(t_model).level][isinstance(e, tuple)][e] = t
         for i, (node_map, arrow_map) in enumerate(maps):
             typings[(j, i)] = PartialMorphism(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UnresolvedReference
 from .graphs import Arrow, Graph, build_graph, group_by_end, injective_matches, search_plan
@@ -223,6 +223,17 @@ class TwoLevelRule:
         images: nodes sorted, then arrows sorted."""
         order = sorted(self.lhs.nodes) + sorted(self.lhs.arrows)
         return {e: self.level_types[e] for e in order}
+
+    @cached_property
+    def added(self) -> Tuple[ElementKey, ...]:
+        """I \\ L, in the order a step creates their copies: nodes sorted, then arrows sorted."""
+        I, L = self.interface, self.lhs
+        return (*sorted(I.nodes - L.nodes), *sorted(I.arrows - L.arrows))
+
+    @cached_property
+    def removed(self) -> Tuple[FrozenSet[str], FrozenSet[Arrow]]:
+        """The nodes and the arrows of L \\ R, whose images a step deletes."""
+        return self.lhs.nodes - self.rhs.nodes, self.lhs.arrows - self.rhs.arrows
 
 
 def _variant(expanded: McmtRule, name: str):

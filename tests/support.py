@@ -361,6 +361,32 @@ def _tt(models, own_name, own_info, node, level):
             return None
 
 
+def reference_type_walk(h: MultilevelHierarchy, model: str, element: ElementKey):
+    """`type_walk` as a generator over `h.model` lookups, as it first stood:
+    yields the element's own (model, element) pair, then its transitive types
+    up to the first step that does not go up a level."""
+    cur_model, cur_elem = model, element
+    yield cur_model, cur_elem
+    while True:
+        t_model, t_elem = h.model(cur_model).info_for(cur_elem).direct_type
+        if h.model(t_model).level >= h.model(cur_model).level:
+            return
+        cur_model, cur_elem = t_model, t_elem
+        yield cur_model, cur_elem
+
+
+def reference_transitive_type_at(
+    h: MultilevelHierarchy, model: str, element: ElementKey, level: int
+) -> Optional[ElementKey]:
+    """`transitive_type_at` as it first stood, on `reference_type_walk`."""
+    for m, e in reference_type_walk(h, model, element):
+        if h.model(m).level == level:
+            return e
+        if h.model(m).level < level:
+            return None
+    return None
+
+
 def random_meta_rule(rng: random.Random, depth: int = 2) -> McmtRule:
     """A small META-only rule over root types Node/Arrow."""
     elements: List[MetaElement] = []

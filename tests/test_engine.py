@@ -12,7 +12,7 @@ from mlmt.chains import (
     validate_chain_morphism,
 )
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
-from mlmt.errors import DanglingDeletion, IncompatibleMatch, TypeMismatch
+from mlmt.errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
 from mlmt.graphs import Graph, TotalMorphism
 from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_hierarchy
 from mlmt.matching import TwoLevelRule, proliferate, typing_stack
@@ -77,6 +77,26 @@ class TestTwoLevelApplication:
         (head_match,) = typed_matches(head_rule, model, pls)
         with pytest.raises(TypeMismatch):
             apply_two_level_rule(handle_rule, model, pls, at=head_match)
+
+    def test_given_match_into_another_graph_is_refused(self, pls, pls_rules):
+        # applied, a match into a graph with an extra node gave a model that
+        # held `ghost` with no info, which validation reported as MissingTyping
+        rule = two_level_rules(pls, pls_rules, "CreatePart")[0]
+        model = pls.model("hammer_config")
+        (m,) = typed_matches(rule, model, pls)
+        L, g = rule.lhs, model.graph
+        ghost = Graph(g.name, g.nodes | {"ghost"}, g.arrows)
+        with pytest.raises(GraphMismatch):
+            apply_two_level_rule(rule, model, pls, at=replace(m, dst=ghost))
+        renamed = Graph(L.name + "'", L.nodes, L.arrows)
+        with pytest.raises(GraphMismatch):
+            apply_two_level_rule(rule, model, pls, at=replace(m, src=renamed))
+        # equal graphs are as good as the same ones
+        equal = replace(m, src=Graph(L.name, L.nodes, L.arrows), dst=Graph(g.name, g.nodes, g.arrows))
+        (want,) = apply_two_level_rule(rule, model, pls, at=m)[0]
+        (got,) = apply_two_level_rule(rule, model, pls, at=equal)[0]
+        assert got.model == want.model
+        assert validate_hierarchy(pls.with_model(got.model)) == []
 
     def test_incompatible_match_is_refused_by_the_direct_route(self, pls, pls_rules):
         rules = two_level_rules(pls, pls_rules, "CreatePart")

@@ -306,6 +306,70 @@ class TestDerivedGraphs:
             steps += 1
         assert 0 < dangling < steps
 
+    @staticmethod
+    def rule_of_kind(rng, kind):
+        """A random rule (L, I, R) whose steps change only what `kind` says."""
+        I = random_graph(rng, "I", 4)
+
+        def some_arrows():
+            return frozenset(a for a in sorted(I.arrows) if rng.random() < 0.5)
+
+        if kind == "add":
+            return Graph("L", *random_subgraph_pair(rng, I)), I, I
+        if kind == "delete arrows":
+            return I, I, Graph("R", I.nodes, some_arrows())
+        if kind == "move arrows":  # delete some arrows and add others between the same nodes
+            L, R = Graph("L", I.nodes, some_arrows()), Graph("R", I.nodes, some_arrows())
+            return L, Graph("I", I.nodes, L.arrows | R.arrows), R
+        assert kind == "delete nodes"  # deleted nodes have no arrow in L
+        ends = {x for a in I.arrows for x in (a[0], a[2])}
+        keep = frozenset(n for n in sorted(I.nodes) if n in ends or rng.random() < 0.5)
+        return I, I, Graph("R", keep, I.arrows)
+
+    @pytest.mark.parametrize(
+        "kind, seed", [("add", 41), ("delete arrows", 43), ("move arrows", 47), ("delete nodes", 53)]
+    )
+    def test_unchanged_collections_are_shared(self, kind, seed):
+        rng = random.Random(seed)
+        host = random_graph(rng, "S", 8)
+        host.incident("n0")
+        applied, dangling = 0, 0
+        for step in range(120):
+            if len(host.nodes) < 3 or len(host.arrows) < 2:
+                host = random_graph(rng, "S", 8)
+            L, I, R = self.rule_of_kind(rng, kind)
+            m = random_total_morphism(rng, L, host)
+            if m is None:
+                continue
+            if step % 5 == 0 and L.nodes:
+                n = min(L.nodes)
+                gap = Graph("I", I.nodes - {n}, frozenset(a for a in I.arrows if n not in a))
+                with pytest.raises(NotInclusion):
+                    pushout(gap, m)
+            D, d = pushout(I, m)
+            assert_valid_with_carried_incidence(D)
+            assert (D.nodes is host.nodes) == (I.nodes <= L.nodes)
+            assert (D.arrows is host.arrows) == (I.arrows <= L.arrows)
+            assert (vars(D)["_incidence"] is vars(host)["_incidence"]) == (I.arrows <= L.arrows)
+            if step % 5 == 0:
+                with pytest.raises(NotInclusion):
+                    pullback_complement(Graph("R", R.nodes | {"stray"}, R.arrows), d)
+            expected = oracle_pullback_complement(R, I, d)
+            if expected is None:
+                with pytest.raises(DanglingDeletion):
+                    pullback_complement(R, d)
+                dangling += 1
+                continue
+            T, _ = pullback_complement(R, d)
+            assert (T.nodes, T.arrows) == expected
+            assert_valid_with_carried_incidence(T)
+            assert (T.nodes is D.nodes) == (I.nodes <= R.nodes)
+            assert (T.arrows is D.arrows) == (I.arrows <= R.arrows)
+            assert (vars(T)["_incidence"] is vars(D)["_incidence"]) == (I.arrows <= R.arrows)
+            host, applied = T, applied + 1
+        assert applied >= 25
+        assert dangling > 0 if kind == "delete nodes" else dangling < applied
+
 
 class TestPartialCompositionAssociativity:
     def test_randomized(self):

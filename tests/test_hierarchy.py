@@ -18,10 +18,11 @@ from mlmt.hierarchy import (
     parse_hierarchy,
     save_hierarchy,
     transitive_type_at,
+    type_walk,
     validate_hierarchy,
 )
 
-from support import random_hierarchy
+from support import random_hierarchy, reference_transitive_type_at, reference_type_walk
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -257,6 +258,79 @@ class TestFlattenInheritance:
         assert any(
             i.rule == "InheritanceCycle" for i in validate_hierarchy(h)
         )
+
+
+def lookup_outcome(fn, *args):
+    """What a type lookup gives: its result, or the type of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as err:  # the oracle compares exception types
+        return "raised", type(err)
+
+
+def lookups_agree(h, models=None) -> int:
+    """Compares `type_walk` and `transitive_type_at` with the generator-based
+    reference on every element of `models` (default all) at every level from
+    0 to the hierarchy's depth + 1; returns the types of what they raised."""
+    depth = max(m.level for m in h.models.values())
+    raised = set()
+    for name in models or sorted(h.models):
+        graph = h.models[name].graph
+        for e in sorted(graph.nodes) + sorted(graph.arrows):
+            walk = lookup_outcome(lambda: list(type_walk(h, name, e)))
+            assert walk == lookup_outcome(lambda: list(reference_type_walk(h, name, e)))
+            for level in range(depth + 2):
+                got = lookup_outcome(transitive_type_at, h, name, e, level)
+                assert got == lookup_outcome(reference_transitive_type_at, h, name, e, level)
+                if got[0] == "raised":
+                    raised.add(got[1])
+    return raised
+
+
+class TestTypeLookupOracle:
+    """The type lookups give what the generator walk over `h.model` lookups
+    they replaced gives, including where they stop and what they raise."""
+
+    def test_random_hierarchies(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            h = random_hierarchy(rng, depth=rng.randint(1, 4))
+            assert lookups_agree(h) == set()
+
+    def test_pls_and_cyclic_typing(self, pls):
+        assert lookups_agree(pls) == set()
+        cyclic = load_hierarchy(os.path.join(FIXTURES, "type_cycle.json"))
+        assert lookups_agree(cyclic) == set()
+        # x : B.y does not go up a level, so x has no type at the root's level
+        assert transitive_type_at(cyclic, "A", "x", 0) is None
+        assert type_walk(cyclic, "A", "x") == [("A", "x")]
+
+    def test_unknown_model(self, pls):
+        for fn, args in (
+            (transitive_type_at, (pls, "nowhere", "ghandle", 0)),
+            (reference_transitive_type_at, (pls, "nowhere", "ghandle", 0)),
+            (lambda *a: list(type_walk(*a)), (pls, "nowhere", "ghandle")),
+            (lambda *a: list(reference_type_walk(*a)), (pls, "nowhere", "ghandle")),
+        ):
+            assert lookup_outcome(fn, *args) == ("raised", SchemaError)
+
+    def test_missing_info_and_unknown_type_model(self):
+        raised = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            h = random_hierarchy(rng, depth=3)
+            for name in sorted(h.models):
+                m = h.models[name]
+                for e in sorted(m.info, key=repr):
+                    info = {k: v for k, v in m.info.items() if k != e}
+                    stripped = h.with_model(ModelNode(m.name, m.parent, m.level, m.graph, info))
+                    raised |= lookups_agree(stripped)
+                    info[e] = ElementInfo(("nowhere", "x"))
+                    misdirected = h.with_model(
+                        ModelNode(m.name, m.parent, m.level, m.graph, info)
+                    )
+                    raised |= lookups_agree(misdirected)
+        assert raised == {KeyError, SchemaError}
 
 
 class TestTransitiveTypes:
