@@ -232,7 +232,7 @@ def apply_mcmt(
     ident = {i: i for i in range(depth + 1)}
     l_morph = lift(inclusion(l_chain.graph_at(0), i_chain.graph_at(0)), l_chain, i_chain, ident)
     r_morph = lift(inclusion(r_chain.graph_at(0), i_chain.graph_at(0)), r_chain, i_chain, ident)
-    m_chain = lift(m, l_chain, s_chain, dict(mm_match.level_map))
+    m_chain = lift(m, l_chain, s_chain, mm_match.level_map)
 
     _, _, d_morph = chain_pushout(l_morph, m_chain)
     t_chain, _, _ = chain_pullback_complement(r_morph, d_morph)
@@ -284,7 +284,7 @@ class TraceStep:
         return {
             "step": self.step,
             "rule": self.rule,
-            "match": {k: key(v) for k, v in sorted(self.match.items(), key=lambda kv: repr(kv))},
+            "match": {k: key(v) for k, v in self.match.items()},
             "created": [key(e) for e in self.created],
             "deleted": [key(e) for e in self.deleted],
         }

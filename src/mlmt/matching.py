@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UnresolvedReference
-from .graphs import Arrow, Graph, build_graph, group_by_end, injective_matches, search_plan
+from .graphs import Arrow, Graph, group_by_end, injective_matches, search_plan
 from .hierarchy import (
     ElementKey,
     ModelNode,
@@ -35,35 +35,20 @@ from .rules import (
 
 @dataclass(frozen=True)
 class MetaMatch:
-    """A complete match of a META chain into a typing chain."""
+    """A complete match of a META chain into a typing chain: the level map and the per-level
+    bindings, as the search built them.  Matches found along one search branch, and the rules
+    compiled from them (as `source_match`), share these dicts, so they are read-only.
+    Equality is dict equality, so it ignores insertion order; a `MetaMatch` is not hashable."""
 
-    level_map: Tuple[Tuple[int, int], ...]  # meta level -> stack level
-    bindings: Tuple[Tuple[int, Tuple[Tuple[str, ElementKey], ...]], ...]
-
-    @cached_property
-    def _levels(self) -> Dict[int, int]:
-        return dict(self.level_map)
-
-    @cached_property
-    def _bindings(self) -> Dict[int, Dict[str, ElementKey]]:
-        return {lvl: dict(b) for lvl, b in self.bindings}
+    level_map: Dict[int, int]  # meta level -> stack level
+    bindings: Dict[int, Dict[str, ElementKey]]  # meta level -> META element name -> image
 
     def f(self, meta_level: int) -> int:
-        return self._levels[meta_level]
+        return self.level_map[meta_level]
 
     def binding(self, meta_level: int) -> Dict[str, ElementKey]:
         """The bindings of one META level; shared, so read-only."""
-        return self._bindings[meta_level]
-
-
-def _freeze_match(level_map: Dict[int, int], bindings: Dict[int, Dict[str, ElementKey]]) -> MetaMatch:
-    return MetaMatch(
-        tuple(sorted(level_map.items())),
-        tuple(
-            (lvl, tuple(sorted(b.items(), key=lambda kv: repr(kv))))
-            for lvl, b in sorted(bindings.items())
-        ),
-    )
+        return self.bindings[meta_level]
 
 
 def _root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
@@ -177,7 +162,7 @@ def find_meta_matches(
 
     def extend(mm_level, tg_level, level_map, bindings) -> Iterator[MetaMatch]:
         if mm_level == depth:
-            yield _freeze_match(level_map, bindings)
+            yield MetaMatch(level_map, bindings)
             return
         pattern = rule.meta_at(mm_level + 1)
         # leave room below for the remaining META levels
@@ -241,11 +226,7 @@ def _variant(expanded: McmtRule, name: str):
     key with the (name, level) of the META element typing it."""
     lhs = expanded.from_pattern.graph(name)
     rhs = expanded.to_pattern.graph(name)
-    inter = build_graph(
-        name,
-        sorted(lhs.nodes | rhs.nodes),
-        sorted(lhs.arrows | rhs.arrows),
-    )
+    inter = Graph(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
     typed_by: Dict[ElementKey, Tuple[str, int]] = {}
     for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
         typed_by.setdefault(element_key(e), (e.type_name, e.type_level))
@@ -271,7 +252,7 @@ def _profile_shape(
 
 def _filled(shape, mm_match: MetaMatch) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """An instance profile: a `_profile_shape` with the META match's bindings filled in."""
-    bindings = mm_match._bindings
+    bindings = mm_match.bindings
     return tuple([(level, bindings[at[0]][at[1]] if at else None) for level, at in shape])
 
 
@@ -282,7 +263,7 @@ def instance_profile(
 ) -> Tuple[Tuple[int, Optional[ElementKey]], ...]:
     """Per-stack-level type constraints for an instance of `meta_el`: its own
     binding, its META profile, and untyped at the stack levels in between."""
-    return _filled(_profile_shape(rule, meta_el, mm_match._levels), mm_match)
+    return _filled(_profile_shape(rule, meta_el, mm_match.level_map), mm_match)
 
 
 def proliferate(
@@ -327,11 +308,12 @@ def proliferate(
             ref: (stack[mm_match.f(el.level)].name, mm_match.binding(el.level)[el.name])
             for ref, el in meta_els.items()
         }
-        if mm_match.level_map not in shapes:
-            shapes[mm_match.level_map] = {
-                ref: _profile_shape(rule, el, mm_match._levels) for ref, el in meta_els.items()
+        levels = tuple(mm_match.level_map.items())
+        if levels not in shapes:
+            shapes[levels] = {
+                ref: _profile_shape(rule, el, mm_match.level_map) for ref, el in meta_els.items()
             }
-        shaped = shapes[mm_match.level_map].items()
+        shaped = shapes[levels].items()
         profiles = {ref: _filled(shape, mm_match) for ref, shape in shaped}
         for lhs, inter, rhs, typed_by in variants[key]:
             types = {k: bound_types[ref] for k, ref in typed_by}

@@ -433,16 +433,12 @@ def random_meta_rule(rng: random.Random, depth: int = 2) -> McmtRule:
 # brute-force matcher oracle
 
 
-def brute_force_meta_matches(rule: McmtRule, stack, h) -> set:
+def brute_force_meta_matches(rule: McmtRule, stack, h) -> List[MetaMatch]:
     """All monotone level maps x all injective typed bindings, exhaustively."""
-    from mlmt.matching import MetaMatch, _root_binding, _freeze_match
-    from mlmt.hierarchy import transitive_type_at
-    from mlmt.rules import type_chain
-
     depth = rule.depth
     m = len(stack) - 1
-    results = set()
-    root_b = _root_binding(rule, stack[0])
+    results = []
+    root_b = _oracle_root_binding(rule, stack[0])
     if depth > m:
         return results
     for f_tail in combinations(range(1, m + 1), depth):
@@ -459,8 +455,33 @@ def brute_force_meta_matches(rule: McmtRule, stack, h) -> set:
             for lvl, b in enumerate(combo, start=1):
                 bindings[lvl] = b
             if _binding_consistent(rule, stack, h, level_map, bindings):
-                results.add(_freeze_match(level_map, bindings))
+                results.append(MetaMatch(level_map, bindings))
     return results
+
+
+def _oracle_root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
+    """The level-0 binding: each root type a META element names, a node by
+    its name and an arrow by its label, which must be unique in the root."""
+    binding: Dict[str, ElementKey] = {}
+    for el in rule.meta_elements + rule.implicit_elements:
+        if el.type_name is None or el.type_level != 0:
+            continue
+        if el.kind == NODE:
+            assert el.type_name in root.graph.nodes, el.type_name
+            binding[el.type_name] = el.type_name
+        else:
+            (arrow,) = [a for a in root.graph.arrows if a[1] == el.type_name]
+            binding[el.type_name] = arrow
+    return binding
+
+
+def meta_match_key(mm: MetaMatch) -> tuple:
+    """A canonical, hashable and sortable form of a META match: its level map and
+    bindings as sorted item tuples, so equal matches get equal keys."""
+    return (
+        tuple(sorted(mm.level_map.items())),
+        tuple((lvl, tuple(sorted(b.items()))) for lvl, b in sorted(mm.bindings.items())),
+    )
 
 
 def _all_structural_bindings(elements, model) -> List[Dict]:

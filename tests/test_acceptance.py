@@ -6,6 +6,7 @@ test output.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 from mlmt.chains import typing_to_chain, validate_chain_morphism
@@ -31,6 +32,7 @@ from support import (
     chain_conditions_hold,
     chain_morphism_conditions_hold,
     compatibility_holds,
+    meta_match_key,
     oracle_pullback_complement,
     pushout_agrees_with_oracle,
     random_graph,
@@ -274,7 +276,7 @@ def test_criterion_8_matcher_equals_exhaustive_search(pls):
             rule = random_meta_rule(rng, depth=rng.randint(1, 2))
             bottom = max(h.models.values(), key=lambda m: m.level)
             stack = [h.model(n) for n in h.root_path(bottom.name)[:-1]]
-            got = set(find_meta_matches(rule, h, bottom.name))
-            want = brute_force_meta_matches(rule, stack, h)
+            got = Counter(map(meta_match_key, find_meta_matches(rule, h, bottom.name)))
+            want = Counter(map(meta_match_key, brute_force_meta_matches(rule, stack, h)))
             assert got == want
             checked += 1

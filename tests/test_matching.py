@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from mlmt.chains import validate_chain_morphism
 from mlmt.matching import (
+    MetaMatch,
     find_meta_matches,
     proliferate,
     proliferate_all,
@@ -17,6 +19,7 @@ from support import (
     brute_force_meta_matches,
     find_homomorphisms,
     meta_chain_for_match,
+    meta_match_key,
     random_hierarchy,
     random_meta_rule,
 )
@@ -97,6 +100,41 @@ rules R {
         assert len(matches) == 11
 
 
+def assert_match_form(rule, mm):
+    """A META match holds a level map over META levels 0..depth, in order, onto strictly
+    increasing stack levels; one binding per META level >= 1 over exactly its META names;
+    and equals itself rebuilt from the same dicts in reversed insertion order."""
+    assert list(mm.level_map) == list(range(rule.depth + 1))
+    stack_levels = list(mm.level_map.values())
+    assert all(a < b for a, b in zip(stack_levels, stack_levels[1:]))
+    for k in range(1, rule.depth + 1):
+        assert set(mm.binding(k)) == {e.name for e in rule.meta_at(k)}
+    rebuilt = MetaMatch(
+        dict(reversed(mm.level_map.items())),
+        {k: dict(reversed(b.items())) for k, b in reversed(mm.bindings.items())},
+    )
+    assert rebuilt == mm
+
+
+def test_meta_matches_have_the_documented_form(pls, pls_rules):
+    checked = 0
+    for rule in pls_rules.values():
+        for mm in find_meta_matches(rule, pls, "hammer_config"):
+            assert_match_form(rule, mm)
+            checked += 1
+    assert checked == 21
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(400):
+        h = random_hierarchy(rng, depth=rng.randint(1, 3))
+        rule = random_meta_rule(rng, depth=rng.randint(1, 2))
+        bottom = max(h.models.values(), key=lambda m: m.level)
+        for mm in find_meta_matches(rule, h, bottom.name):
+            assert_match_form(rule, mm)
+            checked += 1
+    assert checked >= 150
+
+
 class TestProliferation:
     def test_create_part_yields_two_rules(self, pls, pls_rules):
         rules = proliferate(pls_rules["CreatePart"], pls, "hammer_config")
@@ -168,7 +206,7 @@ class TestAgainstOracles:
             rule = random_meta_rule(rng, depth=rng.randint(1, 2))
             bottom = max(h.models.values(), key=lambda m: m.level)
             stack = typing_stack(h, bottom.name)
-            got = set(find_meta_matches(rule, h, bottom.name))
-            want = brute_force_meta_matches(rule, stack, h)
+            got = Counter(map(meta_match_key, find_meta_matches(rule, h, bottom.name)))
+            want = Counter(map(meta_match_key, brute_force_meta_matches(rule, stack, h)))
             assert got == want
             checked += 1
