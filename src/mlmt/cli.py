@@ -165,6 +165,7 @@ def cmd_run(args) -> int:
         return 1
     h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
+    log.info("run stopped: %s", trace.stop)
     if args.trace and not _write(args.trace, trace.to_json_lines()):
         return 2
     json.dump(hierarchy_to_json(trace.final), sys.stdout, indent=2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chains import (
     chain_pullback_complement,
@@ -74,27 +74,34 @@ def typed_matches(
     else:
         touched, anchored = set(touching), set()
         for x in touched:
-            arrow = isinstance(x, tuple)
-            if arrow and (x[0] in touched or x[2] in touched):
+            if isinstance(x, tuple) and (x[0] in touched or x[2] in touched):
                 continue
             for p in order:
-                if x not in pools[p]:
-                    continue
-                fixed = {p: x}
-                if arrow:
-                    if x[0] not in pools[p[0]] or x[2] not in pools[p[2]]:
-                        continue
-                    if (p[0] == p[2]) != (x[0] == x[2]):
-                        continue  # a loop only matches a loop, injectively
-                    fixed.update({p[0]: x[0], p[2]: x[2]})
-                plan = rule.lhs.anchored_plans[p]
-                anchored.update(injective_matches(order, plan, pools, incidence, fixed))
+                if x in pools[p]:
+                    plan = rule.lhs.anchored_plans[p]
+                    anchored.update(_anchored(order, plan, pools, incidence, x, p))
         found = sorted(anchored)
-    n = len(rule.lhs.nodes)
-    return [
-        TotalMorphism(rule.lhs, model.graph, dict(zip(order[:n], m)), dict(zip(order[n:], m[n:])))
-        for m in found
-    ]
+    return [_morphism(rule, model.graph, m) for m in found]
+
+
+def _anchored(order, plan, pools, incidence, x: ElementKey, p: ElementKey) -> List[tuple]:
+    """The matches, as `injective_matches` lists them, that map the pattern element `p` to `x`,
+    an element of `p`'s pool, by `p`'s plan; an arrow's ends are fixed with it."""
+    if not isinstance(x, tuple):
+        return injective_matches(order, plan, pools, incidence, {p: x})
+    if x[0] not in pools[p[0]] or x[2] not in pools[p[2]]:
+        return []
+    if (p[0] == p[2]) != (x[0] == x[2]):
+        return []  # a loop only matches a loop, injectively
+    return injective_matches(order, plan, pools, incidence, {p: x, p[0]: x[0], p[2]: x[2]})
+
+
+def _morphism(rule: TwoLevelRule, graph: Graph, images: tuple) -> TotalMorphism:
+    """The match of the rule's left pattern into `graph` with the images of `rule.pattern`."""
+    order, n = tuple(rule.pattern), len(rule.lhs.nodes)
+    return TotalMorphism(
+        rule.lhs, graph, dict(zip(order[:n], images)), dict(zip(order[n:], images[n:]))
+    )
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,7 @@ class TraceStep:
 class ExecutionTrace:
     steps: Tuple[TraceStep, ...]
     final: MultilevelHierarchy
+    stop: str  # "max-steps", "no-match" or "all-matches-dangling"
 
     def to_json_lines(self) -> str:
         import json
@@ -304,45 +312,49 @@ class ExecutionTrace:
 
 
 class _LiveMatches:
-    """Each compiled rule's `typed_matches` in the bottom model of a run, kept across steps.
+    """Each compiled rule's `typed_matches` in the bottom model of a run, kept across steps as
+    the sorted tuples of their images of `rule.pattern`.
 
     Rules have no negative conditions, and an element that survives a step keeps its type and
     info, so a step removes exactly the matches that use a deleted element, and every new match
-    uses a created one (incremental matching, as in RETE).  So a step searches only the rules
-    with a pattern element whose profile some created element carries.  A kept match still maps
-    into the model it was found in."""
+    uses a created one (incremental matching, as in RETE).  So a step searches a pattern element
+    only from a created element of its kind that carries its profile, and only from there (the
+    anchor table, RETE's alpha network at the level of pattern elements)."""
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
         self.rules, self.index = rules, TypeIndex(h, model)
-        self.lists = [typed_matches(r, model, h, self.index) for r in rules]
-        # (kind, profile) -> the rules with a left pattern element that asks for it
-        self.askers: Dict[tuple, Set[int]] = {}
+        self.lists = [
+            [tuple(m(e) for e in r.pattern) for m in typed_matches(r, model, h, self.index)]
+            for r in rules
+        ]
+        # (kind, profile) -> (rule index, pattern element, `_anchored`'s other arguments) for each
+        # pattern element that asks for it; `index.step` updates the pools in place
+        self.anchors: Dict[tuple, List[tuple]] = {}
         for i, r in enumerate(rules):
-            for e, profile in r.pattern.items():
-                self.askers.setdefault((isinstance(e, tuple), profile), set()).add(i)
+            order, (pools, incidence) = tuple(r.pattern), self.index.pools(r.pattern)
+            for p, profile in r.pattern.items():
+                entry = (i, p, order, r.lhs.anchored_plans[p], pools, incidence)
+                self.anchors.setdefault((isinstance(p, tuple), profile), []).append(entry)
 
-    def step(self, h: MultilevelHierarchy, result: ApplicationResult) -> None:
-        """Move to `h`, whose bottom model `result` made."""
+    def step(self, result: ApplicationResult) -> None:
+        """Move to the bottom model `result` made."""
         self.index.step(result.model, result.created, result.deleted)
-        anchored: Set[int] = set()
-        for x in result.created:
-            for profile in self.index.profiles(x):
-                anchored.update(self.askers.get((isinstance(x, tuple), profile), ()))
         gone = set(result.deleted)
-        for i, r in enumerate(self.rules):
-            found = self.lists[i]
-            if gone:
-                found = [
-                    m
-                    for m in found
-                    if gone.isdisjoint(m.node_map.values()) and gone.isdisjoint(m.arrow_map.values())
-                ]
-            if i in anchored:
-                new = typed_matches(r, result.model, h, self.index, touching=result.created)
-                if new:
-                    found = sorted(found + new, key=lambda m: [m(e) for e in r.pattern])
-            self.lists[i] = found
+        if gone:
+            self.lists = [[t for t in found if gone.isdisjoint(t)] for found in self.lists]
+        created, new = set(result.created), {}
+        for x in result.created:
+            kind = isinstance(x, tuple)
+            if kind and (x[0] in created or x[2] in created):
+                continue  # every match that uses it also uses that end
+            for profile in self.index.profiles(x):
+                for i, p, order, plan, pools, incidence in self.anchors.get((kind, profile), ()):
+                    found = _anchored(order, plan, pools, incidence, x, p)
+                    if found:
+                        new.setdefault(i, set()).update(found)
+        for i, found in new.items():
+            self.lists[i] = sorted(self.lists[i] + list(found))
 
 
 def run(
@@ -360,21 +372,23 @@ def run(
     steps: List[TraceStep] = []
     current = h
     live = _LiveMatches(compiled, h, target_model)
+    stop = "max-steps"
     for step in range(max_steps):
         model = current.model(target_model)
-        pairs = [(r, m) for r, found in zip(compiled, live.lists) for m in found]
-        applied = False
+        pairs = [(r, t) for r, found in zip(compiled, live.lists) for t in found]
+        if not pairs:
+            stop = "no-match"
+            break
         while pairs:
             idx = rng.randrange(len(pairs))
-            tl_rule, m = pairs.pop(idx)
-            # a kept match maps into the graph it was found in
-            m = TotalMorphism(tl_rule.lhs, model.graph, m.node_map, m.arrow_map)
+            tl_rule, images = pairs.pop(idx)
+            m = _morphism(tl_rule, model.graph, images)
             successors, _ = apply_two_level_rule(tl_rule, model, current, at=m)
             if not successors:
                 continue
             result = successors[0]
             current = current.with_model(result.model)
-            live.step(current, result)
+            live.step(result)
             match_view = {}
             for k, v in result.match.node_map.items():
                 match_view[k] = v
@@ -385,8 +399,8 @@ def run(
                     step, tl_rule.name, match_view, result.created, result.deleted
                 )
             )
-            applied = True
             break
-        if not applied:
+        else:
+            stop = "all-matches-dangling"
             break
-    return ExecutionTrace(tuple(steps), current)
+    return ExecutionTrace(tuple(steps), current, stop)

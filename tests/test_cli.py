@@ -474,6 +474,19 @@ class TestRun:
         assert len(lines) == 5
         assert all(json.loads(line)["rule"] for line in lines)
 
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_stop_reason_is_logged_at_info(self, paths, monkeypatch, level):
+        hierarchy, _ = paths
+        rules = os.path.join(FIXTURES, "scrap_machine.mcmt")
+        monkeypatch.delenv("MLM_LOG", raising=False)
+        if level:
+            monkeypatch.setenv("MLM_LOG", level)
+        argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "10", "--seed", "0"]
+        proc = _run_cli(argv, subprocess.PIPE)
+        assert proc.returncode == 0
+        logged = ["INFO mlmt: run stopped: all-matches-dangling"] if level else []
+        assert proc.stderr.splitlines() == [*logged, "0 step(s) applied"]
+
 
 class TestRootTarget:
     """The root has no typing chain above it, so no META pattern matches there."""

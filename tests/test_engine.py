@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from dataclasses import replace
 
@@ -342,31 +343,50 @@ class TestRun:
     def test_steps_search_only_rules_a_created_element_can_anchor(
         self, pls, pls_module, monkeypatch
     ):
-        # a step searches a rule only if a created element carries the level
-        # types of one of its left pattern elements of the same kind
-        calls = []
-        inner = engine.typed_matches
+        # a step searches a rule's pattern element only from a created element
+        # of its kind that carries its level types
+        initial, searched, lives = [], [], []
+        inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
 
         def counting(rule, model, h, index=None, touching=None):
-            calls.append((rule, model, h, touching))
+            initial.append((rule, touching))
             return inner(rule, model, h, index, touching)
 
-        def carries(rule, model, h, p, x):
-            return isinstance(p, tuple) == isinstance(x, tuple) and all(
-                transitive_type_at(h, model.name, x, level) == want
+        def recording(order, plan, pools, incidence, x, p):
+            (live,) = lives
+            (rule,) = [r for r in live.rules if live.index.pools(r.pattern)[0] is pools]
+            h = pls.with_model(live.index.model)
+            searched.append((rule, p, x, h))
+            return anchored(order, plan, pools, incidence, x, p)
+
+        def keeping(live, *args):
+            init(live, *args)
+            lives.append(live)
+
+        monkeypatch.setattr(engine, "typed_matches", counting)
+        monkeypatch.setattr(engine, "_anchored", recording)
+        monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
+        trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
+        assert len(trace.steps) == 200
+        assert len({rule.name for rule, _ in initial}) == len(initial) == 21
+        assert all(touching is None for _, touching in initial)
+        assert 0 < len(searched) < 21 * len(trace.steps)
+        for rule, p, x, h in searched:
+            assert isinstance(p, tuple) == isinstance(x, tuple)
+            assert all(
+                transitive_type_at(h, "hammer_config", x, level) == want
                 for level, want in rule.level_types[p]
             )
 
-        monkeypatch.setattr(engine, "typed_matches", counting)
-        trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
-        rules = {rule.name for rule, _, _, _ in calls}
-        assert len(rules) == 21 and len(trace.steps) == 200
-        assert len(calls) < 21 * len(trace.steps)
-        anchored = [c for c in calls if c[3] is not None]
-        assert anchored
-        for rule, model, h, created in anchored:
-            pattern = (*rule.lhs.nodes, *rule.lhs.arrows)
-            assert any(carries(rule, model, h, p, x) for p in pattern for x in created)
+    def test_run_records_why_it_stopped(self, pls, pls_module):
+        trace = run(pls_module.rules, pls, "hammer_config", 50, seed=0)
+        assert (len(trace.steps), trace.stop) == (50, "max-steps")
+        assert run([], pls, "hammer_config", 10, seed=0).stop == "no-match"
+        scrap = os.path.join(os.path.dirname(__file__), "fixtures", "scrap_machine.mcmt")
+        with open(scrap, encoding="utf-8") as fh:
+            rules = parse_rule_module(fh.read()).rules
+        trace = run(rules, pls, "hammer_config", 10, seed=0)
+        assert (trace.steps, trace.stop) == ((), "all-matches-dangling")
 
     def test_hammers_emerge_and_typing_is_preserved(self, pls, pls_module):
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=1)

@@ -12,8 +12,8 @@ import pytest
 from mlmt import engine, matching
 from mlmt.engine import apply_two_level_rule, run, typed_matches
 from mlmt.graphs import Graph, TotalMorphism
-from mlmt.hierarchy import ModelNode, TypeIndex
-from mlmt.matching import find_meta_matches, proliferate
+from mlmt.hierarchy import ModelNode, TypeIndex, transitive_type_at
+from mlmt.matching import TwoLevelRule, find_meta_matches, proliferate
 
 from support import (
     brute_force_graph_match,
@@ -79,19 +79,19 @@ def test_typed_matches_in_order_on_random_hierarchies():
 @pytest.mark.parametrize("target", ["hammer_config", "stool_config"])
 def test_maintained_matches_equal_fresh_ones(pls, pls_module, monkeypatch, target, seed):
     # `run` keeps each compiled rule's matches across steps; after every
-    # step they must be the lists a search from scratch returns
+    # step they must be the images, in `rule.pattern` order, of the lists a
+    # search from scratch returns
     step = engine._LiveMatches.step
     checked = []
 
-    def checking_step(live, h, result):
-        step(live, h, result)
-        model = h.model(target)
+    def checking_step(live, result):
+        step(live, result)
+        model = result.model
+        h = pls.with_model(model)
         fresh = TypeIndex(h, model)
         for tl_rule, found in zip(live.rules, live.lists):
             want = typed_matches(tl_rule, model, h, fresh)
-            assert [(m.node_map, m.arrow_map) for m in found] == [
-                (m.node_map, m.arrow_map) for m in want
-            ]
+            assert found == [tuple(m(e) for e in tl_rule.pattern) for m in want]
         checked.append(sum(map(len, live.lists)))
 
     monkeypatch.setattr(engine._LiveMatches, "step", checking_step)
@@ -158,6 +158,60 @@ def test_anchored_matches_on_random_steps():
             assert typed_matches(tl_rule, after, h_after, index, touching=touching) == want
             used += bool(want)
     assert used >= 100
+
+
+def _rule_around(rng, h, model, x):
+    """A rule whose left pattern is the element `x` of `model`, with an
+    arrow's ends, and whose level types are its own types at random levels
+    above the model, so that it matches at `x`, and at its look-alikes."""
+    if isinstance(x, tuple):
+        like = {"y0": x[0], "y1": x[2]} if x[0] != x[2] else {"y0": x[0]}
+        like[("y0", "b", "y1" if x[0] != x[2] else "y0")] = x
+    else:
+        like = {"y0": x}
+    nodes = frozenset(e for e in like if not isinstance(e, tuple))
+    lhs = Graph(model.name, nodes, frozenset(like) - nodes)
+    levels = sorted(rng.sample(range(model.level), rng.randint(0, model.level)), reverse=True)
+    level_types = {
+        e: tuple((lvl, transitive_type_at(h, model.name, img, lvl)) for lvl in levels)
+        for e, img in like.items()
+    }
+    return TwoLevelRule("Around", lhs, lhs, lhs, {}, level_types, "Around", None)
+
+
+def test_anchor_table_steps_agree_with_the_exhaustive_search(monkeypatch):
+    # after `_LiveMatches.step` on a made-up delta, each rule's kept list is
+    # the exhaustive search's on the grown model, in `rule.pattern` order;
+    # the anchored searches behind it start from nodes, arrows and loops, and
+    # a match through a created arrow with a created end is still found
+    rng = random.Random(1970)
+    seen = dict.fromkeys(["node anchor", "arrow anchor", "loop anchor", "created end"], 0)
+    anchored = engine._anchored
+
+    def counting(order, plan, pools, incidence, x, p):
+        found = anchored(order, plan, pools, incidence, x, p)
+        kind = "node" if not isinstance(x, tuple) else "loop" if x[0] == x[2] else "arrow"
+        seen[f"{kind} anchor"] += bool(found)
+        return found
+
+    monkeypatch.setattr(engine, "_anchored", counting)
+    for _ in range(300):
+        h = random_hierarchy(rng, depth=rng.randint(1, 3))
+        before = max(h.models.values(), key=lambda m: m.level)
+        after, created, deleted = _grown(rng, before)
+        if not created:
+            continue
+        h_after = h.with_model(after)
+        rules = [random_two_level_rule(rng, h_after, after) for _ in range(2)]
+        rules.append(_rule_around(rng, h_after, after, rng.choice(created)))
+        live = engine._LiveMatches(rules, h, before.name)
+        live.step(engine.ApplicationResult(after, None, tuple(created), tuple(deleted)))
+        for rule, found in zip(rules, live.lists):
+            want = filtered_homomorphisms(rule, after, h_after)
+            assert found == [tuple(m(e) for e in rule.pattern) for m in want]
+        skipped = {a for a in created if isinstance(a, tuple) and (a[0] in created or a[2] in created)}
+        seen["created end"] += any(not skipped.isdisjoint(t) for found in live.lists for t in found)
+    assert min(seen.values()) >= 20, seen
 
 
 def _doubled(rng, model):
