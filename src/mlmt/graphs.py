@@ -157,6 +157,14 @@ class TotalMorphism:
                     f"morphism breaks source/target maps at {a!r}"
                 )
 
+    @classmethod
+    def _trusted(cls, src: Graph, dst: Graph, node_map: Dict, arrow_map: Dict) -> "TotalMorphism":
+        """A morphism its caller has proved total and structure-preserving,
+        built without the checks of `__post_init__`."""
+        t = object.__new__(cls)
+        t.__dict__.update(src=src, dst=dst, node_map=node_map, arrow_map=arrow_map)
+        return t
+
     def __call__(self, element):
         if element in self.node_map:
             return self.node_map[element]
@@ -275,7 +283,8 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
             incidence[n] = incidence.get(n, frozenset()) | added
     # valid: the copies' ends are S's nodes or copied nodes
     D = Graph._trusted(S.name, nodes, arrows, incidence)
-    d = TotalMorphism(
+    # valid: L's elements map as m does and the rest to their copies, whose ends map alike
+    d = TotalMorphism._trusted(
         I,
         D,
         {n: map_node(n) for n in I.nodes},
@@ -321,7 +330,8 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
                 incidence[n] = rest
     # valid: no surviving arrow ends at a deleted node
     T = Graph._trusted(D.name, nodes, arrows, incidence)
-    t_in = TotalMorphism(
+    # valid: no image of R's elements is deleted
+    t_in = TotalMorphism._trusted(
         R,
         T,
         {n: d.node_map[n] for n in R.nodes},

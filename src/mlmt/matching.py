@@ -133,6 +133,8 @@ def graph_match(
         }
         for el in pattern
     }
+    if not all(pools.values()):
+        return []  # an element with no candidate image
     plan = search_plan(nodes, ends, size=lambda n: len(pools[n]))
     if plan is None:
         return []  # an arrow with an end off this level's nodes
@@ -273,51 +275,49 @@ def proliferate(
 
     The cardinality variants depend only on the bound multiplicities, so each
     distinct set of them is expanded once, and the rules compiled from one
-    variant share its graphs.  A META element's bound type and instance
-    profile depend only on the META match, so each is derived once per match,
-    and the profile's levels depend only on the level map, so they are laid
-    out once per level map.
+    variant share its graphs.  `graph_match` draws a META element's image only
+    from elements whose transitive types at the stack levels of its META type
+    chain are the chain's bindings there, and the untyped levels of a profile
+    follow from the level map; so the element's bound type and instance
+    profile depend only on the level map, the element and its image, and are
+    derived once per (level map, element, image) and shared after that.
     """
     stack = typing_stack(h, target_model)
     meta_els = {
         (e.type_name, e.type_level): rule.meta_element(e.type_name, e.type_level)
         for e in rule.from_pattern.elements + rule.to_pattern.elements
     }
+    metas = rule.meta_elements + rule.implicit_elements
+    meta_arrows = [el for el in metas if el.kind == ARROW and el.level >= 1]
     variants: Dict[tuple, list] = {}
-    shapes: Dict[tuple, dict] = {}  # level map -> each META element's profile shape
+    # level map -> each META element's profile shape, and (element, image) -> (bound type, profile)
+    tables: Dict[tuple, tuple] = {}
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model):
-        bound_mults = {}
-        for el in rule.meta_elements + rule.implicit_elements:
-            if el.kind != ARROW or el.level < 1:
-                continue
-            bound = mm_match.binding(el.level).get(el.name)
-            if bound is None:
-                continue
-            model = stack[mm_match.f(el.level)]
-            bound_mults[(el.level, el.name)] = (
-                model.info_for(bound).multiplicity or (0, None)
-            )
-        key = tuple(sorted(bound_mults.items()))
+        level_map, bindings = mm_match.level_map, mm_match.bindings
+        key = tuple(
+            stack[level_map[el.level]].info_for(bindings[el.level][el.name]).multiplicity
+            for el in meta_arrows
+        )
         if key not in variants:
-            variants[key] = [
-                _variant(expanded, target_model)
-                for expanded in expand_cardinalities(rule, bound_mults)
-            ]
-        bound_types = {
-            ref: (stack[mm_match.f(el.level)].name, mm_match.binding(el.level)[el.name])
-            for ref, el in meta_els.items()
-        }
-        levels = tuple(mm_match.level_map.items())
-        if levels not in shapes:
-            shapes[levels] = {
-                ref: _profile_shape(rule, el, mm_match.level_map) for ref, el in meta_els.items()
-            }
-        shaped = shapes[levels].items()
-        profiles = {ref: _filled(shape, mm_match) for ref, shape in shaped}
+            bound_mults = {(el.level, el.name): m or (0, None) for el, m in zip(meta_arrows, key)}
+            expanded = expand_cardinalities(rule, bound_mults)
+            variants[key] = [_variant(e, target_model) for e in expanded]
+        levels = tuple(level_map.items())
+        if levels not in tables:
+            shapes = {ref: _profile_shape(rule, el, level_map) for ref, el in meta_els.items()}
+            tables[levels] = (shapes, {})
+        shapes, memo = tables[levels]
+        derived = {}
+        for ref, el in meta_els.items():
+            image = bindings[el.level][el.name]
+            if (ref, image) not in memo:
+                bound_type = (stack[level_map[el.level]].name, image)
+                memo[ref, image] = (bound_type, _filled(shapes[ref], mm_match))
+            derived[ref] = memo[ref, image]
         for lhs, inter, rhs, typed_by in variants[key]:
-            types = {k: bound_types[ref] for k, ref in typed_by}
-            level_types = {k: profiles[ref] for k, ref in typed_by}
+            types = {k: derived[ref][0] for k, ref in typed_by}
+            level_types = {k: derived[ref][1] for k, ref in typed_by}
             name = f"{rule.name}_{len(out)}"
             out.append(TwoLevelRule(name, lhs, inter, rhs, types, level_types, rule.name, mm_match))
     return out

@@ -7,6 +7,7 @@ separate from the library implementations) and random instance generators.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,7 @@ from mlmt.rules import (
     NODE,
     McmtRule,
     MetaElement,
+    PatternElement,
     RulePattern,
     element_key,
     expand_cardinalities,
@@ -283,8 +285,19 @@ def random_partial_morphism(
     return PartialMorphism(src, dst, dict(t.node_map), dict(t.arrow_map))
 
 
-def random_hierarchy(rng: random.Random, depth: int = 2) -> MultilevelHierarchy:
-    """A small valid hierarchy: root Node/Arrow plus `depth` child models."""
+# the arrow multiplicities a varied `random_hierarchy` draws from
+MULTIPLICITIES = [(0, None), (1, None), (1, 1), (2, 2), (1, 2), (0, 2)]
+
+
+def random_hierarchy(
+    rng: random.Random, depth: int = 2, varied: bool = False
+) -> MultilevelHierarchy:
+    """A small valid hierarchy: root Node/Arrow plus `depth` child models.
+
+    A node is typed by a node of the model above it or by the root's Node.
+    With `varied`, it may be typed by a node of any model above it instead,
+    so a typing may skip levels, and an arrow gets a random multiplicity,
+    bounded or not; without it, the draws are as they always were."""
     root_graph = build_graph("root", ["Node"], [("Node", "Arrow", "Node")])
     root = ModelNode(
         "root",
@@ -306,9 +319,10 @@ def random_hierarchy(rng: random.Random, depth: int = 2) -> MultilevelHierarchy:
         nodes = [f"{name}_n{i}" for i in range(count)]
         info: Dict = {}
         for n in nodes:
-            # type by the parent level or jump straight to the root
+            # type by the parent level (any level above if varied) or jump straight to the root
             if lvl > 1 and rng.random() < 0.7:
-                t_model, t_elem = prev.name, rng.choice(sorted(prev.graph.nodes))
+                up = rng.choice(models[1:]) if varied else prev
+                t_model, t_elem = up.name, rng.choice(sorted(up.graph.nodes))
             else:
                 t_model, t_elem = "root", "Node"
             info[n] = ElementInfo((t_model, t_elem), (1, max(1, depth + 1 - lvl)))
@@ -331,9 +345,8 @@ def random_hierarchy(rng: random.Random, depth: int = 2) -> MultilevelHierarchy:
                 continue
             t_model, ta = rng.choice(candidates)
             arrows.append(key)
-            info[key] = ElementInfo(
-                (t_model, ta), (1, max(1, depth + 1 - lvl)), (0, None)
-            )
+            mult = rng.choice(MULTIPLICITIES) if varied else (0, None)
+            info[key] = ElementInfo((t_model, ta), (1, max(1, depth + 1 - lvl)), mult)
         graph = build_graph(name, nodes, arrows)
         model = ModelNode(name, prev.name, lvl, graph, info)
         models.append(model)
@@ -427,6 +440,59 @@ def random_meta_rule(rng: random.Random, depth: int = 2) -> McmtRule:
                 )
             )
     return McmtRule(f"R{rng.randint(0, 999)}", tuple(elements))
+
+
+def random_mcmt_rule(rng: random.Random, depth: int = 2) -> McmtRule:
+    """A `random_meta_rule` with FROM and TO patterns typed by its META elements.
+
+    A META node from level 3 on may be retyped by a node two META levels up,
+    so its META type chain skips a level; a META arrow may ask for
+    multiplicity 1..1; no META element is a constant.  The patterns hold a
+    node per chosen META node and, per chosen META arrow, an arrow typed by it
+    from a node typed by its source to a node of its own typed by its target,
+    which `expand_cardinalities` replicates.  Each node and arrow is in FROM,
+    in TO or in both."""
+    meta = list(random_meta_rule(rng, depth).meta_elements)
+    for i, el in enumerate(meta):
+        two_up = [e for e in meta if e.kind == NODE and e.level == el.level - 2]
+        if el.kind == NODE and two_up and rng.random() < 0.5:
+            el = replace(el, type_name=rng.choice(two_up).name, type_level=el.level - 2)
+        elif el.kind == ARROW and rng.random() < 0.3:
+            el = replace(el, multiplicity=(1, 1))
+        # no element of a random hierarchy is named after a META element
+        meta[i] = replace(el, constant=False)
+    nodes: List[PatternElement] = []
+    arrows: List[PatternElement] = []
+
+    def node(name: str, level: int) -> PatternElement:
+        nodes.append(PatternElement(f"p{len(nodes)}", name, level, NODE))
+        return nodes[-1]
+
+    for el in meta:
+        if el.kind == NODE and rng.random() < 0.6:
+            node(el.name, el.level)
+    for el in meta:
+        if el.kind == ARROW and rng.random() < 0.8:
+            sources = [n for n in nodes if (n.type_name, n.type_level) == (el.source, el.level)]
+            src = sources[0] if sources else node(el.source, el.level)
+            tgt = node(el.target, el.level)
+            name = f"e{len(arrows)}"
+            arrows.append(PatternElement(name, el.name, el.level, ARROW, src.name, tgt.name))
+    side = {n.name: rng.choice(["from", "to", "both", "both"]) for n in nodes}
+    from_els = [n for n in nodes if side[n.name] != "to"]
+    to_els = [n for n in nodes if side[n.name] != "from"]
+    for a in arrows:
+        ends = {side[a.source], side[a.target]}
+        if "to" not in ends:
+            from_els.append(a)
+        if "from" not in ends and (ends != {"both"} or rng.random() < 0.7):
+            to_els.append(a)
+    return McmtRule(
+        f"R{rng.randint(0, 999)}",
+        tuple(meta),
+        from_pattern=RulePattern(tuple(from_els)),
+        to_pattern=RulePattern(tuple(to_els)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,9 @@ def assert_valid_with_carried_incidence(G: Graph) -> None:
         assert G.incident(n) == frozenset(a for a in G.arrows if n in (a[0], a[2]))
 
 
+KIND_SEEDS = [("add", 41), ("delete arrows", 43), ("move arrows", 47), ("delete nodes", 53)]
+
+
 class TestDerivedGraphs:
     """Pushout and pullback complement build their results without
     re-validating them and derive their incidence maps step by step."""
@@ -326,9 +329,7 @@ class TestDerivedGraphs:
         keep = frozenset(n for n in sorted(I.nodes) if n in ends or rng.random() < 0.5)
         return I, I, Graph("R", keep, I.arrows)
 
-    @pytest.mark.parametrize(
-        "kind, seed", [("add", 41), ("delete arrows", 43), ("move arrows", 47), ("delete nodes", 53)]
-    )
+    @pytest.mark.parametrize("kind, seed", KIND_SEEDS)
     def test_unchanged_collections_are_shared(self, kind, seed):
         rng = random.Random(seed)
         host = random_graph(rng, "S", 8)
@@ -369,6 +370,27 @@ class TestDerivedGraphs:
             host, applied = T, applied + 1
         assert applied >= 25
         assert dangling > 0 if kind == "delete nodes" else dangling < applied
+
+    def test_trusted_morphisms_pass_the_checked_constructor(self, monkeypatch):
+        # `d` of a pushout and `t_in` of a pullback complement skip the checks
+        # of `TotalMorphism`; replay the seeded cases above and check each
+        built = []
+        trusted = TotalMorphism._trusted.__func__
+
+        def recording(cls, *fields):
+            built.append(trusted(cls, *fields))
+            return built[-1]
+
+        monkeypatch.setattr(TotalMorphism, "_trusted", classmethod(recording))
+        TestPushout().test_randomized_against_disjoint_union_oracle()
+        TestPullbackComplement.check_against_oracle(derived=False)
+        TestPullbackComplement.check_against_oracle(derived=True)
+        self.test_randomized_chain_of_steps()
+        for kind, seed in KIND_SEEDS:
+            self.test_unchanged_collections_are_shared(kind, seed)
+        assert len(built) > 1000
+        for t in built:
+            assert TotalMorphism(t.src, t.dst, dict(t.node_map), dict(t.arrow_map)) == t
 
 
 class TestPartialCompositionAssociativity:

@@ -5,21 +5,25 @@ match, and its `types` the types of the elements it creates.  The golden
 file holds both for every rule proliferated onto the two PLS
 configurations, as `proliferated_types` prints them; `instance_profile`
 is also checked against the reference in `support` on random META matches,
-and `proliferate` against `reference_proliferate` on the PLS configurations
-and on a generated family plant with `k..k` bounds and skipped levels.
+and `proliferate` against `reference_proliferate` on the PLS configurations,
+on a generated family plant with `k..k` bounds and skipped levels, and on
+random rules with patterns and bounded multiplicities over random hierarchies.
 """
 
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
-from mlmt.hierarchy import load_hierarchy
+from mlmt.hierarchy import load_hierarchy, transitive_type_at
 from mlmt.matching import find_meta_matches, instance_profile, proliferate
+from mlmt.rules import type_chain
 
 from support import (
     random_hierarchy,
+    random_mcmt_rule,
     random_meta_rule,
     reference_instance_profile,
     reference_proliferate,
@@ -123,3 +127,50 @@ def test_matches_with_equal_bound_multiplicities_keep_their_own_types(pls_rules,
     assert len(rules) == 4
     assert len({r.lhs for r in rules}) == 1
     assert len({tuple(sorted(r.types.items(), key=repr)) for r in rules}) == 4
+
+
+def premise_cases(rule, h, rules):
+    """Check that every level type of `rules` is the one `transitive_type_at` gives the bound
+    image at the stack levels of its META element's type chain, and None elsewhere, which
+    `proliferate` relies on to derive it once per (level map, META element, image); and count
+    the cases that exercise that."""
+    typed_by = {
+        e.name: rule.meta_element(e.type_name, e.type_level)
+        for e in rule.from_pattern.elements + rule.to_pattern.elements
+    }
+    seen, matches, profiles, rules_of = Counter(), {}, {}, Counter()
+    for r in rules:
+        mm = r.source_match
+        rules_of[id(mm)] += 1
+        for key, (model, image) in r.types.items():
+            meta_el = typed_by[(key if isinstance(key, str) else key[1]).split("$")[0]]
+            # the META levels of its type chain; a random one ends at a root type
+            levels = {c.level for c in type_chain(rule, meta_el)} | {0}
+            at = {mm.level_map[k] for k in levels}
+            rebuilt = tuple(
+                (lvl, transitive_type_at(h, model, image, lvl) if lvl in at else None)
+                for lvl, _ in r.level_types[key]
+            )
+            assert r.level_types[key] == rebuilt, (rule.name, key)
+            seen["META chain skips a META level"] += levels != set(range(max(levels) + 1))
+            matches.setdefault((tuple(mm.level_map.items()), meta_el, image), set()).add(id(mm))
+            profiles.setdefault((meta_el, image), set()).add(rebuilt)
+    seen["level map skips a stack level"] = sum(skips_a_level(r.source_match) for r in rules)
+    seen["matches bind one META element to one image"] = sum(len(m) > 1 for m in matches.values())
+    seen["level maps give one image two profiles"] = sum(len(p) > 1 for p in profiles.values())
+    seen["match with more than one variant"] = sum(n > 1 for n in rules_of.values())
+    return seen
+
+
+def test_proliferate_agrees_with_the_reference_on_random_rules():
+    rng = random.Random(1815)
+    seen = Counter()
+    for _ in range(300):
+        for depth in (2, 3, 4):
+            h = random_hierarchy(rng, depth=depth, varied=True)
+            rule = random_mcmt_rule(rng, depth=rng.randint(1, depth - 1))
+            for target in leaves(h):
+                got = proliferate(rule, h, target)
+                assert compiled(got) == compiled(reference_proliferate(rule, h, target)), rule
+                seen += premise_cases(rule, h, got)
+    assert len(seen) == 5 and min(seen.values()) >= 1, seen
