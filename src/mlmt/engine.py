@@ -97,9 +97,9 @@ def _anchored(order, plan, pools, incidence, x: ElementKey, p: ElementKey) -> Li
 
 
 def _morphism(rule: TwoLevelRule, graph: Graph, images: tuple) -> TotalMorphism:
-    """The match of the rule's left pattern into `graph` with the images of `rule.pattern`."""
+    """The match into `graph` with the images of `rule.pattern` that `injective_matches` found."""
     order, n = tuple(rule.pattern), len(rule.lhs.nodes)
-    return TotalMorphism(
+    return TotalMorphism._trusted(
         rule.lhs, graph, dict(zip(order[:n], images)), dict(zip(order[n:], images[n:]))
     )
 
@@ -306,9 +306,8 @@ class ExecutionTrace:
     def to_json_lines(self) -> str:
         import json
 
-        return "\n".join(
-            json.dumps(s.to_json(), sort_keys=True) for s in self.steps
-        ) + ("\n" if self.steps else "")
+        encode = json.JSONEncoder(sort_keys=True).encode  # what `json.dumps` would build per step
+        return "".join(encode(s.to_json()) + "\n" for s in self.steps)
 
 
 class _LiveMatches:
@@ -319,7 +318,13 @@ class _LiveMatches:
     info, so a step removes exactly the matches that use a deleted element, and every new match
     uses a created one (incremental matching, as in RETE).  So a step searches a pattern element
     only from a created element of its kind that carries its profile, and only from there (the
-    anchor table, RETE's alpha network at the level of pattern elements)."""
+    anchor table, RETE's alpha network at the level of pattern elements).
+
+    A created node is searched only for pattern nodes without arrows.  It is new (`fresh_name`
+    avoids every node of the model, and no arrow ends at a name the model lacks), so every arrow
+    at it was created in the same step.  A match that sends a pattern node with an arrow to it
+    sends that arrow to a created arrow, which carries the arrow's profile and is searched with
+    its ends fixed, also when they are created, so that search finds the match."""
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
@@ -334,21 +339,21 @@ class _LiveMatches:
         for i, r in enumerate(rules):
             order, (pools, incidence) = tuple(r.pattern), self.index.pools(r.pattern)
             for p, profile in r.pattern.items():
+                if not isinstance(p, tuple) and r.lhs.incident(p):
+                    continue  # found from the created arrows at its image, see above
                 entry = (i, p, order, r.lhs.anchored_plans[p], pools, incidence)
                 self.anchors.setdefault((isinstance(p, tuple), profile), []).append(entry)
 
     def step(self, result: ApplicationResult) -> None:
         """Move to the bottom model `result` made."""
-        self.index.step(result.model, result.created, result.deleted)
+        created = self.index.step(result.model, result.created, result.deleted)
         gone = set(result.deleted)
         if gone:
             self.lists = [[t for t in found if gone.isdisjoint(t)] for found in self.lists]
-        created, new = set(result.created), {}
-        for x in result.created:
+        new = {}
+        for x, profiles in created.items():
             kind = isinstance(x, tuple)
-            if kind and (x[0] in created or x[2] in created):
-                continue  # every match that uses it also uses that end
-            for profile in self.index.profiles(x):
+            for profile in profiles:
                 for i, p, order, plan, pools, incidence in self.anchors.get((kind, profile), ()):
                     found = _anchored(order, plan, pools, incidence, x, p)
                     if found:

@@ -180,20 +180,23 @@ class TypeIndex:
 
     def step(
         self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
-    ) -> None:
-        """Move to `model`, which differs from the current one by `created` and `deleted`."""
+    ) -> Dict[ElementKey, List[tuple]]:
+        """Move to `model`, which differs from the current one by `created` and `deleted`, and
+        return the `profiles` of each created element."""
         for e in deleted:
             self._update(e, False)
         self.model = model
-        for e in sorted(created, key=lambda e: isinstance(e, tuple)):  # an arrow's ends first
-            self._update(e, True)
+        ends_first = sorted(created, key=lambda e: isinstance(e, tuple))
+        return {e: self._update(e, True) for e in ends_first}
 
-    def _update(self, e: ElementKey, add: bool) -> None:
-        """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows."""
+    def _update(self, e: ElementKey, add: bool) -> List[tuple]:
+        """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
+        returns its `profiles`."""
         kind = isinstance(e, tuple)
         change = set.add if add else set.remove
         change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
-        for profile in self.profiles(e):
+        profiles = self.profiles(e)
+        for profile in profiles:
             change(self.found[kind, profile], e)
             for source, target in self.joined.get(profile, ()) if kind else ():
                 groups = self.ends[profile, source, target]
@@ -206,6 +209,7 @@ class TypeIndex:
                         groups[end].remove(e)
                         if not groups[end]:
                             del groups[end]
+        return profiles
 
     def profiles(self, e: ElementKey) -> List[tuple]:
         """The profiles asked of this index so far that the model's element `e` carries."""

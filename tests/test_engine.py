@@ -19,9 +19,17 @@ from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_
 from mlmt.matching import TwoLevelRule, proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
+from support import random_hierarchy, random_two_level_rule
+from test_matcher_order import _doubled, _grown
+
 
 def two_level_rules(pls, pls_rules, name, target="hammer_config"):
     return proliferate(pls_rules[name], pls, target)
+
+
+def checked(m):
+    """`m` rebuilt by the constructor that checks that it is total and keeps arrow ends."""
+    return TotalMorphism(m.src, m.dst, m.node_map, m.arrow_map)
 
 
 def expanded_mcmt_for(tl_rule, source_rule, pls, target="hammer_config"):
@@ -333,6 +341,14 @@ class TestRun:
             assert payload["step"] == i
             assert set(payload) == {"step", "rule", "match", "created", "deleted"}
 
+    def test_trace_lines_are_each_steps_json_dumps(self, pls, pls_module):
+        # the bytes `mlmt run` writes and the golden digests hash
+        trace = run(pls_module.rules, pls, "hammer_config", 30, seed=4)
+        lines = [json.dumps(s.to_json(), sort_keys=True) for s in trace.steps]
+        assert len(lines) == 30
+        assert trace.to_json_lines() == "\n".join(lines) + "\n"
+        assert run([], pls, "hammer_config", 10, seed=0).to_json_lines() == ""
+
     def test_empty_rule_list_gives_empty_trace(self, pls):
         trace = run([], pls, "hammer_config", 10, seed=0)
         assert trace.steps == ()
@@ -344,9 +360,12 @@ class TestRun:
         self, pls, pls_module, monkeypatch
     ):
         # a step searches a rule's pattern element only from a created element
-        # of its kind that carries its level types
-        initial, searched, lives = [], [], []
+        # of its kind that carries its level types; a created node only for a
+        # pattern node without arrows, and a created arrow also when an end was
+        # created with it
+        initial, searched, lives, made = [], [], [], []
         inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
+        step = engine._LiveMatches.step
 
         def counting(rule, model, h, index=None, touching=None):
             initial.append((rule, touching))
@@ -356,27 +375,47 @@ class TestRun:
             (live,) = lives
             (rule,) = [r for r in live.rules if live.index.pools(r.pattern)[0] is pools]
             h = pls.with_model(live.index.model)
-            searched.append((rule, p, x, h))
+            searched.append((rule, p, x, h, made[-1]))
             return anchored(order, plan, pools, incidence, x, p)
 
         def keeping(live, *args):
             init(live, *args)
             lives.append(live)
 
+        def stepping(live, result):
+            made.append(set(result.created))
+            step(live, result)
+
         monkeypatch.setattr(engine, "typed_matches", counting)
         monkeypatch.setattr(engine, "_anchored", recording)
         monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
+        monkeypatch.setattr(engine._LiveMatches, "step", stepping)
         trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
         assert len(trace.steps) == 200
         assert len({rule.name for rule, _ in initial}) == len(initial) == 21
         assert all(touching is None for _, touching in initial)
         assert 0 < len(searched) < 21 * len(trace.steps)
-        for rule, p, x, h in searched:
+        for rule, p, x, h, _ in searched:
             assert isinstance(p, tuple) == isinstance(x, tuple)
             assert all(
                 transitive_type_at(h, "hammer_config", x, level) == want
                 for level, want in rule.level_types[p]
             )
+            assert isinstance(x, tuple) or not rule.lhs.incident(p)
+        assert any(isinstance(x, tuple) and {x[0], x[2]} & new for _, _, x, _, new in searched)
+
+    def test_applied_matches_are_total_and_keep_ends(self, pls, pls_module, monkeypatch):
+        # `run` builds each match it applies unchecked, from the images its searches found
+        applied, inner = [], engine.apply_two_level_rule
+
+        def recording(rule, model, h, at=None):
+            applied.append(at)
+            return inner(rule, model, h, at)
+
+        monkeypatch.setattr(engine, "apply_two_level_rule", recording)
+        trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
+        assert len(applied) >= len(trace.steps) == 200
+        assert all(checked(m) == m for m in applied)
 
     def test_run_records_why_it_stopped(self, pls, pls_module):
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=0)
@@ -398,3 +437,25 @@ class TestRun:
             if transitive_type_at(final, "hammer_config", n, 2) == "Hammer"
         ]
         assert hammers
+
+
+def test_typed_matches_are_total_and_keep_ends():
+    # `typed_matches` builds its morphisms unchecked from the images
+    # `injective_matches` found; on the generated cases of the anchored-search
+    # oracle test, with and without `touching`, the checked constructor agrees
+    rng = random.Random(1996)
+    found = 0
+    for _ in range(800):
+        h = random_hierarchy(rng, depth=rng.randint(1, 3))
+        model = max(h.models.values(), key=lambda m: m.level)
+        model = _grown(rng, _doubled(rng, model))[0]
+        h = h.with_model(model)
+        if not model.graph.nodes:
+            continue
+        tl_rule = random_two_level_rule(rng, h, model, varied=True)
+        elements = sorted(model.graph.nodes) + sorted(model.graph.arrows)
+        for touching in (None, [e for e in elements if rng.random() < 0.3]):
+            for m in typed_matches(tl_rule, model, h, touching=touching):
+                assert checked(m) == m
+                found += bool(m.arrow_map)
+    assert found >= 200
