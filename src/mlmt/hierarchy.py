@@ -287,114 +287,135 @@ def level_jump(h: MultilevelHierarchy, model: str, element: ElementKey) -> int:
     return h.model(model).level - h.model(info.direct_type[0]).level
 
 
+Verdict = Optional[Tuple[str, str]]  # the rule and message of an issue, or None
+
+
 def validate_hierarchy(h: MultilevelHierarchy) -> List[ValidationIssue]:
+    """The issues of each model: its elements' typings, in sorted order of
+    the elements (nodes first), then its arrows' endpoint types and its
+    inheritance.  Whether an element's typing is unknown, off the model's
+    branch, a bad jump or against its type's potency depends only on the model
+    and the element's direct type, and whether an arrow's typing dangles only
+    on its own and its ends' direct types, so each model decides these once
+    per distinct type."""
     issues: List[ValidationIssue] = []
     for m in h.models.values():
         ancestors = set(h.root_path(m.name)[:-1])
-        for elem in sorted(m.graph.nodes) + sorted(m.graph.arrows):
-            if elem not in m.info:
-                issues.append(
-                    ValidationIssue(m.name, elem, "MissingTyping", "no element info")
-                )
-                continue
-            info = m.info[elem]
-            t_model, t_elem = info.direct_type
-            if t_model not in h.models or not h.model(t_model).graph.has(t_elem):
-                issues.append(
-                    ValidationIssue(
-                        m.name, elem, "UnknownType", f"type {t_model}.{t_elem!r} missing"
-                    )
-                )
-                continue
-            if m.parent is None:
-                continue  # root elements are self-typed, jump 0
-            if t_model not in ancestors:
-                issues.append(
-                    ValidationIssue(
-                        m.name,
-                        elem,
-                        "TypeOffBranch",
-                        f"type model {t_model} is not an ancestor of {m.name}",
-                    )
-                )
-                continue
-            d = level_jump(h, m.name, elem)
-            if not 1 <= d <= m.level:
-                issues.append(
-                    ValidationIssue(
-                        m.name, elem, "BadJump", f"level jump {d} out of range"
-                    )
-                )
-                continue
-            lo, hi = h.model(t_model).info_for(t_elem).potency
-            if not lo <= d <= hi:
-                issues.append(
-                    ValidationIssue(
-                        m.name,
-                        elem,
-                        "PotencyViolation",
-                        f"jump {d} outside declared potency {lo}-{hi} of "
-                        f"{t_model}.{t_elem!r}",
-                    )
-                )
-        issues.extend(_check_arrow_typing(h, m))
+        verdicts: Dict[TypeRef, Verdict] = {}
+        for elements in (m.graph.nodes, m.graph.arrows):
+            found = []
+            for elem in elements:
+                info = m.info.get(elem)
+                if info is None:
+                    found.append(ValidationIssue(m.name, elem, "MissingTyping", "no element info"))
+                    continue
+                t = info.direct_type
+                if t not in verdicts:
+                    verdicts[t] = _typing_verdict(h, m, t, ancestors)
+                if verdicts[t] is not None:
+                    found.append(ValidationIssue(m.name, elem, *verdicts[t]))
+            issues.extend(_in_element_order(found))
+        issues.extend(_check_arrow_typing(h, m, verdicts))
         issues.extend(_check_inheritance(h, m))
     return issues
 
 
-def _check_arrow_typing(h: MultilevelHierarchy, m: ModelNode) -> List[ValidationIssue]:
-    """Non-dangling typing: arrow and endpoint types must meet coherently."""
-    issues = []
+def _in_element_order(issues: List[ValidationIssue]) -> List[ValidationIssue]:
+    # each element of one kind gives at most one issue in a pass, so sorting
+    # the few issues found gives the order of the sorted elements
+    return sorted(issues, key=lambda i: i.element)
+
+
+def _typing_verdict(
+    h: MultilevelHierarchy, m: ModelNode, t: TypeRef, ancestors: Set[str]
+) -> Verdict:
+    """The issue of an element of `m` typed by `t`, if any."""
+    t_model, t_elem = t
+    if t_model not in h.models or not h.models[t_model].graph.has(t_elem):
+        return "UnknownType", f"type {t_model}.{t_elem!r} missing"
     if m.parent is None:
-        return issues
-    for a in sorted(m.graph.arrows):
-        if a not in m.info:
-            continue
-        t_model, t_elem = m.info[a].direct_type
-        if t_model not in h.models or not h.model(t_model).graph.has(t_elem):
-            continue  # already reported
-        if h.model(t_model).level >= m.level:
-            continue  # already reported as BadJump/TypeOffBranch
+        return None  # root elements are self-typed, jump 0
+    if t_model not in ancestors:
+        return "TypeOffBranch", f"type model {t_model} is not an ancestor of {m.name}"
+    d = m.level - h.models[t_model].level
+    if not 1 <= d <= m.level:
+        return "BadJump", f"level jump {d} out of range"
+    lo, hi = h.models[t_model].info_for(t_elem).potency
+    if not lo <= d <= hi:
+        return (
+            "PotencyViolation",
+            f"jump {d} outside declared potency {lo}-{hi} of {t_model}.{t_elem!r}",
+        )
+    return None
+
+
+def _check_arrow_typing(
+    h: MultilevelHierarchy, m: ModelNode, verdicts: Dict[TypeRef, Verdict]
+) -> List[ValidationIssue]:
+    """Non-dangling typing: arrow and endpoint types must meet coherently.
+
+    `verdicts` holds the `_typing_verdict` of every direct type in `m`.  An
+    arrow is checked only at a level above `m`, where an endpoint's type is
+    its direct type's, so the check is decided once per (arrow direct type,
+    source direct type, target direct type)."""
+    if m.parent is None:
+        return []
+    unknown = {t for t, v in verdicts.items() if v is not None and v[0] == "UnknownType"}
+    dangling: Dict[tuple, Verdict] = {}
+
+    def verdict(t: TypeRef, ends: Tuple[Optional[TypeRef], Optional[TypeRef]]) -> Verdict:
+        t_model, t_elem = t
+        t_level = h.models[t_model].level
+        if t_level >= m.level:
+            return None  # already reported as BadJump/TypeOffBranch
         if not isinstance(t_elem, tuple):
-            issues.append(
-                ValidationIssue(
-                    m.name, a, "TypeKindMismatch", "arrow typed by a node"
-                )
-            )
-            continue
-        t_level = h.model(t_model).level
-        src_t = transitive_type_at(h, m.name, a[0], t_level)
-        tgt_t = transitive_type_at(h, m.name, a[2], t_level)
-        if src_t != t_elem[0] or tgt_t != t_elem[2]:
-            issues.append(
-                ValidationIssue(
-                    m.name,
-                    a,
-                    "DanglingTyping",
-                    f"endpoint types at level {t_level} are "
-                    f"({src_t!r}, {tgt_t!r}), type arrow needs "
-                    f"({t_elem[0]!r}, {t_elem[2]!r})",
-                )
-            )
-    return issues
+            return "TypeKindMismatch", "arrow typed by a node"
+        if any(e is None or e in unknown for e in ends):
+            return None  # already reported as MissingTyping or UnknownType
+        # an endpoint typed in a model above m has its direct type's types
+        src_t, tgt_t = (
+            transitive_type_at(h, *e, t_level) if h.models[e[0]].level < m.level else None
+            for e in ends
+        )
+        if src_t == t_elem[0] and tgt_t == t_elem[2]:
+            return None
+        return "DanglingTyping", (
+            f"endpoint types at level {t_level} are ({src_t!r}, {tgt_t!r}), "
+            f"type arrow needs ({t_elem[0]!r}, {t_elem[2]!r})"
+        )
+
+    found = []
+    for a in m.graph.arrows:
+        info = m.info.get(a)
+        if info is None or info.direct_type in unknown:
+            continue  # already reported
+        src, tgt = m.info.get(a[0]), m.info.get(a[2])  # None for an end without info
+        key = (info.direct_type, src and src.direct_type, tgt and tgt.direct_type)
+        if key not in dangling:
+            dangling[key] = verdict(key[0], key[1:])
+        if dangling[key] is not None:
+            found.append(ValidationIssue(m.name, a, *dangling[key]))
+    return _in_element_order(found)
 
 
 def _check_inheritance(h: MultilevelHierarchy, m: ModelNode) -> List[ValidationIssue]:
     issues = []
-    for elem, info in m.info.items():
-        for sup in sorted(info.supertypes):
+    heirs = [(elem, info.supertypes) for elem, info in m.info.items() if info.supertypes]
+    for elem, supertypes in heirs:
+        for sup in sorted(supertypes):
             if sup not in m.graph.nodes:
                 issues.append(
                     ValidationIssue(
                         m.name, elem, "UnknownSupertype", f"{sup!r} not in model"
                     )
                 )
-    try:
-        _inheritance_order(m)
-    except InheritanceCycle as err:
-        issues.append(
-            ValidationIssue(m.name, str(err), "InheritanceCycle", "cyclic inheritance")
-        )
+    if heirs:  # without supertypes there is no cycle
+        try:
+            _inheritance_order(m)
+        except InheritanceCycle as err:
+            issues.append(
+                ValidationIssue(m.name, str(err), "InheritanceCycle", "cyclic inheritance")
+            )
     return issues
 
 
@@ -504,8 +525,7 @@ _POTENCY_RE = re.compile(r"([0-9]+)-([0-9]+)")
 _MULT_RE = re.compile(r"([0-9]+)\.\.([0-9]+|n|\*)")
 
 
-def _parse_potency(record: dict, path: str) -> Tuple[int, int]:
-    text = _field(record, "potency", path, "1-1")
+def _parse_potency(text: str, path: str) -> Tuple[int, int]:
     m = _POTENCY_RE.fullmatch(text)
     if not m:
         raise InputError(f"{path}.potency: bad potency {text!r}, expected 'min-max'")
@@ -518,8 +538,7 @@ def _parse_potency(record: dict, path: str) -> Tuple[int, int]:
     return lo, hi
 
 
-def _parse_multiplicity(record: dict, path: str) -> Tuple[int, Optional[int]]:
-    text = _field(record, "multiplicity", path, "0..n")
+def _parse_multiplicity(text: str, path: str) -> Tuple[int, Optional[int]]:
     m = _MULT_RE.fullmatch(text)
     if not m:
         raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}, expected 'l..u'")
@@ -541,37 +560,11 @@ def _format_multiplicity(mu: Tuple[int, Optional[int]]) -> str:
     return f"{mu[0]}..{'n' if mu[1] is None else mu[1]}"
 
 
-def _split_type_ref(record: dict, path: str) -> Tuple[str, str]:
-    text = _field(record, "type", path)
+def _split_type_ref(text: str, path: str) -> Tuple[str, str]:
     if "." not in text:
         raise InputError(f"{path}.type: type reference {text!r} must be 'model.element'")
     model, elem = text.split(".", 1)
     return model, elem
-
-
-def _resolve_arrow_type(
-    h: MultilevelHierarchy, model: str, arrow: Arrow, ref: Tuple[str, str]
-) -> Arrow:
-    """Pick the arrow named `ref` whose endpoints fit this arrow's typing."""
-    t_model, label = ref
-    if t_model not in h.models:
-        raise SchemaError(f"{model}: unknown type model {t_model!r}")
-    candidates = sorted(a for a in h.model(t_model).graph.arrows if a[1] == label)
-    if not candidates:
-        raise SchemaError(
-            f"{model}: no arrow named {label!r} in model {t_model}"
-        )
-    if len(candidates) == 1:
-        return candidates[0]
-    t_level = h.model(t_model).level
-    src_t = transitive_type_at(h, model, arrow[0], t_level)
-    tgt_t = transitive_type_at(h, model, arrow[2], t_level)
-    fitting = [a for a in candidates if a[0] == src_t and a[2] == tgt_t]
-    if len(fitting) != 1:
-        raise SchemaError(
-            f"{model}: ambiguous arrow type {t_model}.{label} for {arrow!r}"
-        )
-    return fitting[0]
 
 
 def read_text(path: str) -> str:
@@ -594,35 +587,100 @@ def _items(record: dict, key: str, path: str) -> list:
     return value
 
 
-def _field(record, key: str, path: str, default: Optional[str] = None) -> str:
-    """A string field of a JSON object, or an InputError naming its path."""
+def _object(record, path: str) -> dict:
+    """A JSON object, or an InputError naming its path."""
     if not isinstance(record, dict):
         raise InputError(f"{path}: expected an object")
+    return record
+
+
+def _field(record: dict, key: str, path: str, default: Optional[str] = None) -> str:
+    """A string field of a JSON object, or an InputError naming its path."""
     value = record.get(key, default)
     if not isinstance(value, str):
         raise InputError(f"{path}.{key}: {'missing' if value is None else 'expected a string'}")
     return value
 
 
-def _node_record(n, path: str) -> tuple:
-    """(name, type, potency, supertypes) of a node entry."""
-    name, type_ref = _field(n, "name", path), _split_type_ref(n, path)
-    supertypes = _items(n, "supertypes", path)
-    for k, sup in enumerate(supertypes):
-        if not isinstance(sup, str):
-            raise InputError(f"{path}.supertypes[{k}]: expected a string")
-    return name, type_ref, _parse_potency(n, path), frozenset(supertypes)
+class _Reader:
+    """Reads the records of one document.
 
+    Hierarchies are strictly typed, so a document's many elements share a
+    few type references, potencies and multiplicities.  The reader parses
+    each such text once per distinct string, resolves an arrow type's
+    candidates once per (type model, label) and builds each distinct
+    `ElementInfo` once, sharing it between the elements that carry it (it is
+    frozen).  A text is kept only once it parsed, so its first occurrence
+    that fails raises with its own path.  A reader lives for one
+    `parse_hierarchy` call."""
 
-def _arrow_record(a, path: str) -> tuple:
-    """((source, name, target), type, potency, multiplicity) of an arrow entry."""
-    key = (_field(a, "source", path), _field(a, "name", path), _field(a, "target", path))
-    return (
-        key,
-        _split_type_ref(a, path),
-        _parse_potency(a, path),
-        _parse_multiplicity(a, path),
-    )
+    def __init__(self):
+        self.texts: Dict[object, dict] = {
+            _split_type_ref: {}, _parse_potency: {}, _parse_multiplicity: {}
+        }
+        self.candidates: Dict[Tuple[str, str], List[Arrow]] = {}
+        self.infos: Dict[tuple, ElementInfo] = {}
+
+    def _parsed(self, record: dict, key: str, path: str, parse, default: Optional[str] = None):
+        text = _field(record, key, path, default)
+        done = self.texts[parse]
+        value = done.get(text)
+        if value is None:
+            value = done[text] = parse(text, path)
+        return value
+
+    def node(self, n, path: str) -> tuple:
+        """(name, type, potency, supertypes) of a node entry."""
+        _object(n, path)
+        name, type_ref = _field(n, "name", path), self._parsed(n, "type", path, _split_type_ref)
+        supertypes = _items(n, "supertypes", path)
+        for k, sup in enumerate(supertypes):
+            if not isinstance(sup, str):
+                raise InputError(f"{path}.supertypes[{k}]: expected a string")
+        potency = self._parsed(n, "potency", path, _parse_potency, "1-1")
+        return name, type_ref, potency, frozenset(supertypes)
+
+    def arrow(self, a, path: str) -> tuple:
+        """((source, name, target), type, potency, multiplicity) of an arrow entry."""
+        _object(a, path)
+        key = (_field(a, "source", path), _field(a, "name", path), _field(a, "target", path))
+        return (
+            key,
+            self._parsed(a, "type", path, _split_type_ref),
+            self._parsed(a, "potency", path, _parse_potency, "1-1"),
+            self._parsed(a, "multiplicity", path, _parse_multiplicity, "0..n"),
+        )
+
+    def info(self, *fields) -> ElementInfo:
+        """The one `ElementInfo` of these fields in this document."""
+        info = self.infos.get(fields)
+        if info is None:
+            info = self.infos[fields] = ElementInfo(*fields)
+        return info
+
+    def arrow_type(
+        self, h: MultilevelHierarchy, model: str, arrow: Arrow, ref: Tuple[str, str]
+    ) -> Arrow:
+        """The arrow named `ref` whose endpoints fit this arrow's typing."""
+        candidates = self.candidates.get(ref)
+        if candidates is None:
+            t_model, label = ref
+            if t_model not in h.models:
+                raise SchemaError(f"{model}: unknown type model {t_model!r}")
+            candidates = sorted(a for a in h.models[t_model].graph.arrows if a[1] == label)
+            if not candidates:
+                raise SchemaError(f"{model}: no arrow named {label!r} in model {t_model}")
+            self.candidates[ref] = candidates
+        if len(candidates) == 1:
+            return candidates[0]
+        t_model, label = ref
+        t_level = h.models[t_model].level
+        src_t = transitive_type_at(h, model, arrow[0], t_level)
+        tgt_t = transitive_type_at(h, model, arrow[2], t_level)
+        fitting = [a for a in candidates if a[0] == src_t and a[2] == tgt_t]
+        if len(fitting) != 1:
+            raise SchemaError(f"{model}: ambiguous arrow type {t_model}.{label} for {arrow!r}")
+        return fitting[0]
 
 
 def parse_hierarchy(text: str) -> MultilevelHierarchy:
@@ -636,18 +694,19 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
         raise InputError("top level must be an object with a 'models' list")
 
     # first pass: graphs and records with their fields checked
+    read = _Reader()
     records = []
     graphs: Dict[str, Graph] = {}
     parents: Dict[str, Optional[str]] = {}
     for i, entry in enumerate(data["models"]):
         path = f"models[{i}]"
-        name = _field(entry, "name", path)
+        name = _field(_object(entry, path), "name", path)
         nodes = [
-            _node_record(n, f"{path}.nodes[{j}]")
+            read.node(n, f"{path}.nodes[{j}]")
             for j, n in enumerate(_items(entry, "nodes", path))
         ]
         arrows = [
-            _arrow_record(a, f"{path}.arrows[{j}]")
+            read.arrow(a, f"{path}.arrows[{j}]")
             for j, a in enumerate(_items(entry, "arrows", path))
         ]
         graphs[name] = build_graph(name, [n[0] for n in nodes], [a[0] for a in arrows])
@@ -670,28 +729,23 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
     models = []
     for name, nodes, _ in records:
         info: Dict[ElementKey, ElementInfo] = {}
-        for node, (t_model, t_elem), potency, supertypes in nodes:
-            if t_model not in graphs or t_elem not in graphs[t_model].nodes:
-                raise SchemaError(
-                    f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}"
-                )
-            info[node] = ElementInfo(
-                direct_type=(t_model, t_elem),
-                potency=potency,
-                supertypes=supertypes,
-            )
+        for node, type_ref, potency, supertypes in nodes:
+            fields = (type_ref, potency, None, supertypes)
+            if fields not in read.infos:  # a node type is checked once per distinct info
+                t_model, t_elem = type_ref
+                if t_model not in graphs or t_elem not in graphs[t_model].nodes:
+                    raise SchemaError(
+                        f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}"
+                    )
+            info[node] = read.info(*fields)
         models.append(ModelNode(name, parents[name], depth(name), graphs[name], info))
     node_typed = build_hierarchy(models)
 
     for i, (name, _, arrows) in enumerate(records):
         info = dict(models[i].info)
         for key, ref, potency, mult in arrows:
-            resolved = _resolve_arrow_type(node_typed, name, key, ref)
-            info[key] = ElementInfo(
-                direct_type=(ref[0], resolved),
-                potency=potency,
-                multiplicity=mult,
-            )
+            resolved = read.arrow_type(node_typed, name, key, ref)
+            info[key] = read.info((ref[0], resolved), potency, mult, frozenset())
         models[i] = replace(models[i], info=info)
     return build_hierarchy(models)
 

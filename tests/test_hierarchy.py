@@ -85,6 +85,31 @@ class TestLoadSave:
         assert validate_hierarchy(h) == []
 
 
+class TestParseKeepsNoState:
+    """A parse shares equal, frozen `ElementInfo` values within one document,
+    and nothing between two parses."""
+
+    def test_equal_infos_are_one_object_within_a_parse(self, pls_paths):
+        h = load_hierarchy(pls_paths[0])
+        infos = [i for m in h.models.values() for i in m.info.values()]
+        by_value = {}
+        for info in infos:
+            assert by_value.setdefault(info, info) is info
+        assert len(by_value) < len(infos)
+
+    def test_two_parses_share_no_info(self, pls_paths):
+        first, second = load_hierarchy(pls_paths[0]), load_hierarchy(pls_paths[0])
+        assert first == second
+        ids = {id(i) for m in first.models.values() for i in m.info.values()}
+        assert not ids & {id(i) for m in second.models.values() for i in m.info.values()}
+
+    def test_round_trip_on_random_hierarchies(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            h = random_hierarchy(rng, depth=rng.randint(1, 4), varied=True)
+            assert parse_hierarchy(json.dumps(hierarchy_to_json(h))) == h
+
+
 class TestValidation:
     def test_level_jump_through_two_levels_allowed(self, pls):
         out_arrow = ("ghandle", "out", "cv1")
@@ -118,6 +143,27 @@ class TestValidation:
         )
         issues = validate_hierarchy(mutated)
         assert any(i.rule == "DanglingTyping" for i in issues)
+
+    @pytest.mark.parametrize(
+        "b_info, issue",
+        [
+            (None, "m1/'b': [MissingTyping] no element info"),
+            (ElementInfo(("nowhere", "Node")), "m1/'b': [UnknownType] type nowhere.'Node' missing"),
+        ],
+    )
+    def test_arrow_at_an_already_reported_endpoint_is_not_checked(self, b_info, issue):
+        # an endpoint without info, or typed into an unknown model, is
+        # reported once and its arrow's endpoint types are not looked up
+        root = random_hierarchy(random.Random(0), depth=0).model("root")
+        arrow = ("a", "x", "b")
+        info = {
+            "a": ElementInfo(("root", "Node")),
+            arrow: ElementInfo(("root", ("Node", "Arrow", "Node")), (1, 1), (0, None)),
+        }
+        if b_info is not None:
+            info["b"] = b_info
+        m1 = ModelNode("m1", "root", 1, build_graph("m1", ["a", "b"], [arrow]), info)
+        assert [str(i) for i in validate_hierarchy(build_hierarchy([root, m1]))] == [issue]
 
     def test_own_potency_is_irrelevant_to_own_typing(self, pls):
         # changing an instance's own potency never changes whether it

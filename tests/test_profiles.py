@@ -76,12 +76,14 @@ def skips_a_level(mm_match) -> bool:
 
 def test_instance_profile_agrees_with_the_reference_on_random_matches():
     rng = random.Random(2019)
-    checked = skipping = 0
+    checked = skipping = nonempty = 0
     for _ in range(600):
         h = random_hierarchy(rng, depth=rng.randint(1, 3))
         rule = random_meta_rule(rng, depth=rng.randint(1, 2))
         bottom = max(h.models.values(), key=lambda m: m.level)
-        for mm_match in find_meta_matches(rule, h, bottom.name):
+        matches = find_meta_matches(rule, h, bottom.name)
+        nonempty += bool(matches)  # most random META rules have no match
+        for mm_match in matches:
             skipping += skips_a_level(mm_match)
             for el in rule.meta_elements + rule.implicit_elements:
                 got = instance_profile(rule, el, mm_match)
@@ -89,6 +91,7 @@ def test_instance_profile_agrees_with_the_reference_on_random_matches():
                 checked += 1
     assert skipping >= 50
     assert checked >= 500
+    assert nonempty >= 100
 
 
 @pytest.fixture(scope="module")
