@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
     chain_pullback_complement,
@@ -53,34 +53,17 @@ def typed_matches(
     model: ModelNode,
     h: MultilevelHierarchy,
     index: Optional[TypeIndex] = None,
-    touching: Optional[Iterable[ElementKey]] = None,
 ) -> List[TotalMorphism]:
     """All injective matches of the rule's left pattern into the model, ordered by the images of
-    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`.
-
-    With `touching`, only the matches that use at least one of those elements, in the same
-    order.  Each touched element is tried as the image of every pattern element whose profile
-    accepts it (an arrow's ends are fixed with it), and the search starts there, by the rule's
-    plan for that element; a touched arrow with a touched end is left out, as every match that
-    uses it also uses that end."""
+    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`.  `run`
+    searches this way once per rule, and then only from what each step creates (`_LiveMatches`)."""
     index = index or TypeIndex(h, model)
     pools, incidence = index.pools(rule.pattern)
     order = tuple(rule.pattern)
-    if touching is None:
-        nodes = sorted(rule.lhs.nodes)
-        arrows = [(a, a[0], a[2]) for a in order[len(nodes):]]
-        plan = search_plan(nodes, arrows, size=lambda n: len(pools[n]))
-        found = injective_matches(order, plan, pools, incidence)
-    else:
-        touched, anchored = set(touching), set()
-        for x in touched:
-            if isinstance(x, tuple) and (x[0] in touched or x[2] in touched):
-                continue
-            for p in order:
-                if x in pools[p]:
-                    plan = rule.lhs.anchored_plans[p]
-                    anchored.update(_anchored(order, plan, pools, incidence, x, p))
-        found = sorted(anchored)
+    nodes = sorted(rule.lhs.nodes)
+    arrows = [(a, a[0], a[2]) for a in order[len(nodes):]]
+    plan = search_plan(nodes, arrows, size=lambda n: len(pools[n]))
+    found = injective_matches(order, plan, pools, incidence)
     return [_morphism(rule, model.graph, m) for m in found]
 
 

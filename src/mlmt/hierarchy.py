@@ -104,9 +104,9 @@ def build_hierarchy(models: List[ModelNode]) -> MultilevelHierarchy:
     for m in models:
         if m.parent is not None and m.parent not in by_name:
             raise SchemaError(f"{m.name}: unknown parent {m.parent!r}")
-    h = MultilevelHierarchy(by_name, roots[0].name)
+    parents = {m.name: m.parent for m in models}
     for m in models:
-        depth = len(h.root_path(m.name)) - 1
+        depth = _depth(parents, m.name)
         if m.level != depth:
             raise SchemaError(
                 f"{m.name}: declared level {m.level} but tree depth is {depth}"
@@ -117,7 +117,18 @@ def build_hierarchy(models: List[ModelNode]) -> MultilevelHierarchy:
             raise SchemaError(
                 f"root element {elem!r} must be typed inside the root"
             )
-    return h
+    return MultilevelHierarchy(by_name, root.name)
+
+
+def _depth(parents: Dict[str, Optional[str]], name: str) -> int:
+    """The number of parent steps from the model `name` up to the root."""
+    d, cur, seen = 0, parents[name], {name}
+    while cur is not None:
+        if cur in seen:
+            raise SchemaError(f"parent cycle through {cur!r}")
+        seen.add(cur)
+        d, cur = d + 1, parents[cur]
+    return d
 
 
 def type_walk(
@@ -173,7 +184,6 @@ class TypeIndex:
         self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
         self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
         self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
-        self.by_pattern: Dict[int, tuple] = {}  # id(pattern) -> (pattern, pools, by_ends groups)
         self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
         for e in (*model.graph.nodes, *model.graph.arrows):
             self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), set()).add(e)
@@ -253,18 +263,15 @@ class TypeIndex:
 
     def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:
         """The candidates of each element of `pattern`, a dict from pattern elements to their
-        profiles, and the `by_ends` groups of each of its arrows.  They are fetched once per
-        pattern dict, keyed by its identity, and then kept, as `step` updates them in place."""
-        entry = self.by_pattern.get(id(pattern))
-        if entry is None:  # the entry holds the pattern, so its id stays its own
-            pools = {e: self.candidates(isinstance(e, tuple), p) for e, p in pattern.items()}
-            by_ends = {
-                a: self.by_ends(p, pattern[a[0]], pattern[a[2]])
-                for a, p in pattern.items()
-                if isinstance(a, tuple)
-            }
-            entry = self.by_pattern[id(pattern)] = (pattern, pools, by_ends)
-        return entry[1], entry[2]
+        profiles, and the `by_ends` groups of each of its arrows.  Both are the index's own live
+        sets, which `step` updates in place, so a caller may keep them across steps."""
+        pools = {e: self.candidates(isinstance(e, tuple), p) for e, p in pattern.items()}
+        by_ends = {
+            a: self.by_ends(p, pattern[a[0]], pattern[a[2]])
+            for a, p in pattern.items()
+            if isinstance(a, tuple)
+        }
+        return pools, by_ends
 
     def _holds(self, t: TypeRef, profile: tuple) -> bool:
         """Whether an element of direct type `t` has the profile's types above the model."""
@@ -340,7 +347,10 @@ def _typing_verdict(
     d = m.level - h.models[t_model].level
     if not 1 <= d <= m.level:
         return "BadJump", f"level jump {d} out of range"
-    lo, hi = h.models[t_model].info_for(t_elem).potency
+    t_info = h.models[t_model].info.get(t_elem)
+    if t_info is None:
+        return None  # reported as MissingTyping in its own model
+    lo, hi = t_info.potency
     if not lo <= d <= hi:
         return (
             "PotencyViolation",
@@ -372,11 +382,15 @@ def _check_arrow_typing(
             return "TypeKindMismatch", "arrow typed by a node"
         if any(e is None or e in unknown for e in ends):
             return None  # already reported as MissingTyping or UnknownType
-        # an endpoint typed in a model above m has its direct type's types
-        src_t, tgt_t = (
-            transitive_type_at(h, *e, t_level) if h.models[e[0]].level < m.level else None
-            for e in ends
-        )
+        # an endpoint typed in a model above m has its direct type's types; a walk up that meets
+        # a type without info or in an unknown model is reported in that type's own model
+        try:
+            src_t, tgt_t = (
+                transitive_type_at(h, *e, t_level) if h.models[e[0]].level < m.level else None
+                for e in ends
+            )
+        except (KeyError, SchemaError):
+            return None
         if src_t == t_elem[0] and tgt_t == t_elem[2]:
             return None
         return "DanglingTyping", (
@@ -716,15 +730,6 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
         if parent is not None and parent not in graphs:
             raise SchemaError(f"{name}: unknown parent {parent!r}")
 
-    def depth(name: str) -> int:
-        d, cur, seen = 0, parents[name], {name}
-        while cur is not None:
-            if cur in seen:
-                raise SchemaError(f"parent cycle through {cur!r}")
-            seen.add(cur)
-            d, cur = d + 1, parents[cur]
-        return d
-
     # second pass: the node-typed models, over which arrow types are resolved
     models = []
     for name, nodes, _ in records:
@@ -738,7 +743,7 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
                         f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}"
                     )
             info[node] = read.info(*fields)
-        models.append(ModelNode(name, parents[name], depth(name), graphs[name], info))
+        models.append(ModelNode(name, parents[name], _depth(parents, name), graphs[name], info))
     node_typed = build_hierarchy(models)
 
     for i, (name, _, arrows) in enumerate(records):

@@ -19,8 +19,8 @@ from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_
 from mlmt.matching import TwoLevelRule, proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
-from support import random_hierarchy, random_two_level_rule
-from test_matcher_order import _doubled, _grown
+from support import random_hierarchy, random_mcmt_rule, random_two_level_rule
+from test_matcher_order import live_steps, two_steps
 
 
 def two_level_rules(pls, pls_rules, name, target="hammer_config"):
@@ -32,8 +32,9 @@ def checked(m):
     return TotalMorphism(m.src, m.dst, m.node_map, m.arrow_map)
 
 
-def expanded_mcmt_for(tl_rule, source_rule, pls, target="hammer_config"):
-    """The cardinality-expanded MCMT variant a two-level rule came from."""
+def cardinality_variants(tl_rule, source_rule, pls, target="hammer_config"):
+    """The cardinality-expanded variants of the MCMT a two-level rule came from,
+    under the multiplicities its META match bound."""
     stack = typing_stack(pls, target)
     mm = tl_rule.source_match
     bound_mults = {}
@@ -47,12 +48,28 @@ def expanded_mcmt_for(tl_rule, source_rule, pls, target="hammer_config"):
         bound_mults[(el.level, el.name)] = (
             model.info_for(bound).multiplicity or (0, None)
         )
-    wanted = tl_rule.lhs.nodes | {a[1] for a in tl_rule.lhs.arrows}
-    for cand in expand_cardinalities(source_rule, bound_mults):
-        names = {e.name for e in cand.from_pattern.elements}
-        if names == wanted:
-            return cand
-    raise AssertionError("no expanded variant reproduces the two-level LHS")
+    return expand_cardinalities(source_rule, bound_mults)
+
+
+def element_names(graph):
+    return graph.nodes | {a[1] for a in graph.arrows}
+
+
+def expanded_mcmt_for(tl_rule, source_rule, pls, target="hammer_config"):
+    """The cardinality-expanded MCMT variant a two-level rule came from: the one
+    whose FROM and TO patterns hold the rule's element names.  Variants that
+    differ only in created elements share their FROM names, so both sides are
+    compared, and what is left must be one rule."""
+    wanted = (element_names(tl_rule.lhs), element_names(tl_rule.rhs))
+    found = [
+        cand
+        for cand in cardinality_variants(tl_rule, source_rule, pls, target)
+        if tuple({e.name for e in p.elements} for p in (cand.from_pattern, cand.to_pattern))
+        == wanted
+    ]
+    assert found, "no expanded variant reproduces the two-level rule"
+    assert all(cand == found[0] for cand in found)
+    return found[0]
 
 
 class TestTwoLevelApplication:
@@ -277,6 +294,52 @@ class TestDirectApplication:
                 assert component.arrow_map == {a: base.arrow_map[a] for a in g.arrows}
 
 
+def test_compiled_and_direct_routes_agree_on_generated_inputs():
+    # random MCMT rules compiled onto a leaf of random hierarchies: at every
+    # match of every compiled rule, the two-level step and the direct chain
+    # route give the same graph, info, deleted elements and set of created
+    # elements, or both refuse the match as a dangling deletion.  Counted are
+    # applications that delete, that dangle and that create, and those whose
+    # compiled rule's FROM names fit variants that differ in what they create
+    rng = random.Random(5)
+    seen = dict.fromkeys(["delete", "dangle", "create", "ambiguous"], 0)
+    for _ in range(800):
+        depth = rng.randint(2, 4)
+        h = random_hierarchy(rng, depth=depth, varied=True)
+        parents = {m.parent for m in h.models.values()}
+        target = rng.choice(sorted(name for name in h.models if name not in parents))
+        rule = random_mcmt_rule(rng, depth=rng.randint(1, depth - 1))
+        model = h.model(target)
+        for tl_rule in proliferate(rule, h, target):
+            variant = expanded_mcmt_for(tl_rule, rule, h, target)
+            creates = {
+                frozenset(e.name for e in v.to_pattern.elements)
+                for v in cardinality_variants(tl_rule, rule, h, target)
+                if {e.name for e in v.from_pattern.elements} == element_names(tl_rule.lhs)
+            }
+            for m in typed_matches(tl_rule, model, h):
+                via_rule, _ = apply_two_level_rule(tl_rule, model, h, at=m)
+                try:
+                    _, direct = apply_mcmt(variant, h, target, tl_rule.source_match, m)
+                except DanglingDeletion:
+                    direct = None
+                seen["ambiguous"] += len(creates) > 1
+                if not via_rule:
+                    assert direct is None
+                    seen["dangle"] += 1
+                    continue
+                (compiled,) = via_rule
+                assert direct is not None
+                assert compiled.model.graph == direct.model.graph
+                assert compiled.model.info == direct.model.info
+                assert compiled.deleted == direct.deleted
+                assert set(compiled.created) == set(direct.created)
+                seen["delete"] += bool(compiled.deleted)
+                seen["create"] += bool(compiled.created)
+    assert min(seen["delete"], seen["dangle"], seen["create"]) >= 20, seen
+    assert seen["ambiguous"] >= 10, seen
+
+
 class TestTypeIndex:
     def test_one_index_serves_every_state_of_a_run(self, pls, pls_module):
         from test_matcher_order import run_states
@@ -367,13 +430,14 @@ class TestRun:
         inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
         step = engine._LiveMatches.step
 
-        def counting(rule, model, h, index=None, touching=None):
-            initial.append((rule, touching))
-            return inner(rule, model, h, index, touching)
+        def counting(rule, model, h, index=None):
+            initial.append(rule)
+            return inner(rule, model, h, index)
 
         def recording(order, plan, pools, incidence, x, p):
             (live,) = lives
-            (rule,) = [r for r in live.rules if live.index.pools(r.pattern)[0] is pools]
+            (i,) = {e[0] for entries in live.anchors.values() for e in entries if e[4] is pools}
+            rule = live.rules[i]
             h = pls.with_model(live.index.model)
             searched.append((rule, p, x, h, made[-1]))
             return anchored(order, plan, pools, incidence, x, p)
@@ -392,8 +456,7 @@ class TestRun:
         monkeypatch.setattr(engine._LiveMatches, "step", stepping)
         trace = run(pls_module.rules, pls, "hammer_config", 200, seed=3)
         assert len(trace.steps) == 200
-        assert len({rule.name for rule, _ in initial}) == len(initial) == 21
-        assert all(touching is None for _, touching in initial)
+        assert len({rule.name for rule in initial}) == len(initial) == 21
         assert 0 < len(searched) < 21 * len(trace.steps)
         for rule, p, x, h, _ in searched:
             assert isinstance(p, tuple) == isinstance(x, tuple)
@@ -440,22 +503,27 @@ class TestRun:
 
 
 def test_typed_matches_are_total_and_keep_ends():
-    # `typed_matches` builds its morphisms unchecked from the images
-    # `injective_matches` found; on the generated cases of the anchored-search
-    # oracle test, with and without `touching`, the checked constructor agrees
+    # `typed_matches` and `run`'s anchor table keep matches as images that
+    # `_morphism` turns into morphisms unchecked; on the generated cases of the
+    # anchored-search oracle test, a full search and the lists kept after each
+    # step, the checked constructor agrees
     rng = random.Random(1996)
-    found = 0
+    found = kept = 0
     for _ in range(800):
         h = random_hierarchy(rng, depth=rng.randint(1, 3))
-        model = max(h.models.values(), key=lambda m: m.level)
-        model = _grown(rng, _doubled(rng, model))[0]
-        h = h.with_model(model)
-        if not model.graph.nodes:
+        before = max(h.models.values(), key=lambda m: m.level)
+        steps = two_steps(rng, before)
+        final = steps[-1][0]
+        if not final.graph.nodes:
             continue
-        tl_rule = random_two_level_rule(rng, h, model, varied=True)
-        elements = sorted(model.graph.nodes) + sorted(model.graph.arrows)
-        for touching in (None, [e for e in elements if rng.random() < 0.3]):
-            for m in typed_matches(tl_rule, model, h, touching=touching):
+        tl_rule = random_two_level_rule(rng, h.with_model(final), final, varied=True)
+        for m in typed_matches(tl_rule, final, h.with_model(final)):
+            assert checked(m) == m
+            found += bool(m.arrow_map)
+        for after, _, images in live_steps(tl_rule, h, before.name, steps):
+            for t in images:
+                m = engine._morphism(tl_rule, after.graph, t)
                 assert checked(m) == m
-                found += bool(m.arrow_map)
-    assert found >= 200
+                kept += bool(m.arrow_map)
+    assert found + kept >= 200
+    assert kept >= 100

@@ -1,6 +1,9 @@
 import json
 import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +60,35 @@ class TestLoadSave:
         }
         with pytest.raises(SchemaError):
             parse_hierarchy(json.dumps(data))
+
+    def test_parent_cycle_rejected_without_hanging(self):
+        # `build_hierarchy` on models whose parents form a cycle below the root
+        # raises as `parse_hierarchy` does; it runs in a child process with a
+        # timeout and a bounded address space, so that a walk around the cycle
+        # fails here instead of hanging or filling memory
+        code = """if True:
+            try:
+                import resource
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            except (ImportError, OSError, ValueError):
+                pass
+            from mlmt.errors import SchemaError
+            from mlmt.graphs import build_graph
+            from mlmt.hierarchy import ModelNode, build_hierarchy
+            models = [ModelNode("root", None, 0, build_graph("root", [], []))]
+            models += [ModelNode(n, p, 1, build_graph(n, [], [])) for n, p in ("ab", "ba")]
+            try:
+                build_hierarchy(models)
+            except SchemaError as err:
+                print(err)
+        """
+        src = os.path.dirname(os.path.dirname(build_hierarchy.__code__.co_filename))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=20
+        )
+        assert (proc.stdout, proc.stderr) == ("parent cycle through 'a'\n", "")
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError) as err:
@@ -164,6 +196,51 @@ class TestValidation:
             info["b"] = b_info
         m1 = ModelNode("m1", "root", 1, build_graph("m1", ["a", "b"], [arrow]), info)
         assert [str(i) for i in validate_hierarchy(build_hierarchy([root, m1]))] == [issue]
+
+    def test_types_without_info_are_not_looked_up(self):
+        # `x` has no info and is reported once in m1; the potency of the type
+        # of m2's `y` and the endpoint types of m3's arrow at `y`'s instances
+        # are not looked up through it, as for an endpoint without info
+        root = random_hierarchy(random.Random(0), depth=0).model("root")
+        m1 = ModelNode("m1", "root", 1, build_graph("m1", ["x"], []), {})
+        m2 = ModelNode("m2", "m1", 2, build_graph("m2", ["y"], []), {"y": ElementInfo(("m1", "x"))})
+        arrow = ("u", "r", "v")
+        info = {
+            "u": ElementInfo(("m2", "y")),
+            "v": ElementInfo(("m2", "y")),
+            arrow: ElementInfo(("root", ("Node", "Arrow", "Node")), (1, 1), (0, None)),
+        }
+        m3 = ModelNode("m3", "m2", 3, build_graph("m3", ["u", "v"], [arrow]), info)
+        want = ["m1/'x': [MissingTyping] no element info"]
+        assert [str(i) for i in validate_hierarchy(build_hierarchy([root, m1, m2]))] == want
+        issues = [str(i) for i in validate_hierarchy(build_hierarchy([root, m1, m2, m3]))]
+        assert issues == want + [
+            "m3/('u', 'r', 'v'): [PotencyViolation] jump 3 outside declared potency 1-1 "
+            "of root.('Node', 'Arrow', 'Node')"
+        ]
+
+    def test_built_hierarchies_with_dropped_or_moved_typings_are_reported(self):
+        # `build_hierarchy` checks no element info, so random hierarchies
+        # whose non-root elements lose their info or are retyped to any element
+        # of any model, or of a missing one, are reported, never raised at
+        rng = random.Random(23)
+        reported = 0
+        for _ in range(400):
+            h = random_hierarchy(rng, depth=rng.randint(1, 4), varied=True)
+            refs = [("ghost", "Node")]
+            refs += [(m.name, e) for m in h.models.values() for e in sorted(m.info, key=repr)]
+            models = []
+            for m in h.models.values():
+                info = dict(m.info)
+                for e in sorted(info, key=repr) if m.parent is not None else ():
+                    r = rng.random()
+                    if r < 0.1:
+                        del info[e]
+                    elif r < 0.2:
+                        info[e] = replace(info[e], direct_type=rng.choice(refs))
+                models.append(replace(m, info=info))
+            reported += bool(validate_hierarchy(build_hierarchy(models)))
+        assert reported >= 250
 
     def test_own_potency_is_irrelevant_to_own_typing(self, pls):
         # changing an instance's own potency never changes whether it

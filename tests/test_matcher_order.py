@@ -136,8 +136,8 @@ def _grown(rng, model):
 
 
 def test_anchored_matches_on_random_steps():
-    # an index stepped by a made-up delta equals a fresh one, and
-    # `touching=X` returns exactly the full list's matches that use X
+    # an index stepped by a made-up delta hands out the candidates a fresh
+    # one builds, so a search through it returns the same list
     rng = random.Random(1982)
     used = 0
     for _ in range(600):
@@ -153,12 +153,7 @@ def test_anchored_matches_on_random_steps():
         index.step(after, created, deleted)
         full = typed_matches(tl_rule, after, h_after)
         assert typed_matches(tl_rule, after, h_after, index) == full
-        elements = sorted(after.graph.nodes) + sorted(after.graph.arrows)
-        some = [e for e in elements if rng.random() < 0.3]
-        for touching in (created, some):
-            want = [m for m in full if any(m(e) in touching for e in (*m.node_map, *m.arrow_map))]
-            assert typed_matches(tl_rule, after, h_after, index, touching=touching) == want
-            used += bool(want)
+        used += bool(full)
     assert used >= 100
 
 
@@ -266,9 +261,9 @@ def test_runs_keep_fresh_matches_on_generated_inputs(monkeypatch):
 
 
 def _doubled(rng, model):
-    """`model` plus a copy `n'` of each node and of each arrow between the
-    copies, some of them twice, as parallel arrows; every copy takes the
-    original's info."""
+    """`model` after a made-up step that creates a copy `n'` of each node and
+    of each arrow between the copies, some of them twice, as parallel arrows,
+    as `_grown` gives it; every copy takes the original's info."""
     info = dict(model.info)
     arrows = set(model.graph.arrows)
     for n in model.graph.nodes:
@@ -282,37 +277,55 @@ def _doubled(rng, model):
             arrows.add(c)
     nodes = model.graph.nodes | {n + "'" for n in model.graph.nodes}
     graph = Graph(model.name, frozenset(nodes), frozenset(arrows))
-    return ModelNode(model.name, model.parent, model.level, graph, info)
+    created = sorted(nodes - model.graph.nodes) + sorted(arrows - model.graph.arrows)
+    return ModelNode(model.name, model.parent, model.level, graph, info), created, []
+
+
+def two_steps(rng, model):
+    """Two made-up steps from `model`: `_doubled`, then `_grown` of that."""
+    first = _doubled(rng, model)
+    return [first, _grown(rng, first[0])]
+
+
+def live_steps(rule, h, target, steps):
+    """Builds `run`'s `_LiveMatches` for `rule` on the model `target` of `h`,
+    steps it through `steps`, and yields after each step the model, what the
+    step created and the rule's kept list."""
+    live = engine._LiveMatches([rule], h, target)
+    for after, created, deleted in steps:
+        live.step(engine.ApplicationResult(after, None, tuple(created), tuple(deleted)))
+        yield after, created, live.lists[0]
 
 
 def test_anchored_matches_agree_with_the_brute_force_oracle():
-    # `touching=X` returns the exhaustive search's matches that use X, for
+    # the anchor table `run` keeps, stepped through a doubled and then a grown
+    # model, holds the exhaustive search's matches after each step, for
     # patterns of up to 5 nodes with self-loops, parallel arrows and a node
-    # without arrows, touching nodes and arrows alike
+    # without arrows, and finds matches through a created arrow whose end was
+    # created with it
     rng = random.Random(1996)
-    seen = dict.fromkeys(["loop", "parallel", "apart", "arrow anchor"], 0)
+    seen = dict.fromkeys(["loop", "parallel", "apart", "created end"], 0)
     for _ in range(2500):
         h = random_hierarchy(rng, depth=rng.randint(1, 3))
-        model = max(h.models.values(), key=lambda m: m.level)
-        model = _grown(rng, _doubled(rng, model))[0]
-        h = h.with_model(model)
-        if not model.graph.nodes:
+        before = max(h.models.values(), key=lambda m: m.level)
+        steps = two_steps(rng, before)
+        final = steps[-1][0]
+        if not final.graph.nodes:
             continue
-        tl_rule = random_two_level_rule(rng, h, model, varied=True)
+        tl_rule = random_two_level_rule(rng, h.with_model(final), final, varied=True)
         lhs = tl_rule.lhs
-        full = brute_force_typed_matches(tl_rule, model, h)
-        elements = sorted(model.graph.nodes) + sorted(model.graph.arrows)
-        arrows_only = sorted(model.graph.arrows)
-        for touching in ([e for e in elements if rng.random() < 0.3], arrows_only):
-            touched = set(touching)
-            want = [m for m in full if any(m(e) in touched for e in (*m.node_map, *m.arrow_map))]
-            assert typed_matches(tl_rule, model, h, touching=touching) == want
-            if not want:
+        for after, created, found in live_steps(tl_rule, h, before.name, steps):
+            want = brute_force_typed_matches(tl_rule, after, h.with_model(after))
+            assert found == [tuple(m(e) for e in tl_rule.pattern) for m in want]
+            made = set(created)
+            new = [t for t in found if not made.isdisjoint(t)]
+            if not new:
                 continue
             seen["loop"] += any(a[0] == a[2] for a in lhs.arrows)
             seen["parallel"] += len({(a[0], a[2]) for a in lhs.arrows}) < len(lhs.arrows)
             seen["apart"] += any(not lhs.incident(n) for n in lhs.nodes) and bool(lhs.arrows)
-            seen["arrow anchor"] += touching is arrows_only
+            ends = {a for a in made if isinstance(a, tuple) and {a[0], a[2]} & made}
+            seen["created end"] += any(not ends.isdisjoint(t) for t in new)
     assert min(seen.values()) >= 20, seen
 
 
