@@ -127,7 +127,7 @@ def build_graph(name: str, nodes: Iterable[str], arrows: Iterable[Arrow]) -> Gra
         if a[0] not in node_set or a[2] not in node_set:
             raise DanglingArrow(f"{name}: arrow {a!r} has undeclared endpoint")
         arrow_set.add(a)
-    return Graph(name, frozenset(node_set), frozenset(arrow_set))
+    return Graph._trusted(name, frozenset(node_set), frozenset(arrow_set))
 
 
 @dataclass(frozen=True)

@@ -434,24 +434,36 @@ def _check_inheritance(h: MultilevelHierarchy, m: ModelNode) -> List[ValidationI
 
 
 def _inheritance_order(m: ModelNode) -> List[str]:
-    """Topological order of nodes, supertypes first."""
+    """Topological order of nodes, supertypes first.
+
+    A depth-first walk with an explicit stack, so that a supertype chain of
+    any length is ordered; the nodes on the stack are the trail that an
+    InheritanceCycle names.
+    """
     order: List[str] = []
-    state: Dict[str, int] = {}
+    state: Dict[str, int] = {}  # 1 while on the stack, 2 once ordered
 
-    def visit(n: str, trail: Tuple[str, ...]):
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise InheritanceCycle(" -> ".join(trail + (n,)))
-        state[n] = 1
-        for sup in sorted(m.info[n].supertypes) if n in m.info else []:
-            if sup in m.graph.nodes:
-                visit(sup, trail + (n,))
-        state[n] = 2
-        order.append(n)
+    def supertypes(n: str):
+        return iter([s for s in sorted(m.info[n].supertypes) if s in m.graph.nodes] if n in m.info else [])
 
-    for n in sorted(m.graph.nodes):
-        visit(n, ())
+    for root in sorted(m.graph.nodes):
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, supertypes(root))]
+        while stack:
+            n, pending = stack[-1]
+            for sup in pending:
+                if state.get(sup) == 1:
+                    raise InheritanceCycle(" -> ".join([x for x, _ in stack] + [sup]))
+                if sup not in state:
+                    state[sup] = 1
+                    stack.append((sup, supertypes(sup)))
+                    break
+            else:
+                stack.pop()
+                state[n] = 2
+                order.append(n)
     return order
 
 

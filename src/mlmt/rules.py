@@ -21,10 +21,11 @@ present only in FROM is deleted, one present only in TO is created.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DuplicateDeclaration,
@@ -103,8 +104,7 @@ class McmtRule:
 
     @property
     def depth(self) -> int:
-        levels = [e.level for e in self.meta_elements + self.implicit_elements]
-        return max(levels, default=0)
+        return max((e.level for e in self._meta_table.values()), default=0)
 
     def meta_at(self, level: int) -> List[MetaElement]:
         return [
@@ -113,20 +113,27 @@ class McmtRule:
             if e.level == level
         ]
 
+    @cached_property
+    def _meta_table(self) -> Dict[Union[str, Tuple[str, int]], MetaElement]:
+        """(name, level) -> META element, and name -> the element of that name
+        at the highest level; where two elements share a key, the first
+        declared, explicit before implicit, wins."""
+        table: Dict[Union[str, Tuple[str, int]], MetaElement] = {}
+        for e in self.meta_elements + self.implicit_elements:
+            table.setdefault((e.name, e.level), e)
+            top = table.get(e.name)
+            if top is None or e.level > top.level:
+                table[e.name] = e
+        return table
+
     def meta_element(self, name: str, level: Optional[int] = None) -> MetaElement:
-        pool = self.meta_elements + self.implicit_elements
-        if level is not None:
-            for e in pool:
-                if e.name == name and e.level == level:
-                    return e
-            raise UnresolvedReference(f"no META element {name!r} at level {level}")
-        best = None
-        for e in pool:
-            if e.name == name and (best is None or e.level > best.level):
-                best = e
-        if best is None:
-            raise UnresolvedReference(f"no META element {name!r}")
-        return best
+        """The META element `name` at `level`, or, without a level, the one of
+        that name at the highest level; raises UnresolvedReference if none."""
+        e = self._meta_table.get(name if level is None else (name, level))
+        if e is None:
+            at = "" if level is None else f" at level {level}"
+            raise UnresolvedReference(f"no META element {name!r}{at}")
+        return e
 
     @cached_property
     def _type_profiles(self) -> Dict[Tuple[str, int], Tuple[Dict[int, str], int]]:
@@ -162,44 +169,33 @@ class McmtModule:
 # lexing / parsing
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<arrow>->)
+    r"""\s+ | //[^\n]*
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<int>[0-9]+)
-      | (?P<sym>[{}:=@$\-])
+      | (?P<sym>->|[{}:=@$\-])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+_LEVEL_RE = re.compile(r"mm[0-9]+")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
+class _Token(NamedTuple):
+    kind: str  # id | int | sym | bad | eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text
 
 
 def _tokenize(text: str) -> List[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token("sym" if kind == "arrow" else kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    """The tokens of `text`, ending in an `eof` token at its end.
+
+    Whitespace and `//` comments are dropped; any character that starts no
+    token becomes a `bad` token, which the parser rejects before it reads
+    anything.  A token carries its offset; `_Parser` turns an offset into a
+    line and column only where it reports one.
+    """
+    tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -225,6 +221,14 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # the offset each line starts at; only "\n" starts a line
+        self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        bad = next((tok for tok in self.tokens if tok.kind == "bad"), None)
+        if bad is not None:
+            self.fail(f"unexpected character {bad.text!r}", bad)
+
+    def line(self, tok: _Token) -> int:
+        return bisect_right(self.line_starts, tok.pos)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -236,7 +240,8 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        line = self.line(tok)
+        raise ParseError(message, line, tok.pos - self.line_starts[line - 1] + 1)
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
@@ -250,13 +255,25 @@ class _Parser:
             self.fail(f"expected {what}, found {tok.text or 'end of file'!r}", tok)
         return tok
 
+    def integer(self, tok: _Token, digits: str, what: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(f"{what} has too many digits", tok)
+
+    def bound(self) -> Tuple[int, _Token]:
+        tok = self.next()
+        if tok.kind != "int":
+            self.fail("expected potency bound", tok)
+        return self.integer(tok, tok.text, "potency bound"), tok
+
     def module(self) -> McmtModule:
         self.expect("rules")
         name = self.ident("module name").text
         self.expect("{")
         rules, first_line = [], {}
         while self.peek().text != "}":
-            line = self.peek().line
+            line = self.line(self.peek())
             rule = self.rule()
             if rule.name in first_line:
                 raise DuplicateDeclaration(
@@ -295,7 +312,7 @@ class _Parser:
                 src = self.ident("arrow source").text
                 self.expect("->")
                 tgt = self.ident("arrow target").text
-                items.append(_RawAssign(name_tok.text, src, tgt, name_tok.line))
+                items.append(_RawAssign(name_tok.text, src, tgt, self.line(name_tok)))
             else:
                 self.fail("expected ':' or '=' after name", sep)
         self.expect("}")
@@ -309,35 +326,21 @@ class _Parser:
             constant = True
         mm: Optional[int] = None
         tok = self.peek()
-        if tok.kind == "id" and re.fullmatch(r"mm[0-9]+", tok.text):
+        if tok.kind == "id" and _LEVEL_RE.fullmatch(tok.text):
             self.next()
-            try:
-                mm = int(tok.text[2:])
-            except ValueError:  # more digits than the interpreter converts
-                self.fail("META level has too many digits", tok)
+            mm = self.integer(tok, tok.text[2:], "META level")
         potency: Optional[Tuple[int, int]] = None
         if self.peek().text == "@":
             self.next()
-            lo_tok = self.next()
-            if lo_tok.kind != "int":
-                self.fail("expected potency bound", lo_tok)
-            try:
-                lo = hi = int(lo_tok.text)
-            except ValueError:
-                self.fail("potency bound has too many digits", lo_tok)
+            lo, lo_tok = self.bound()
+            hi = lo
             if self.peek().text == "-":
                 self.next()
-                hi_tok = self.next()
-                if hi_tok.kind != "int":
-                    self.fail("expected potency bound", hi_tok)
-                try:
-                    hi = int(hi_tok.text)
-                except ValueError:
-                    self.fail("potency bound has too many digits", hi_tok)
+                hi, _ = self.bound()
                 if lo > hi:
                     self.fail(f"potency {lo}-{hi}: min exceeds max", lo_tok)
             potency = (lo, hi)
-        return _RawDecl(name_tok.text, type_tok.text, constant, mm, potency, name_tok.line)
+        return _RawDecl(name_tok.text, type_tok.text, constant, mm, potency, self.line(name_tok))
 
 
 def parse_rule_module(text: str) -> McmtModule:
@@ -388,80 +391,46 @@ def _elaborate(name, meta_items, from_items, to_items) -> McmtRule:
     order: List[MetaElement] = []
     implicit: List[MetaElement] = []
 
-    def lookup(nm: str, level: int) -> Optional[MetaElement]:
-        return elements.get((nm, level))
-
     def add(el: MetaElement):
         elements[(el.name, el.level)] = el
         (implicit if el.implicit else order).append(el)
 
+    node_decls = [d for d in meta_decls if d.name not in meta_assigns]
     # pass 1: explicit nodes
-    for d in meta_decls:
-        if d.name not in meta_assigns:
-            add(
-                MetaElement(
-                    d.name,
-                    d.mm + 1,
-                    NODE,
-                    d.type_name,
-                    d.mm,
-                    constant=d.constant,
-                    potency=d.potency,
-                )
-            )
+    for d in node_decls:
+        add(MetaElement(d.name, d.mm + 1, NODE, d.type_name, d.mm, constant=d.constant, potency=d.potency))
     # pass 2: implicit node constants for node types
-    for d in meta_decls:
-        if d.name not in meta_assigns and d.mm >= 1:
-            if lookup(d.type_name, d.mm) is None:
-                add(
-                    MetaElement(
-                        d.type_name, d.mm, NODE, None, d.mm - 1,
-                        constant=True, implicit=True,
-                    )
-                )
-    # pass 3: explicit arrows (level from endpoints)
+    for d in node_decls:
+        if d.mm >= 1 and (d.type_name, d.mm) not in elements:
+            add(MetaElement(d.type_name, d.mm, NODE, None, d.mm - 1, constant=True, implicit=True))
+    # pass 3: explicit arrows, at the highest level with a node that has both endpoints there
+    arrows: List[Tuple[_RawDecl, MetaElement]] = []
     for d in meta_decls:
         if d.name not in meta_assigns:
             continue
         asg = meta_assigns[d.name]
-        levels = sorted(
-            {
-                lvl
-                for (nm, lvl), el in elements.items()
-                if el.kind == NODE
-                and lookup(asg.source, lvl) is not None
-                and lookup(asg.target, lvl) is not None
-            },
-            reverse=True,
-        )
+        levels = [
+            lvl
+            for (_, lvl), el in elements.items()
+            if el.kind == NODE and (asg.source, lvl) in elements and (asg.target, lvl) in elements
+        ]
         if not levels:
             raise UnresolvedReference(
                 f"rule {name}: endpoints of {d.name!r} not declared "
                 f"(line {asg.line})"
             )
-        level = levels[0]
-        add(
-            MetaElement(
-                d.name,
-                level,
-                ARROW,
-                d.type_name,
-                d.mm,
-                constant=d.constant,
-                source=asg.source,
-                target=asg.target,
-                potency=d.potency,
-            )
+        el = MetaElement(
+            d.name, max(levels), ARROW, d.type_name, d.mm,
+            constant=d.constant, source=asg.source, target=asg.target, potency=d.potency,
         )
+        add(el)
+        arrows.append((d, el))
     # pass 4: implicit arrow constants for arrow types
-    for d in meta_decls:
-        if d.name not in meta_assigns or d.mm < 1:
+    for d, el in arrows:
+        if d.mm < 1 or (d.type_name, d.mm) in elements:
             continue
-        if lookup(d.type_name, d.mm) is not None:
-            continue
-        el = elements[(d.name, [e.level for e in order if e.name == d.name][0])]
-        src_el = lookup(el.source, el.level)
-        tgt_el = lookup(el.target, el.level)
+        src_el = elements.get((el.source, el.level))
+        tgt_el = elements.get((el.target, el.level))
         if src_el is None or tgt_el is None or src_el.type_name is None or tgt_el.type_name is None:
             raise UnresolvedReference(
                 f"rule {name}: cannot infer endpoints of implicit type "
@@ -534,10 +503,16 @@ def _elaborate_pattern(rule: McmtRule, items, where: str) -> RulePattern:
 
 
 def type_chain(rule: McmtRule, element: MetaElement) -> List[MetaElement]:
-    """The element followed by its META types down toward the root."""
+    """The element followed by its META types down toward the root.
+
+    A META type lies on a strictly lower META level than the element it
+    types, so the chain ends at the first step that does not go down: at the
+    root, at an implicit constant, or where a rule types an element at or
+    below its own level, which `validate_rule` reports.
+    """
     chain = [element]
     cur = element
-    while cur.type_name is not None and cur.type_level >= 1:
+    while cur.type_name is not None and 1 <= cur.type_level < cur.level:
         cur = rule.meta_element(cur.type_name, cur.type_level)
         chain.append(cur)
     return chain
@@ -639,36 +614,22 @@ def _replicate(rule: McmtRule, level: int, arrow_name: str, v: int) -> McmtRule:
     if not targets or v == 1:
         return rule
 
+    def copy(e: PatternElement, i: int) -> PatternElement:
+        # copy 0 is the element itself; copy i marks its name and each replicated end
+        if i == 0:
+            return e
+        source = f"{e.source}${i}" if e.source in targets else e.source
+        target = f"{e.target}${i}" if e.target in targets else e.target
+        return replace(e, name=f"{e.name}${i}", source=source, target=target)
+
     def expand(pattern: RulePattern) -> RulePattern:
-        elements: List[PatternElement] = []
-        for e in pattern.elements:
-            if e.kind == NODE:
-                elements.append(e)
-                if e.name in targets:
-                    for i in range(1, v):
-                        elements.append(replace(e, name=f"{e.name}${i}"))
-                    if v == 0:
-                        elements.pop()
-        for e in pattern.elements:
-            if e.kind != ARROW:
-                continue
-            touched = [end for end in (e.source, e.target) if end in targets]
-            if not touched:
-                elements.append(e)
-                continue
-            if v == 0:
-                continue
-            elements.append(e)
-            for i in range(1, v):
-                elements.append(
-                    replace(
-                        e,
-                        name=f"{e.name}${i}",
-                        source=f"{e.source}${i}" if e.source in targets else e.source,
-                        target=f"{e.target}${i}" if e.target in targets else e.target,
-                    )
-                )
-        return RulePattern(tuple(elements))
+        nodes = [copy(e, i) for e in pattern.nodes() for i in (range(v) if e.name in targets else (0,))]
+        arrows = [
+            copy(e, i)
+            for e in pattern.arrows()
+            for i in (range(v) if e.source in targets or e.target in targets else (0,))
+        ]
+        return RulePattern(tuple(nodes + arrows))
 
     return replace(
         rule,

@@ -312,15 +312,19 @@ class TestUnusablePaths:
         assert captured.err.splitlines() == [f"cannot write {tmp_path}: Is a directory"]
 
 
+def _child_env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(mlmt.hierarchy.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_cli(argv, stdout):
     """Run `python -m mlmt.cli` in a child process with `stdout` as its standard output."""
-    src = os.path.dirname(os.path.dirname(mlmt.hierarchy.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "mlmt.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
         text=True,
         timeout=120,
     )
@@ -377,6 +381,41 @@ class TestRulesCheck:
         assert captured.err.splitlines() == [
             "error: PlantBehaviour: rule 'CreatePart' declared twice (line 19, first at line 2)"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["rules", "check", "{rules}", "--hierarchy", "{hierarchy}"], ["1 rule(s), 2 problem(s)"]),
+            (["proliferate", "{hierarchy}", "{rules}", "--target", "hammer_config"], []),
+        ],
+    )
+    def test_meta_type_cycle_rejected_without_hanging(self, paths, argv, last):
+        # the META arrow `a` is typed by itself at its own level; its type chain
+        # ends there instead of following it forever; each command runs in a
+        # child process with a timeout and a bounded address space, so that a
+        # walk around the cycle fails here instead of hanging or filling memory
+        hierarchy = paths[0]
+        rules = os.path.join(FIXTURES, "meta_type_cycle.mcmt")
+        code = """if True:
+            import sys
+            try:
+                import resource
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            except (ImportError, OSError, ValueError):
+                pass
+            from mlmt.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """
+        args = [a.format(rules=rules, hierarchy=hierarchy) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], capture_output=True, env=_child_env(), text=True, timeout=20
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "r: 'X' (node) typed by 'a' (arrow)",
+            "r: 'a' typed at level 1, not above its own level 1",
+        ]
+        assert proc.stdout.splitlines() == last
 
 
 class TestProliferate:

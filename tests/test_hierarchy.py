@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from mlmt.cli import main
 from mlmt.errors import InheritanceCycle, ParseError, SchemaError
 from mlmt.graphs import build_graph
 from mlmt.hierarchy import (
@@ -381,6 +382,47 @@ class TestFlattenInheritance:
         assert any(
             i.rule == "InheritanceCycle" for i in validate_hierarchy(h)
         )
+
+
+def supertype_chain_document(length: int, cyclic: bool) -> dict:
+    """The PLS root and a model `m1` under it whose nodes n00000, n00001, ...
+    each list the next as their supertype; the last lists the first if `cyclic`."""
+    with open(os.path.join(FIXTURES, "..", "..", "fixtures", "pls.json"), encoding="utf-8") as fh:
+        root = json.load(fh)["models"][0]
+    names = [f"n{i:05d}" for i in range(length)]
+    nodes = [
+        {"name": n, "type": "root.Node", "potency": "1-1", "supertypes": [names[(i + 1) % length]]}
+        for i, n in enumerate(names)
+    ]
+    if not cyclic:
+        del nodes[-1]["supertypes"]
+    return {"models": [root, {"name": "m1", "parent": "root", "nodes": nodes, "arrows": []}]}
+
+
+class TestLongSupertypeChains:
+    """Supertype chains longer than the interpreter's recursion limit are
+    ordered, and a cycle through all of them is reported once."""
+
+    def test_long_chain_validates(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(supertype_chain_document(1500, cyclic=False)))
+        assert main(["validate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"0 violation(s) in {path}\n"
+        assert captured.err == ""
+
+    def test_long_cycle_reported_once(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(supertype_chain_document(1500, cyclic=True)))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"1 violation(s) in {path}\n"
+        (line,) = captured.err.splitlines()
+        assert "InheritanceCycle" in line
+        issues = validate_hierarchy(load_hierarchy(str(path)))
+        assert [i.rule for i in issues] == ["InheritanceCycle"]
+        names = [f"n{i:05d}" for i in range(1500)]
+        assert issues[0].element == " -> ".join(names + names[:1])
 
 
 def lookup_outcome(fn, *args):
