@@ -91,10 +91,8 @@ def cmd_rules_check(args) -> int:
     else:
         root_graph = None
     for rule in module.rules:
-        if root_graph is not None:
+        if root_graph is not None or not rule.meta_elements:
             problems.extend(validate_rule(rule, root_graph))
-        elif not rule.meta_elements:
-            problems.append(f"{rule.name}: MetaEmpty")
     for p in problems:
         print(p, file=sys.stderr)
     print(f"{len(module.rules)} rule(s), {len(problems)} problem(s)")

@@ -39,13 +39,10 @@ class NonTotalRootTyping(MlmtError):
 class UniquenessViolation(MlmtError):
     """Composed transitive typing disagrees with the direct jump typing."""
 
-    def __init__(self, k, j, i, element, message=None):
+    def __init__(self, k, j, i, element):
         self.levels = (k, j, i)
         self.element = element
-        super().__init__(
-            message
-            or f"uniqueness condition fails at levels {(k, j, i)} on {element!r}"
-        )
+        super().__init__(f"uniqueness condition fails at levels {(k, j, i)} on {element!r}")
 
 
 class CompatibilityViolation(MlmtError):
@@ -98,9 +95,7 @@ class TypeMismatch(MlmtError):
 class IncompatibleMatch(MlmtError):
     """A match fails the level-wise typing compatibility square."""
 
-    def __init__(self, level, element, message=None):
+    def __init__(self, level, element):
         self.level = level
         self.element = element
-        super().__init__(
-            message or f"match incompatible at level {level} on {element!r}"
-        )
+        super().__init__(f"match incompatible at level {level} on {element!r}")

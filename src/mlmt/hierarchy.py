@@ -289,11 +289,6 @@ class TypeIndex:
         return all(want == (e if lvl == n else None) for lvl, want in profile if lvl >= n)
 
 
-def level_jump(h: MultilevelHierarchy, model: str, element: ElementKey) -> int:
-    info = h.model(model).info_for(element)
-    return h.model(model).level - h.model(info.direct_type[0]).level
-
-
 Verdict = Optional[Tuple[str, str]]  # the rule and message of an issue, or None
 
 
@@ -323,7 +318,7 @@ def validate_hierarchy(h: MultilevelHierarchy) -> List[ValidationIssue]:
                     found.append(ValidationIssue(m.name, elem, *verdicts[t]))
             issues.extend(_in_element_order(found))
         issues.extend(_check_arrow_typing(h, m, verdicts))
-        issues.extend(_check_inheritance(h, m))
+        issues.extend(_check_inheritance(m))
     return issues
 
 
@@ -412,7 +407,7 @@ def _check_arrow_typing(
     return _in_element_order(found)
 
 
-def _check_inheritance(h: MultilevelHierarchy, m: ModelNode) -> List[ValidationIssue]:
+def _check_inheritance(m: ModelNode) -> List[ValidationIssue]:
     issues = []
     heirs = [(elem, info.supertypes) for elem, info in m.info.items() if info.supertypes]
     for elem, supertypes in heirs:
@@ -433,6 +428,14 @@ def _check_inheritance(h: MultilevelHierarchy, m: ModelNode) -> List[ValidationI
     return issues
 
 
+def _supertypes(m: ModelNode, n: str) -> List[str]:
+    """The supertypes of the node `n` that count, sorted: nodes of `m` with info.
+    Validation reports any other as UnknownSupertype, or a node without info as
+    MissingTyping, and `flatten_inheritance` raises SchemaError for it."""
+    info = m.info.get(n)
+    return [s for s in sorted(info.supertypes) if s in m.info and s in m.graph.nodes] if info else []
+
+
 def _inheritance_order(m: ModelNode) -> List[str]:
     """Topological order of nodes, supertypes first.
 
@@ -442,15 +445,11 @@ def _inheritance_order(m: ModelNode) -> List[str]:
     """
     order: List[str] = []
     state: Dict[str, int] = {}  # 1 while on the stack, 2 once ordered
-
-    def supertypes(n: str):
-        return iter([s for s in sorted(m.info[n].supertypes) if s in m.graph.nodes] if n in m.info else [])
-
     for root in sorted(m.graph.nodes):
         if root in state:
             continue
         state[root] = 1
-        stack = [(root, supertypes(root))]
+        stack = [(root, iter(_supertypes(m, root)))]
         while stack:
             n, pending = stack[-1]
             for sup in pending:
@@ -458,7 +457,7 @@ def _inheritance_order(m: ModelNode) -> List[str]:
                     raise InheritanceCycle(" -> ".join([x for x, _ in stack] + [sup]))
                 if sup not in state:
                     state[sup] = 1
-                    stack.append((sup, supertypes(sup)))
+                    stack.append((sup, iter(_supertypes(m, sup))))
                     break
             else:
                 stack.pop()
@@ -510,38 +509,40 @@ def derive_typing_chain(
 def flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
     """Replicate each supertype's typing and incident arrows onto its heirs.
 
-    Inheritance edges are dropped from the result; applying the operation
-    twice equals applying it once.
+    A node takes the flattened direct type and potency of its greatest
+    transitive supertype by name, and copies the original arrows of each
+    transitive supertype, both in sorted order, its name put in the
+    supertype's; a copy of an arrow already there is dropped.  One pass in
+    topological order takes time linear in the model plus the arrows copied.
+    Raises InheritanceCycle, or SchemaError for a supertype that is not a node
+    with element info.  Inheritance edges are dropped from the result;
+    applying the operation twice equals applying it once.
     """
     new_models = []
     for m in h.models.values():
-        order = _inheritance_order(m)  # raises InheritanceCycle
-        # transitive supertypes, computed in topological order
-        closure: Dict[str, set] = {}
-        for n in order:
-            sups = set(m.info[n].supertypes) if n in m.info else set()
-            for s in list(sups):
-                sups |= closure.get(s, set())
-            closure[n] = sups
-
-        arrows = set(m.graph.arrows)
-        info = {k: v for k, v in m.info.items()}
-        for n in order:
-            for sup in sorted(closure[n]):
-                sup_info = info[sup]
-                info[n] = replace(
-                    info[n], direct_type=sup_info.direct_type, potency=sup_info.potency
+        arrows, info = set(m.graph.arrows), dict(m.info)
+        tops: Dict[str, str] = {}  # the greatest of a node and its transitive supertypes
+        donors: Dict[str, Tuple[str, ...]] = {}  # transitive supertypes with arrows, sorted
+        for n in _inheritance_order(m):  # raises InheritanceCycle
+            sups = _supertypes(m, n)
+            if n in m.info and len(sups) < len(m.info[n].supertypes):
+                bad = min(set(m.info[n].supertypes).difference(sups))
+                raise SchemaError(
+                    f"{m.name}/{n!r}: supertype {bad!r} is not a node with element info"
                 )
+            tops[n] = max([n, *(tops[s] for s in sups)])
+            found = {d for s in sups for d in donors[s]}
+            donors[n] = tuple(sorted(found.union(s for s in sups if m.graph.incident(s))))
+            if sups:
+                top = info[max(tops[s] for s in sups)]
+                info[n] = replace(info[n], direct_type=top.direct_type, potency=top.potency)
+            for sup in donors[n]:
                 for a in sorted(m.graph.incident(sup)):
-                    src = n if a[0] == sup else a[0]
-                    tgt = n if a[2] == sup else a[2]
-                    copy = (src, a[1], tgt)
+                    copy = (n if a[0] == sup else a[0], a[1], n if a[2] == sup else a[2])
                     if copy not in arrows:
                         arrows.add(copy)
-                        info[copy] = replace(info[a], supertypes=frozenset())
-        info = {
-            k: replace(v, supertypes=frozenset()) for k, v in info.items()
-        }
+                        info[copy] = replace(m.info[a], supertypes=frozenset())
+        info = {k: replace(v, supertypes=frozenset()) if v.supertypes else v for k, v in info.items()}
         graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
         new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
     return build_hierarchy(new_models)

@@ -518,11 +518,12 @@ def type_chain(rule: McmtRule, element: MetaElement) -> List[MetaElement]:
     return chain
 
 
-def validate_rule(rule: McmtRule, root_graph: Graph) -> List[str]:
-    report: List[str] = []
+def validate_rule(rule: McmtRule, root_graph: Optional[Graph]) -> List[str]:
+    """The problems of `rule` against the root graph.  A rule with an empty
+    meta block has only its MetaEmpty problem, found without the root graph."""
     if not rule.meta_elements:
-        report.append(f"{rule.name}: MetaEmpty — the meta block must contain a pattern")
-        return report
+        return [f"{rule.name}: MetaEmpty — the meta block must contain a pattern"]
+    report: List[str] = []
     root_arrow_labels = {a[1] for a in root_graph.arrows}
     for el in rule.meta_elements + rule.implicit_elements:
         if el.type_level >= el.level:

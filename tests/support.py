@@ -6,12 +6,15 @@ separate from the library implementations) and random instance generators.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 from itertools import combinations, permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import mlmt.hierarchy
 from mlmt.chains import ChainMorphism, GraphChain, build_chain
+from mlmt.errors import InheritanceCycle
 from mlmt.graphs import (
     Arrow,
     Graph,
@@ -398,6 +401,141 @@ def reference_transitive_type_at(
         if h.model(m).level < level:
             return None
     return None
+
+
+def _reference_inheritance_order(m: ModelNode) -> List[str]:
+    """`hierarchy._inheritance_order` as it stood before flattening became
+    one pass: the topological order of nodes, supertypes first.
+
+    A depth-first walk with an explicit stack, so that a supertype chain of
+    any length is ordered; the nodes on the stack are the trail that an
+    InheritanceCycle names.
+    """
+    order: List[str] = []
+    state: Dict[str, int] = {}  # 1 while on the stack, 2 once ordered
+
+    def supertypes(n: str):
+        return iter([s for s in sorted(m.info[n].supertypes) if s in m.graph.nodes] if n in m.info else [])
+
+    for root in sorted(m.graph.nodes):
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, supertypes(root))]
+        while stack:
+            n, pending = stack[-1]
+            for sup in pending:
+                if state.get(sup) == 1:
+                    raise InheritanceCycle(" -> ".join([x for x, _ in stack] + [sup]))
+                if sup not in state:
+                    state[sup] = 1
+                    stack.append((sup, supertypes(sup)))
+                    break
+            else:
+                stack.pop()
+                state[n] = 2
+                order.append(n)
+    return order
+
+
+def reference_flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
+    """`flatten_inheritance` as it stood before it became one pass: it builds
+    every node's transitive supertypes and replaces an heir's info once per
+    (heir, supertype) pair.  Replicate each supertype's typing and incident
+    arrows onto its heirs.
+
+    Inheritance edges are dropped from the result; applying the operation
+    twice equals applying it once.
+    """
+    new_models = []
+    for m in h.models.values():
+        order = _reference_inheritance_order(m)  # raises InheritanceCycle
+        # transitive supertypes, computed in topological order
+        closure: Dict[str, set] = {}
+        for n in order:
+            sups = set(m.info[n].supertypes) if n in m.info else set()
+            for s in list(sups):
+                sups |= closure.get(s, set())
+            closure[n] = sups
+
+        arrows = set(m.graph.arrows)
+        info = {k: v for k, v in m.info.items()}
+        for n in order:
+            for sup in sorted(closure[n]):
+                sup_info = info[sup]
+                info[n] = replace(
+                    info[n], direct_type=sup_info.direct_type, potency=sup_info.potency
+                )
+                for a in sorted(m.graph.incident(sup)):
+                    src = n if a[0] == sup else a[0]
+                    tgt = n if a[2] == sup else a[2]
+                    copy = (src, a[1], tgt)
+                    if copy not in arrows:
+                        arrows.add(copy)
+                        info[copy] = replace(info[a], supertypes=frozenset())
+        info = {
+            k: replace(v, supertypes=frozenset()) for k, v in info.items()
+        }
+        graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
+        new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
+    return build_hierarchy(new_models)
+
+
+# the potencies and multiplicities a `random_inheritance_hierarchy` draws from
+INHERITANCE_POTENCIES = [(1, 1), (1, 2), (1, 3), (0, 2), (2, 3)]
+ROOT_ARROW = ("root", ("Node", "Arrow", "Node"))
+
+
+def random_inheritance_hierarchy(rng: random.Random) -> MultilevelHierarchy:
+    """A valid hierarchy whose models m1 and m2 each carry a supertype DAG.
+
+    Nodes of m1 are typed by the root's Node; nodes of m2 by it or by a node
+    of m1 that allows a jump of 1, so heirs and supertypes differ in direct
+    type and potency.  Names are drawn in random order, so that sorted order
+    is not a topological one.  Arrows, loops included, are typed by the root's
+    Arrow and share a few labels; some arrows of a supertype are repeated on
+    an heir with another info, so that a copy meets an arrow already there."""
+    root_graph = build_graph("root", ["Node"], [("Node", "Arrow", "Node")])
+    root = ModelNode(
+        "root",
+        None,
+        0,
+        root_graph,
+        {
+            "Node": ElementInfo(("root", "Node"), (1, 3)),
+            ROOT_ARROW[1]: ElementInfo(ROOT_ARROW, (1, 3), (0, None)),
+        },
+    )
+    models = [root]
+    for lvl in (1, 2):
+        name = f"m{lvl}"
+        count = rng.randint(2, 7)
+        nodes = [f"{name}_{c}" for c in rng.sample("abcdefghij", count)]  # topological order
+        types = [("root", "Node")]
+        if lvl == 2:
+            m1 = models[1].info
+            types += [("m1", n) for n in sorted(models[1].graph.nodes) if m1[n].potency[0] <= 1]
+        info: Dict = {}
+        for i, n in enumerate(nodes):
+            sups = rng.sample(nodes[:i], rng.randint(0, min(i, 3)))
+            potency = rng.choice(INHERITANCE_POTENCIES)
+            info[n] = ElementInfo(rng.choice(types), potency, supertypes=frozenset(sups))
+        arrows: Dict[Arrow, ElementInfo] = {}
+        for _ in range(rng.randint(0, count + 2)):
+            arrow = (rng.choice(nodes), rng.choice("rst"), rng.choice(nodes))
+            potency, mult = rng.choice(INHERITANCE_POTENCIES), rng.choice(MULTIPLICITIES)
+            arrows[arrow] = ElementInfo(ROOT_ARROW, potency, mult)
+        for a in sorted(arrows):
+            heirs = [n for n in nodes if a[0] in info[n].supertypes or a[2] in info[n].supertypes]
+            if heirs and rng.random() < 0.3:
+                heir = rng.choice(heirs)
+                (src, label, tgt), sups = a, info[heir].supertypes
+                twin = (heir if src in sups else src, label, heir if tgt in sups else tgt)
+                arrows.setdefault(twin, replace(arrows[a], multiplicity=rng.choice(MULTIPLICITIES)))
+        info.update(arrows)
+        graph = build_graph(name, nodes, sorted(arrows))
+        models.append(ModelNode(name, models[-1].name, lvl, graph, info))
+    return build_hierarchy(models)
 
 
 def random_meta_rule(rng: random.Random, depth: int = 2) -> McmtRule:
@@ -867,9 +1005,13 @@ def random_two_level_rule(
     )
 
 
-def pls_fixture_paths():
-    import os
+def child_env() -> dict:
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(mlmt.hierarchy.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
+
+def pls_fixture_paths():
     base = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     return (
         os.path.abspath(os.path.join(base, "pls.json")),

@@ -11,6 +11,8 @@ from mlmt.cli import main
 from mlmt.hierarchy import load_hierarchy, read_text, validate_hierarchy
 from mlmt.rules import parse_rule_module, validate_rule
 
+from support import child_env
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -312,19 +314,13 @@ class TestUnusablePaths:
         assert captured.err.splitlines() == [f"cannot write {tmp_path}: Is a directory"]
 
 
-def _child_env():
-    """The environment of a child process that imports this package."""
-    src = os.path.dirname(os.path.dirname(mlmt.hierarchy.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def _run_cli(argv, stdout):
     """Run `python -m mlmt.cli` in a child process with `stdout` as its standard output."""
     return subprocess.run(
         [sys.executable, "-m", "mlmt.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env=child_env(),
         text=True,
         timeout=120,
     )
@@ -382,6 +378,16 @@ class TestRulesCheck:
             "error: PlantBehaviour: rule 'CreatePart' declared twice (line 19, first at line 2)"
         ]
 
+    @pytest.mark.parametrize("with_hierarchy", [False, True])
+    def test_empty_meta_block_has_one_message(self, paths, tmp_path, capsys, with_hierarchy):
+        rules = tmp_path / "empty.mcmt"
+        rules.write_text("rules X {\n  rule A {\n    meta {\n    }\n    from {\n    }\n    to {\n    }\n  }\n}\n")
+        argv = ["rules", "check", str(rules)] + (["--hierarchy", paths[0]] if with_hierarchy else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "1 rule(s), 1 problem(s)\n"
+        assert captured.err.splitlines() == ["A: MetaEmpty — the meta block must contain a pattern"]
+
     @pytest.mark.parametrize(
         "argv, last",
         [
@@ -408,7 +414,7 @@ class TestRulesCheck:
         """
         args = [a.format(rules=rules, hierarchy=hierarchy) for a in argv]
         proc = subprocess.run(
-            [sys.executable, "-c", code, *args], capture_output=True, env=_child_env(), text=True, timeout=20
+            [sys.executable, "-c", code, *args], capture_output=True, env=child_env(), text=True, timeout=20
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
@@ -485,6 +491,24 @@ class TestApply:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "rule, match, message",
+        [
+            ("CreatePart", "99", "match index 99 out of range (0..1)"),
+            ("CreatePart", "-1", "match index -1 out of range (0..1)"),
+            ("Assemble", None, "no applicable match"),
+        ],
+    )
+    def test_no_successor_exits_one(self, paths, capsys, rule, match, message):
+        hierarchy, rules = paths
+        argv = ["apply", hierarchy, rules, "--target", "hammer_config", "--rule", rule]
+        if match is not None:
+            argv += ["--match", match]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 class TestRun:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,6 @@ from mlmt.hierarchy import (
     derive_typing_chain,
     flatten_inheritance,
     hierarchy_to_json,
-    level_jump,
     load_hierarchy,
     parse_hierarchy,
     save_hierarchy,
@@ -26,7 +26,14 @@ from mlmt.hierarchy import (
     validate_hierarchy,
 )
 
-from support import random_hierarchy, reference_transitive_type_at, reference_type_walk
+from support import (
+    child_env,
+    random_hierarchy,
+    random_inheritance_hierarchy,
+    reference_flatten_inheritance,
+    reference_transitive_type_at,
+    reference_type_walk,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -83,11 +90,8 @@ class TestLoadSave:
             except SchemaError as err:
                 print(err)
         """
-        src = os.path.dirname(os.path.dirname(build_hierarchy.__code__.co_filename))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=20
+            [sys.executable, "-c", code], capture_output=True, env=child_env(), text=True, timeout=20
         )
         assert (proc.stdout, proc.stderr) == ("parent cycle through 'a'\n", "")
 
@@ -146,7 +150,9 @@ class TestParseKeepsNoState:
 class TestValidation:
     def test_level_jump_through_two_levels_allowed(self, pls):
         out_arrow = ("ghandle", "out", "cv1")
-        assert level_jump(pls, "hammer_config", out_arrow) == 2
+        config = pls.model("hammer_config")
+        type_model = config.info_for(out_arrow).direct_type[0]
+        assert config.level - pls.model(type_model).level == 2
         assert validate_hierarchy(pls) == []
 
     def test_potency_violation_when_type_forbids_the_jump(self, pls):
@@ -383,6 +389,90 @@ class TestFlattenInheritance:
             i.rule == "InheritanceCycle" for i in validate_hierarchy(h)
         )
 
+    def test_unknown_supertype_raises_schema_error(self, pls_paths):
+        with open(pls_paths[0], encoding="utf-8") as fh:
+            data = json.load(fh)
+        plant = next(m for m in data["models"] if m["name"] == "generic_plant")
+        plant["nodes"].append(
+            {"name": "Extra", "type": "root.Node", "potency": "1-1", "supertypes": ["Ghost"]}
+        )
+        h = parse_hierarchy(json.dumps(data))
+        assert [str(i) for i in validate_hierarchy(h)] == [
+            "generic_plant/'Extra': [UnknownSupertype] 'Ghost' not in model"
+        ]
+        with pytest.raises(SchemaError) as err:
+            flatten_inheritance(h)
+        assert str(err.value) == (
+            "generic_plant/'Extra': supertype 'Ghost' is not a node with element info"
+        )
+
+    def test_supertype_without_info_raises_schema_error(self):
+        h = inheritance_fixture()
+        m = h.model("m")
+        info = {k: v for k, v in m.info.items() if k != "z"}
+        h = h.with_model(replace(m, info=info))
+        assert [(i.element, i.rule) for i in validate_hierarchy(h)] == [("z", "MissingTyping")]
+        with pytest.raises(SchemaError) as err:
+            flatten_inheritance(h)
+        assert str(err.value) == "m/'y': supertype 'z' is not a node with element info"
+
+
+def transitive_supertypes(m: ModelNode, n: str) -> set:
+    found, todo = set(), list(m.info[n].supertypes)
+    while todo:
+        s = todo.pop()
+        if s not in found:
+            found.add(s)
+            todo.extend(m.info[s].supertypes)
+    return found
+
+
+def inheritance_cases(h, flat) -> set:
+    """The cases that tell flattenings apart which `h`, flattened to `flat`,
+    reaches."""
+    reached = set()
+    for name, m in h.models.items():
+        out = flat.models[name]
+        for n in sorted(m.graph.nodes):
+            direct, closure = m.info[n].supertypes, transitive_supertypes(m, n)
+            if not closure:
+                continue
+            top = out.info[max(closure)]
+            if max(closure) not in direct and (top.direct_type, top.potency) != (
+                m.info[n].direct_type,
+                m.info[n].potency,
+            ):
+                reached.add("greatest supertype not direct, other typing or potency")
+            if any(a[0] != a[2] and {a[0], a[2]} <= closure for a in m.graph.arrows):
+                reached.add("arrow joins two supertypes")
+            for s in closure:
+                for a in m.graph.incident(s):
+                    copy = (n if a[0] == s else a[0], a[1], n if a[2] == s else a[2])
+                    if s not in direct and copy not in m.graph.arrows:
+                        reached.add("arrow copied from a transitive supertype only")
+                    if copy in m.graph.arrows and m.info[copy] != m.info[a]:
+                        reached.add("copy meets an arrow with another info")
+    return reached
+
+
+class TestFlattenAgainstReference:
+    """One pass in topological order flattens as the reference, which builds
+    every transitive closure and replaces an heir's info once per supertype,
+    does, on seeded valid hierarchies that reach each case telling them apart."""
+
+    def test_random_hierarchies(self):
+        reached = Counter()
+        for seed in range(2000):
+            h = random_inheritance_hierarchy(random.Random(seed))
+            assert validate_hierarchy(h) == []
+            flat, ref = flatten_inheritance(h), reference_flatten_inheritance(h)
+            for name in h.models:
+                assert flat.models[name].graph == ref.models[name].graph
+                assert flat.models[name].info == ref.models[name].info
+            assert hierarchy_to_json(flat) == hierarchy_to_json(ref)
+            reached.update(inheritance_cases(h, ref))
+        assert len(reached) == 4 and min(reached.values()) >= 100, reached
+
 
 def supertype_chain_document(length: int, cyclic: bool) -> dict:
     """The PLS root and a model `m1` under it whose nodes n00000, n00001, ...
@@ -410,6 +500,34 @@ class TestLongSupertypeChains:
         captured = capsys.readouterr()
         assert captured.out == f"0 violation(s) in {path}\n"
         assert captured.err == ""
+
+    def test_long_chain_flattens_in_linear_time(self, tmp_path):
+        # the topmost supertype has a loop, and each heir gets one copy of it; a
+        # flattening quadratic in the chain's length does not end within the
+        # timeout of the child process
+        length = 3000
+        names = [f"n{i:05d}" for i in range(length)]
+        document = supertype_chain_document(length, cyclic=False)
+        loop = {"name": "Arrow", "source": names[-1], "target": names[-1], "type": "root.Arrow"}
+        document["models"][1]["arrows"].append(loop)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(document))
+        code = """if True:
+            import json, sys
+            try:
+                import resource
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            except (ImportError, OSError, ValueError):
+                pass
+            from mlmt.hierarchy import flatten_inheritance, load_hierarchy
+            flat = flatten_inheritance(load_hierarchy(sys.argv[1]))
+            print(json.dumps(sorted(flat.model("m1").graph.arrows)))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, env=child_env(), text=True, timeout=10
+        )
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == [[n, "Arrow", n] for n in names]
 
     def test_long_cycle_reported_once(self, tmp_path, capsys):
         path = tmp_path / "cycle.json"

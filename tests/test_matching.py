@@ -141,6 +141,15 @@ class TestProliferation:
         assert len(rules) == 2
         assert {r.name for r in rules} == {"CreatePart_0", "CreatePart_1"}
 
+    @pytest.mark.parametrize("potency, count", [("1-1", 2), ("0-1", 0), ("1-2", 0), ("2-2", 0)])
+    def test_meta_potency_lies_inside_the_image_potency(self, pls, pls_paths, potency, count):
+        # generic_plant's Part, the image of P1, has potency 1-1
+        with open(pls_paths[1], encoding="utf-8") as fh:
+            text = fh.read().replace("P1 : Part mm1\n", f"P1 : Part mm1 @{potency}\n", 1)
+        rule = next(r for r in parse_rule_module(text).rules if r.name == "CreatePart")
+        assert rule.meta_element("P1").potency == tuple(map(int, potency.split("-")))
+        assert len(proliferate(rule, pls, "hammer_config")) == count
+
     def test_total_over_all_rules_is_21(self, pls, pls_module):
         per_rule = proliferate_all(pls_module.rules, pls, "hammer_config")
         assert {k: len(v) for k, v in per_rule.items()} == {
