@@ -149,7 +149,7 @@ def cmd_apply(args) -> int:
         return 1
     result = successors[index]
     out = hierarchy_to_json(h.with_model(result.model))
-    json.dump(out, sys.stdout, indent=2)
+    sys.stdout.write(json.dumps(out, indent=2))  # one write, not one per encoder chunk
     print()
     return 0
 
@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
     log.info("run stopped: %s", trace.stop)
     if args.trace and not _write(args.trace, trace.to_json_lines()):
         return 2
-    json.dump(hierarchy_to_json(trace.final), sys.stdout, indent=2)
+    sys.stdout.write(json.dumps(hierarchy_to_json(trace.final), indent=2))
     print(flush=True)
     print(f"{len(trace.steps)} step(s) applied", file=sys.stderr)
     return 0

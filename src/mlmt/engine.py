@@ -53,12 +53,16 @@ def typed_matches(
     model: ModelNode,
     h: MultilevelHierarchy,
     index: Optional[TypeIndex] = None,
+    pools: Optional[tuple] = None,
 ) -> List[TotalMorphism]:
     """All injective matches of the rule's left pattern into the model, ordered by the images of
-    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`.  `run`
-    searches this way once per rule, and then only from what each step creates (`_LiveMatches`)."""
-    index = index or TypeIndex(h, model)
-    pools, incidence = index.pools(rule.pattern)
+    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`, and
+    `pools`, if given, its `pools` of `rule.pattern`.  A search with an empty pool is neither
+    planned nor run.  `run` searches this way once per rule, and then only from what each step
+    creates (`_LiveMatches`)."""
+    pools, incidence = pools or (index or TypeIndex(h, model)).pools(rule.pattern)
+    if not all(pools.values()):
+        return []
     order = tuple(rule.pattern)
     nodes = sorted(rule.lhs.nodes)
     arrows = [(a, a[0], a[2]) for a in order[len(nodes):]]
@@ -68,12 +72,11 @@ def typed_matches(
 
 
 def _anchored(order, plan, pools, incidence, x: ElementKey, p: ElementKey) -> List[tuple]:
-    """The matches, as `injective_matches` lists them, that map the pattern element `p` to `x`,
-    an element of `p`'s pool, by `p`'s plan; an arrow's ends are fixed with it."""
+    """The matches, as `injective_matches` lists them, that map the pattern element `p` to `x`
+    by `p`'s plan: a node of `p`'s pool, or an arrow of `p`'s `TypeIndex.by_ends` groups, whose
+    ends are in the pools of `p`'s ends and are fixed with it."""
     if not isinstance(x, tuple):
         return injective_matches(order, plan, pools, incidence, {p: x})
-    if x[0] not in pools[p[0]] or x[2] not in pools[p[2]]:
-        return []
     if (p[0] == p[2]) != (x[0] == x[2]):
         return []  # a loop only matches a loop, injectively
     return injective_matches(order, plan, pools, incidence, {p: x, p[0]: x[0], p[2]: x[2]})
@@ -300,32 +303,35 @@ class _LiveMatches:
     Rules have no negative conditions, and an element that survives a step keeps its type and
     info, so a step removes exactly the matches that use a deleted element, and every new match
     uses a created one (incremental matching, as in RETE).  So a step searches a pattern element
-    only from a created element of its kind that carries its profile, and only from there (the
-    anchor table, RETE's alpha network at the level of pattern elements).
+    only from a created element that can be its image, and only from there (the anchor table):
+    a pattern node from a created node that carries its profile (RETE's alpha network at the
+    level of pattern elements), a pattern arrow from a created arrow that entered the
+    `TypeIndex.by_ends` group of its profile and its ends' profiles (RETE's beta network, which
+    joins an arrow with its ends).  Each rule's pools are built once, for its initial search and
+    its anchors, and a rule with an empty pool is not searched at the start.
 
     A created node is searched only for pattern nodes without arrows.  It is new (`fresh_name`
     avoids every node of the model, and no arrow ends at a name the model lacks), so every arrow
     at it was created in the same step.  A match that sends a pattern node with an arrow to it
-    sends that arrow to a created arrow, which carries the arrow's profile and is searched with
-    its ends fixed, also when they are created, so that search finds the match."""
+    sends that arrow to a created arrow, which joins the arrow's profile with its ends' and is
+    searched with its ends fixed, also when they are created, so that search finds the match."""
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
-        self.rules, self.index = rules, TypeIndex(h, model)
-        self.lists = [
-            [tuple(m(e) for e in r.pattern) for m in typed_matches(r, model, h, self.index)]
-            for r in rules
-        ]
-        # (kind, profile) -> (rule index, pattern element, `_anchored`'s other arguments) for each
-        # pattern element that asks for it; `index.step` updates the pools in place
+        self.rules, self.index, self.lists = rules, TypeIndex(h, model), []
+        # (kind, key) -> (rule index, pattern element, `_anchored`'s other arguments) for each
+        # element of `anchored_plans`: an arrow's key is its `by_ends` key, a node's its profile;
+        # `index.step` updates the pools in place
         self.anchors: Dict[tuple, List[tuple]] = {}
         for i, r in enumerate(rules):
-            order, (pools, incidence) = tuple(r.pattern), self.index.pools(r.pattern)
-            for p, profile in r.pattern.items():
-                if not isinstance(p, tuple) and r.lhs.incident(p):
-                    continue  # found from the created arrows at its image, see above
-                entry = (i, p, order, r.lhs.anchored_plans[p], pools, incidence)
-                self.anchors.setdefault((isinstance(p, tuple), profile), []).append(entry)
+            pattern = r.pattern
+            order, pools = tuple(pattern), self.index.pools(pattern)
+            found = typed_matches(r, model, h, self.index, pools=pools)
+            self.lists.append([tuple(m(e) for e in order) for m in found])
+            for p, plan in r.lhs.anchored_plans.items():
+                kind = isinstance(p, tuple)
+                key = (pattern[p], pattern[p[0]], pattern[p[2]]) if kind else pattern[p]
+                self.anchors.setdefault((kind, key), []).append((i, p, order, plan, *pools))
 
     def step(self, result: ApplicationResult) -> None:
         """Move to the bottom model `result` made."""
@@ -334,10 +340,10 @@ class _LiveMatches:
         if gone:
             self.lists = [[t for t in found if gone.isdisjoint(t)] for found in self.lists]
         new = {}
-        for x, profiles in created.items():
+        for x, keys in created.items():
             kind = isinstance(x, tuple)
-            for profile in profiles:
-                for i, p, order, plan, pools, incidence in self.anchors.get((kind, profile), ()):
+            for key in keys:
+                for i, p, order, plan, pools, incidence in self.anchors.get((kind, key), ()):
                     found = _anchored(order, plan, pools, incidence, x, p)
                     if found:
                         new.setdefault(i, set()).update(found)

@@ -80,12 +80,13 @@ class Graph:
 
     @cached_property
     def anchored_plans(self) -> Dict[object, List[tuple]]:
-        """For each element, the `search_plan` of the matches of this graph, as a pattern, that
-        give that element one image (an arrow's ends are bound with it).  Rules that share a
-        left pattern graph share these plans."""
+        """For each arrow, and each node without arrows, the `search_plan` of the matches of this
+        graph, as a pattern, that give that element one image (an arrow's ends are bound with
+        it): the elements a step of `run` searches from.  Rules that share a left pattern graph
+        share these plans."""
         nodes, arrows = sorted(self.nodes), sorted(self.arrows)
         ends = [(a, a[0], a[2]) for a in arrows]
-        plans = {n: search_plan(nodes, ends, (n,)) for n in nodes}
+        plans = {n: search_plan(nodes, ends, (n,)) for n in nodes if n not in self._incidence}
         plans.update({a: search_plan(nodes, ends, (a, a[0], a[2])) for a in arrows})
         return plans
 
@@ -356,26 +357,28 @@ def search_plan(
     arrow is bound as soon as both its ends are.  A node step is (node, None,
     vias), each via (arrow, bound node, out) naming an arrow that joins the
     node to a bound one, `out` if the arrow leaves the bound node; an arrow
-    step is (arrow, (source, target), None)."""
+    step is (arrow, (source, target), None).  Each unbound node's arrows are
+    collected once, in `arrows` order, and a step only filters them by what is
+    bound (as PROGRES keeps each node's connecting arrows)."""
     ends = {a: (s, t) for a, s, t in arrows}
     bound, plan = set(bound), []
-    waiting = [a for a in ends if a not in bound]
     todo = [n for n in nodes if n not in bound]
-    while True:
-        ready = [a for a in waiting if bound.issuperset(ends[a])]
-        plan += [(a, ends[a], None) for a in ready]
-        waiting = [a for a in waiting if a not in ready]
-        if not todo:
-            return None if waiting else plan
-        near = {
-            n: tuple(
-                (a, s if t == n else t, t == n)
-                for a in waiting
-                for s, t in (ends[a],)
-                if s != t and n in (s, t) and (s if t == n else t) in bound
-            )
-            for n in todo
-        }
+    # (arrow, far end, out) for each arrow at an unbound node; a loop's far end is the node
+    # itself, which is never bound while it waits, so a loop is never a via
+    links: Dict = {n: [] for n in todo}
+    for a, (s, t) in ends.items():
+        if a in bound:
+            continue
+        if not (s in bound or s in links) or not (t in bound or t in links):
+            return None
+        if s in links:
+            links[s].append((a, t, False))
+        if t in links and t != s:
+            links[t].append((a, s, True))
+        if s in bound and t in bound:
+            plan.append((a, ends[a], None))
+    while todo:
+        near = {n: tuple(v for v in links[n] if v[1] in bound) for n in todo}
         node = min(
             [n for n in todo if near[n]] or todo,
             key=size or (lambda n: -len(near[n])),
@@ -383,6 +386,8 @@ def search_plan(
         plan.append((node, None, near[node]))
         bound.add(node)
         todo.remove(node)
+        plan += [(a, ends[a], None) for a, far, _ in links[node] if far in bound]
+    return plan
 
 
 def injective_matches(

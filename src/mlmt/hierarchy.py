@@ -178,7 +178,8 @@ class TypeIndex:
     index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile
     with the profiles of its ends.  In `run` a step only deletes and creates elements of the
     bottom model, and the survivors keep their types: `step` updates by that delta the candidate
-    sets and the joined arrows of the profiles each element carries."""
+    sets and the joined arrows of the profiles each element carries, and reports the joined
+    groups each created arrow enters (the beta network)."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
         self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
@@ -192,7 +193,8 @@ class TypeIndex:
         self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
     ) -> Dict[ElementKey, List[tuple]]:
         """Move to `model`, which differs from the current one by `created` and `deleted`, and
-        return the `profiles` of each created element."""
+        return for each created node its `profiles`, and for each created arrow the `by_ends`
+        keys, (profile, source profile, target profile), whose groups it entered."""
         for e in deleted:
             self._update(e, False)
         self.model = model
@@ -201,17 +203,18 @@ class TypeIndex:
 
     def _update(self, e: ElementKey, add: bool) -> List[tuple]:
         """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
-        returns its `profiles`."""
+        returns a node's `profiles`, or the `by_ends` keys whose groups an added arrow entered."""
         kind = isinstance(e, tuple)
         change = set.add if add else set.remove
         change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
-        profiles = self.profiles(e)
+        profiles, entered = self.profiles(e), []
         for profile in profiles:
             change(self.found[kind, profile], e)
             for source, target in self.joined.get(profile, ()) if kind else ():
                 groups = self.ends[profile, source, target]
                 if add:
                     if e[0] in self.found[False, source] and e[2] in self.found[False, target]:
+                        entered.append((profile, source, target))
                         for end in {e[0], e[2]}:
                             groups.setdefault(end, set()).add(e)
                 elif e in groups.get(e[0], ()):
@@ -219,7 +222,7 @@ class TypeIndex:
                         groups[end].remove(e)
                         if not groups[end]:
                             del groups[end]
-        return profiles
+        return entered if kind else profiles
 
     def profiles(self, e: ElementKey) -> List[tuple]:
         """The profiles asked of this index so far that the model's element `e` carries."""

@@ -10,7 +10,7 @@ import os
 import random
 from dataclasses import replace
 from itertools import combinations, permutations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mlmt.hierarchy
 from mlmt.chains import ChainMorphism, GraphChain, build_chain
@@ -1003,6 +1003,46 @@ def random_two_level_rule(
     return TwoLevelRule(
         "Random", lhs, lhs, lhs, {}, level_types, "Random", None
     )
+
+
+# ---------------------------------------------------------------------------
+# search plans
+
+
+def reference_search_plan(
+    nodes: Sequence,
+    arrows: Sequence[tuple],
+    bound: Iterable = (),
+    size: Optional[Callable] = None,
+) -> Optional[List[tuple]]:
+    """`graphs.search_plan` as it was before it kept each node's arrows: every
+    step rescans every waiting arrow for every unbound node."""
+    ends = {a: (s, t) for a, s, t in arrows}
+    bound, plan = set(bound), []
+    waiting = [a for a in ends if a not in bound]
+    todo = [n for n in nodes if n not in bound]
+    while True:
+        ready = [a for a in waiting if bound.issuperset(ends[a])]
+        plan += [(a, ends[a], None) for a in ready]
+        waiting = [a for a in waiting if a not in ready]
+        if not todo:
+            return None if waiting else plan
+        near = {
+            n: tuple(
+                (a, s if t == n else t, t == n)
+                for a in waiting
+                for s, t in (ends[a],)
+                if s != t and n in (s, t) and (s if t == n else t) in bound
+            )
+            for n in todo
+        }
+        node = min(
+            [n for n in todo if near[n]] or todo,
+            key=size or (lambda n: -len(near[n])),
+        )
+        plan.append((node, None, near[node]))
+        bound.add(node)
+        todo.remove(node)
 
 
 def child_env() -> dict:

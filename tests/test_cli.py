@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -536,6 +537,20 @@ class TestRun:
         lines = trace.read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(json.loads(line)["rule"] for line in lines)
+
+    def test_run_writes_the_benchmark_golden_bytes(self, paths, tmp_path, capsys):
+        # stdout and the trace file of a 50-step run hash to the digests the
+        # benchmark checks its seed-0 run against
+        hierarchy, rules = paths
+        trace = tmp_path / "trace.jsonl"
+        argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "50", "--seed", "0"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden.json")
+        with open(golden, encoding="utf-8") as fh:
+            want = json.load(fh)["0"]
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["final"]
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == want["trace"]
 
     @pytest.mark.parametrize("level", [None, "info"])
     def test_stop_reason_is_logged_at_info(self, paths, monkeypatch, level):

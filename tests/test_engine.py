@@ -424,15 +424,16 @@ class TestRun:
     ):
         # a step searches a rule's pattern element only from a created element
         # of its kind that carries its level types; a created node only for a
-        # pattern node without arrows, and a created arrow also when an end was
+        # pattern node without arrows, a created arrow only when its ends are in
+        # the pools of the pattern arrow's ends, and also when an end was
         # created with it
-        initial, searched, lives, made = [], [], [], []
+        initial, searched, lives, made, joined = [], [], [], [], []
         inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
         step = engine._LiveMatches.step
 
-        def counting(rule, model, h, index=None):
+        def counting(rule, model, h, index=None, **kw):
             initial.append(rule)
-            return inner(rule, model, h, index)
+            return inner(rule, model, h, index, **kw)
 
         def recording(order, plan, pools, incidence, x, p):
             (live,) = lives
@@ -440,6 +441,8 @@ class TestRun:
             rule = live.rules[i]
             h = pls.with_model(live.index.model)
             searched.append((rule, p, x, h, made[-1]))
+            if isinstance(x, tuple):
+                joined.append(x[0] in pools[p[0]] and x[2] in pools[p[2]])
             return anchored(order, plan, pools, incidence, x, p)
 
         def keeping(live, *args):
@@ -466,6 +469,54 @@ class TestRun:
             )
             assert isinstance(x, tuple) or not rule.lhs.incident(p)
         assert any(isinstance(x, tuple) and {x[0], x[2]} & new for _, _, x, _, new in searched)
+        assert joined and all(joined)
+
+    def test_a_run_plans_and_searches_only_where_a_match_can_exist(
+        self, pls, pls_module, monkeypatch
+    ):
+        # on hammer_config, seed 0, 50 steps: the initial search plans and runs
+        # only the rules whose pools are all non-empty, each left graph keeps
+        # plans only for its arrows and its nodes without arrows, and a step
+        # makes few anchored searches
+        planned, searched, anchored, lives = [], [], [], []
+        plan, inner, anchor = engine.search_plan, engine.injective_matches, engine._anchored
+        init = engine._LiveMatches.__init__
+
+        def planning(*args, **kw):
+            planned.append(args)
+            return plan(*args, **kw)
+
+        def searching(order, plan, pools, incidence, fixed=None):
+            if fixed is None:
+                searched.append(pools)
+            return inner(order, plan, pools, incidence, fixed)
+
+        def counting(*args):
+            anchored.append(args)
+            return anchor(*args)
+
+        def keeping(live, *args):
+            init(live, *args)
+            lives.append(live)
+
+        monkeypatch.setattr(engine, "search_plan", planning)
+        monkeypatch.setattr(engine, "injective_matches", searching)
+        monkeypatch.setattr(engine, "_anchored", counting)
+        monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
+        trace = run(pls_module.rules, pls, "hammer_config", 50, seed=0)
+        assert len(trace.steps) == 50
+        (live,) = lives
+        assert len(live.rules) == 21
+        fresh = TypeIndex(pls, pls.model("hammer_config"))
+        full = [i for i, r in enumerate(live.rules) if all(fresh.pools(r.pattern)[0].values())]
+        rule_of = {id(e[4]): e[0] for entries in live.anchors.values() for e in entries}
+        assert len(full) == len(planned) == 2
+        assert [rule_of[id(pools)] for pools in searched] == full
+        for r in live.rules:
+            lhs = r.lhs
+            apart = {n for n in lhs.nodes if not lhs.incident(n)}
+            assert set(lhs.anchored_plans) == set(lhs.arrows) | apart
+        assert len(anchored) <= 4.5 * len(trace.steps)
 
     def test_applied_matches_are_total_and_keep_ends(self, pls, pls_module, monkeypatch):
         # `run` builds each match it applies unchecked, from the images its searches found

@@ -22,6 +22,7 @@ from mlmt.graphs import (
     inclusion,
     pullback_complement,
     pushout,
+    search_plan,
 )
 
 from support import (
@@ -32,6 +33,7 @@ from support import (
     random_partial_morphism,
     random_subgraph_pair,
     random_total_morphism,
+    reference_search_plan,
 )
 
 
@@ -427,3 +429,56 @@ class TestFindHomomorphisms:
         target = g("T", ["u"])
         assert find_homomorphisms(pattern, target, injective=True) == []
         assert len(find_homomorphisms(pattern, target)) == 1
+
+
+def _random_plan_input(rng: random.Random):
+    """A pattern for `search_plan`: up to 6 nodes in shuffled order, arrows with loops,
+    parallel arrows and, now and then, an end outside the nodes, in shuffled order; nothing
+    bound, a bound node, a bound arrow with its ends, or a few bound nodes; and sizes drawn
+    from a small range, so that they tie, or none."""
+    names = [f"n{i}" for i in range(rng.randint(0, 6))]
+    rng.shuffle(names)
+    ends = names + (["out"] if rng.random() < 0.15 else [])
+    arrows = []
+    for i in range(rng.randint(0, 8) if ends else 0):
+        s, t = rng.choice(ends), rng.choice(ends)
+        if rng.random() < 0.15:
+            t = s  # a loop
+        a = (s, f"a{i % 3}", t)
+        arrows.append((a, s, t))
+    rng.shuffle(arrows)
+    kind = rng.randrange(4)
+    if kind == 1 and names:
+        bound = [rng.choice(names)]
+    elif kind == 2 and arrows:
+        a, s, t = rng.choice(arrows)
+        bound = [a, s, t]
+    elif kind == 3:
+        bound = rng.sample(names, rng.randint(0, len(names)))
+    else:
+        bound = []
+    sizes = {n: rng.randint(0, 3) for n in names}
+    size = sizes.get if rng.random() < 0.5 else None
+    return names, arrows, bound, size
+
+
+def test_search_plan_matches_the_rescanning_reference():
+    # the planner that keeps each node's arrows gives the plan, or None, of
+    # the one that rescans every waiting arrow for every node at every step
+    rng = random.Random(1996)
+    seen = dict.fromkeys(
+        ["size ties", "no size", "none", "outside", "loop", "bound arrow", "bound node"], 0
+    )
+    for _ in range(6000):
+        nodes, arrows, bound, size = _random_plan_input(rng)
+        want = reference_search_plan(nodes, arrows, bound, size)
+        assert search_plan(nodes, arrows, bound, size) == want
+        free = [n for n in nodes if n not in bound]
+        seen["size ties"] += size is not None and len({size(n) for n in free}) < len(free)
+        seen["no size"] += size is None
+        seen["none"] += want is None
+        seen["outside"] += any("out" in (s, t) for _, s, t in arrows)
+        seen["loop"] += any(s == t for _, s, t in arrows)
+        seen["bound arrow"] += any(isinstance(b, tuple) for b in bound)
+        seen["bound node"] += any(not isinstance(b, tuple) for b in bound)
+    assert min(seen.values()) >= 200, seen
