@@ -13,6 +13,7 @@ from .chains import (
     chain_pullback_complement,
     chain_pushout,
     check_compatibility,
+    derive_typing_chain,
     lift,
     refactor_inclusion_chain,
     typing_to_chain,
@@ -42,7 +43,6 @@ from .hierarchy import (
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
-    derive_typing_chain,
     flatten_inheritance,
     load_hierarchy,
     parse_hierarchy,

@@ -7,7 +7,9 @@ hierarchies.  An inclusion chain is a host graph at level 0 with plain
 subgraphs of it at levels 1..m and identity typings on their intersections
 (`refactor_inclusion_chain`).  The two-step chain pushout and its
 pullback-complement twin drive direct rule application on a whole typing
-chain at once; both take and return inclusion chains.
+chain at once; both take and return inclusion chains.  The typing chain
+they rewrite is the one a hierarchy's root path induces
+(`derive_typing_chain`), read off the hierarchy by `transitive_type_at`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .graphs import (
     pullback_complement,
     pushout,
 )
+from .hierarchy import MultilevelHierarchy, transitive_type_at
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,46 @@ class MultilevelTyping:
     subject: Graph
     chain: GraphChain
     sigmas: Dict[int, PartialMorphism]
+
+
+def derive_typing_chain(
+    h: MultilevelHierarchy, model_name: str
+) -> Tuple[GraphChain, MultilevelTyping]:
+    """Aggregate individual typings into the chain over the root path.
+
+    Returns the full chain [G_0 .. G_n] (root first, `model_name` last) and
+    the multilevel typing of the bottom model's graph over the prefix chain.
+    Typing (j, i) maps each element of level j to its `transitive_type_at`
+    level i, where it has one.
+    """
+    path = h.root_path(model_name)
+    graphs = [h.model(p).graph.renamed(p) for p in path]
+    typings: Dict[Tuple[int, int], PartialMorphism] = {}
+    for j in range(1, len(path)):
+        for i in range(j):
+            maps = ({}, {})  # node and arrow maps of typing (j, i)
+            for e in (*graphs[j].nodes, *graphs[j].arrows):
+                t = transitive_type_at(h, path[j], e, i)
+                if t is not None:
+                    maps[isinstance(e, tuple)][e] = t
+            typings[(j, i)] = PartialMorphism(graphs[j], graphs[i], *maps)
+    chain = build_chain(graphs, typings)
+    n = len(path) - 1
+    if n == 0:
+        prefix = GraphChain((graphs[0],), {})
+        ident = PartialMorphism(
+            graphs[0],
+            graphs[0],
+            {nd: nd for nd in graphs[0].nodes},
+            {a: a for a in graphs[0].arrows},
+        )
+        return chain, MultilevelTyping(graphs[0], prefix, {0: ident})
+    prefix = GraphChain(
+        tuple(graphs[:n]),
+        {k: v for k, v in typings.items() if k[0] < n and k[1] < n},
+    )
+    sigmas = {i: typings[(n, i)] for i in range(n)}
+    return chain, MultilevelTyping(graphs[n], prefix, sigmas)
 
 
 def check_compatibility(mt: MultilevelTyping) -> None:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .chains import (
     chain_pullback_complement,
     chain_pushout,
+    derive_typing_chain,
     lift,
     refactor_inclusion_chain,
     typing_to_chain,
@@ -34,13 +35,12 @@ from .hierarchy import (
     ElementKey,
     ModelNode,
     MultilevelHierarchy,
-    TypeIndex,
-    derive_typing_chain,
     transitive_type_at,
 )
 from .matching import (
     MetaMatch,
     TwoLevelRule,
+    TypeIndex,
     instance_profile,
     proliferate,
     typing_stack,
@@ -52,15 +52,14 @@ def typed_matches(
     rule: TwoLevelRule,
     model: ModelNode,
     h: MultilevelHierarchy,
-    index: Optional[TypeIndex] = None,
     pools: Optional[tuple] = None,
 ) -> List[TotalMorphism]:
     """All injective matches of the rule's left pattern into the model, ordered by the images of
-    sorted pattern nodes, then arrows.  `index`, if given, is a `TypeIndex` at `model`, and
-    `pools`, if given, its `pools` of `rule.pattern`.  A search with an empty pool is neither
-    planned nor run.  `run` searches this way once per rule, and then only from what each step
-    creates (`_LiveMatches`)."""
-    pools, incidence = pools or (index or TypeIndex(h, model)).pools(rule.pattern)
+    sorted pattern nodes, then arrows.  `pools`, if given, are the `pools` of `rule.pattern` of
+    a `TypeIndex` at `model`.  A search with an empty pool is neither planned nor run.  `run`
+    searches this way once per rule, and then only from what each step creates
+    (`_LiveMatches`)."""
+    pools, incidence = pools or TypeIndex(h, model).pools(rule.pattern)
     if not all(pools.values()):
         return []
     order = tuple(rule.pattern)
@@ -326,7 +325,7 @@ class _LiveMatches:
         for i, r in enumerate(rules):
             pattern = r.pattern
             order, pools = tuple(pattern), self.index.pools(pattern)
-            found = typed_matches(r, model, h, self.index, pools=pools)
+            found = typed_matches(r, model, h, pools=pools)
             self.lists.append([tuple(m(e) for e in order) for m in found])
             for p, plan in r.lhs.anchored_plans.items():
                 kind = isinstance(p, tuple)

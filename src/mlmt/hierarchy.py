@@ -4,7 +4,11 @@ A hierarchy is a tree of models with a single self-defining root.  Every
 element of a non-root model carries an individual direct type that lives some
 number of levels above it (the level jump d >= 1), a potency interval that
 constrains the jumps of its own instances, and — for arrows — a multiplicity
-interval.  From any model the root path induces a typing chain.
+interval.  This module holds the hierarchy itself: its parsing and JSON
+output, validation, inheritance flattening and `transitive_type_at`, the
+one walk up an element's typing.  The typing chain a root path induces is
+derived in `chains`, and the type index the matchers draw candidates from
+lives in `matching`.
 """
 
 from __future__ import annotations
@@ -12,16 +16,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .chains import GraphChain, MultilevelTyping, build_chain
 from .errors import (
     InheritanceCycle,
     InputError,
     ParseError,
     SchemaError,
 )
-from .graphs import Arrow, Graph, PartialMorphism, build_graph, group_by_end
+from .graphs import Arrow, Graph, build_graph
 
 ElementKey = Union[str, Arrow]  # node name or (source, label, target)
 TypeRef = Tuple[str, ElementKey]  # (model name, element key)
@@ -131,34 +134,16 @@ def _depth(parents: Dict[str, Optional[str]], name: str) -> int:
     return d
 
 
-def type_walk(
-    h: MultilevelHierarchy, model: str, element: ElementKey
-) -> List[Tuple[str, ElementKey]]:
-    """The transitive types of an element, up toward the root.
-
-    Starts with the element's own (model, element) pair.  A direct type
-    lies on a strictly higher level than the element it types, so the walk
-    ends at the first step that does not go up: at the self-typed root
-    element, or where an invalid hierarchy types in a cycle.
-    """
-    models, cur = h.models, h.model(model)
-    walk = [(model, element)]
-    while True:
-        t_model, element = cur.info[element].direct_type
-        up = models.get(t_model) or h.model(t_model)  # h.model raises for an unknown model
-        if up.level >= cur.level:
-            return walk
-        walk.append((t_model, element))
-        cur = up
-
-
 def transitive_type_at(
     h: MultilevelHierarchy, model: str, element: ElementKey, level: int
 ) -> Optional[ElementKey]:
     """The unique transitive type of `element` at `level`: the element itself
-    at its own level, None above it.  The walk up ends as `type_walk`'s does,
-    so on a cyclic or non-ascending typing it returns None for every level it
-    did not reach before the first step that does not go up."""
+    at its own level, None at a level below it.  The walk follows direct
+    types up toward the root.  A direct type lies on a strictly higher level
+    than the element it types, so the walk ends at the first step that does
+    not go up: at the self-typed root element, or where an invalid hierarchy
+    types in a cycle.  A level the walk skips, or did not reach by then,
+    reads None."""
     models, cur = h.models, h.model(model)
     while cur.level > level:
         t_model, element = cur.info[element].direct_type
@@ -167,129 +152,6 @@ def transitive_type_at(
             return None
         cur = up
     return element if cur.level == level else None
-
-
-class TypeIndex:
-    """The elements of a model that carry each level-type profile.
-
-    A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
-    Above its model an element has its direct type's types, as that lies higher, so a profile is
-    decided once per direct type, and each kind and direct type maps to the profiles asked of the
-    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile
-    with the profiles of its ends.  In `run` a step only deletes and creates elements of the
-    bottom model, and the survivors keep their types: `step` updates by that delta the candidate
-    sets and the joined arrows of the profiles each element carries, and reports the joined
-    groups each created arrow enters (the beta network)."""
-
-    def __init__(self, h: MultilevelHierarchy, model: ModelNode):
-        self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
-        self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
-        self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
-        self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
-        for e in (*model.graph.nodes, *model.graph.arrows):
-            self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), set()).add(e)
-
-    def step(
-        self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
-    ) -> Dict[ElementKey, List[tuple]]:
-        """Move to `model`, which differs from the current one by `created` and `deleted`, and
-        return for each created node its `profiles`, and for each created arrow the `by_ends`
-        keys, (profile, source profile, target profile), whose groups it entered."""
-        for e in deleted:
-            self._update(e, False)
-        self.model = model
-        ends_first = sorted(created, key=lambda e: isinstance(e, tuple))
-        return {e: self._update(e, True) for e in ends_first}
-
-    def _update(self, e: ElementKey, add: bool) -> List[tuple]:
-        """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
-        returns a node's `profiles`, or the `by_ends` keys whose groups an added arrow entered."""
-        kind = isinstance(e, tuple)
-        change = set.add if add else set.remove
-        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
-        profiles, entered = self.profiles(e), []
-        for profile in profiles:
-            change(self.found[kind, profile], e)
-            for source, target in self.joined.get(profile, ()) if kind else ():
-                groups = self.ends[profile, source, target]
-                if add:
-                    if e[0] in self.found[False, source] and e[2] in self.found[False, target]:
-                        entered.append((profile, source, target))
-                        for end in {e[0], e[2]}:
-                            groups.setdefault(end, set()).add(e)
-                elif e in groups.get(e[0], ()):
-                    for end in {e[0], e[2]}:
-                        groups[end].remove(e)
-                        if not groups[end]:
-                            del groups[end]
-        return entered if kind else profiles
-
-    def profiles(self, e: ElementKey) -> List[tuple]:
-        """The profiles asked of this index so far that the model's element `e` carries."""
-        kind = isinstance(e, tuple)
-        key = (kind, self.model.info_for(e).direct_type)
-        if key not in self.held:
-            n = self.model.level
-            self.held[key] = [
-                (p, any(lvl >= n for lvl, _ in p))
-                for arrows, p in self.found
-                if arrows == kind and self._holds(key[1], p)
-            ]
-        return [p for p, own in self.held[key] if not own or self._own(e, p)]
-
-    def candidates(self, arrows: bool, profile: tuple) -> Set[ElementKey]:
-        """The model's arrows, or nodes, that carry `profile`."""
-        key = (arrows, profile)
-        if key not in self.found:
-            own = any(lvl >= self.model.level for lvl, _ in profile)
-            self.found[key] = {
-                e
-                for (a, t), g in self.groups.items()
-                if a == arrows and self._holds(t, profile)
-                for e in g
-                if not own or self._own(e, profile)
-            }
-            self.held.clear()
-        return self.found[key]
-
-    def by_ends(self, profile: tuple, source: tuple, target: tuple) -> Dict[str, Set[Arrow]]:
-        """The arrows that carry `profile` from a node that carries `source` to one that carries
-        `target`, grouped under each of their ends."""
-        key = (profile, source, target)
-        if key not in self.ends:
-            sources, targets = self.candidates(False, source), self.candidates(False, target)
-            self.ends[key] = group_by_end(
-                a for a in self.candidates(True, profile) if a[0] in sources and a[2] in targets
-            )
-            self.joined.setdefault(profile, []).append((source, target))
-        return self.ends[key]
-
-    def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:
-        """The candidates of each element of `pattern`, a dict from pattern elements to their
-        profiles, and the `by_ends` groups of each of its arrows.  Both are the index's own live
-        sets, which `step` updates in place, so a caller may keep them across steps."""
-        pools = {e: self.candidates(isinstance(e, tuple), p) for e, p in pattern.items()}
-        by_ends = {
-            a: self.by_ends(p, pattern[a[0]], pattern[a[2]])
-            for a, p in pattern.items()
-            if isinstance(a, tuple)
-        }
-        return pools, by_ends
-
-    def _holds(self, t: TypeRef, profile: tuple) -> bool:
-        """Whether an element of direct type `t` has the profile's types above the model."""
-        if (t, profile) not in self.verdicts:
-            n = self.model.level
-            above = [(lvl, want) for lvl, want in profile if lvl < n]
-            up = self.h.model(t[0]).level < n
-            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in above]
-            self.verdicts[t, profile] = types == [want for _, want in above]
-        return self.verdicts[t, profile]
-
-    def _own(self, e: ElementKey, profile: tuple) -> bool:
-        # at level n an element is its own type; below n, untyped
-        n = self.model.level
-        return all(want == (e if lvl == n else None) for lvl, want in profile if lvl >= n)
 
 
 Verdict = Optional[Tuple[str, str]]  # the rule and message of an issue, or None
@@ -467,46 +329,6 @@ def _inheritance_order(m: ModelNode) -> List[str]:
                 state[n] = 2
                 order.append(n)
     return order
-
-
-def derive_typing_chain(
-    h: MultilevelHierarchy, model_name: str
-) -> Tuple[GraphChain, MultilevelTyping]:
-    """Aggregate individual typings into the chain over the root path.
-
-    Returns the full chain [G_0 .. G_n] (root first, `model_name` last) and
-    the multilevel typing of the bottom model's graph over the prefix chain.
-    """
-    path = h.root_path(model_name)
-    graphs = [h.model(p).graph.renamed(p) for p in path]
-    typings: Dict[Tuple[int, int], PartialMorphism] = {}
-    for j in range(1, len(path)):
-        maps = [({}, {}) for _ in range(j)]  # node and arrow maps of typing (j, i)
-        for e in (*graphs[j].nodes, *graphs[j].arrows):
-            # past the element itself; the levels of its types strictly decrease
-            for t_model, t in type_walk(h, path[j], e)[1:]:
-                maps[h.model(t_model).level][isinstance(e, tuple)][e] = t
-        for i, (node_map, arrow_map) in enumerate(maps):
-            typings[(j, i)] = PartialMorphism(
-                graphs[j], graphs[i], node_map, arrow_map
-            )
-    chain = build_chain(graphs, typings)
-    n = len(path) - 1
-    if n == 0:
-        prefix = GraphChain((graphs[0],), {})
-        ident = PartialMorphism(
-            graphs[0],
-            graphs[0],
-            {nd: nd for nd in graphs[0].nodes},
-            {a: a for a in graphs[0].arrows},
-        )
-        return chain, MultilevelTyping(graphs[0], prefix, {0: ident})
-    prefix = GraphChain(
-        tuple(graphs[:n]),
-        {k: v for k, v in typings.items() if k[0] < n and k[1] < n},
-    )
-    sigmas = {i: typings[(n, i)] for i in range(n)}
-    return chain, MultilevelTyping(graphs[n], prefix, sigmas)
 
 
 def flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:

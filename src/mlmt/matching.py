@@ -4,25 +4,20 @@ The META pattern chain of an MCMT rule is matched level by level against the
 typing chain above a target model: a strictly monotone level map plus one
 injective, type-consistent binding per META level.  Each complete match
 turns the rule into concrete two-level rules by substituting the bound types
-and expanding bounded multiplicities.
+and expanding bounded multiplicities.  The `TypeIndex` that both this META
+matching and the engine's typed matching draw their candidates from lives
+here too, next to the level-type profiles it indexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import UnresolvedReference
 from .graphs import Arrow, Graph, group_by_end, injective_matches, search_plan
-from .hierarchy import (
-    ElementKey,
-    ModelNode,
-    MultilevelHierarchy,
-    TypeIndex,
-    TypeRef,
-    transitive_type_at,  # noqa: F401  (perfbench counts calls per module through this name)
-)
+from .hierarchy import ElementKey, ModelNode, MultilevelHierarchy, TypeRef, transitive_type_at
 from .rules import (
     ARROW,
     NODE,
@@ -108,6 +103,129 @@ def _element_satisfies(meta_el: MetaElement, model: ModelNode, candidate: Elemen
         if target_mult[1] is not None and (hi is None or hi > target_mult[1]):
             return False
     return True
+
+
+class TypeIndex:
+    """The elements of a model that carry each level-type profile.
+
+    A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
+    Above its model an element has its direct type's types, as that lies higher, so a profile is
+    decided once per direct type, and each kind and direct type maps to the profiles asked of the
+    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile
+    with the profiles of its ends.  In `run` a step only deletes and creates elements of the
+    bottom model, and the survivors keep their types: `step` updates by that delta the candidate
+    sets and the joined arrows of the profiles each element carries, and reports the joined
+    groups each created arrow enters (the beta network)."""
+
+    def __init__(self, h: MultilevelHierarchy, model: ModelNode):
+        self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
+        self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
+        self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
+        self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
+        for e in (*model.graph.nodes, *model.graph.arrows):
+            self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), set()).add(e)
+
+    def step(
+        self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
+    ) -> Dict[ElementKey, List[tuple]]:
+        """Move to `model`, which differs from the current one by `created` and `deleted`, and
+        return for each created node its `profiles`, and for each created arrow the `by_ends`
+        keys, (profile, source profile, target profile), whose groups it entered."""
+        for e in deleted:
+            self._update(e, False)
+        self.model = model
+        ends_first = sorted(created, key=lambda e: isinstance(e, tuple))
+        return {e: self._update(e, True) for e in ends_first}
+
+    def _update(self, e: ElementKey, add: bool) -> List[tuple]:
+        """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
+        returns a node's `profiles`, or the `by_ends` keys whose groups an added arrow entered."""
+        kind = isinstance(e, tuple)
+        change = set.add if add else set.remove
+        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
+        profiles, entered = self.profiles(e), []
+        for profile in profiles:
+            change(self.found[kind, profile], e)
+            for source, target in self.joined.get(profile, ()) if kind else ():
+                groups = self.ends[profile, source, target]
+                if add:
+                    if e[0] in self.found[False, source] and e[2] in self.found[False, target]:
+                        entered.append((profile, source, target))
+                        for end in {e[0], e[2]}:
+                            groups.setdefault(end, set()).add(e)
+                elif e in groups.get(e[0], ()):
+                    for end in {e[0], e[2]}:
+                        groups[end].remove(e)
+                        if not groups[end]:
+                            del groups[end]
+        return entered if kind else profiles
+
+    def profiles(self, e: ElementKey) -> List[tuple]:
+        """The profiles asked of this index so far that the model's element `e` carries."""
+        kind = isinstance(e, tuple)
+        key = (kind, self.model.info_for(e).direct_type)
+        if key not in self.held:
+            n = self.model.level
+            self.held[key] = [
+                (p, any(lvl >= n for lvl, _ in p))
+                for arrows, p in self.found
+                if arrows == kind and self._holds(key[1], p)
+            ]
+        return [p for p, own in self.held[key] if not own or self._own(e, p)]
+
+    def candidates(self, arrows: bool, profile: tuple) -> Set[ElementKey]:
+        """The model's arrows, or nodes, that carry `profile`."""
+        key = (arrows, profile)
+        if key not in self.found:
+            own = any(lvl >= self.model.level for lvl, _ in profile)
+            self.found[key] = {
+                e
+                for (a, t), g in self.groups.items()
+                if a == arrows and self._holds(t, profile)
+                for e in g
+                if not own or self._own(e, profile)
+            }
+            self.held.clear()
+        return self.found[key]
+
+    def by_ends(self, profile: tuple, source: tuple, target: tuple) -> Dict[str, Set[Arrow]]:
+        """The arrows that carry `profile` from a node that carries `source` to one that carries
+        `target`, grouped under each of their ends."""
+        key = (profile, source, target)
+        if key not in self.ends:
+            sources, targets = self.candidates(False, source), self.candidates(False, target)
+            self.ends[key] = group_by_end(
+                a for a in self.candidates(True, profile) if a[0] in sources and a[2] in targets
+            )
+            self.joined.setdefault(profile, []).append((source, target))
+        return self.ends[key]
+
+    def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:
+        """The candidates of each element of `pattern`, a dict from pattern elements to their
+        profiles, and the `by_ends` groups of each of its arrows.  Both are the index's own live
+        sets, which `step` updates in place, so a caller may keep them across steps."""
+        pools = {e: self.candidates(isinstance(e, tuple), p) for e, p in pattern.items()}
+        by_ends = {
+            a: self.by_ends(p, pattern[a[0]], pattern[a[2]])
+            for a, p in pattern.items()
+            if isinstance(a, tuple)
+        }
+        return pools, by_ends
+
+    def _holds(self, t: TypeRef, profile: tuple) -> bool:
+        """Whether an element of direct type `t` has the profile's types above the model."""
+        if (t, profile) not in self.verdicts:
+            n = self.model.level
+            above = [(lvl, want) for lvl, want in profile if lvl < n]
+            up = self.h.model(t[0]).level < n
+            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in above]
+            self.verdicts[t, profile] = types == [want for _, want in above]
+        return self.verdicts[t, profile]
+
+    def _own(self, e: ElementKey, profile: tuple) -> bool:
+        # at level n an element is its own type; below n, untyped
+        n = self.model.level
+        return all(want == (e if lvl == n else None) for lvl, want in profile if lvl >= n)
 
 
 def graph_match(

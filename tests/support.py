@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mlmt.hierarchy
-from mlmt.chains import ChainMorphism, GraphChain, build_chain
+from mlmt.chains import ChainMorphism, GraphChain, build_chain, derive_typing_chain
 from mlmt.errors import InheritanceCycle
 from mlmt.graphs import (
     Arrow,
@@ -28,7 +28,6 @@ from mlmt.hierarchy import (
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
-    derive_typing_chain,
     transitive_type_at,
 )
 from mlmt.matching import MetaMatch, TwoLevelRule, find_meta_matches, typing_stack
@@ -378,9 +377,9 @@ def _tt(models, own_name, own_info, node, level):
 
 
 def reference_type_walk(h: MultilevelHierarchy, model: str, element: ElementKey):
-    """`type_walk` as a generator over `h.model` lookups, as it first stood:
-    yields the element's own (model, element) pair, then its transitive types
-    up to the first step that does not go up a level."""
+    """The walk up an element's typing as a generator over `h.model` lookups,
+    as it first stood: yields the element's own (model, element) pair, then
+    its transitive types up to the first step that does not go up a level."""
     cur_model, cur_elem = model, element
     yield cur_model, cur_elem
     while True:

@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 
-from mlmt.chains import typing_to_chain, validate_chain_morphism
+from mlmt.chains import derive_typing_chain, typing_to_chain, validate_chain_morphism
 from mlmt.engine import apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import DanglingDeletion
 from mlmt.graphs import (
@@ -20,11 +20,7 @@ from mlmt.graphs import (
     pullback_complement,
     pushout,
 )
-from mlmt.hierarchy import (
-    derive_typing_chain,
-    transitive_type_at,
-    validate_hierarchy,
-)
+from mlmt.hierarchy import transitive_type_at, validate_hierarchy
 from mlmt.matching import find_meta_matches, proliferate, proliferate_all
 
 from support import (

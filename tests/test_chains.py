@@ -10,14 +10,17 @@ from mlmt.chains import (
     chain_pullback_complement,
     chain_pushout,
     check_compatibility,
+    derive_typing_chain,
     refactor_inclusion_chain,
     typing_to_chain,
     validate_chain_morphism,
 )
 from mlmt.errors import (
     CompatibilityViolation,
+    DepthMismatch,
     GraphMismatch,
     NonTotalRootTyping,
+    NotInclusionChain,
     UniquenessViolation,
 )
 from mlmt.graphs import (
@@ -27,7 +30,6 @@ from mlmt.graphs import (
     build_graph,
     inclusion,
 )
-from mlmt.hierarchy import derive_typing_chain
 
 from support import (
     chain_conditions_hold,
@@ -310,3 +312,60 @@ class TestChainRewriting:
         assert "p1$0" not in t_chain.graph_at(1).nodes
         assert "g2" in t_chain.graph_at(0).nodes
         assert t_chain.is_inclusion_chain()
+
+    def test_pushout_rejects_rule_chains_of_unequal_depth(self):
+        lhs, inter, _, l_chain, _, _ = two_level_rule_chains()
+        host, s_chain = self.host_chain()
+        deeper = refactor_inclusion_chain(inter, [inter, inter])
+        l_morph = self.make_morphism(l_chain, deeper, {"m1": "m1"})
+        m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
+        with pytest.raises(DepthMismatch):
+            chain_pushout(l_morph, m_morph)
+
+    def test_pullback_complement_rejects_rule_chains_of_unequal_depth(self):
+        lhs, inter, rhs, l_chain, i_chain, r_chain = two_level_rule_chains()
+        host, s_chain = self.host_chain()
+        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
+        m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
+        _, _, d_morph = chain_pushout(l_morph, m_morph)
+        keep = build_graph("L", ["m1"], [])
+        deeper = refactor_inclusion_chain(keep, [keep, keep])
+        r_morph = self.make_morphism(deeper, i_chain, {"m1": "m1"}, {0: 0, 1: 1, 2: 1})
+        with pytest.raises(DepthMismatch):
+            chain_pullback_complement(r_morph, d_morph)
+
+    def test_rejects_a_host_that_is_not_an_inclusion_chain(self):
+        # a chain whose typings are not identities, such as one a hierarchy's
+        # root path induces, is rewritten only after `typing_to_chain`
+        lhs, inter, rhs, l_chain, i_chain, r_chain = two_level_rule_chains()
+        host = build_chain(*simple_chain())
+        assert not host.is_inclusion_chain()
+        m_morph = ChainMorphism(
+            l_chain,
+            host,
+            {0: 0, 1: 1},
+            {
+                0: TotalMorphism(lhs, host.graph_at(0), {"m1": "N"}, {}),
+                1: TotalMorphism(lhs, host.graph_at(1), {"m1": "x"}, {}),
+            },
+        )
+        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
+        with pytest.raises(NotInclusionChain):
+            chain_pushout(l_morph, m_morph)
+        arrow = ("m1", "c1", "p1")
+        d_morph = ChainMorphism(
+            i_chain,
+            host,
+            {0: 0, 1: 1},
+            {
+                0: TotalMorphism(
+                    inter, host.graph_at(0), {"m1": "N", "p1": "N"}, {arrow: ("N", "A", "N")}
+                ),
+                1: TotalMorphism(
+                    inter, host.graph_at(1), {"m1": "x", "p1": "y"}, {arrow: ("x", "a", "y")}
+                ),
+            },
+        )
+        r_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
+        with pytest.raises(NotInclusionChain):
+            chain_pullback_complement(r_morph, d_morph)

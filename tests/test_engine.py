@@ -352,9 +352,9 @@ class TestTypeIndex:
             if step is not None:
                 index.step(model, step.created, step.deleted)
             for tl_rule in compiled:
-                assert typed_matches(tl_rule, model, state, index) == typed_matches(
-                    tl_rule, model, state
-                )
+                assert typed_matches(
+                    tl_rule, model, state, pools=index.pools(tl_rule.pattern)
+                ) == typed_matches(tl_rule, model, state)
             # every cached list and bucket holds what a fresh index's does,
             # each element once
             fresh = TypeIndex(state, model)
@@ -431,9 +431,9 @@ class TestRun:
         inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
         step = engine._LiveMatches.step
 
-        def counting(rule, model, h, index=None, **kw):
+        def counting(rule, model, h, **kw):
             initial.append(rule)
-            return inner(rule, model, h, index, **kw)
+            return inner(rule, model, h, **kw)
 
         def recording(order, plan, pools, incidence, x, p):
             (live,) = lives

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from mlmt.chains import derive_typing_chain
 from mlmt.cli import main
 from mlmt.errors import InheritanceCycle, ParseError, SchemaError
 from mlmt.graphs import build_graph
@@ -15,14 +16,12 @@ from mlmt.hierarchy import (
     ElementInfo,
     ModelNode,
     build_hierarchy,
-    derive_typing_chain,
     flatten_inheritance,
     hierarchy_to_json,
     load_hierarchy,
     parse_hierarchy,
     save_hierarchy,
     transitive_type_at,
-    type_walk,
     validate_hierarchy,
 )
 
@@ -32,7 +31,6 @@ from support import (
     random_inheritance_hierarchy,
     reference_flatten_inheritance,
     reference_transitive_type_at,
-    reference_type_walk,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -309,6 +307,19 @@ class TestDeriveTypingChain:
             assert path[top] == expected_model
             assert chain.typing(3, top)(elem) == expected_elem
 
+    def test_root_element_without_info_types_nothing_in_the_chain(self, pls):
+        # no chain typing involves a root element's own self-typing, so the
+        # chain does not read it; validation still reports the missing info
+        root = pls.model("root")
+        info = {k: v for k, v in root.info.items() if k != "Node"}
+        stripped = pls.with_model(ModelNode(root.name, None, 0, root.graph, info))
+        assert derive_typing_chain(stripped, "hammer_config") == derive_typing_chain(
+            pls, "hammer_config"
+        )
+        assert [(i.model, i.element, i.rule) for i in validate_hierarchy(stripped)] == [
+            ("root", "Node", "MissingTyping")
+        ]
+
     def test_random_hierarchies_derive_valid_chains(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -552,16 +563,14 @@ def lookup_outcome(fn, *args):
 
 
 def lookups_agree(h, models=None) -> int:
-    """Compares `type_walk` and `transitive_type_at` with the generator-based
-    reference on every element of `models` (default all) at every level from
+    """Compares `transitive_type_at` with the generator-based reference on
+    every element of `models` (default all) at every level from
     0 to the hierarchy's depth + 1; returns the types of what they raised."""
     depth = max(m.level for m in h.models.values())
     raised = set()
     for name in models or sorted(h.models):
         graph = h.models[name].graph
         for e in sorted(graph.nodes) + sorted(graph.arrows):
-            walk = lookup_outcome(lambda: list(type_walk(h, name, e)))
-            assert walk == lookup_outcome(lambda: list(reference_type_walk(h, name, e)))
             for level in range(depth + 2):
                 got = lookup_outcome(transitive_type_at, h, name, e, level)
                 assert got == lookup_outcome(reference_transitive_type_at, h, name, e, level)
@@ -571,8 +580,8 @@ def lookups_agree(h, models=None) -> int:
 
 
 class TestTypeLookupOracle:
-    """The type lookups give what the generator walk over `h.model` lookups
-    they replaced gives, including where they stop and what they raise."""
+    """The type lookup gives what the generator walk over `h.model` lookups
+    it replaced gives, including where they stop and what they raise."""
 
     def test_random_hierarchies(self):
         for seed in range(40):
@@ -586,14 +595,11 @@ class TestTypeLookupOracle:
         assert lookups_agree(cyclic) == set()
         # x : B.y does not go up a level, so x has no type at the root's level
         assert transitive_type_at(cyclic, "A", "x", 0) is None
-        assert type_walk(cyclic, "A", "x") == [("A", "x")]
 
     def test_unknown_model(self, pls):
         for fn, args in (
             (transitive_type_at, (pls, "nowhere", "ghandle", 0)),
             (reference_transitive_type_at, (pls, "nowhere", "ghandle", 0)),
-            (lambda *a: list(type_walk(*a)), (pls, "nowhere", "ghandle")),
-            (lambda *a: list(reference_type_walk(*a)), (pls, "nowhere", "ghandle")),
         ):
             assert lookup_outcome(fn, *args) == ("raised", SchemaError)
 

@@ -13,8 +13,8 @@ import pytest
 from mlmt import engine, matching
 from mlmt.engine import apply_two_level_rule, run, typed_matches
 from mlmt.graphs import Graph, TotalMorphism
-from mlmt.hierarchy import ModelNode, TypeIndex, transitive_type_at, validate_hierarchy
-from mlmt.matching import TwoLevelRule, find_meta_matches, proliferate
+from mlmt.hierarchy import ModelNode, transitive_type_at, validate_hierarchy
+from mlmt.matching import TwoLevelRule, TypeIndex, find_meta_matches, proliferate
 
 from support import (
     brute_force_graph_match,
@@ -90,9 +90,8 @@ def test_maintained_matches_equal_fresh_ones(pls, pls_module, monkeypatch, targe
         step(live, result)
         model = result.model
         h = pls.with_model(model)
-        fresh = TypeIndex(h, model)
         for tl_rule, found in zip(live.rules, live.lists):
-            want = typed_matches(tl_rule, model, h, fresh)
+            want = typed_matches(tl_rule, model, h)
             assert found == [tuple(m(e) for e in tl_rule.pattern) for m in want]
         checked.append(sum(map(len, live.lists)))
 
@@ -149,10 +148,10 @@ def test_anchored_matches_on_random_steps():
         h_after = h.with_model(after)
         tl_rule = random_two_level_rule(rng, h_after, after)
         index = TypeIndex(h, before)
-        typed_matches(tl_rule, before, h, index)  # fill the index's caches
+        typed_matches(tl_rule, before, h, pools=index.pools(tl_rule.pattern))  # fill the caches
         index.step(after, created, deleted)
         full = typed_matches(tl_rule, after, h_after)
-        assert typed_matches(tl_rule, after, h_after, index) == full
+        assert typed_matches(tl_rule, after, h_after, pools=index.pools(tl_rule.pattern)) == full
         used += bool(full)
     assert used >= 100
 
