@@ -352,14 +352,16 @@ def search_plan(
     outside `nodes`.  `arrows` are (arrow, source, target) triples.
 
     Nodes are bound connected-first, as in VF2: next to a bound node if one
-    is, else from anywhere.  Among those, the node `size` ranks lowest comes
-    first; without `size`, the one with the most arrows to bound nodes.  Each
-    arrow is bound as soon as both its ends are.  A node step is (node, None,
-    vias), each via (arrow, bound node, out) naming an arrow that joins the
-    node to a bound one, `out` if the arrow leaves the bound node; an arrow
-    step is (arrow, (source, target), None).  Each unbound node's arrows are
-    collected once, in `arrows` order, and a step only filters them by what is
-    bound (as PROGRES keeps each node's connecting arrows)."""
+    is, else one with an unbound arrow, else any; a node without arrows only
+    multiplies the matches, so it comes after every search that can fail.
+    Among those, the node `size` ranks lowest comes first; without `size`,
+    the one with the most arrows to bound nodes.  Each arrow is bound as soon
+    as both its ends are.  A node step is (node, None, vias), each via (arrow,
+    bound node, out) naming an arrow that joins the node to a bound one, `out`
+    if the arrow leaves the bound node; an arrow step is (arrow, (source,
+    target), None).  Each unbound node's arrows are collected once, in
+    `arrows` order, and a step only filters them by what is bound (as PROGRES
+    keeps each node's connecting arrows)."""
     ends = {a: (s, t) for a, s, t in arrows}
     bound, plan = set(bound), []
     todo = [n for n in nodes if n not in bound]
@@ -380,7 +382,7 @@ def search_plan(
     while todo:
         near = {n: tuple(v for v in links[n] if v[1] in bound) for n in todo}
         node = min(
-            [n for n in todo if near[n]] or todo,
+            [n for n in todo if near[n]] or [n for n in todo if links[n]] or todo,
             key=size or (lambda n: -len(near[n])),
         )
         plan.append((node, None, near[node]))
@@ -415,7 +417,7 @@ def injective_matches(
 
     def extend(i: int) -> None:
         if i == last:
-            found.append(tuple(image[e] for e in order))
+            found.append(tuple([image[e] for e in order]))
             return
         e, ends, vias = plan[i]
         if ends is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import UnresolvedReference
 from .graphs import Arrow, Graph, group_by_end, injective_matches, search_plan
@@ -216,10 +216,10 @@ class TypeIndex:
         """Whether an element of direct type `t` has the profile's types above the model."""
         if (t, profile) not in self.verdicts:
             n = self.model.level
-            above = [(lvl, want) for lvl, want in profile if lvl < n]
             up = self.h.model(t[0]).level < n
-            types = [transitive_type_at(self.h, *t, lvl) if up else None for lvl, _ in above]
-            self.verdicts[t, profile] = types == [want for _, want in above]
+            self.verdicts[t, profile] = all(
+                want == (transitive_type_at(self.h, *t, lvl) if up else None) for lvl, want in profile if lvl < n
+            )
         return self.verdicts[t, profile]
 
     def _own(self, e: ElementKey, profile: tuple) -> bool:
@@ -241,18 +241,18 @@ def graph_match(
     lower levels' bindings, so candidates come first."""
     nodes = [el.name for el in pattern if el.kind == NODE]
     ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
-    index = TypeIndex(h, target)
-    pools = {
-        el.name: {
+    if len(nodes) > len(target.graph.nodes) or len(ends) > len(target.graph.arrows):
+        return []  # too few elements for an injective image
+    index, pools = TypeIndex(h, target), {}
+    for el in pattern:
+        pools[el.name] = {
             c
             for c in index.candidates(el.kind == ARROW, _meta_profile(rule, el, level_map, bindings))
             if (not el.constant or (c if el.kind == NODE else c[1]) == el.name)
             and _element_satisfies(el, target, c)
         }
-        for el in pattern
-    }
-    if not all(pools.values()):
-        return []  # an element with no candidate image
+        if not pools[el.name]:
+            return []  # an element with no candidate image
     plan = search_plan(nodes, ends, size=lambda n: len(pools[n]))
     if plan is None:
         return []  # an arrow with an end off this level's nodes
@@ -280,18 +280,21 @@ def find_meta_matches(
         return []
     depth = rule.depth
 
-    def extend(mm_level, tg_level, level_map, bindings) -> Iterator[MetaMatch]:
+    # `found` is passed, not closed over: `extend` refers to itself, so what it closes over
+    # lives until the cycle collector runs
+    def extend(mm_level, tg_level, level_map, bindings, found) -> List[MetaMatch]:
         if mm_level == depth:
-            yield MetaMatch(level_map, bindings)
-            return
+            found.append(MetaMatch(level_map, bindings))
+            return found
         pattern = rule.meta_at(mm_level + 1)
         # leave room below for the remaining META levels
         for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
             deeper = {**level_map, mm_level + 1: t}
             for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings):
-                yield from extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding})
+                extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding}, found)
+        return found
 
-    return list(extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])}))
+    return extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])}, [])
 
 
 def typing_stack(h: MultilevelHierarchy, target_model: str) -> List[ModelNode]:
@@ -341,16 +344,16 @@ class TwoLevelRule:
         return self.lhs.nodes - self.rhs.nodes, self.lhs.arrows - self.rhs.arrows
 
 
-def _variant(expanded: McmtRule, name: str):
-    """The graphs of one cardinality variant, and each of its pattern elements'
-    key with the (name, level) of the META element typing it."""
+def _variant(expanded: McmtRule, name: str, slots: Dict[Tuple[str, int], int]):
+    """The graphs of one cardinality variant, its pattern element keys, and for each key the
+    slot of the META element typing it."""
     lhs = expanded.from_pattern.graph(name)
     rhs = expanded.to_pattern.graph(name)
     inter = Graph(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
-    typed_by: Dict[ElementKey, Tuple[str, int]] = {}
+    typed_by: Dict[ElementKey, int] = {}
     for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
-        typed_by.setdefault(element_key(e), (e.type_name, e.type_level))
-    return lhs, inter, rhs, list(typed_by.items())
+        typed_by.setdefault(element_key(e), slots[e.type_name, e.type_level])
+    return lhs, inter, rhs, tuple(typed_by), tuple(typed_by.values())
 
 
 def _profile_shape(
@@ -393,49 +396,56 @@ def proliferate(
 
     The cardinality variants depend only on the bound multiplicities, so each
     distinct set of them is expanded once, and the rules compiled from one
-    variant share its graphs.  `graph_match` draws a META element's image only
-    from elements whose transitive types at the stack levels of its META type
-    chain are the chain's bindings there, and the untyped levels of a profile
-    follow from the level map; so the element's bound type and instance
-    profile depend only on the level map, the element and its image, and are
-    derived once per (level map, element, image) and shared after that.
+    variant share its graphs; a variant keeps its pattern keys and, per key,
+    the slot of the META element typing it.  `graph_match` draws a META
+    element's image only from elements whose transitive types at the stack
+    levels of its META type chain are the chain's bindings there, and the
+    untyped levels of a profile follow from the level map; so each level map
+    keeps, per META element, its profile shape and a memo from image to bound
+    type and instance profile.  A META match then derives each slot's type and
+    profile once, and each rule picks its `types` and `level_types` by slot.
     """
     stack = typing_stack(h, target_model)
     meta_els = {
         (e.type_name, e.type_level): rule.meta_element(e.type_name, e.type_level)
         for e in rule.from_pattern.elements + rule.to_pattern.elements
     }
+    slots = {ref: i for i, ref in enumerate(meta_els)}
     metas = rule.meta_elements + rule.implicit_elements
     meta_arrows = [el for el in metas if el.kind == ARROW and el.level >= 1]
     variants: Dict[tuple, list] = {}
-    # level map -> each META element's profile shape, and (element, image) -> (bound type, profile)
+    # level map -> per META arrow (level, name, model info), per slot (level, name, model name,
+    # profile shape, image -> (bound type, profile))
     tables: Dict[tuple, tuple] = {}
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model):
         level_map, bindings = mm_match.level_map, mm_match.bindings
-        key = tuple(
-            stack[level_map[el.level]].info_for(bindings[el.level][el.name]).multiplicity
-            for el in meta_arrows
-        )
+        levels = tuple(level_map.items())
+        if levels not in tables:
+            tables[levels] = (
+                [(el.level, el.name, stack[level_map[el.level]].info) for el in meta_arrows],
+                [
+                    (el.level, el.name, stack[level_map[el.level]].name, _profile_shape(rule, el, level_map), {})
+                    for el in meta_els.values()
+                ],
+            )
+        arrows, table = tables[levels]
+        key = tuple([info[bindings[lvl][meta]].multiplicity for lvl, meta, info in arrows])
         if key not in variants:
             bound_mults = {(el.level, el.name): m or (0, None) for el, m in zip(meta_arrows, key)}
             expanded = expand_cardinalities(rule, bound_mults)
-            variants[key] = [_variant(e, target_model) for e in expanded]
-        levels = tuple(level_map.items())
-        if levels not in tables:
-            shapes = {ref: _profile_shape(rule, el, level_map) for ref, el in meta_els.items()}
-            tables[levels] = (shapes, {})
-        shapes, memo = tables[levels]
-        derived = {}
-        for ref, el in meta_els.items():
-            image = bindings[el.level][el.name]
-            if (ref, image) not in memo:
-                bound_type = (stack[level_map[el.level]].name, image)
-                memo[ref, image] = (bound_type, _filled(shapes[ref], mm_match))
-            derived[ref] = memo[ref, image]
-        for lhs, inter, rhs, typed_by in variants[key]:
-            types = {k: derived[ref][0] for k, ref in typed_by}
-            level_types = {k: derived[ref][1] for k, ref in typed_by}
+            variants[key] = [_variant(e, target_model, slots) for e in expanded]
+        bound, profiles = [], []
+        for lvl, meta, model_name, shape, memo in table:
+            image = bindings[lvl][meta]
+            if image not in memo:
+                memo[image] = ((model_name, image), _filled(shape, mm_match))
+            bound_type, profile = memo[image]
+            bound.append(bound_type)
+            profiles.append(profile)
+        for lhs, inter, rhs, keys, at in variants[key]:
+            types = dict(zip(keys, map(bound.__getitem__, at)))
+            level_types = dict(zip(keys, map(profiles.__getitem__, at)))
             name = f"{rule.name}_{len(out)}"
             out.append(TwoLevelRule(name, lhs, inter, rhs, types, level_types, rule.name, mm_match))
     return out

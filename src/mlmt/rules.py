@@ -599,13 +599,12 @@ def expand_cardinalities(
     for values in product(*value_ranges):
         expanded = rule
         for ((level, arrow_name), _), v in zip(bounded, values):
-            expanded = _replicate(expanded, level, arrow_name, v)
+            expanded = _replicate(expanded, rule.meta_element(arrow_name, level), v)
         out.append(expanded)
     return out
 
 
-def _replicate(rule: McmtRule, level: int, arrow_name: str, v: int) -> McmtRule:
-    meta = rule.meta_element(arrow_name, level)
+def _replicate(rule: McmtRule, meta: MetaElement, v: int) -> McmtRule:
     targets = {
         e.target
         for pat in (rule.from_pattern, rule.to_pattern)
@@ -621,7 +620,7 @@ def _replicate(rule: McmtRule, level: int, arrow_name: str, v: int) -> McmtRule:
             return e
         source = f"{e.source}${i}" if e.source in targets else e.source
         target = f"{e.target}${i}" if e.target in targets else e.target
-        return replace(e, name=f"{e.name}${i}", source=source, target=target)
+        return PatternElement(f"{e.name}${i}", e.type_name, e.type_level, e.kind, source, target)
 
     def expand(pattern: RulePattern) -> RulePattern:
         nodes = [copy(e, i) for e in pattern.nodes() for i in (range(v) if e.name in targets else (0,))]
@@ -632,10 +631,9 @@ def _replicate(rule: McmtRule, level: int, arrow_name: str, v: int) -> McmtRule:
         ]
         return RulePattern(tuple(nodes + arrows))
 
-    return replace(
-        rule,
-        from_pattern=expand(rule.from_pattern),
-        to_pattern=expand(rule.to_pattern),
+    return McmtRule(
+        rule.name, rule.meta_elements, rule.implicit_elements,
+        expand(rule.from_pattern), expand(rule.to_pattern),
     )
 
 

@@ -39,7 +39,6 @@ from mlmt.rules import (
     PatternElement,
     RulePattern,
     element_key,
-    expand_cardinalities,
 )
 
 # ---------------------------------------------------------------------------
@@ -810,11 +809,59 @@ def reference_instance_profile(rule, meta_el, mm_match):
     return tuple(sorted(constraints, reverse=True))
 
 
+def reference_expand_cardinalities(rule: McmtRule, bound_multiplicities) -> List[McmtRule]:
+    """`expand_cardinalities` written out from its docstring: one copy of the rule per value v
+    of each bounded interval, the bounded META arrows taken in sorted order, the last one
+    varying fastest; within a copy, each target of a pattern arrow typed by the META arrow is
+    replicated v times, together with its incident pattern arrows."""
+    variants = [rule]
+    for (level, name), (lo, hi) in sorted(bound_multiplicities.items()):
+        if hi is not None:
+            variants = [_reference_replicate(r, level, name, v) for r in variants for v in range(lo, hi + 1)]
+    return variants
+
+
+def _reference_replicate(rule: McmtRule, level: int, name: str, v: int) -> McmtRule:
+    """One replication step.  A pattern that replicates anything lists its nodes, then its
+    arrows, each replicated element as its v copies in place: copy 0 is the element, copy i
+    appends `$i` to its name and to each of its ends that is replicated."""
+    patterns = (rule.from_pattern, rule.to_pattern)
+    targets = {
+        e.target
+        for pattern in patterns
+        for e in pattern.elements
+        if e.kind == ARROW and e.type_name == name and e.type_level == level
+    }
+    if not targets or v == 1:
+        return rule
+
+    def marked(end: Optional[str], i: int) -> Optional[str]:
+        return f"{end}${i}" if end in targets else end
+
+    def copies(e: PatternElement) -> List[PatternElement]:
+        if targets.isdisjoint({e.name} if e.kind == NODE else {e.source, e.target}):
+            return [e]
+        return [
+            e if i == 0 else PatternElement(
+                f"{e.name}${i}", e.type_name, e.type_level, e.kind, marked(e.source, i), marked(e.target, i)
+            )
+            for i in range(v)
+        ]
+
+    def replicated(pattern: RulePattern) -> RulePattern:
+        nodes = [c for e in pattern.elements if e.kind == NODE for c in copies(e)]
+        arrows = [c for e in pattern.elements if e.kind == ARROW for c in copies(e)]
+        return RulePattern(tuple(nodes + arrows))
+
+    return replace(rule, from_pattern=replicated(rule.from_pattern), to_pattern=replicated(rule.to_pattern))
+
+
 def reference_proliferate(rule: McmtRule, h, target_model: str) -> List[TwoLevelRule]:
     """`proliferate` as it stood before its caches: every META match expands the
-    cardinality variants, builds their graphs and derives each pattern
-    element's type and profile anew.  Profiles come from
-    `reference_instance_profile`, so no table of the library's is shared."""
+    cardinality variants with `reference_expand_cardinalities`, builds their
+    graphs and derives each pattern element's type and profile anew.  Profiles
+    come from `reference_instance_profile`, so no table of the library's is
+    shared."""
     stack = typing_stack(h, target_model)
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model):
@@ -829,7 +876,7 @@ def reference_proliferate(rule: McmtRule, h, target_model: str) -> List[TwoLevel
             bound_mults[(el.level, el.name)] = (
                 model.info_for(bound).multiplicity or (0, None)
             )
-        for expanded in expand_cardinalities(rule, bound_mults):
+        for expanded in reference_expand_cardinalities(rule, bound_mults):
             name = f"{rule.name}_{len(out)}"
             lhs, inter, rhs = _pattern_graphs(expanded, target_model)
             types: Dict[ElementKey, Tuple[str, ElementKey]] = {}
@@ -870,6 +917,13 @@ def _pattern_graphs(rule: McmtRule, name: str) -> Tuple[Graph, Graph, Graph]:
 # comes in lexicographic order of the images of the sorted pattern nodes,
 # then of the sorted pattern arrows; a META binding in lexicographic order of
 # the images of its nodes, then of its arrows, in META pattern order.
+
+
+def outgrows(pattern, target) -> bool:
+    """Whether a META level's pattern has more nodes or more arrows than the target model, so
+    that no injective image exists and `graph_match` answers without indexing the model."""
+    nodes = sum(el.kind == NODE for el in pattern)
+    return nodes > len(target.graph.nodes) or len(pattern) - nodes > len(target.graph.arrows)
 
 
 def brute_force_graph_match(pattern, target, h, rule, level_map, bindings):
@@ -1015,7 +1069,8 @@ def reference_search_plan(
     size: Optional[Callable] = None,
 ) -> Optional[List[tuple]]:
     """`graphs.search_plan` as it was before it kept each node's arrows: every
-    step rescans every waiting arrow for every unbound node."""
+    step rescans every waiting arrow for every unbound node, for the arrows
+    that join it to bound nodes and, when no node has one, for any arrow."""
     ends = {a: (s, t) for a, s, t in arrows}
     bound, plan = set(bound), []
     waiting = [a for a in ends if a not in bound]
@@ -1035,8 +1090,9 @@ def reference_search_plan(
             )
             for n in todo
         }
+        linked = [n for n in todo if any(n in ends[a] for a in waiting)]
         node = min(
-            [n for n in todo if near[n]] or todo,
+            [n for n in todo if near[n]] or linked or todo,
             key=size or (lambda n: -len(near[n])),
         )
         plan.append((node, None, near[node]))

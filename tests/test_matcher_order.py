@@ -20,6 +20,7 @@ from support import (
     brute_force_graph_match,
     brute_force_typed_matches,
     filtered_homomorphisms,
+    outgrows,
     random_hierarchy,
     random_mcmt_rule,
     random_meta_rule,
@@ -358,7 +359,7 @@ def test_graph_match_in_order_on_pls(pls, pls_module, monkeypatch, target):
 
 def test_graph_match_in_order_on_random_cases(monkeypatch):
     rng = random.Random(1904)
-    found = nonempty = 0
+    found = nonempty = outgrown = 0
     for _ in range(600):
         h = random_hierarchy(rng, depth=rng.randint(1, 3))
         rule = random_meta_rule(rng, depth=rng.randint(1, 2))
@@ -370,6 +371,8 @@ def test_graph_match_in_order_on_random_cases(monkeypatch):
         for args, result in calls:
             assert result == brute_force_graph_match(*args)
             found += bool(result)
+            outgrown += outgrows(args[0], args[1])  # the oracle enumerates these too
         nonempty += bool(matches)  # most random META rules have no match
     assert found >= 150
     assert nonempty >= 100
+    assert outgrown >= 100

@@ -17,11 +17,13 @@ from collections import Counter
 
 import pytest
 
+from mlmt import matching
 from mlmt.hierarchy import load_hierarchy, transitive_type_at
-from mlmt.matching import find_meta_matches, instance_profile, proliferate
+from mlmt.matching import find_meta_matches, instance_profile, proliferate, proliferate_all
 from mlmt.rules import type_chain
 
 from support import (
+    outgrows,
     random_hierarchy,
     random_mcmt_rule,
     random_meta_rule,
@@ -130,6 +132,42 @@ def test_matches_with_equal_bound_multiplicities_keep_their_own_types(pls_rules,
     assert len(rules) == 4
     assert len({r.lhs for r in rules}) == 1
     assert len({tuple(sorted(r.types.items(), key=repr)) for r in rules}) == 4
+
+
+def test_proliferation_skips_outgrown_levels_and_expands_each_key_once(pls_module, family_plant, monkeypatch):
+    # the plant's two refinement models have 2 nodes and no arrows: a META level with arrows, or
+    # with more nodes, is answered there without a `TypeIndex`; and a rule's cardinality
+    # variants are expanded once per distinct set of bound multiplicities, not once per match
+    levels, indexed, expanded = [], [], Counter()
+    graph_match, index, expand = matching.graph_match, matching.TypeIndex, matching.expand_cardinalities
+
+    def matching_level(pattern, target, *rest):
+        levels.append((pattern, target, len(indexed)))
+        return graph_match(pattern, target, *rest)
+
+    class RecordingIndex(index):
+        def __init__(self, h, model):
+            indexed.append((levels[-1][0], model))
+            super().__init__(h, model)
+
+    def expanding(rule, bound_multiplicities):
+        expanded[rule.name, tuple(sorted(bound_multiplicities.items()))] += 1
+        return expand(rule, bound_multiplicities)
+
+    monkeypatch.setattr(matching, "graph_match", matching_level)
+    monkeypatch.setattr(matching, "TypeIndex", RecordingIndex)
+    monkeypatch.setattr(matching, "expand_cardinalities", expanding)
+    per_rule = proliferate_all(pls_module.rules, family_plant, "leaf_0")
+    monkeypatch.undo()
+    assert per_rule == proliferate_all(pls_module.rules, family_plant, "leaf_0")
+
+    assert indexed and not any(outgrows(pattern, model) for pattern, model in indexed)
+    ends = [n for _, _, n in levels[1:]] + [len(indexed)]
+    skipped = [(pattern, model) for (pattern, model, n), end in zip(levels, ends) if end == n]
+    assert skipped and all(outgrows(pattern, model) for pattern, model in skipped)
+    assert len(skipped) + len(indexed) == len(levels)
+    assert set(expanded.values()) == {1}
+    assert sum(name == "Assemble" for name, _ in expanded) >= 3
 
 
 def premise_cases(rule, h, rules):
