@@ -70,6 +70,16 @@ def typed_matches(
     return [_morphism(rule, model.graph, m) for m in found]
 
 
+def _anchor_plans(lhs: Graph) -> Dict[ElementKey, List[tuple]]:
+    """For each arrow of a left graph, and each node without arrows, the `search_plan` of the
+    matches that fix its image (an arrow's ends with it): where a `run` step searches from."""
+    nodes, arrows = sorted(lhs.nodes), sorted(lhs.arrows)
+    ends = [(a, a[0], a[2]) for a in arrows]
+    plans = {n: search_plan(nodes, ends, (n,)) for n in nodes if not lhs.incident(n)}
+    plans.update({a: search_plan(nodes, ends, (a, a[0], a[2])) for a in arrows})
+    return plans
+
+
 def _anchored(order, plan, pools, incidence, x: ElementKey, p: ElementKey) -> List[tuple]:
     """The matches, as `injective_matches` lists them, that map the pattern element `p` to `x`
     by `p`'s plan: a node of `p`'s pool, or an arrow of `p`'s `TypeIndex.by_ends` groups, whose
@@ -134,17 +144,14 @@ def apply_two_level_rule(
 def _apply_at(
     rule: TwoLevelRule, model: ModelNode, m: TotalMorphism
 ) -> ApplicationResult:
-    """One co-span step.  The pushout glues on a fresh copy of I \\ L and the
-    pullback complement removes d(I \\ R), so the created elements are the
-    kept copies of I \\ L and the deleted ones are m(L \\ R): the rest of
-    d(I \\ R) are copies that never reached the model."""
+    """One co-span step: the pushout glues on a fresh copy of I \\ L, the pullback complement
+    removes d(I \\ R), and the model gains the copies of `rule.created` and loses m(L \\ R)."""
     _, d = pushout(rule.interface, m)
     T, _ = pullback_complement(rule.rhs, d)
     created: Dict[ElementKey, ElementInfo] = {}
-    for x in rule.added:
-        if T.has(d(x)):
-            mult = (0, None) if isinstance(x, tuple) else None
-            created[d(x)] = ElementInfo(rule.types[x], (1, 1), mult)
+    for x in rule.created:
+        mult = (0, None) if isinstance(x, tuple) else None
+        created[d(x)] = ElementInfo(rule.types[x], (1, 1), mult)
     gone_nodes, gone_arrows = rule.removed
     deleted = tuple(sorted({m.node_map[x] for x in gone_nodes})) + tuple(
         sorted({m.arrow_map[x] for x in gone_arrows})
@@ -307,7 +314,8 @@ class _LiveMatches:
     level of pattern elements), a pattern arrow from a created arrow that entered the
     `TypeIndex.by_ends` group of its profile and its ends' profiles (RETE's beta network, which
     joins an arrow with its ends).  Each rule's pools are built once, for its initial search and
-    its anchors, and a rule with an empty pool is not searched at the start.
+    its anchors, each distinct left graph's `_anchor_plans` once per run, and a rule with an
+    empty pool is not searched at the start.
 
     A created node is searched only for pattern nodes without arrows.  It is new (`fresh_name`
     avoids every node of the model, and no arrow ends at a name the model lacks), so every arrow
@@ -319,15 +327,16 @@ class _LiveMatches:
         model = h.model(target_model)
         self.rules, self.index, self.lists = rules, TypeIndex(h, model), []
         # (kind, key) -> (rule index, pattern element, `_anchored`'s other arguments) for each
-        # element of `anchored_plans`: an arrow's key is its `by_ends` key, a node's its profile;
+        # element of `_anchor_plans`: an arrow's key is its `by_ends` key, a node's its profile;
         # `index.step` updates the pools in place
         self.anchors: Dict[tuple, List[tuple]] = {}
+        plans = {lhs: _anchor_plans(lhs) for lhs in {r.lhs for r in rules}}
         for i, r in enumerate(rules):
             pattern = r.pattern
             order, pools = tuple(pattern), self.index.pools(pattern)
             found = typed_matches(r, model, h, pools=pools)
             self.lists.append([tuple(m(e) for e in order) for m in found])
-            for p, plan in r.lhs.anchored_plans.items():
+            for p, plan in plans[r.lhs].items():
                 kind = isinstance(p, tuple)
                 key = (pattern[p], pattern[p[0]], pattern[p[2]]) if kind else pattern[p]
                 self.anchors.setdefault((kind, key), []).append((i, p, order, plan, *pools))
@@ -382,11 +391,10 @@ def run(
             result = successors[0]
             current = current.with_model(result.model)
             live.step(result)
-            match_view = {}
-            for k, v in result.match.node_map.items():
-                match_view[k] = v
-            for k, v in result.match.arrow_map.items():
-                match_view[k[1]] = v[1]
+            match_view = {
+                (p[1] if isinstance(p, tuple) else p): (x[1] if isinstance(x, tuple) else x)
+                for p, x in zip(tl_rule.pattern, images)
+            }
             steps.append(
                 TraceStep(
                     step, tl_rule.name, match_view, result.created, result.deleted

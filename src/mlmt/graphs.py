@@ -78,18 +78,6 @@ class Graph:
         so graphs may share it."""
         return {n: frozenset(s) for n, s in group_by_end(self.arrows).items()}
 
-    @cached_property
-    def anchored_plans(self) -> Dict[object, List[tuple]]:
-        """For each arrow, and each node without arrows, the `search_plan` of the matches of this
-        graph, as a pattern, that give that element one image (an arrow's ends are bound with
-        it): the elements a step of `run` searches from.  Rules that share a left pattern graph
-        share these plans."""
-        nodes, arrows = sorted(self.nodes), sorted(self.arrows)
-        ends = [(a, a[0], a[2]) for a in arrows]
-        plans = {n: search_plan(nodes, ends, (n,)) for n in nodes if n not in self._incidence}
-        plans.update({a: search_plan(nodes, ends, (a, a[0], a[2])) for a in arrows})
-        return plans
-
     @property
     def elements(self) -> FrozenSet:
         return self.nodes | self.arrows

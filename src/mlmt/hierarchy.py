@@ -276,6 +276,9 @@ def _check_inheritance(m: ModelNode) -> List[ValidationIssue]:
     issues = []
     heirs = [(elem, info.supertypes) for elem, info in m.info.items() if info.supertypes]
     for elem, supertypes in heirs:
+        if isinstance(elem, tuple):  # `flatten_inheritance` reads supertypes of nodes only
+            issues.append(ValidationIssue(m.name, elem, "ArrowSupertypes", "only nodes inherit"))
+            continue
         for sup in sorted(supertypes):
             if sup not in m.graph.nodes:
                 issues.append(

@@ -333,10 +333,11 @@ class TwoLevelRule:
         return {e: self.level_types[e] for e in order}
 
     @cached_property
-    def added(self) -> Tuple[ElementKey, ...]:
-        """I \\ L, in the order a step creates their copies: nodes sorted, then arrows sorted."""
-        I, L = self.interface, self.lhs
-        return (*sorted(I.nodes - L.nodes), *sorted(I.arrows - L.arrows))
+    def created(self) -> Tuple[ElementKey, ...]:
+        """(I \\ L) ∩ R, whose copies a step adds to the model, nodes sorted, then arrows sorted:
+        the pullback complement removes the other copies of I \\ L that the pushout glued on."""
+        I, L, R = self.interface, self.lhs, self.rhs
+        return (*sorted((I.nodes - L.nodes) & R.nodes), *sorted((I.arrows - L.arrows) & R.arrows))
 
     @cached_property
     def removed(self) -> Tuple[FrozenSet[str], FrozenSet[Arrow]]:

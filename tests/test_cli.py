@@ -17,6 +17,32 @@ from support import child_env
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+# `x` is typed by `c = M -> P`, but its end `p` is typed `M`, whose type chain has no `P`
+TYPING_INCOMPATIBLE = """rules X {
+  rule Bad {
+    meta {
+      M : Machine mm1
+      P : Part mm1
+      c : creates mm1
+      c = M -> P
+    }
+    from {
+      m : M
+      p : M
+      x : c
+      x = m -> p
+    }
+    to {
+      m : M
+      p : M
+      x : c
+      x = m -> p
+    }
+  }
+}
+"""
+
+
 @pytest.fixture
 def paths(pls_paths):
     hierarchy, rules = pls_paths
@@ -367,7 +393,8 @@ class TestRulesCheck:
         assert "2:" in err  # the offending line number
 
     def test_rule_declared_twice_exits_one(self, paths, tmp_path, capsys):
-        text = open(paths[1]).read()
+        with open(paths[1], encoding="utf-8") as fh:
+            text = fh.read()
         first = text.index("  rule CreatePart")
         end = text.index("  rule ", first + 1)
         twice = tmp_path / "twice.mcmt"
@@ -388,6 +415,21 @@ class TestRulesCheck:
         captured = capsys.readouterr()
         assert captured.out == "1 rule(s), 1 problem(s)\n"
         assert captured.err.splitlines() == ["A: MetaEmpty — the meta block must contain a pattern"]
+
+    def test_arrow_end_typed_off_its_meta_arrow_is_reported(self, paths, tmp_path, capsys):
+        rules = tmp_path / "ends.mcmt"
+        rules.write_text(TYPING_INCOMPATIBLE)
+        want = [
+            f"Bad/{which}: TypingIncompatibility — endpoint 'p' of 'x' is typed 'M', but 'c' expects 'P'"
+            for which in ("from", "to")
+        ]
+        hierarchy = load_hierarchy(paths[0])
+        (rule,) = parse_rule_module(TYPING_INCOMPATIBLE).rules
+        assert validate_rule(rule, hierarchy.model(hierarchy.root).graph) == want
+        assert main(["rules", "check", str(rules), "--hierarchy", paths[0]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "1 rule(s), 2 problem(s)\n"
+        assert captured.err.splitlines() == want
 
     @pytest.mark.parametrize(
         "argv, last",
@@ -593,7 +635,8 @@ class TestFmt:
         hierarchy, rules = paths
         assert main(["fmt", rules]) == 0
         once = capsys.readouterr().out
-        assert once == open(rules).read()
+        with open(rules, encoding="utf-8") as fh:
+            assert once == fh.read()
 
 
 class TestUsage:

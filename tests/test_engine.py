@@ -474,17 +474,23 @@ class TestRun:
     def test_a_run_plans_and_searches_only_where_a_match_can_exist(
         self, pls, pls_module, monkeypatch
     ):
-        # on hammer_config, seed 0, 50 steps: the initial search plans and runs
-        # only the rules whose pools are all non-empty, each left graph keeps
-        # plans only for its arrows and its nodes without arrows, and a step
-        # makes few anchored searches
-        planned, searched, anchored, lives = [], [], [], []
+        # on hammer_config, seed 0, 50 steps: the initial search plans (the
+        # `search_plan` calls sized by the pools) and runs only the rules whose
+        # pools are all non-empty, each of the 4 distinct left graphs gets
+        # anchor plans once, only for its arrows and its nodes without arrows,
+        # and a step makes few anchored searches
+        planned, searched, anchored, lives, anchor_plans = [], [], [], [], []
         plan, inner, anchor = engine.search_plan, engine.injective_matches, engine._anchored
-        init = engine._LiveMatches.__init__
+        init, plans_of = engine._LiveMatches.__init__, engine._anchor_plans
 
         def planning(*args, **kw):
-            planned.append(args)
+            if "size" in kw:
+                planned.append(args)
             return plan(*args, **kw)
+
+        def planning_anchors(lhs):
+            anchor_plans.append(lhs)
+            return plans_of(lhs)
 
         def searching(order, plan, pools, incidence, fixed=None):
             if fixed is None:
@@ -502,10 +508,12 @@ class TestRun:
         monkeypatch.setattr(engine, "search_plan", planning)
         monkeypatch.setattr(engine, "injective_matches", searching)
         monkeypatch.setattr(engine, "_anchored", counting)
+        monkeypatch.setattr(engine, "_anchor_plans", planning_anchors)
         monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=0)
         assert len(trace.steps) == 50
         (live,) = lives
+        assert len(anchor_plans) == len({r.lhs for r in live.rules}) == 4
         assert len(live.rules) == 21
         fresh = TypeIndex(pls, pls.model("hammer_config"))
         full = [i for i, r in enumerate(live.rules) if all(fresh.pools(r.pattern)[0].values())]
@@ -515,7 +523,7 @@ class TestRun:
         for r in live.rules:
             lhs = r.lhs
             apart = {n for n in lhs.nodes if not lhs.incident(n)}
-            assert set(lhs.anchored_plans) == set(lhs.arrows) | apart
+            assert set(plans_of(lhs)) == set(lhs.arrows) | apart
         assert len(anchored) <= 4.5 * len(trace.steps)
 
     def test_applied_matches_are_total_and_keep_ends(self, pls, pls_module, monkeypatch):

@@ -417,6 +417,16 @@ class TestFlattenInheritance:
             "generic_plant/'Extra': supertype 'Ghost' is not a node with element info"
         )
 
+    def test_supertypes_on_an_arrow_are_reported(self, pls):
+        # `flatten_inheritance` reads supertypes of nodes only, and would drop these silently
+        plant = pls.model("generic_plant")
+        creates = ("Machine", "creates", "Part")
+        info = {**plant.info, creates: replace(plant.info[creates], supertypes=frozenset({"Part"}))}
+        h = pls.with_model(replace(plant, info=info))
+        assert [str(i) for i in validate_hierarchy(h)] == [
+            "generic_plant/('Machine', 'creates', 'Part'): [ArrowSupertypes] only nodes inherit"
+        ]
+
     def test_supertype_without_info_raises_schema_error(self):
         h = inheritance_fixture()
         m = h.model("m")

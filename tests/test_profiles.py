@@ -20,7 +20,7 @@ import pytest
 from mlmt import matching
 from mlmt.hierarchy import load_hierarchy, transitive_type_at
 from mlmt.matching import find_meta_matches, instance_profile, proliferate, proliferate_all
-from mlmt.rules import type_chain
+from mlmt.rules import ARROW, parse_rule_module, type_chain, validate_rule
 
 from support import (
     outgrows,
@@ -132,6 +132,50 @@ def test_matches_with_equal_bound_multiplicities_keep_their_own_types(pls_rules,
     assert len(rules) == 4
     assert len({r.lhs for r in rules}) == 1
     assert len({tuple(sorted(r.types.items(), key=repr)) for r in rules}) == 4
+
+
+# `a`'s type `creates` has no declaration at META level 1, so elaboration adds it as an implicit
+# constant whose ends are the types of `a`'s ends, X -> Y, which sit at level 2
+OFF_LEVEL_ENDS = """rules OffLevel {
+  rule Off {
+    meta {
+      X : Machine mm1
+      Y : Part mm1
+      A : X mm2
+      B : Y mm2
+      a : creates mm1
+      a = A -> B
+    }
+    from {
+    }
+    to {
+    }
+  }
+}
+"""
+
+
+def test_an_arrow_with_ends_off_its_meta_level_matches_nowhere(family_plant, monkeypatch):
+    # level 1 has no search plan, as `creates`'s ends are not among its nodes, and `graph_match`
+    # answers [] there instead of raising; so the rule proliferates to nothing on every leaf,
+    # and `validate_rule` does not say why
+    rule = parse_rule_module(OFF_LEVEL_ENDS).rules[0]
+    (creates,) = [e for e in rule.meta_at(1) if e.kind == ARROW]
+    assert (creates.name, creates.implicit, creates.source, creates.target) == ("creates", True, "X", "Y")
+    plans, plan = [], matching.search_plan
+
+    def planning(*args, **kw):
+        plans.append(plan(*args, **kw))
+        return plans[-1]
+
+    stack = matching.typing_stack(family_plant, "leaf_0")
+    bindings = {0: matching._root_binding(rule, stack[0])}
+    monkeypatch.setattr(matching, "search_plan", planning)
+    assert matching.graph_match(rule.meta_at(1), stack[1], family_plant, rule, {0: 0, 1: 1}, bindings) == []
+    assert plans == [None]
+    monkeypatch.undo()
+    assert validate_rule(rule, family_plant.model("root").graph) == []
+    assert [proliferate(rule, family_plant, leaf) for leaf in leaves(family_plant)] == [[], []]
 
 
 def test_proliferation_skips_outgrown_levels_and_expands_each_key_once(pls_module, family_plant, monkeypatch):

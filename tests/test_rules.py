@@ -114,7 +114,8 @@ class TestParsing:
 
 class TestPrinting:
     def test_fixture_round_trip_is_byte_identical(self, pls_paths):
-        text = open(pls_paths[1]).read()
+        with open(pls_paths[1], encoding="utf-8") as fh:
+            text = fh.read()
         module = parse_rule_module(text)
         assert print_rule_module(module) == text
 
