@@ -7,9 +7,12 @@ hierarchies.  An inclusion chain is a host graph at level 0 with plain
 subgraphs of it at levels 1..m and identity typings on their intersections
 (`refactor_inclusion_chain`).  The two-step chain pushout and its
 pullback-complement twin drive direct rule application on a whole typing
-chain at once; both take and return inclusion chains.  The typing chain
-they rewrite is the one a hierarchy's root path induces
-(`derive_typing_chain`), read off the hierarchy by `transitive_type_at`.
+chain at once.  Like their graph twins, they take the rule's chains, not
+morphisms between them: `chain_pushout(I, m) -> (D, d)` with L = m.src, and
+`chain_pullback_complement(R, d) -> (T, t_in)` with I = d.src; each checks
+that the leg is a subgraph of I at every level.  The typing chain they
+rewrite is the one a hierarchy's root path induces (`derive_typing_chain`),
+read off the hierarchy by `transitive_type_at`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .graphs import (
     Graph,
     PartialMorphism,
     TotalMorphism,
+    _require_subgraph,
     compose_partial,
-    inclusion,
     pullback_complement,
     pushout,
 )
@@ -141,9 +144,6 @@ class ChainMorphism:
 
     def component(self, i: int) -> TotalMorphism:
         return self.components[i]
-
-    def f(self, i: int) -> int:
-        return self.level_map[i]
 
 
 def lift(
@@ -313,27 +313,31 @@ def _require_inclusion_chains(*chains: GraphChain) -> None:
             )
 
 
-def chain_pushout(
-    l: ChainMorphism, m: ChainMorphism
-) -> Tuple[GraphChain, ChainMorphism, ChainMorphism]:
-    """Pushout of S <-(m,f)- L -(l,id)-> I for inclusion chains.
+def _require_rule_leg(leg: GraphChain, I: GraphChain) -> None:
+    """A rule leg has I's depth and is a subgraph of I at every level."""
+    if leg.length != I.length:
+        raise DepthMismatch("rule chains must have equal depth")
+    for g, h in zip(leg.graphs, I.graphs):
+        _require_subgraph(g, h)
+
+
+def chain_pushout(I: GraphChain, m: ChainMorphism) -> Tuple[GraphChain, ChainMorphism]:
+    """Pushout of S <-(m,f)- L c-> I for inclusion chains, where L = m.src
+    must be a subgraph of I at every level.
 
     Step one pushes out level-wise on the levels touched by the rule; step
-    two borrows the untouched levels of S verbatim.  Returns (D, s, d).
+    two borrows the untouched levels of S verbatim.  Returns (D, d) with
+    d: I -> D; S is a subgraph of D at every level.
     """
-    L, I, S = l.src, l.dst, m.dst
-    if l.src is not m.src and l.src.graphs != m.src.graphs:
-        raise GraphMismatch("pushout legs must share their source chain")
-    if L.length != I.length:
-        raise DepthMismatch("rule chains must have equal depth")
+    L, S = m.src, m.dst
+    _require_rule_leg(L, I)
     _require_inclusion_chains(L, I, S)
-    n, M = L.length, S.length
     f = m.level_map
 
     D0, d0 = pushout(I.graph_at(0), m.component(0))
 
     levels = list(S.graphs[1:])  # the levels f does not touch are S's verbatim
-    for i in range(1, n + 1):
+    for i in range(1, L.length + 1):
         g = S.graph_at(f[i])
         levels[f[i] - 1] = Graph(
             g.name,
@@ -341,32 +345,26 @@ def chain_pushout(
             g.arrows | {d0.arrow_map[a] for a in I.graph_at(i).arrows - L.graph_at(i).arrows},
         )
     D = refactor_inclusion_chain(D0, levels)  # D0 is named after S's level 0
-
-    s0 = inclusion(S.graph_at(0), D0)  # S is a subgraph of D by construction
-    return D, lift(s0, S, D, {j: j for j in range(M + 1)}), lift(d0, I, D, f)
+    return D, lift(d0, I, D, f)
 
 
 def chain_pullback_complement(
-    r: ChainMorphism, d: ChainMorphism
-) -> Tuple[GraphChain, ChainMorphism, ChainMorphism]:
-    """Level-wise pullback complement mirroring the two-step pushout.
+    R: GraphChain, d: ChainMorphism
+) -> Tuple[GraphChain, ChainMorphism]:
+    """Pullback complement of R c-> I -(d,f)-> D for inclusion chains, where
+    R must be a subgraph of I = d.src at every level.
 
-    Deletes the d-images of I minus R at the base, intersects the upper
-    levels with the survivors, and returns (T, R -> T, T -> D).
+    Mirrors the two-step pushout: deletes the d-images of I minus R at the
+    base and intersects the upper levels with the survivors.  Returns
+    (T, t_in) with t_in: R -> T; T is a subgraph of D at every level.
     """
-    R, I, D = r.src, r.dst, d.dst
-    if I is not d.src and I.graphs != d.src.graphs:
-        raise GraphMismatch("r and d must share the interface chain")
-    if R.length != I.length:
-        raise DepthMismatch("rule chains must have equal depth")
+    I, D = d.src, d.dst
+    _require_rule_leg(R, I)
     _require_inclusion_chains(R, I, D)
-    M = D.length
 
     T0, t_in0 = pullback_complement(R.graph_at(0), d.component(0))
 
     T = refactor_inclusion_chain(  # T0 is named after D's level 0
         T0, [Graph(g.name, g.nodes & T0.nodes, g.arrows & T0.arrows) for g in D.graphs[1:]]
     )
-
-    t_sub0 = inclusion(T0, D.graph_at(0))
-    return T, lift(t_in0, R, T, d.level_map), lift(t_sub0, T, D, {j: j for j in range(M + 1)})
+    return T, lift(t_in0, R, T, d.level_map)

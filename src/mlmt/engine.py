@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
+    GraphChain,
     chain_pullback_complement,
     chain_pushout,
     derive_typing_chain,
@@ -24,7 +25,6 @@ from .errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMism
 from .graphs import (
     Graph,
     TotalMorphism,
-    inclusion,
     injective_matches,
     pullback_complement,
     pushout,
@@ -168,31 +168,26 @@ def _apply_at(
 # direct MCMT application on the typing chain
 
 
-def _pattern_level_subgraphs(
-    rule: McmtRule,
-    tag: str,
-    pattern_graph: Graph,
-    pattern_elements,
-    depth: int,
-) -> List[Graph]:
-    """Inclusion-chain levels 1..depth of a pattern, named `<rule>.<tag>@i`:
-    level i holds the elements whose META type chain passes through META
-    level i."""
-    layers = []
+def _pattern_chain(rule: McmtRule, tag: str, pattern: RulePattern) -> GraphChain:
+    """The inclusion chain of a pattern: its graph at level 0, and at each level
+    1..depth the elements whose META type chain passes through META level i,
+    each level named `<rule>.<tag>@i`."""
+    g = pattern.graph(f"{rule.name}.{tag}@0")
     anchors = {
-        element_key(e): rule.type_profile(e.type_name, e.type_level)[0] for e in pattern_elements
+        element_key(e): rule.type_profile(e.type_name, e.type_level)[0] for e in pattern.elements
     }
-    for i in range(1, depth + 1):
+    layers = []
+    for i in range(1, rule.depth + 1):
         nodes = frozenset(
-            n for n in pattern_graph.nodes if i in anchors[n]
+            n for n in g.nodes if i in anchors[n]
         )
         arrows = frozenset(
             a
-            for a in pattern_graph.arrows
+            for a in g.arrows
             if i in anchors[a] and a[0] in nodes and a[2] in nodes
         )
         layers.append(Graph(f"{rule.name}.{tag}@{i}", nodes, arrows))
-    return layers
+    return refactor_inclusion_chain(g, layers)
 
 
 def apply_mcmt(
@@ -205,7 +200,6 @@ def apply_mcmt(
     """Direct application via chain pushout + chain pullback complement."""
     stack = typing_stack(h, target_model)
     model = h.model(target_model)
-    depth = rule.depth
     lhs_names = rule.from_pattern.by_name()
     created = [e for e in rule.to_pattern.elements if e.name not in lhs_names]
     interface = RulePattern(rule.from_pattern.elements + tuple(created))
@@ -219,22 +213,12 @@ def apply_mcmt(
             if transitive_type_at(h, target_model, img, level) != required:
                 raise IncompatibleMatch(level, key)
 
-    # inclusion chains for L, I, R and the chain match into S
+    # the chain match of L into S, then the co-span L c-> I <-c R on S
     _, mt = derive_typing_chain(h, target_model)
     s_chain, _ = typing_to_chain(mt)
-    chains = []
-    for tag, pattern in (("L", rule.from_pattern), ("I", interface), ("R", rule.to_pattern)):
-        g = pattern.graph(f"{rule.name}.{tag}@0")
-        layers = _pattern_level_subgraphs(rule, tag, g, pattern.elements, depth)
-        chains.append(refactor_inclusion_chain(g, layers))
-    l_chain, i_chain, r_chain = chains
-    ident = {i: i for i in range(depth + 1)}
-    l_morph = lift(inclusion(l_chain.graph_at(0), i_chain.graph_at(0)), l_chain, i_chain, ident)
-    r_morph = lift(inclusion(r_chain.graph_at(0), i_chain.graph_at(0)), r_chain, i_chain, ident)
-    m_chain = lift(m, l_chain, s_chain, mm_match.level_map)
-
-    _, _, d_morph = chain_pushout(l_morph, m_chain)
-    t_chain, _, _ = chain_pullback_complement(r_morph, d_morph)
+    m_chain = lift(m, _pattern_chain(rule, "L", rule.from_pattern), s_chain, mm_match.level_map)
+    _, d_morph = chain_pushout(_pattern_chain(rule, "I", interface), m_chain)
+    t_chain, _ = chain_pullback_complement(_pattern_chain(rule, "R", rule.to_pattern), d_morph)
 
     # install the result as the new bottom model
     t0 = t_chain.graph_at(0).renamed(target_model)
@@ -243,8 +227,6 @@ def apply_mcmt(
     info = {k: v for k, v in model.info.items() if t0.has(k)}
     for e in created:
         img = d0(element_key(e))
-        if not t0.has(img):
-            continue
         created_keys.append(img)
         meta_el = rule.meta_element(e.type_name, e.type_level)
         bound = mm_match.binding(meta_el.level)[meta_el.name]

@@ -570,6 +570,12 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
     for name, parent in parents.items():
         if parent is not None and parent not in graphs:
             raise SchemaError(f"{name}: unknown parent {parent!r}")
+    if len(graphs) < len(records):  # a repeated name replaced an earlier model above
+        seen = set()
+        for name, _, _ in records:
+            if name in seen:
+                raise SchemaError(f"duplicate model name {name!r}")
+            seen.add(name)
 
     # second pass: the node-typed models, over which arrow types are resolved
     models = []

@@ -20,6 +20,7 @@ from mlmt.errors import (
     DepthMismatch,
     GraphMismatch,
     NonTotalRootTyping,
+    NotInclusion,
     NotInclusionChain,
     UniquenessViolation,
 )
@@ -28,7 +29,6 @@ from mlmt.graphs import (
     PartialMorphism,
     TotalMorphism,
     build_graph,
-    inclusion,
 )
 
 from support import (
@@ -77,6 +77,13 @@ class TestBuildChain:
         with pytest.raises(UniquenessViolation):
             build_chain([g0, g1, g2], typings)
 
+    def test_rejects_missing_typing(self):
+        graphs, typings = simple_chain()
+        del typings[(2, 1)]
+        with pytest.raises(GraphMismatch) as err:
+            build_chain(graphs, typings)
+        assert str(err.value) == "missing typing morphism (2,1)"
+
     def test_matches_direct_condition_evaluation_on_random_instances(self):
         rng = random.Random(5)
         checked = 0
@@ -114,23 +121,24 @@ class TestRefactorInclusionChain:
 
 
 class TestChainMorphism:
+    def identity_morphism(self, src, dst, level_map):
+        """The chain morphism whose component at level i is the identity of src
+        level i, read as a morphism into dst level f(i)."""
+        components = {
+            i: TotalMorphism(
+                src.graph_at(i),
+                dst.graph_at(f),
+                {n: n for n in src.graph_at(i).nodes},
+                {a: a for a in src.graph_at(i).arrows},
+            )
+            for i, f in level_map.items()
+        }
+        return ChainMorphism(src, dst, level_map, components)
+
     def test_identity_is_valid(self):
         graphs, typings = simple_chain()
         chain = build_chain(graphs, typings)
-        cm = ChainMorphism(
-            chain,
-            chain,
-            {i: i for i in range(3)},
-            {
-                i: TotalMorphism(
-                    chain.graph_at(i),
-                    chain.graph_at(i),
-                    {n: n for n in chain.graph_at(i).nodes},
-                    {a: a for a in chain.graph_at(i).arrows},
-                )
-                for i in range(3)
-            },
-        )
+        cm = self.identity_morphism(chain, chain, {i: i for i in range(3)})
         assert validate_chain_morphism(cm) == []
         assert chain_morphism_conditions_hold(cm)
 
@@ -152,6 +160,52 @@ class TestChainMorphism:
             },
         )
         assert any("monotone" in p for p in validate_chain_morphism(cm))
+
+    def test_reports_a_source_deeper_than_its_target(self):
+        graphs, typings = simple_chain()
+        deep = build_chain(graphs, typings)
+        shallow = build_chain(graphs[:2], {(1, 0): typings[(1, 0)]})
+        cm = ChainMorphism(deep, shallow, {0: 0, 1: 1, 2: 1}, {})
+        assert validate_chain_morphism(cm) == ["source chain deeper than target (2 > 1)"]
+
+    def test_reports_a_level_map_that_moves_level_zero(self):
+        graphs, typings = simple_chain()
+        chain = build_chain(graphs, typings)
+        lower = build_chain(graphs[1:], {(1, 0): typings[(2, 1)]})
+        cm = self.identity_morphism(lower, chain, {0: 1, 1: 2})
+        assert validate_chain_morphism(cm) == ["level map must fix level 0"]
+
+    def test_reports_a_component_with_the_wrong_source(self):
+        graphs, typings = simple_chain()
+        chain = build_chain(graphs, typings)
+        cm = self.identity_morphism(chain, chain, {i: i for i in range(3)})
+        cm.components[1] = TotalMorphism(graphs[2], graphs[1], {"p": "x"}, {})
+        assert validate_chain_morphism(cm) == ["component 1 has wrong source graph"]
+
+    def test_reports_a_typing_the_target_has_and_the_source_lacks(self):
+        g0 = build_graph("g0", ["N"], [])
+        g1 = build_graph("g1", ["x"], [])
+        g2 = build_graph("g2", ["p", "q"], [])
+        to_root = PartialMorphism(g2, g0, {"p": "N", "q": "N"}, {})
+        g1_root = PartialMorphism(g1, g0, {"x": "N"}, {})
+
+        def chain(mid_map):
+            return build_chain(
+                [g0, g1, g2],
+                {(1, 0): g1_root, (2, 1): PartialMorphism(g2, g1, mid_map, {}), (2, 0): to_root},
+            )
+
+        src, dst = chain({"p": "x"}), chain({"p": "x", "q": "x"})
+        cm = self.identity_morphism(src, dst, {i: i for i in range(3)})
+        assert validate_chain_morphism(cm) == ["typing not reflected at levels (2,1) on 'q'"]
+
+    def test_reports_a_typing_square_that_does_not_commute(self):
+        g0 = build_graph("g0", ["N", "M"], [])
+        g1 = build_graph("g1", ["x"], [])
+        src = build_chain([g0, g1], {(1, 0): PartialMorphism(g1, g0, {"x": "N"}, {})})
+        dst = build_chain([g0, g1], {(1, 0): PartialMorphism(g1, g0, {"x": "M"}, {})})
+        cm = self.identity_morphism(src, dst, {0: 0, 1: 1})
+        assert validate_chain_morphism(cm) == ["typing square (1,0) does not commute on 'x'"]
 
     def test_detects_unreflected_typing(self):
         g0 = build_graph("g0", ["N"], [])
@@ -219,6 +273,50 @@ class TestMultilevelTyping:
             check_compatibility(mt)
         assert not compatibility_holds(mt)
 
+    def test_rejects_a_partial_typing_to_the_root(self):
+        graphs, typings = simple_chain()
+        chain = build_chain(graphs[:2], {(1, 0): typings[(1, 0)]})
+        subject = build_graph("s", ["q"], [])
+        mt = MultilevelTyping(
+            subject,
+            chain,
+            {
+                0: PartialMorphism(subject, graphs[0], {}, {}),
+                1: PartialMorphism(subject, graphs[1], {"q": "x"}, {}),
+            },
+        )
+        with pytest.raises(NonTotalRootTyping) as err:
+            check_compatibility(mt)
+        assert str(err.value) == "s: typing to root level not total"
+
+    def test_rejects_a_type_the_chain_does_not_carry_down(self):
+        # q is typed r at level 2 and x at level 1, but the chain does not type r at level 1
+        g0 = build_graph("g0", ["N"], [])
+        g1 = build_graph("g1", ["x"], [])
+        g2 = build_graph("g2", ["p", "r"], [])
+        chain = build_chain(
+            [g0, g1, g2],
+            {
+                (1, 0): PartialMorphism(g1, g0, {"x": "N"}, {}),
+                (2, 1): PartialMorphism(g2, g1, {"p": "x"}, {}),
+                (2, 0): PartialMorphism(g2, g0, {"p": "N", "r": "N"}, {}),
+            },
+        )
+        subject = build_graph("s", ["q"], [])
+        mt = MultilevelTyping(
+            subject,
+            chain,
+            {
+                0: PartialMorphism(subject, g0, {"q": "N"}, {}),
+                1: PartialMorphism(subject, g1, {"q": "x"}, {}),
+                2: PartialMorphism(subject, g2, {"q": "r"}, {}),
+            },
+        )
+        with pytest.raises(CompatibilityViolation) as err:
+            check_compatibility(mt)
+        assert str(err.value) == "s: compatibility fails at levels (2,1) on 'q'"
+        assert not compatibility_holds(mt)
+
     def test_refactoring_yields_valid_inclusion_chain_and_morphism(self):
         graphs, typings = simple_chain()
         chain = build_chain(graphs[:2], {(1, 0): typings[(1, 0)]})
@@ -281,58 +379,60 @@ class TestChainRewriting:
     def test_pushout_adds_copies_at_all_touched_levels(self):
         lhs, inter, rhs, l_chain, i_chain, r_chain = two_level_rule_chains()
         host, s_chain = self.host_chain()
-        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
         m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
-        d_chain, s_incl, d_morph = chain_pushout(l_morph, m_morph)
+        d_chain, d_morph = chain_pushout(i_chain, m_morph)
         assert "p1$0" in d_chain.graph_at(0).nodes
         assert "p1$0" in d_chain.graph_at(1).nodes
         assert ("g1", "c1$0", "p1$0") in d_chain.graph_at(0).arrows
         assert d_chain.is_inclusion_chain()
+        assert d_morph.src is i_chain and d_morph.dst is d_chain
 
     def test_pullback_complement_restricts_every_level(self):
         lhs, inter, rhs, l_chain, i_chain, r_chain = two_level_rule_chains()
         host, s_chain = self.host_chain()
-        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
         m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
-        d_chain, _, d_morph = chain_pushout(l_morph, m_morph)
+        d_chain, d_morph = chain_pushout(i_chain, m_morph)
         # deleting rule: keep only m1 on the right
         keep = build_graph("L", ["m1"], [])
         keep_chain = refactor_inclusion_chain(keep, [keep])
-        r_morph = ChainMorphism(
-            keep_chain,
-            i_chain,
-            {0: 0, 1: 1},
-            {
-                i: inclusion(keep_chain.graph_at(i), i_chain.graph_at(i))
-                for i in range(2)
-            },
-        )
-        t_chain, t_in, t_sub = chain_pullback_complement(r_morph, d_morph)
+        t_chain, t_in = chain_pullback_complement(keep_chain, d_morph)
         assert "p1$0" not in t_chain.graph_at(0).nodes
         assert "p1$0" not in t_chain.graph_at(1).nodes
         assert "g2" in t_chain.graph_at(0).nodes
         assert t_chain.is_inclusion_chain()
+        assert t_in.src is keep_chain and t_in.dst is t_chain
+        assert t_in.component(1).node_map == {"m1": "g1"}
 
     def test_pushout_rejects_rule_chains_of_unequal_depth(self):
         lhs, inter, _, l_chain, _, _ = two_level_rule_chains()
         host, s_chain = self.host_chain()
         deeper = refactor_inclusion_chain(inter, [inter, inter])
-        l_morph = self.make_morphism(l_chain, deeper, {"m1": "m1"})
         m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
         with pytest.raises(DepthMismatch):
-            chain_pushout(l_morph, m_morph)
+            chain_pushout(deeper, m_morph)
 
     def test_pullback_complement_rejects_rule_chains_of_unequal_depth(self):
         lhs, inter, rhs, l_chain, i_chain, r_chain = two_level_rule_chains()
         host, s_chain = self.host_chain()
-        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
         m_morph = self.make_morphism(l_chain, s_chain, {"m1": "g1"})
-        _, _, d_morph = chain_pushout(l_morph, m_morph)
+        _, d_morph = chain_pushout(i_chain, m_morph)
         keep = build_graph("L", ["m1"], [])
         deeper = refactor_inclusion_chain(keep, [keep, keep])
-        r_morph = self.make_morphism(deeper, i_chain, {"m1": "m1"}, {0: 0, 1: 1, 2: 1})
         with pytest.raises(DepthMismatch):
-            chain_pullback_complement(r_morph, d_morph)
+            chain_pullback_complement(deeper, d_morph)
+
+    def test_rejects_a_leg_outside_the_interface_above_level_zero(self):
+        # L and R hold m1 at level 1, where this interface does not: inside
+        # I at level 0 is not enough
+        lhs, inter, _, l_chain, _, _ = two_level_rule_chains()
+        host, s_chain = self.host_chain()
+        low_i = refactor_inclusion_chain(inter, [build_graph("I1", ["p1"], [])])
+        with pytest.raises(NotInclusion, match="L is not a subgraph of I1"):
+            chain_pushout(low_i, self.make_morphism(l_chain, s_chain, {"m1": "g1"}))
+        empty_l = refactor_inclusion_chain(lhs, [build_graph("L1", [], [])])
+        _, d_morph = chain_pushout(low_i, self.make_morphism(empty_l, s_chain, {"m1": "g1"}))
+        with pytest.raises(NotInclusion, match="L is not a subgraph of I1"):
+            chain_pullback_complement(l_chain, d_morph)
 
     def test_rejects_a_host_that_is_not_an_inclusion_chain(self):
         # a chain whose typings are not identities, such as one a hierarchy's
@@ -349,9 +449,8 @@ class TestChainRewriting:
                 1: TotalMorphism(lhs, host.graph_at(1), {"m1": "x"}, {}),
             },
         )
-        l_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
         with pytest.raises(NotInclusionChain):
-            chain_pushout(l_morph, m_morph)
+            chain_pushout(i_chain, m_morph)
         arrow = ("m1", "c1", "p1")
         d_morph = ChainMorphism(
             i_chain,
@@ -366,6 +465,5 @@ class TestChainRewriting:
                 ),
             },
         )
-        r_morph = self.make_morphism(l_chain, i_chain, {"m1": "m1"})
         with pytest.raises(NotInclusionChain):
-            chain_pullback_complement(r_morph, d_morph)
+            chain_pullback_complement(l_chain, d_morph)

@@ -241,6 +241,27 @@ class TestMalformedInput:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "name, parent",
+        [
+            # if the later model replaced the earlier one, these would read as
+            # a parent cycle and as a root without its node types
+            ("m1", "m1"),
+            ("root", "root"),
+        ],
+    )
+    def test_repeated_model_name_is_reported_as_such(
+        self, tmp_path, capsys, name, parent
+    ):
+        data = small_hierarchy()
+        data["models"].append({"name": name, "parent": parent, "nodes": []})
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: duplicate model name {name!r}\n"
+
     def test_hierarchy_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         path.write_bytes(json.dumps(small_hierarchy()).encode() + b"\xff\xfe")
@@ -552,6 +573,21 @@ class TestApply:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+    def test_every_match_dangling_reports_each_skip(self, paths, capsys):
+        hierarchy, _ = paths
+        scrap = os.path.join(FIXTURES, "scrap_machine.mcmt")
+        argv = ["apply", hierarchy, scrap, "--target", "hammer_config", "--rule", "ScrapMachine"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        skip = "skipped match, deleting a node would orphan surviving arrow"
+        assert captured.err.splitlines() == [
+            f"ScrapMachine_0: {skip} ('asm', 'in', 't1')",
+            f"ScrapMachine_1: {skip} ('ghandle', 'out', 'cv1')",
+            f"ScrapMachine_2: {skip} ('ghead', 'out', 'cv2')",
+            "no applicable match",
+        ]
 
 
 class TestRun:

@@ -247,23 +247,30 @@ class TestDirectApplication:
         """Every chain morphism the direct route passes to or gets back from
         the chain pushout and pullback complement, at every match of every
         compiled rule over the states of a seeded run, is valid, and its
-        component at each level is its level-0 component restricted there."""
+        component at each level is its level-0 component restricted there.
+        S is a subgraph of D, and T of D, at every level."""
         from test_matcher_order import run_states
 
         seen = []
+        included = []  # (sub, sup) chains: S and D, then T and D
 
-        def recording(construction):
-            def wrapper(*morphisms):
-                seen.extend(morphisms)
-                result = construction(*morphisms)
-                seen.extend(result[1:])
+        def recording(construction, sub_sup):
+            def wrapper(leg, morphism):
+                seen.append(morphism)
+                result = construction(leg, morphism)
+                seen.append(result[1])
+                included.append(sub_sup(morphism.dst, result[0]))
                 return result
 
             return wrapper
 
-        monkeypatch.setattr(engine, "chain_pushout", recording(chain_pushout))
         monkeypatch.setattr(
-            engine, "chain_pullback_complement", recording(chain_pullback_complement)
+            engine, "chain_pushout", recording(chain_pushout, lambda s, d: (s, d))
+        )
+        monkeypatch.setattr(
+            engine,
+            "chain_pullback_complement",
+            recording(chain_pullback_complement, lambda d, t: (t, d)),
         )
         compiled, states = run_states(pls_module.rules, pls, seed=0)
         variants = [
@@ -280,7 +287,12 @@ class TestDirectApplication:
                     except DanglingDeletion:
                         pass
         assert applied > 0
-        assert len(seen) >= 7 * applied
+        assert len(seen) >= 4 * applied
+        assert len(included) >= 2 * applied
+        for sub, sup in included:
+            assert sub.length == sup.length
+            for g, h in zip(sub.graphs, sup.graphs):
+                assert g.nodes <= h.nodes and g.arrows <= h.arrows
         for cm in seen:
             assert validate_chain_morphism(cm) == []
             for c in (cm.src, cm.dst):

@@ -88,6 +88,35 @@ class TestMorphisms:
         assert t("a") == "c"
         assert t(("a", "x", "b")) == ("c", "y", "c")
 
+    @pytest.mark.parametrize(
+        "node_map, arrow_map, message",
+        [
+            ({"a": "c"}, {("a", "x", "b"): ("c", "y", "c")}, "node map not total on S"),
+            ({"a": "c", "b": "c"}, {}, "arrow map not total on S"),
+            (
+                {"a": "c", "b": "z"},
+                {("a", "x", "b"): ("c", "y", "c")},
+                "node image 'z' not in D",
+            ),
+            (
+                {"a": "c", "b": "c"},
+                {("a", "x", "b"): ("c", "w", "c")},
+                "arrow image ('c', 'w', 'c') not in D",
+            ),
+            (
+                {"a": "c", "b": "e"},
+                {("a", "x", "b"): ("c", "y", "c")},
+                "morphism breaks source/target maps at ('a', 'x', 'b')",
+            ),
+        ],
+    )
+    def test_total_morphism_rejects_what_is_not_one(self, node_map, arrow_map, message):
+        src = g("S", ["a", "b"], [("a", "x", "b")])
+        dst = g("D", ["c", "e"], [("c", "y", "c")])
+        with pytest.raises(GraphMismatch) as err:
+            TotalMorphism(src, dst, node_map, arrow_map)
+        assert str(err.value) == message
+
     def test_partial_composition_via_preimage(self):
         a = g("A", ["a1", "a2"])
         b = g("B", ["b1", "b2"])
