@@ -37,9 +37,14 @@ _LOG_LEVELS = {
 
 
 def _configure_logging():
-    level = os.environ.get("MLM_LOG", "warn").lower()
+    name = os.environ.get("MLM_LOG", "")
+    level = _LOG_LEVELS.get(name.lower() or "warn")
+    if level is None:
+        level = logging.WARNING
+        print(f"warning: MLM_LOG={name!r} is not one of {', '.join(_LOG_LEVELS)}; logging at warn",
+              file=sys.stderr)
     logging.basicConfig(
-        level=_LOG_LEVELS.get(level, logging.WARNING),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

@@ -431,4 +431,5 @@ def injective_matches(
                 used.discard(c)
 
     extend(0)
+    del extend  # `extend` calls itself through this cell: emptying it frees the search now
     return sorted(found)

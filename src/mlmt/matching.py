@@ -278,23 +278,22 @@ def find_meta_matches(
     stack = typing_stack(h, target_model)  # root first
     if not stack:  # the root has no typing chain above it
         return []
-    depth = rule.depth
+    depth, found = rule.depth, []
 
-    # `found` is passed, not closed over: `extend` refers to itself, so what it closes over
-    # lives until the cycle collector runs
-    def extend(mm_level, tg_level, level_map, bindings, found) -> List[MetaMatch]:
+    def extend(mm_level, tg_level, level_map, bindings) -> None:
         if mm_level == depth:
             found.append(MetaMatch(level_map, bindings))
-            return found
+            return
         pattern = rule.meta_at(mm_level + 1)
         # leave room below for the remaining META levels
         for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
             deeper = {**level_map, mm_level + 1: t}
             for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings):
-                extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding}, found)
-        return found
+                extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding})
 
-    return extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])}, [])
+    extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])})
+    del extend  # as in `injective_matches`: the search's state goes when it returns
+    return found
 
 
 def typing_stack(h: MultilevelHierarchy, target_model: str) -> List[ModelNode]:

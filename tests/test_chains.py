@@ -4,7 +4,6 @@ import pytest
 
 from mlmt.chains import (
     ChainMorphism,
-    GraphChain,
     MultilevelTyping,
     build_chain,
     chain_pullback_complement,
@@ -24,12 +23,7 @@ from mlmt.errors import (
     NotInclusionChain,
     UniquenessViolation,
 )
-from mlmt.graphs import (
-    Graph,
-    PartialMorphism,
-    TotalMorphism,
-    build_graph,
-)
+from mlmt.graphs import PartialMorphism, TotalMorphism, build_graph
 
 from support import (
     chain_conditions_hold,

@@ -690,3 +690,28 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["usage error: --steps must be 0 or more, got -1"]
+
+
+class TestLogLevel:
+    """`MLM_LOG` names one of four levels; another value is named on stderr
+    before the command runs, which then logs at `warn`."""
+
+    def validate(self, paths, monkeypatch, value):
+        monkeypatch.delenv("MLM_LOG", raising=False)
+        if value is not None:
+            monkeypatch.setenv("MLM_LOG", value)
+        return _run_cli(["validate", paths[0]], subprocess.PIPE)
+
+    @pytest.mark.parametrize("value", [None, "", "error", "warn", "info", "debug", "DEBUG"])
+    def test_a_documented_level_adds_no_line(self, paths, monkeypatch, value):
+        proc = self.validate(paths, monkeypatch, value)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"0 violation(s) in {paths[0]}\n"
+
+    def test_an_unknown_level_is_named(self, paths, monkeypatch):
+        unset = self.validate(paths, monkeypatch, None)
+        proc = self.validate(paths, monkeypatch, "trace")
+        assert (proc.returncode, proc.stdout) == (unset.returncode, unset.stdout)
+        assert proc.stderr.splitlines() == [
+            "warning: MLM_LOG='trace' is not one of error, warn, info, debug; logging at warn"
+        ]

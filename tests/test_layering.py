@@ -13,12 +13,15 @@ LAYERS = ["errors", "graphs", "hierarchy", "chains", "rules", "matching", "engin
 PACKAGE = os.path.dirname(mlmt.__file__)
 
 
+def parsed(name: str) -> ast.Module:
+    with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 def relative_imports(name: str) -> set:
     """The sibling modules that the module `name` imports, by relative import."""
-    with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(parsed(name)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:  # from . import x
                 found.update(alias.name for alias in node.names)
@@ -36,3 +39,23 @@ def test_each_module_imports_only_modules_below_it():
     for i, name in enumerate(LAYERS):
         above = relative_imports(name) - set(LAYERS[:i])
         assert not above, f"{name} imports {sorted(above)}"
+
+
+def unused_imports(name: str) -> list:
+    """The names that the module `name` imports and never reads; `__future__`
+    features are not names."""
+    tree = parsed(name)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_each_module_uses_what_it_imports():
+    # `__init__` imports to re-export, so it is not checked
+    unused = {name: unused_imports(name) for name in LAYERS}
+    assert unused == {name: [] for name in LAYERS}
