@@ -62,16 +62,19 @@ def _write(path: str, text: str) -> bool:
 
 
 def _load_inputs(args):
-    """The hierarchy and rule module of a command, or None once every problem
-    that validation finds in them is printed."""
+    """The hierarchy and rule module of a command, or its exit code once the reason is printed:
+    2 for a target that is not a model, 1 for every problem that validation finds in them."""
     h, module = load_hierarchy(args.hierarchy), parse_rule_module(read_text(args.rules))
+    if args.target not in h.models:
+        print(f"usage error: --target {args.target!r} is not a model of {args.hierarchy}", file=sys.stderr)
+        return 2
     problems = [str(i) for i in validate_hierarchy(h)]
     root_graph = h.model(h.root).graph
     for rule in module.rules:
         problems.extend(validate_rule(rule, root_graph))
     for p in problems:
         print(p, file=sys.stderr)
-    return None if problems else (h, module)
+    return 1 if problems else (h, module)
 
 
 def cmd_validate(args) -> int:
@@ -106,8 +109,8 @@ def cmd_rules_check(args) -> int:
 
 def cmd_proliferate(args) -> int:
     inputs = _load_inputs(args)
-    if inputs is None:
-        return 1
+    if isinstance(inputs, int):
+        return inputs
     h, module = inputs
     per_rule = proliferate_all(module.rules, h, args.target)
     total = 0
@@ -126,8 +129,8 @@ def cmd_proliferate(args) -> int:
 
 def cmd_apply(args) -> int:
     inputs = _load_inputs(args)
-    if inputs is None:
-        return 1
+    if isinstance(inputs, int):
+        return inputs
     h, module = inputs
     per_rule = proliferate_all(module.rules, h, args.target)
     candidates = [r for rules in per_rule.values() for r in rules]
@@ -164,8 +167,8 @@ def cmd_run(args) -> int:
         print(f"usage error: --steps must be 0 or more, got {args.steps}", file=sys.stderr)
         return 2
     inputs = _load_inputs(args)
-    if inputs is None:
-        return 1
+    if isinstance(inputs, int):
+        return inputs
     h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
     log.info("run stopped: %s", trace.stop)

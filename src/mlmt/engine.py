@@ -350,8 +350,9 @@ def run(
 ) -> ExecutionTrace:
     """Seeded uniform scheduling of proliferated rules until quiescence."""
     compiled: List[TwoLevelRule] = []
+    indexes: Dict[str, TypeIndex] = {}  # the rules share one per stack model
     for rule in rules:
-        compiled.extend(proliferate(rule, h, target_model))
+        compiled.extend(proliferate(rule, h, target_model, indexes))
     rng = random.Random(seed)
     steps: List[TraceStep] = []
     current = h

@@ -6,13 +6,15 @@ injective, type-consistent binding per META level.  Each complete match
 turns the rule into concrete two-level rules by substituting the bound types
 and expanding bounded multiplicities.  The `TypeIndex` that both this META
 matching and the engine's typed matching draw their candidates from lives
-here too, next to the level-type profiles it indexes.
+here too, next to the level-type profiles it indexes; one proliferation
+call, for one rule or a rule set, builds one per stack model it searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import UnresolvedReference
@@ -115,7 +117,8 @@ class TypeIndex:
     with the profiles of its ends.  In `run` a step only deletes and creates elements of the
     bottom model, and the survivors keep their types: `step` updates by that delta the candidate
     sets and the joined arrows of the profiles each element carries, and reports the joined
-    groups each created arrow enters (the beta network)."""
+    groups each created arrow enters (the beta network).  All META searches of one proliferation
+    call read one index per stack model, and never change its sets."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
         self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
@@ -235,15 +238,20 @@ def graph_match(
     rule: McmtRule,
     level_map: Dict[int, int],
     bindings: Dict[int, Dict[str, ElementKey]],
+    indexes: Optional[Dict[str, TypeIndex]] = None,
 ) -> List[Dict[str, ElementKey]]:
     """All injective, type- and structure-consistent bindings of one level, in
     lexicographic order of node, then arrow images.  Type checks read only
-    lower levels' bindings, so candidates come first."""
+    lower levels' bindings, so candidates come first.  They come from the
+    model's `TypeIndex` in `indexes`, a table the caller's searches share,
+    where a missing one is built and kept."""
     nodes = [el.name for el in pattern if el.kind == NODE]
     ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
     if len(nodes) > len(target.graph.nodes) or len(ends) > len(target.graph.arrows):
         return []  # too few elements for an injective image
-    index, pools = TypeIndex(h, target), {}
+    indexes = {} if indexes is None else indexes
+    index = indexes.get(target.name) or indexes.setdefault(target.name, TypeIndex(h, target))
+    pools = {}
     for el in pattern:
         pools[el.name] = {
             c
@@ -266,19 +274,22 @@ def graph_match(
 
 
 def find_meta_matches(
-    rule: McmtRule, h: MultilevelHierarchy, target_model: str
+    rule: McmtRule, h: MultilevelHierarchy, target_model: str,
+    indexes: Optional[Dict[str, TypeIndex]] = None,
 ) -> List[MetaMatch]:
     """Every match of the rule's META chain into the typing chain above a
     target model, depth first.
 
     The root binds META level 0.  Descending a META level also advances the
     stack level, and the stack level may slide further down when the META
-    chain is shorter than the stack.
+    chain is shorter than the stack.  Its levels share one `TypeIndex` per
+    stack model, kept in `indexes`, which a caller may share in turn.
     """
     stack = typing_stack(h, target_model)  # root first
     if not stack:  # the root has no typing chain above it
         return []
     depth, found = rule.depth, []
+    indexes = {} if indexes is None else indexes
 
     def extend(mm_level, tg_level, level_map, bindings) -> None:
         if mm_level == depth:
@@ -288,7 +299,7 @@ def find_meta_matches(
         # leave room below for the remaining META levels
         for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
             deeper = {**level_map, mm_level + 1: t}
-            for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings):
+            for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings, indexes):
                 extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding})
 
     extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])})
@@ -324,6 +335,14 @@ class TwoLevelRule:
     source_rule: str
     source_match: MetaMatch
 
+    @classmethod
+    def _trusted(cls, name, lhs, interface, rhs, types, level_types, source_rule, source_match):
+        """The rule with these fields, built without the frozen dataclass `__init__`."""
+        r = object.__new__(cls)
+        r.__dict__.update(name=name, lhs=lhs, interface=interface, rhs=rhs, types=types,
+                          level_types=level_types, source_rule=source_rule, source_match=source_match)
+        return r
+
     @cached_property
     def pattern(self) -> Dict[ElementKey, Tuple[Tuple[int, Optional[ElementKey]], ...]]:
         """The left pattern's elements with their level types, in the order a match lists its
@@ -345,15 +364,19 @@ class TwoLevelRule:
 
 
 def _variant(expanded: McmtRule, name: str, slots: Dict[Tuple[str, int], int]):
-    """The graphs of one cardinality variant, its pattern element keys, and for each key the
-    slot of the META element typing it."""
+    """The graphs of one cardinality variant, its pattern element keys, and a function that picks
+    from a tuple of per-slot values the value of each key's slot, the slot of the META element
+    typing it."""
     lhs = expanded.from_pattern.graph(name)
     rhs = expanded.to_pattern.graph(name)
     inter = Graph(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
     typed_by: Dict[ElementKey, int] = {}
     for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
         typed_by.setdefault(element_key(e), slots[e.type_name, e.type_level])
-    return lhs, inter, rhs, tuple(typed_by), tuple(typed_by.values())
+    at = tuple(typed_by.values())
+    # `itemgetter` returns a bare value, not a tuple, for one index, and needs at least one
+    pick = itemgetter(*at) if len(at) > 1 else lambda values: tuple([values[i] for i in at])
+    return lhs, inter, rhs, tuple(typed_by), pick
 
 
 def _profile_shape(
@@ -390,7 +413,8 @@ def instance_profile(
 
 
 def proliferate(
-    rule: McmtRule, h: MultilevelHierarchy, target_model: str
+    rule: McmtRule, h: MultilevelHierarchy, target_model: str,
+    indexes: Optional[Dict[str, TypeIndex]] = None,
 ) -> List[TwoLevelRule]:
     """Compile one MCMT into concrete two-level rules over a branch.
 
@@ -418,7 +442,7 @@ def proliferate(
     # profile shape, image -> (bound type, profile))
     tables: Dict[tuple, tuple] = {}
     out: List[TwoLevelRule] = []
-    for mm_match in find_meta_matches(rule, h, target_model):
+    for mm_match in find_meta_matches(rule, h, target_model, indexes):
         level_map, bindings = mm_match.level_map, mm_match.bindings
         levels = tuple(level_map.items())
         if levels not in tables:
@@ -435,19 +459,18 @@ def proliferate(
             bound_mults = {(el.level, el.name): m or (0, None) for el, m in zip(meta_arrows, key)}
             expanded = expand_cardinalities(rule, bound_mults)
             variants[key] = [_variant(e, target_model, slots) for e in expanded]
-        bound, profiles = [], []
-        for lvl, meta, model_name, shape, memo in table:
-            image = bindings[lvl][meta]
-            if image not in memo:
-                memo[image] = ((model_name, image), _filled(shape, mm_match))
-            bound_type, profile = memo[image]
-            bound.append(bound_type)
-            profiles.append(profile)
-        for lhs, inter, rhs, keys, at in variants[key]:
-            types = dict(zip(keys, map(bound.__getitem__, at)))
-            level_types = dict(zip(keys, map(profiles.__getitem__, at)))
-            name = f"{rule.name}_{len(out)}"
-            out.append(TwoLevelRule(name, lhs, inter, rhs, types, level_types, rule.name, mm_match))
+        # each slot's (bound type, profile), from its memo per image
+        bound = [
+            memo.get(image) or memo.setdefault(image, ((model_name, image), _filled(shape, mm_match)))
+            for lvl, meta, model_name, shape, memo in table
+            for image in (bindings[lvl][meta],)
+        ]
+        bound_types, profiles = tuple(zip(*bound)) or ((), ())
+        for lhs, inter, rhs, keys, pick in variants[key]:
+            out.append(TwoLevelRule._trusted(
+                f"{rule.name}_{len(out)}", lhs, inter, rhs, dict(zip(keys, pick(bound_types))),
+                dict(zip(keys, pick(profiles))), rule.name, mm_match,
+            ))
     return out
 
 
@@ -455,7 +478,8 @@ def proliferate_all(
     rules: Sequence[McmtRule], h: MultilevelHierarchy, target_model: str
 ) -> Dict[str, List[TwoLevelRule]]:
     """Proliferate a rule set; keyed per source rule for breakdown reports."""
-    return {rule.name: proliferate(rule, h, target_model) for rule in rules}
+    indexes: Dict[str, TypeIndex] = {}  # one per stack model, for all the rules
+    return {rule.name: proliferate(rule, h, target_model, indexes) for rule in rules}
 
 
 def rule_set_to_json(rules: Sequence[TwoLevelRule]) -> dict:

@@ -691,6 +691,18 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.splitlines() == ["usage error: --steps must be 0 or more, got -1"]
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("proliferate", []), ("apply", ["--rule", "CreatePart"]), ("run", ["--steps", "5", "--seed", "0"])],
+        ids=["proliferate", "apply", "run"],
+    )
+    def test_unknown_target_exits_two(self, paths, capsys, command, extra):
+        hierarchy, rules = paths
+        assert main([command, hierarchy, rules, "--target", "nosuch", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: --target 'nosuch' is not a model of {hierarchy}"]
+
 
 class TestLogLevel:
     """`MLM_LOG` names one of four levels; another value is named on stderr

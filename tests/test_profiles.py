@@ -7,17 +7,20 @@ configurations, as `proliferated_types` prints them; `instance_profile`
 is also checked against the reference in `support` on random META matches,
 and `proliferate` against `reference_proliferate` on the PLS configurations,
 on a generated family plant with `k..k` bounds and skipped levels, and on
-random rules with patterns and bounded multiplicities over random hierarchies.
+random rules with patterns and bounded multiplicities over random hierarchies;
+so are the rules of one `proliferate_all` call, which share their type
+indexes, and the rules `run` compiles.
 """
 
 import json
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from mlmt import matching
+from mlmt import engine, matching
 from mlmt.hierarchy import load_hierarchy, transitive_type_at
 from mlmt.matching import find_meta_matches, instance_profile, proliferate, proliferate_all
 from mlmt.rules import ARROW, parse_rule_module, type_chain, validate_rule
@@ -120,9 +123,26 @@ def test_proliferate_agrees_with_the_reference(pls, pls_module, family_plant):
     cases += [(family_plant, leaf) for leaf in leaves(family_plant)]
     assert len(cases) == 4
     for h, target in cases:
+        per_rule = proliferate_all(pls_module.rules, h, target)  # the rules share their indexes
         for rule in pls_module.rules:
-            got = proliferate(rule, h, target)
-            assert compiled(got) == compiled(reference_proliferate(rule, h, target)), (rule.name, target)
+            want = compiled(reference_proliferate(rule, h, target))
+            assert compiled(proliferate(rule, h, target)) == want, (rule.name, target)
+            assert compiled(per_rule[rule.name]) == want, (rule.name, target)
+
+
+def test_run_compiles_a_rule_given_twice_twice(pls, pls_rules, monkeypatch):
+    compiled_by_run = []
+
+    class Recording(engine._LiveMatches):
+        def __init__(self, rules, *rest):
+            compiled_by_run.append(rules)
+            super().__init__(rules, *rest)
+
+    monkeypatch.setattr(engine, "_LiveMatches", Recording)
+    rule = pls_rules["Assemble"]
+    engine.run([rule, rule], pls, "hammer_config", 0, 0)
+    once = compiled(reference_proliferate(rule, pls, "hammer_config"))
+    assert once and compiled(compiled_by_run[0]) == once + once
 
 
 def test_matches_with_equal_bound_multiplicities_keep_their_own_types(pls_rules, family_plant):
@@ -179,19 +199,23 @@ def test_an_arrow_with_ends_off_its_meta_level_matches_nowhere(family_plant, mon
 
 
 def test_proliferation_skips_outgrown_levels_and_expands_each_key_once(pls_module, family_plant, monkeypatch):
-    # the plant's two refinement models have 2 nodes and no arrows: a META level with arrows, or
-    # with more nodes, is answered there without a `TypeIndex`; and a rule's cardinality
-    # variants are expanded once per distinct set of bound multiplicities, not once per match
+    # one `proliferate_all` call indexes each stack model at most once, for all its rules and level
+    # maps, and a second call indexes again; the plant's two refinement models have 2 nodes and no
+    # arrows: a META level with arrows, or with more nodes, is answered there without building a
+    # `TypeIndex`; and a rule's cardinality variants are expanded once per distinct set of bound
+    # multiplicities, not once per match
     levels, indexed, expanded = [], [], Counter()
     graph_match, index, expand = matching.graph_match, matching.TypeIndex, matching.expand_cardinalities
 
     def matching_level(pattern, target, *rest):
-        levels.append((pattern, target, len(indexed)))
-        return graph_match(pattern, target, *rest)
+        before = len(indexed)
+        result = graph_match(pattern, target, *rest)
+        levels.append((pattern, target, len(indexed) - before))
+        return result
 
     class RecordingIndex(index):
         def __init__(self, h, model):
-            indexed.append((levels[-1][0], model))
+            indexed.append(model.name)
             super().__init__(h, model)
 
     def expanding(rule, bound_multiplicities):
@@ -202,15 +226,19 @@ def test_proliferation_skips_outgrown_levels_and_expands_each_key_once(pls_modul
     monkeypatch.setattr(matching, "TypeIndex", RecordingIndex)
     monkeypatch.setattr(matching, "expand_cardinalities", expanding)
     per_rule = proliferate_all(pls_module.rules, family_plant, "leaf_0")
+    first, calls = list(indexed), len(levels)
+    assert proliferate_all(pls_module.rules, family_plant, "leaf_0") == per_rule
     monkeypatch.undo()
     assert per_rule == proliferate_all(pls_module.rules, family_plant, "leaf_0")
 
-    assert indexed and not any(outgrows(pattern, model) for pattern, model in indexed)
-    ends = [n for _, _, n in levels[1:]] + [len(indexed)]
-    skipped = [(pattern, model) for (pattern, model, n), end in zip(levels, ends) if end == n]
-    assert skipped and all(outgrows(pattern, model) for pattern, model in skipped)
-    assert len(skipped) + len(indexed) == len(levels)
-    assert set(expanded.values()) == {1}
+    # each call indexes the models its unoutgrown levels reach, each once
+    searched = {target.name for pattern, target, _ in levels[:calls] if not outgrows(pattern, target)}
+    assert first and sorted(first) == sorted(searched)
+    assert indexed == first + first
+    assert all(built <= 1 for _, _, built in levels)
+    skipped = [(pattern, target) for pattern, target, _ in levels if outgrows(pattern, target)]
+    assert skipped and not any(built for pattern, target, built in levels if outgrows(pattern, target))
+    assert set(expanded.values()) == {2}  # once per key in each of the two patched calls
     assert sum(name == "Assemble" for name, _ in expanded) >= 3
 
 
@@ -249,13 +277,22 @@ def premise_cases(rule, h, rules):
 
 def test_proliferate_agrees_with_the_reference_on_random_rules():
     rng = random.Random(1815)
-    seen = Counter()
+    seen, shared = Counter(), 0
     for _ in range(300):
         for depth in (2, 3, 4):
             h = random_hierarchy(rng, depth=depth, varied=True)
-            rule = random_mcmt_rule(rng, depth=rng.randint(1, depth - 1))
+            rules = [
+                replace(random_mcmt_rule(rng, depth=rng.randint(1, depth - 1)), name=f"R{i}")
+                for i in range(rng.randint(2, 4))
+            ]
             for target in leaves(h):
-                got = proliferate(rule, h, target)
-                assert compiled(got) == compiled(reference_proliferate(rule, h, target)), rule
-                seen += premise_cases(rule, h, got)
+                per_rule = proliferate_all(rules, h, target)  # the rules share their indexes
+                shared += sum(map(bool, per_rule.values())) >= 2
+                for rule in rules:
+                    want = compiled(reference_proliferate(rule, h, target))
+                    got = proliferate(rule, h, target)
+                    assert compiled(got) == want, rule
+                    assert compiled(per_rule[rule.name]) == want, rule
+                    seen += premise_cases(rule, h, got)
     assert len(seen) == 5 and min(seen.values()) >= 1, seen
+    assert shared >= 100  # targets where two or more rules proliferate from shared indexes
