@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -102,21 +103,28 @@ def group_by_end(arrows: Iterable[Arrow]) -> Dict[str, Set[Arrow]]:
 
 
 def build_graph(name: str, nodes: Iterable[str], arrows: Iterable[Arrow]) -> Graph:
-    """Construct a graph, rejecting duplicates and undeclared endpoints."""
-    node_set = set()
+    """Construct a graph, rejecting duplicates and undeclared endpoints.
+
+    Set sizes and the set of arrow ends show whether the input is valid; only
+    an invalid input is walked, in order, to name its first fault."""
+    nodes, arrows = list(nodes), list(map(tuple, arrows))
+    node_set, arrow_set = frozenset(nodes), frozenset(arrows)
+    ends = set(map(itemgetter(0), arrows))
+    ends.update(map(itemgetter(2), arrows))
+    if len(node_set) == len(nodes) and len(arrow_set) == len(arrows) and ends <= node_set:
+        return Graph._trusted(name, node_set, arrow_set)
+    seen = set()
     for n in nodes:
-        if n in node_set:
+        if n in seen:
             raise DuplicateNode(f"{name}: duplicate node {n!r}")
-        node_set.add(n)
-    arrow_set = set()
+        seen.add(n)
+    seen = set()
     for a in arrows:
-        a = tuple(a)
-        if a in arrow_set:
+        if a in seen:
             raise DuplicateArrow(f"{name}: duplicate arrow {a!r}")
         if a[0] not in node_set or a[2] not in node_set:
             raise DanglingArrow(f"{name}: arrow {a!r} has undeclared endpoint")
-        arrow_set.add(a)
-    return Graph._trusted(name, frozenset(node_set), frozenset(arrow_set))
+        seen.add(a)
 
 
 @dataclass(frozen=True)

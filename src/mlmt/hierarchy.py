@@ -380,30 +380,32 @@ _POTENCY_RE = re.compile(r"([0-9]+)-([0-9]+)")
 _MULT_RE = re.compile(r"([0-9]+)\.\.([0-9]+|n|\*)")
 
 
-def _parse_potency(text: str, path: str) -> Tuple[int, int]:
+def _parse_potency(text: str) -> Tuple[int, int]:
+    """A 'min-max' potency; raises ValueError saying what is wrong with it."""
     m = _POTENCY_RE.fullmatch(text)
     if not m:
-        raise InputError(f"{path}.potency: bad potency {text!r}, expected 'min-max'")
+        raise ValueError(f"bad potency {text!r}, expected 'min-max'")
     try:
         lo, hi = int(m.group(1)), int(m.group(2))
     except ValueError:  # more digits than the interpreter converts
-        raise InputError(f"{path}.potency: bad potency: a bound has too many digits") from None
+        raise ValueError("bad potency: a bound has too many digits") from None
     if lo > hi:
-        raise InputError(f"{path}.potency: bad potency {text!r}: min exceeds max")
+        raise ValueError(f"bad potency {text!r}: min exceeds max")
     return lo, hi
 
 
-def _parse_multiplicity(text: str, path: str) -> Tuple[int, Optional[int]]:
+def _parse_multiplicity(text: str) -> Tuple[int, Optional[int]]:
+    """An 'l..u' multiplicity; raises ValueError saying what is wrong with it."""
     m = _MULT_RE.fullmatch(text)
     if not m:
-        raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}, expected 'l..u'")
+        raise ValueError(f"bad multiplicity {text!r}, expected 'l..u'")
     try:
         lo = int(m.group(1))
         hi = None if m.group(2) in ("n", "*") else int(m.group(2))
     except ValueError:  # more digits than the interpreter converts
-        raise InputError(f"{path}.multiplicity: bad multiplicity: a bound has too many digits") from None
+        raise ValueError("bad multiplicity: a bound has too many digits") from None
     if hi is not None and lo > hi:
-        raise InputError(f"{path}.multiplicity: bad multiplicity {text!r}: lower exceeds upper")
+        raise ValueError(f"bad multiplicity {text!r}: lower exceeds upper")
     return lo, hi
 
 
@@ -415,9 +417,10 @@ def _format_multiplicity(mu: Tuple[int, Optional[int]]) -> str:
     return f"{mu[0]}..{'n' if mu[1] is None else mu[1]}"
 
 
-def _split_type_ref(text: str, path: str) -> Tuple[str, str]:
+def _split_type_ref(text: str) -> Tuple[str, str]:
+    """A 'model.element' type reference; raises ValueError if it has no dot."""
     if "." not in text:
-        raise InputError(f"{path}.type: type reference {text!r} must be 'model.element'")
+        raise ValueError(f"type reference {text!r} must be 'model.element'")
     model, elem = text.split(".", 1)
     return model, elem
 
@@ -435,82 +438,140 @@ def load_hierarchy(path: str) -> MultilevelHierarchy:
     return parse_hierarchy(read_text(path))
 
 
-def _items(record: dict, key: str, path: str) -> list:
-    value = record.get(key, [])
-    if not isinstance(value, list):
-        raise InputError(f"{path}.{key}: expected a list")
-    return value
+def _bad(i: int, where: str, message: str) -> InputError:
+    """The error of a bad field at `models[i]` followed by `where`."""
+    return InputError(f"models[{i}]{where}: {message}")
 
 
-def _object(record, path: str) -> dict:
-    """A JSON object, or an InputError naming its path."""
-    if not isinstance(record, dict):
-        raise InputError(f"{path}: expected an object")
-    return record
+def _not_a_string(value) -> str:
+    """What is wrong with a field that should hold a string."""
+    return "missing" if value is None else "expected a string"
 
 
-def _field(record: dict, key: str, path: str, default: Optional[str] = None) -> str:
-    """A string field of a JSON object, or an InputError naming its path."""
-    value = record.get(key, default)
-    if not isinstance(value, str):
-        raise InputError(f"{path}.{key}: {'missing' if value is None else 'expected a string'}")
-    return value
+_ABSENT = ()  # what a node record without a "supertypes" key reads; JSON holds no tuple
 
 
 class _Reader:
     """Reads the records of one document.
 
-    Hierarchies are strictly typed, so a document's many elements share a
-    few type references, potencies and multiplicities.  The reader parses
-    each such text once per distinct string, resolves an arrow type's
-    candidates once per (type model, label) and builds each distinct
-    `ElementInfo` once, sharing it between the elements that carry it (it is
-    frozen).  A text is kept only once it parsed, so its first occurrence
-    that fails raises with its own path.  A reader lives for one
-    `parse_hierarchy` call."""
+    A record's fields are read with one `dict.get` each and their classes
+    checked inline, in a fixed order, so that the first bad field is the one
+    reported; the `models[i].nodes[j]` path of a record is built only when one
+    of its fields is bad.  Hierarchies are strictly typed, so a document's
+    many elements share a few type references, potencies and multiplicities.
+    The reader parses each such text once per distinct string, reads the
+    typing of a record whose texts it has read before with one lookup by
+    those texts, resolves an arrow type's candidates once per (type model,
+    label) and builds each distinct `ElementInfo` once, sharing it between
+    the elements that carry it (it is frozen).  A text is kept only once it
+    parsed, so its first occurrence that fails raises with its own path.  A
+    reader lives for one `parse_hierarchy` call."""
 
     def __init__(self):
         self.texts: Dict[object, dict] = {
             _split_type_ref: {}, _parse_potency: {}, _parse_multiplicity: {}
         }
+        self.node_typings: Dict[Tuple[str, str], ElementInfo] = {}  # (type, potency) texts
+        self.arrow_typings: Dict[Tuple[str, str, str], tuple] = {}  # (type, potency, multiplicity) texts
+        self.node_types: Set[TypeRef] = set()  # the type of every node read
         self.candidates: Dict[Tuple[str, str], List[Arrow]] = {}
+        self.arrow_infos: Dict[tuple, ElementInfo] = {}  # by typing, where its type has one candidate
         self.infos: Dict[tuple, ElementInfo] = {}
 
-    def _parsed(self, record: dict, key: str, path: str, parse, default: Optional[str] = None):
-        text = _field(record, key, path, default)
+    def parsed(self, parse, text, i: int, where: str):
+        """`parse(text)`, once per distinct text of its kind; a field that is
+        not a string or does not parse raises with its path."""
+        if text.__class__ is not str:
+            raise _bad(i, where, _not_a_string(text))
         done = self.texts[parse]
         value = done.get(text)
         if value is None:
-            value = done[text] = parse(text, path)
+            try:
+                value = done[text] = parse(text)
+            except ValueError as err:
+                raise _bad(i, where, str(err)) from None
         return value
 
-    def node(self, n, path: str) -> tuple:
-        """(name, type, potency, supertypes) of a node entry."""
-        _object(n, path)
-        name, type_ref = _field(n, "name", path), self._parsed(n, "type", path, _split_type_ref)
-        supertypes = _items(n, "supertypes", path)
-        for k, sup in enumerate(supertypes):
-            if not isinstance(sup, str):
-                raise InputError(f"{path}.supertypes[{k}]: expected a string")
-        potency = self._parsed(n, "potency", path, _parse_potency, "1-1")
-        return name, type_ref, potency, frozenset(supertypes)
+    def nodes(self, i: int, records: list) -> Tuple[List[str], List[ElementInfo]]:
+        """The names and infos of the node records of `models[i]`."""
+        names, infos = [], []
+        typings = self.node_typings
+        for j, n in enumerate(records):
+            if n.__class__ is not dict:
+                raise _bad(i, f".nodes[{j}]", "expected an object")
+            name, t, p = n.get("name"), n.get("type"), n.get("potency", "1-1")
+            supertypes = n.get("supertypes", _ABSENT)
+            if name.__class__ is not str:
+                raise _bad(i, f".nodes[{j}].name", _not_a_string(name))
+            info = None
+            if t.__class__ is str and p.__class__ is str and supertypes is _ABSENT:
+                info = typings.get((t, p))
+            if info is None:
+                info = self.node_info(t, p, supertypes, i, j)
+            names.append(name)
+            infos.append(info)
+        return names, infos
 
-    def arrow(self, a, path: str) -> tuple:
-        """((source, name, target), type, potency, multiplicity) of an arrow entry."""
-        _object(a, path)
-        key = (_field(a, "source", path), _field(a, "name", path), _field(a, "target", path))
-        return (
-            key,
-            self._parsed(a, "type", path, _split_type_ref),
-            self._parsed(a, "potency", path, _parse_potency, "1-1"),
-            self._parsed(a, "multiplicity", path, _parse_multiplicity, "0..n"),
-        )
+    def node_info(self, t, p, supertypes, i: int, j: int) -> ElementInfo:
+        """The info of a node record from its type, potency and supertypes
+        fields, checked in that order."""
+        type_ref = self.parsed(_split_type_ref, t, i, f".nodes[{j}].type")
+        if supertypes is not _ABSENT:
+            if supertypes.__class__ is not list:
+                raise _bad(i, f".nodes[{j}].supertypes", "expected a list")
+            for k, sup in enumerate(supertypes):
+                if sup.__class__ is not str:
+                    raise _bad(i, f".nodes[{j}].supertypes[{k}]", "expected a string")
+        potency = self.parsed(_parse_potency, p, i, f".nodes[{j}].potency")
+        self.node_types.add(type_ref)
+        info = self.info(type_ref, potency, None, frozenset(supertypes))
+        if supertypes is _ABSENT:
+            self.node_typings[t, p] = info
+        return info
+
+    def arrows(self, i: int, records: list) -> Tuple[List[Arrow], List[tuple]]:
+        """The keys and (type, potency, multiplicity) of the arrow records of `models[i]`."""
+        keys, typings = [], []
+        seen = self.arrow_typings
+        for j, a in enumerate(records):
+            if a.__class__ is not dict:
+                raise _bad(i, f".arrows[{j}]", "expected an object")
+            source, name, target = a.get("source"), a.get("name"), a.get("target")
+            t, p, mu = a.get("type"), a.get("potency", "1-1"), a.get("multiplicity", "0..n")
+            if source.__class__ is not str:
+                raise _bad(i, f".arrows[{j}].source", _not_a_string(source))
+            if name.__class__ is not str:
+                raise _bad(i, f".arrows[{j}].name", _not_a_string(name))
+            if target.__class__ is not str:
+                raise _bad(i, f".arrows[{j}].target", _not_a_string(target))
+            typing = None
+            if t.__class__ is str and p.__class__ is str and mu.__class__ is str:
+                typing = seen.get((t, p, mu))
+            if typing is None:
+                typing = (
+                    self.parsed(_split_type_ref, t, i, f".arrows[{j}].type"),
+                    self.parsed(_parse_potency, p, i, f".arrows[{j}].potency"),
+                    self.parsed(_parse_multiplicity, mu, i, f".arrows[{j}].multiplicity"),
+                )
+                seen[t, p, mu] = typing
+            keys.append((source, name, target))
+            typings.append(typing)
+        return keys, typings
 
     def info(self, *fields) -> ElementInfo:
         """The one `ElementInfo` of these fields in this document."""
         info = self.infos.get(fields)
         if info is None:
             info = self.infos[fields] = ElementInfo(*fields)
+        return info
+
+    def arrow_info(self, h: MultilevelHierarchy, model: str, arrow: Arrow, typing: tuple) -> ElementInfo:
+        """The info of an arrow of `model` read with `typing`; where the type
+        has one candidate, the info of every arrow read with `typing`."""
+        ref, potency, mult = typing
+        info = self.info((ref[0], self.arrow_type(h, model, arrow, ref)), potency, mult, frozenset())
+        if len(self.candidates[ref]) == 1:
+            self.arrow_infos[typing] = info
         return info
 
     def arrow_type(
@@ -554,51 +615,54 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
     graphs: Dict[str, Graph] = {}
     parents: Dict[str, Optional[str]] = {}
     for i, entry in enumerate(data["models"]):
-        path = f"models[{i}]"
-        name = _field(_object(entry, path), "name", path)
-        nodes = [
-            read.node(n, f"{path}.nodes[{j}]")
-            for j, n in enumerate(_items(entry, "nodes", path))
-        ]
-        arrows = [
-            read.arrow(a, f"{path}.arrows[{j}]")
-            for j, a in enumerate(_items(entry, "arrows", path))
-        ]
-        graphs[name] = build_graph(name, [n[0] for n in nodes], [a[0] for a in arrows])
-        parents[name] = None if entry.get("parent") is None else _field(entry, "parent", path)
-        records.append((name, nodes, arrows))
+        if entry.__class__ is not dict:
+            raise _bad(i, "", "expected an object")
+        name = entry.get("name")
+        if name.__class__ is not str:
+            raise _bad(i, ".name", _not_a_string(name))
+        nodes = entry.get("nodes", [])
+        if nodes.__class__ is not list:
+            raise _bad(i, ".nodes", "expected a list")
+        node_names, node_infos = read.nodes(i, nodes)
+        arrows = entry.get("arrows", [])
+        if arrows.__class__ is not list:
+            raise _bad(i, ".arrows", "expected a list")
+        keys, typings = read.arrows(i, arrows)
+        graphs[name] = build_graph(name, node_names, keys)
+        parent = entry.get("parent")
+        if parent is not None and parent.__class__ is not str:
+            raise _bad(i, ".parent", "expected a string")
+        parents[name] = parent
+        records.append((name, dict(zip(node_names, node_infos)), keys, typings))
     for name, parent in parents.items():
         if parent is not None and parent not in graphs:
             raise SchemaError(f"{name}: unknown parent {parent!r}")
     if len(graphs) < len(records):  # a repeated name replaced an earlier model above
         seen = set()
-        for name, _, _ in records:
+        for name, _, _, _ in records:
             if name in seen:
                 raise SchemaError(f"duplicate model name {name!r}")
             seen.add(name)
 
-    # second pass: the node-typed models, over which arrow types are resolved
+    # second pass: the node-typed models, over which arrow types are resolved;
+    # each model's info then takes its arrows in place
+    unknown = {
+        (t_model, t_elem)
+        for t_model, t_elem in read.node_types
+        if t_model not in graphs or t_elem not in graphs[t_model].nodes
+    }
     models = []
-    for name, nodes, _ in records:
-        info: Dict[ElementKey, ElementInfo] = {}
-        for node, type_ref, potency, supertypes in nodes:
-            fields = (type_ref, potency, None, supertypes)
-            if fields not in read.infos:  # a node type is checked once per distinct info
-                t_model, t_elem = type_ref
-                if t_model not in graphs or t_elem not in graphs[t_model].nodes:
-                    raise SchemaError(
-                        f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}"
-                    )
-            info[node] = read.info(*fields)
+    for name, info, _, _ in records:
+        if unknown:  # name the first node of an unknown type
+            for node, node_info in info.items():
+                if node_info.direct_type in unknown:
+                    t_model, t_elem = node_info.direct_type
+                    raise SchemaError(f"{name}: node {node!r} has unknown type {t_model + '.' + t_elem!r}")
         models.append(ModelNode(name, parents[name], _depth(parents, name), graphs[name], info))
     node_typed = build_hierarchy(models)
-
-    for i, (name, _, arrows) in enumerate(records):
-        info = dict(models[i].info)
-        for key, ref, potency, mult in arrows:
-            resolved = read.arrow_type(node_typed, name, key, ref)
-            info[key] = read.info((ref[0], resolved), potency, mult, frozenset())
-        models[i] = replace(models[i], info=info)
+    for name, info, keys, typings in records:
+        for key, typing in zip(keys, typings):
+            info[key] = read.arrow_infos.get(typing) or read.arrow_info(node_typed, name, key, typing)
     return build_hierarchy(models)
 
 

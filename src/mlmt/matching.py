@@ -369,7 +369,8 @@ def _variant(expanded: McmtRule, name: str, slots: Dict[Tuple[str, int], int]):
     typing it."""
     lhs = expanded.from_pattern.graph(name)
     rhs = expanded.to_pattern.graph(name)
-    inter = Graph(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
+    # the union of two valid graphs is valid: each arrow's ends are in its own graph's nodes
+    inter = Graph._trusted(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
     typed_by: Dict[ElementKey, int] = {}
     for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
         typed_by.setdefault(element_key(e), slots[e.type_name, e.type_level])

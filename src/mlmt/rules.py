@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .errors import (
     DuplicateDeclaration,
@@ -94,6 +94,30 @@ class RulePattern:
         )
 
 
+MetaTable = Dict[Union[str, Tuple[str, int]], MetaElement]
+
+
+def _meta_table(elements: Tuple[MetaElement, ...]) -> MetaTable:
+    """(name, level) -> META element, and name -> the element of that name at
+    the highest level; where two elements share a key, the first declared,
+    explicit before implicit, wins."""
+    table: MetaTable = {}
+    for e in elements:
+        table.setdefault((e.name, e.level), e)
+        top = table.get(e.name)
+        if top is None or e.level > top.level:
+            table[e.name] = e
+    return table
+
+
+def _lookup(table: MetaTable, name: str, level: Optional[int] = None) -> MetaElement:
+    e = table.get(name if level is None else (name, level))
+    if e is None:
+        at = "" if level is None else f" at level {level}"
+        raise UnresolvedReference(f"no META element {name!r}{at}")
+    return e
+
+
 @dataclass(frozen=True)
 class McmtRule:
     name: str
@@ -114,26 +138,13 @@ class McmtRule:
         ]
 
     @cached_property
-    def _meta_table(self) -> Dict[Union[str, Tuple[str, int]], MetaElement]:
-        """(name, level) -> META element, and name -> the element of that name
-        at the highest level; where two elements share a key, the first
-        declared, explicit before implicit, wins."""
-        table: Dict[Union[str, Tuple[str, int]], MetaElement] = {}
-        for e in self.meta_elements + self.implicit_elements:
-            table.setdefault((e.name, e.level), e)
-            top = table.get(e.name)
-            if top is None or e.level > top.level:
-                table[e.name] = e
-        return table
+    def _meta_table(self) -> MetaTable:
+        return _meta_table(self.meta_elements + self.implicit_elements)
 
     def meta_element(self, name: str, level: Optional[int] = None) -> MetaElement:
         """The META element `name` at `level`, or, without a level, the one of
         that name at the highest level; raises UnresolvedReference if none."""
-        e = self._meta_table.get(name if level is None else (name, level))
-        if e is None:
-            at = "" if level is None else f" at level {level}"
-            raise UnresolvedReference(f"no META element {name!r}{at}")
-        return e
+        return _lookup(self._meta_table, name, level)
 
     @cached_property
     def _type_profiles(self) -> Dict[Tuple[str, int], Tuple[Dict[int, str], int]]:
@@ -168,34 +179,37 @@ class McmtModule:
 # ---------------------------------------------------------------------------
 # lexing / parsing
 
+# a token, then the whitespace and `//` comments after it, so that every match
+# yields a token; `_SKIP_RE` skips those before the first one
 _TOKEN_RE = re.compile(
-    r"""\s+ | //[^\n]*
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<int>[0-9]+)
-      | (?P<sym>->|[{}:=@$\-])
-      | (?P<bad>.)
+    r"""(?: (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+          | (?P<int>[0-9]+)
+          | (?P<sym>->|[{}:=@$\-])
+          | (?P<bad>.)
+        ) \s* (?: //[^\n]* \s* )*
     """,
     re.VERBOSE | re.DOTALL,
 )
+_SKIP_RE = re.compile(r"\s*(?://[^\n]*\s*)*")
 _LEVEL_RE = re.compile(r"mm[0-9]+")
 
-
-class _Token(NamedTuple):
-    kind: str  # id | int | sym | bad | eof
-    text: str
-    pos: int  # offset into the text
+_Tok = Tuple[str, str, int]  # kind (id | int | sym | bad | eof), text, offset into the text
 
 
-def _tokenize(text: str) -> List[_Token]:
-    """The tokens of `text`, ending in an `eof` token at its end.
+def _tokenize(text: str) -> List[_Tok]:
+    """The (kind, text, offset) tokens of `text`, ending in an `eof` token at
+    its end.
 
-    Whitespace and `//` comments are dropped; any character that starts no
-    token becomes a `bad` token, which the parser rejects before it reads
-    anything.  A token carries its offset; `_Parser` turns an offset into a
-    line and column only where it reports one.
+    Whitespace and `//` comments are dropped: each match takes one token and
+    what follows it up to the next.  Any character that starts no token
+    becomes a `bad` token, which the parser rejects before it reads anything.
+    `_Parser` turns an offset into a line and column only where it reports one.
     """
-    tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup]
-    tokens.append(_Token("eof", "", len(text)))
+    tokens = [
+        (m.lastgroup, m[m.lastgroup], m.start())
+        for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())
+    ]
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -223,56 +237,58 @@ class _Parser:
         self.pos = 0
         # the offset each line starts at; only "\n" starts a line
         self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
-        bad = next((tok for tok in self.tokens if tok.kind == "bad"), None)
-        if bad is not None:
-            self.fail(f"unexpected character {bad.text!r}", bad)
+        for tok in self.tokens:
+            if tok[0] == "bad":
+                self.fail(f"unexpected character {tok[1]!r}", tok)
 
-    def line(self, tok: _Token) -> int:
-        return bisect_right(self.line_starts, tok.pos)
+    def line(self, tok: _Tok) -> int:
+        return bisect_right(self.line_starts, tok[2])
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> _Tok:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Optional[_Token] = None):
+    def fail(self, message: str, tok: Optional[_Tok] = None):
         tok = tok or self.peek()
         line = self.line(tok)
-        raise ParseError(message, line, tok.pos - self.line_starts[line - 1] + 1)
+        raise ParseError(message, line, tok[2] - self.line_starts[line - 1] + 1)
 
-    def expect(self, text: str) -> _Token:
+    def expected(self, what: str, tok: _Tok):
+        self.fail(f"expected {what}, found {tok[1] or 'end of file'!r}", tok)
+
+    def expect(self, text: str) -> _Tok:
         tok = self.next()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text or 'end of file'!r}", tok)
+        if tok[1] != text:
+            self.expected(repr(text), tok)
         return tok
 
-    def ident(self, what: str) -> _Token:
+    def ident(self, what: str) -> _Tok:
         tok = self.next()
-        if tok.kind != "id":
-            self.fail(f"expected {what}, found {tok.text or 'end of file'!r}", tok)
+        if tok[0] != "id":
+            self.expected(what, tok)
         return tok
 
-    def integer(self, tok: _Token, digits: str, what: str) -> int:
+    def integer(self, tok: _Tok, digits: str, what: str) -> int:
         try:
             return int(digits)
         except ValueError:  # more digits than the interpreter converts
             self.fail(f"{what} has too many digits", tok)
 
-    def bound(self) -> Tuple[int, _Token]:
-        tok = self.next()
-        if tok.kind != "int":
+    def bound(self, tok: _Tok) -> int:
+        if tok[0] != "int":
             self.fail("expected potency bound", tok)
-        return self.integer(tok, tok.text, "potency bound"), tok
+        return self.integer(tok, tok[1], "potency bound")
 
     def module(self) -> McmtModule:
         self.expect("rules")
-        name = self.ident("module name").text
+        name = self.ident("module name")[1]
         self.expect("{")
         rules, first_line = [], {}
-        while self.peek().text != "}":
+        while self.peek()[1] != "}":
             line = self.line(self.peek())
             rule = self.rule()
             if rule.name in first_line:
@@ -283,13 +299,13 @@ class _Parser:
             first_line[rule.name] = line
             rules.append(rule)
         self.expect("}")
-        if self.peek().kind != "eof":
+        if self.peek()[0] != "eof":
             self.fail("trailing input after module")
         return McmtModule(name, tuple(rules))
 
     def rule(self) -> McmtRule:
         self.expect("rule")
-        name = self.ident("rule name").text
+        name = self.ident("rule name")[1]
         self.expect("{")
         self.expect("meta")
         meta = self.block()
@@ -301,46 +317,63 @@ class _Parser:
         return _elaborate(name, meta, frm, to)
 
     def block(self) -> List[object]:
+        """The declarations and assignments of a `{ ... }` block.
+
+        One loop over the tokens, indexed by a local position: a block holds
+        most of a module's tokens."""
         self.expect("{")
+        tokens, i = self.tokens, self.pos
         items: List[object] = []
-        while self.peek().text != "}":
-            name_tok = self.ident("declaration name")
-            sep = self.next()
-            if sep.text == ":":
-                items.append(self.decl(name_tok))
-            elif sep.text == "=":
-                src = self.ident("arrow source").text
-                self.expect("->")
-                tgt = self.ident("arrow target").text
-                items.append(_RawAssign(name_tok.text, src, tgt, self.line(name_tok)))
+        while True:
+            name_tok = tokens[i]
+            if name_tok[1] == "}":
+                break
+            if name_tok[0] != "id":
+                self.expected("declaration name", name_tok)
+            sep = tokens[i + 1]
+            i += 2
+            if sep[1] == ":":
+                type_tok = tokens[i]
+                if type_tok[0] != "id":
+                    self.expected("type name", type_tok)
+                i += 1
+                constant = tokens[i][1] == "$"
+                if constant:
+                    i += 1
+                mm: Optional[int] = None
+                kind, text, _ = tok = tokens[i]
+                if kind == "id" and _LEVEL_RE.fullmatch(text):
+                    i += 1
+                    mm = self.integer(tok, text[2:], "META level")
+                potency: Optional[Tuple[int, int]] = None
+                if tokens[i][1] == "@":
+                    lo_tok = tokens[i + 1]
+                    lo = hi = self.bound(lo_tok)
+                    i += 2
+                    if tokens[i][1] == "-":
+                        hi = self.bound(tokens[i + 1])
+                        i += 2
+                        if lo > hi:
+                            self.fail(f"potency {lo}-{hi}: min exceeds max", lo_tok)
+                    potency = (lo, hi)
+                items.append(
+                    _RawDecl(name_tok[1], type_tok[1], constant, mm, potency, self.line(name_tok))
+                )
+            elif sep[1] == "=":
+                src = tokens[i]
+                if src[0] != "id":
+                    self.expected("arrow source", src)
+                if tokens[i + 1][1] != "->":
+                    self.expected("'->'", tokens[i + 1])
+                tgt = tokens[i + 2]
+                if tgt[0] != "id":
+                    self.expected("arrow target", tgt)
+                i += 3
+                items.append(_RawAssign(name_tok[1], src[1], tgt[1], self.line(name_tok)))
             else:
                 self.fail("expected ':' or '=' after name", sep)
-        self.expect("}")
+        self.pos = i + 1
         return items
-
-    def decl(self, name_tok: _Token) -> _RawDecl:
-        type_tok = self.ident("type name")
-        constant = False
-        if self.peek().text == "$":
-            self.next()
-            constant = True
-        mm: Optional[int] = None
-        tok = self.peek()
-        if tok.kind == "id" and _LEVEL_RE.fullmatch(tok.text):
-            self.next()
-            mm = self.integer(tok, tok.text[2:], "META level")
-        potency: Optional[Tuple[int, int]] = None
-        if self.peek().text == "@":
-            self.next()
-            lo, lo_tok = self.bound()
-            hi = lo
-            if self.peek().text == "-":
-                self.next()
-                hi, _ = self.bound()
-                if lo > hi:
-                    self.fail(f"potency {lo}-{hi}: min exceeds max", lo_tok)
-            potency = (lo, hi)
-        return _RawDecl(name_tok.text, type_tok.text, constant, mm, potency, self.line(name_tok))
 
 
 def parse_rule_module(text: str) -> McmtModule:
@@ -388,11 +421,13 @@ def _elaborate(name, meta_items, from_items, to_items) -> McmtRule:
         last_mm = d.mm
 
     elements: Dict[Tuple[str, int], MetaElement] = {}
+    levels: Dict[str, Set[int]] = {}  # the levels of the elements of each name
     order: List[MetaElement] = []
     implicit: List[MetaElement] = []
 
     def add(el: MetaElement):
         elements[(el.name, el.level)] = el
+        levels.setdefault(el.name, set()).add(el.level)
         (implicit if el.implicit else order).append(el)
 
     node_decls = [d for d in meta_decls if d.name not in meta_assigns]
@@ -403,24 +438,21 @@ def _elaborate(name, meta_items, from_items, to_items) -> McmtRule:
     for d in node_decls:
         if d.mm >= 1 and (d.type_name, d.mm) not in elements:
             add(MetaElement(d.type_name, d.mm, NODE, None, d.mm - 1, constant=True, implicit=True))
-    # pass 3: explicit arrows, at the highest level with a node that has both endpoints there
+    # pass 3: explicit arrows, at the highest level that has both endpoints (a
+    # level with an element has a node: passes 1-3 place each arrow at a node's level)
     arrows: List[Tuple[_RawDecl, MetaElement]] = []
     for d in meta_decls:
         if d.name not in meta_assigns:
             continue
         asg = meta_assigns[d.name]
-        levels = [
-            lvl
-            for (_, lvl), el in elements.items()
-            if el.kind == NODE and (asg.source, lvl) in elements and (asg.target, lvl) in elements
-        ]
-        if not levels:
+        shared = levels.get(asg.source, set()) & levels.get(asg.target, set())
+        if not shared:
             raise UnresolvedReference(
                 f"rule {name}: endpoints of {d.name!r} not declared "
                 f"(line {asg.line})"
             )
         el = MetaElement(
-            d.name, max(levels), ARROW, d.type_name, d.mm,
+            d.name, max(shared), ARROW, d.type_name, d.mm,
             constant=d.constant, source=asg.source, target=asg.target, potency=d.potency,
         )
         add(el)
@@ -444,9 +476,9 @@ def _elaborate(name, meta_items, from_items, to_items) -> McmtRule:
             )
         )
 
-    rule_stub = McmtRule(name, tuple(order), tuple(implicit))
-    from_pattern = _elaborate_pattern(rule_stub, from_items, f"rule {name} from")
-    to_pattern = _elaborate_pattern(rule_stub, to_items, f"rule {name} to")
+    table = _meta_table(tuple(order + implicit))
+    from_pattern = _elaborate_pattern(table, from_items, f"rule {name} from")
+    to_pattern = _elaborate_pattern(table, to_items, f"rule {name} to")
 
     # shared names must agree between FROM and TO
     from_by = from_pattern.by_name()
@@ -455,17 +487,17 @@ def _elaborate(name, meta_items, from_items, to_items) -> McmtRule:
             raise DuplicateDeclaration(
                 f"rule {name}: {e.name!r} differs between from and to"
             )
-    return replace(
-        rule_stub, from_pattern=from_pattern, to_pattern=to_pattern
-    )
+    rule = McmtRule(name, tuple(order), tuple(implicit), from_pattern, to_pattern)
+    rule.__dict__["_meta_table"] = table  # its cached META table, built from the same elements
+    return rule
 
 
-def _elaborate_pattern(rule: McmtRule, items, where: str) -> RulePattern:
+def _elaborate_pattern(table, items, where: str) -> RulePattern:
     decls, assigns = _split_items(items, where)
     elements: List[PatternElement] = []
     node_names = set()
     for d in decls:
-        meta = rule.meta_element(d.type_name)
+        meta = _lookup(table, d.type_name)
         asg = assigns.get(d.name)
         if meta.kind == ARROW and asg is None:
             raise UnresolvedReference(

@@ -1,5 +1,5 @@
-"""Fuzzing the input boundary: the hierarchy parser, the rule parser and
-`mlmt validate`.
+"""Fuzzing the input boundary: the hierarchy parser, the rule parser, its
+tokenizer and `mlmt validate`.
 
 Whatever the input, the parsers raise nothing but `MlmtError`, and
 `mlmt validate` ends with exit code 0, 1 or 2.  The runs are derandomized
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mlmt.cli import main
-from mlmt.errors import MlmtError
+from mlmt.errors import MlmtError, ParseError
 from mlmt.hierarchy import parse_hierarchy
-from mlmt.rules import parse_rule_module
+from mlmt.rules import parse_rule_module, print_rule_module
 
 from support import pls_fixture_paths
 
@@ -134,6 +134,46 @@ def test_parse_rule_module_raises_only_mlmt_errors(text):
         parse_rule_module(text)
     except MlmtError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer: the canonical text of the fixture module, with whitespace,
+# comments and line ends put between its tokens, parses to the same module; a
+# stray character is reported where it stands
+
+PRINTED = print_rule_module(parse_rule_module(_fixture_rules()))
+PRINTED_TOKENS = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|\S", PRINTED)
+BLANKS = [" ", "\t", "\n", "\r\n", "\x0b", "\u00a0"]
+COMMENTS = ["//\n", "// c\r\n", "//x//y {} -> @1-2 é\n", "// rules r {\n"]
+
+
+def spaced(pieces):
+    """The fixture's tokens, each followed by one drawn separator or a space,
+    after a drawn separator at the start."""
+    separator = st.lists(st.sampled_from(pieces), min_size=1, max_size=4).map("".join)
+    return st.dictionaries(st.integers(0, len(PRINTED_TOKENS)), separator, max_size=40).map(
+        lambda at: at.get(0, "") + "".join(tok + at.get(i, " ") for i, tok in enumerate(PRINTED_TOKENS, 1))
+    )
+
+
+@fuzz
+@given(spaced(BLANKS + COMMENTS), st.booleans())
+def test_whitespace_and_comments_between_tokens_change_nothing(text, comment_at_end):
+    if comment_at_end:
+        text += "// a comment the text ends in"
+    assert repr(parse_rule_module(text)) == repr(parse_rule_module(PRINTED))
+
+
+@fuzz
+@given(spaced(BLANKS), st.data())
+def test_a_stray_character_is_reported_where_it_stands(text, data):
+    at = data.draw(st.integers(0, len(text)))
+    stray = data.draw(st.sampled_from(["#", "%", "é"]))
+    with pytest.raises(ParseError) as err:
+        parse_rule_module(text[:at] + stray + text[at:])
+    line_start = text.rfind("\n", 0, at) + 1  # only "\n" starts a line
+    assert str(err.value).endswith(f": unexpected character {stray!r}")
+    assert (err.value.line, err.value.column) == (text.count("\n", 0, at) + 1, at - line_start + 1)
 
 
 # ---------------------------------------------------------------------------

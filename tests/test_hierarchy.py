@@ -5,12 +5,13 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 
 from mlmt.chains import derive_typing_chain
 from mlmt.cli import main
-from mlmt.errors import InheritanceCycle, ParseError, SchemaError
+from mlmt.errors import InheritanceCycle, InputError, ParseError, SchemaError
 from mlmt.graphs import build_graph
 from mlmt.hierarchy import (
     ElementInfo,
@@ -143,6 +144,99 @@ class TestParseKeepsNoState:
             rng = random.Random(seed)
             h = random_hierarchy(rng, depth=rng.randint(1, 4), varied=True)
             assert parse_hierarchy(json.dumps(hierarchy_to_json(h))) == h
+
+
+def wide_document(width: int = 300) -> dict:
+    """A valid two-model document whose model `m` holds `width` nodes and
+    `width` arrows; every arrow and every seventh node has every field it can
+    have, the other nodes have no supertypes."""
+    root = {
+        "name": "root",
+        "parent": None,
+        "nodes": [{"name": "Node", "type": "root.Node", "potency": "0-2"}],
+        "arrows": [{"name": "Arrow", "source": "Node", "target": "Node", "type": "root.Arrow"}],
+    }
+    nodes = [{"name": f"n{k}", "type": "root.Node", "potency": "1-1"} for k in range(width)]
+    for node in nodes[::7]:
+        node["supertypes"] = []
+    arrows = [
+        {"name": "e", "source": f"n{k}", "target": f"n{(k + 1) % width}", "type": "root.Arrow",
+         "potency": "1-1", "multiplicity": "0..n"}
+        for k in range(width)
+    ]
+    return {"models": [root, {"name": "m", "parent": "root", "nodes": nodes, "arrows": arrows}]}
+
+
+ABSENT = object()  # a fault that removes the field
+STRING_FIELDS = {"nodes": ["name", "type"], "arrows": ["source", "name", "target", "type"]}
+DEFAULTED = {"nodes": ["potency"], "arrows": ["potency", "multiplicity"]}  # absent reads a default
+
+
+def expected_fault(kind: str, field: str, value) -> Optional[str]:
+    """What the reader says of `value` in `field` of a record of `kind`, or
+    None for a value it accepts."""
+    if field == "supertypes":
+        return None if value is ABSENT or value == [] else "expected a list"
+    if value is ABSENT:
+        return None if field in DEFAULTED[kind] else "missing"
+    return "missing" if value is None else "expected a string"
+
+
+class TestRecordFaultsAtScale:
+    """A bad field in one record of a wide model is reported with the path
+    of that record and field, wherever the record stands."""
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(kind, f) for kind in ("nodes", "arrows") for f in STRING_FIELDS[kind] + DEFAULTED[kind]]
+        + [("nodes", "supertypes")],
+    )
+    def test_a_bad_field_names_its_record(self, kind, field):
+        for k in (0, 1, 173, 299):
+            for value in (ABSENT, None, 3, [], {}):
+                doc = wide_document()
+                record = doc["models"][1][kind][k]
+                if value is ABSENT:
+                    record.pop(field, None)
+                else:
+                    record[field] = value
+                fault = expected_fault(kind, field, value)
+                if fault is None:
+                    parse_hierarchy(json.dumps(doc))
+                    continue
+                with pytest.raises(InputError) as err:
+                    parse_hierarchy(json.dumps(doc))
+                assert str(err.value) == f"models[1].{kind}[{k}].{field}: {fault}", (k, value)
+
+    def test_a_bad_supertype_names_its_index(self):
+        doc = wide_document()
+        doc["models"][1]["nodes"][250]["supertypes"] = ["n1", 3]
+        with pytest.raises(InputError, match=r"^models\[1\]\.nodes\[250\]\.supertypes\[1\]: expected a string$"):
+            parse_hierarchy(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["nodes", "arrows"])
+    def test_a_repeated_bad_potency_is_reported_where_it_first_stands(self, kind):
+        doc = wide_document()
+        records = doc["models"][1][kind]
+        for k in (280, 120, 121, 6):
+            records[k]["potency"] = "2-1"
+        with pytest.raises(InputError) as err:
+            parse_hierarchy(json.dumps(doc))
+        assert str(err.value) == f"models[1].{kind}[6].potency: bad potency '2-1': min exceeds max"
+
+    def test_a_bad_arrow_potency_after_the_same_text_on_nodes(self):
+        # the text failed on a node first; nodes are read before arrows
+        doc = wide_document()
+        doc["models"][1]["arrows"][3]["potency"] = "1-x"
+        doc["models"][1]["nodes"][200]["potency"] = "1-x"
+        with pytest.raises(InputError) as err:
+            parse_hierarchy(json.dumps(doc))
+        assert str(err.value).startswith("models[1].nodes[200].potency: bad potency '1-x'")
+
+    def test_the_wide_document_loads(self):
+        h = parse_hierarchy(json.dumps(wide_document()))
+        assert (len(h.model("m").graph.nodes), len(h.model("m").graph.arrows)) == (300, 300)
+        assert validate_hierarchy(h) == []
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
-"""The package's modules form layers: each imports only modules below it.
+"""The package's modules form layers: each imports only modules below it,
+and from outside the package only the standard library.
 
 Read from the source with `ast`, so an import made inside a function counts too.
 """
@@ -39,6 +40,31 @@ def test_each_module_imports_only_modules_below_it():
     for i, name in enumerate(LAYERS):
         above = relative_imports(name) - set(LAYERS[:i])
         assert not above, f"{name} imports {sorted(above)}"
+
+
+# the standard library modules the package imports; the package depends on
+# nothing else, so a third-party import (a faster JSON or regular expression
+# parser, say) fails here until this list is changed on purpose
+STDLIB = {
+    "__future__", "argparse", "bisect", "dataclasses", "functools", "itertools", "json",
+    "logging", "operator", "os", "random", "re", "sys", "typing",
+}
+
+
+def absolute_imports(name: str) -> set:
+    """The modules that the module `name` imports by absolute import."""
+    found = set()
+    for node in ast.walk(parsed(name)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    outside = {name: sorted(absolute_imports(name) - STDLIB) for name in LAYERS + ["__init__"]}
+    assert outside == {name: [] for name in LAYERS + ["__init__"]}
 
 
 def unused_imports(name: str) -> list:
