@@ -448,6 +448,16 @@ def _not_a_string(value) -> str:
     return "missing" if value is None else "expected a string"
 
 
+def _parsed(parse, text, i: int, where: str):
+    """`parse(text)` of a field; one that is not a string or does not parse raises with its path."""
+    if text.__class__ is not str:
+        raise _bad(i, where, _not_a_string(text))
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise _bad(i, where, str(err)) from None
+
+
 _ABSENT = ()  # what a node record without a "supertypes" key reads; JSON holds no tuple
 
 
@@ -456,46 +466,25 @@ class _Reader:
 
     A record's fields are read with one `dict.get` each and their classes
     checked inline, in a fixed order, so that the first bad field is the one
-    reported; the `models[i].nodes[j]` path of a record is built only when one
-    of its fields is bad.  Hierarchies are strictly typed, so a document's
-    many elements share a few type references, potencies and multiplicities.
-    The reader parses each such text once per distinct string, reads the
-    typing of a record whose texts it has read before with one lookup by
-    those texts, resolves an arrow type's candidates once per (type model,
-    label) and builds each distinct `ElementInfo` once, sharing it between
-    the elements that carry it (it is frozen).  A text is kept only once it
-    parsed, so its first occurrence that fails raises with its own path.  A
-    reader lives for one `parse_hierarchy` call."""
+    reported; a record's `models[i].nodes[j]` path is built only when one of
+    its fields is bad.  A document's many elements share a few typings, and
+    each distinct record typing is read once: node infos are kept by their
+    type, potency and supertypes texts, arrow typings by their type, potency
+    and multiplicity texts, and arrow infos by their typing (and resolved arrow
+    type, where several arrows bear its name).  A record enters a memo only
+    once it was read without error.  A reader lives for one `parse_hierarchy`
+    call."""
 
     def __init__(self):
-        self.texts: Dict[object, dict] = {
-            _split_type_ref: {}, _parse_potency: {}, _parse_multiplicity: {}
-        }
-        self.node_typings: Dict[Tuple[str, str], ElementInfo] = {}  # (type, potency) texts
+        self.node_infos: Dict[tuple, ElementInfo] = {}  # (type, potency[, supertypes]) texts
         self.arrow_typings: Dict[Tuple[str, str, str], tuple] = {}  # (type, potency, multiplicity) texts
-        self.node_types: Set[TypeRef] = set()  # the type of every node read
         self.candidates: Dict[Tuple[str, str], List[Arrow]] = {}
-        self.arrow_infos: Dict[tuple, ElementInfo] = {}  # by typing, where its type has one candidate
-        self.infos: Dict[tuple, ElementInfo] = {}
-
-    def parsed(self, parse, text, i: int, where: str):
-        """`parse(text)`, once per distinct text of its kind; a field that is
-        not a string or does not parse raises with its path."""
-        if text.__class__ is not str:
-            raise _bad(i, where, _not_a_string(text))
-        done = self.texts[parse]
-        value = done.get(text)
-        if value is None:
-            try:
-                value = done[text] = parse(text)
-            except ValueError as err:
-                raise _bad(i, where, str(err)) from None
-        return value
+        self.arrow_infos: Dict[tuple, ElementInfo] = {}  # typing, or (typing, arrow type)
 
     def nodes(self, i: int, records: list) -> Tuple[List[str], List[ElementInfo]]:
         """The names and infos of the node records of `models[i]`."""
         names, infos = [], []
-        typings = self.node_typings
+        memo = self.node_infos
         for j, n in enumerate(records):
             if n.__class__ is not dict:
                 raise _bad(i, f".nodes[{j}]", "expected an object")
@@ -503,36 +492,31 @@ class _Reader:
             supertypes = n.get("supertypes", _ABSENT)
             if name.__class__ is not str:
                 raise _bad(i, f".nodes[{j}].name", _not_a_string(name))
-            info = None
-            if t.__class__ is str and p.__class__ is str and supertypes is _ABSENT:
-                info = typings.get((t, p))
+            key = None
+            if t.__class__ is str and p.__class__ is str:
+                if supertypes is _ABSENT:
+                    key = t, p
+                elif supertypes.__class__ is list and all(s.__class__ is str for s in supertypes):
+                    key = t, p, tuple(supertypes)
+            info = memo.get(key)
             if info is None:
-                info = self.node_info(t, p, supertypes, i, j)
+                type_ref = _parsed(_split_type_ref, t, i, f".nodes[{j}].type")
+                if supertypes is not _ABSENT:
+                    if supertypes.__class__ is not list:
+                        raise _bad(i, f".nodes[{j}].supertypes", "expected a list")
+                    for k, sup in enumerate(supertypes):
+                        if sup.__class__ is not str:
+                            raise _bad(i, f".nodes[{j}].supertypes[{k}]", "expected a string")
+                potency = _parsed(_parse_potency, p, i, f".nodes[{j}].potency")
+                info = memo[key] = ElementInfo(type_ref, potency, None, frozenset(supertypes))
             names.append(name)
             infos.append(info)
         return names, infos
 
-    def node_info(self, t, p, supertypes, i: int, j: int) -> ElementInfo:
-        """The info of a node record from its type, potency and supertypes
-        fields, checked in that order."""
-        type_ref = self.parsed(_split_type_ref, t, i, f".nodes[{j}].type")
-        if supertypes is not _ABSENT:
-            if supertypes.__class__ is not list:
-                raise _bad(i, f".nodes[{j}].supertypes", "expected a list")
-            for k, sup in enumerate(supertypes):
-                if sup.__class__ is not str:
-                    raise _bad(i, f".nodes[{j}].supertypes[{k}]", "expected a string")
-        potency = self.parsed(_parse_potency, p, i, f".nodes[{j}].potency")
-        self.node_types.add(type_ref)
-        info = self.info(type_ref, potency, None, frozenset(supertypes))
-        if supertypes is _ABSENT:
-            self.node_typings[t, p] = info
-        return info
-
     def arrows(self, i: int, records: list) -> Tuple[List[Arrow], List[tuple]]:
         """The keys and (type, potency, multiplicity) of the arrow records of `models[i]`."""
         keys, typings = [], []
-        seen = self.arrow_typings
+        memo = self.arrow_typings
         for j, a in enumerate(records):
             if a.__class__ is not dict:
                 raise _bad(i, f".arrows[{j}]", "expected an object")
@@ -544,43 +528,29 @@ class _Reader:
                 raise _bad(i, f".arrows[{j}].name", _not_a_string(name))
             if target.__class__ is not str:
                 raise _bad(i, f".arrows[{j}].target", _not_a_string(target))
+            if "supertypes" in a:
+                raise _bad(i, f".arrows[{j}].supertypes", "only nodes inherit")
             typing = None
             if t.__class__ is str and p.__class__ is str and mu.__class__ is str:
-                typing = seen.get((t, p, mu))
+                typing = memo.get((t, p, mu))
             if typing is None:
-                typing = (
-                    self.parsed(_split_type_ref, t, i, f".arrows[{j}].type"),
-                    self.parsed(_parse_potency, p, i, f".arrows[{j}].potency"),
-                    self.parsed(_parse_multiplicity, mu, i, f".arrows[{j}].multiplicity"),
+                typing = memo[t, p, mu] = (
+                    _parsed(_split_type_ref, t, i, f".arrows[{j}].type"),
+                    _parsed(_parse_potency, p, i, f".arrows[{j}].potency"),
+                    _parsed(_parse_multiplicity, mu, i, f".arrows[{j}].multiplicity"),
                 )
-                seen[t, p, mu] = typing
             keys.append((source, name, target))
             typings.append(typing)
         return keys, typings
 
-    def info(self, *fields) -> ElementInfo:
-        """The one `ElementInfo` of these fields in this document."""
-        info = self.infos.get(fields)
-        if info is None:
-            info = self.infos[fields] = ElementInfo(*fields)
-        return info
-
     def arrow_info(self, h: MultilevelHierarchy, model: str, arrow: Arrow, typing: tuple) -> ElementInfo:
-        """The info of an arrow of `model` read with `typing`; where the type
-        has one candidate, the info of every arrow read with `typing`."""
+        """The info of an arrow of `model` read with `typing`: its type is the
+        candidate arrow of that name whose endpoints fit this arrow's typing,
+        and where the name has one candidate, the info is kept by `typing`."""
         ref, potency, mult = typing
-        info = self.info((ref[0], self.arrow_type(h, model, arrow, ref)), potency, mult, frozenset())
-        if len(self.candidates[ref]) == 1:
-            self.arrow_infos[typing] = info
-        return info
-
-    def arrow_type(
-        self, h: MultilevelHierarchy, model: str, arrow: Arrow, ref: Tuple[str, str]
-    ) -> Arrow:
-        """The arrow named `ref` whose endpoints fit this arrow's typing."""
+        t_model, label = ref
         candidates = self.candidates.get(ref)
         if candidates is None:
-            t_model, label = ref
             if t_model not in h.models:
                 raise SchemaError(f"{model}: unknown type model {t_model!r}")
             candidates = sorted(a for a in h.models[t_model].graph.arrows if a[1] == label)
@@ -588,15 +558,20 @@ class _Reader:
                 raise SchemaError(f"{model}: no arrow named {label!r} in model {t_model}")
             self.candidates[ref] = candidates
         if len(candidates) == 1:
-            return candidates[0]
-        t_model, label = ref
-        t_level = h.models[t_model].level
-        src_t = transitive_type_at(h, model, arrow[0], t_level)
-        tgt_t = transitive_type_at(h, model, arrow[2], t_level)
-        fitting = [a for a in candidates if a[0] == src_t and a[2] == tgt_t]
-        if len(fitting) != 1:
-            raise SchemaError(f"{model}: ambiguous arrow type {t_model}.{label} for {arrow!r}")
-        return fitting[0]
+            key, arrow_type = typing, candidates[0]
+        else:
+            t_level = h.models[t_model].level
+            src_t = transitive_type_at(h, model, arrow[0], t_level)
+            tgt_t = transitive_type_at(h, model, arrow[2], t_level)
+            fitting = [a for a in candidates if a[0] == src_t and a[2] == tgt_t]
+            if len(fitting) != 1:
+                raise SchemaError(f"{model}: ambiguous arrow type {t_model}.{label} for {arrow!r}")
+            arrow_type = fitting[0]
+            key = typing, arrow_type
+        info = self.arrow_infos.get(key)
+        if info is None:
+            info = self.arrow_infos[key] = ElementInfo((t_model, arrow_type), potency, mult)
+        return info
 
 
 def parse_hierarchy(text: str) -> MultilevelHierarchy:
@@ -648,7 +623,7 @@ def parse_hierarchy(text: str) -> MultilevelHierarchy:
     # each model's info then takes its arrows in place
     unknown = {
         (t_model, t_elem)
-        for t_model, t_elem in read.node_types
+        for t_model, t_elem in (info.direct_type for info in read.node_infos.values())
         if t_model not in graphs or t_elem not in graphs[t_model].nodes
     }
     models = []

@@ -308,16 +308,17 @@ class _Parser:
         name = self.ident("rule name")[1]
         self.expect("{")
         self.expect("meta")
-        meta = self.block()
+        meta = self.block(True)
         self.expect("from")
-        frm = self.block()
+        frm = self.block(False)
         self.expect("to")
-        to = self.block()
+        to = self.block(False)
         self.expect("}")
         return _elaborate(name, meta, frm, to)
 
-    def block(self) -> List[object]:
-        """The declarations and assignments of a `{ ... }` block.
+    def block(self, meta: bool) -> List[object]:
+        """The declarations and assignments of a `{ ... }` block; only a
+        `meta` block's declarations may carry `$`, `mm k` or a potency.
 
         One loop over the tokens, indexed by a local position: a block holds
         most of a module's tokens."""
@@ -337,12 +338,16 @@ class _Parser:
                 if type_tok[0] != "id":
                     self.expected("type name", type_tok)
                 i += 1
-                constant = tokens[i][1] == "$"
+                extra = tokens[i]
+                constant = extra[1] == "$"
                 if constant:
                     i += 1
-                mm: Optional[int] = None
                 kind, text, _ = tok = tokens[i]
-                if kind == "id" and _LEVEL_RE.fullmatch(text):
+                level = kind == "id" and _LEVEL_RE.fullmatch(text)
+                if not meta and (constant or level or text == "@"):
+                    self.fail("a META level, '$' or potency belongs in the meta block", extra)
+                mm: Optional[int] = None
+                if level:
                     i += 1
                     mm = self.integer(tok, text[2:], "META level")
                 potency: Optional[Tuple[int, int]] = None

@@ -216,6 +216,16 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err == f"input error: models[1].{kind}[0].{message}\n"
 
+    def test_supertypes_on_an_arrow_record_exit_two(self, tmp_path, capsys):
+        data = small_hierarchy()
+        data["models"][1]["arrows"][0]["supertypes"] = ["nonsense"]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: models[1].arrows[0].supertypes: only nodes inherit\n"
+
     def test_parent_of_the_wrong_kind_names_its_json_path(self, tmp_path, capsys):
         data = small_hierarchy()
         data["models"][1]["parent"] = ["root"]
@@ -412,6 +422,16 @@ class TestRulesCheck:
         err = capsys.readouterr().err
         assert "SyntaxError" in err
         assert "2:" in err  # the offending line number
+
+    def test_meta_only_syntax_in_a_pattern_exits_one(self, paths, tmp_path, capsys):
+        extra = tmp_path / "extra.mcmt"
+        extra.write_text(pattern_with_meta_syntax(paths[1]))
+        assert main(["rules", "check", str(extra)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{extra}: SyntaxError: 10:14: a META level, '$' or potency belongs in the meta block"
+        ]
 
     def test_rule_declared_twice_exits_one(self, paths, tmp_path, capsys):
         with open(paths[1], encoding="utf-8") as fh:
@@ -673,6 +693,24 @@ class TestFmt:
         once = capsys.readouterr().out
         with open(rules, encoding="utf-8") as fh:
             assert once == fh.read()
+
+    def test_meta_only_syntax_in_a_pattern_exits_two(self, paths, tmp_path, capsys):
+        # printing the module back would drop the extras, so fmt refuses it
+        extra = tmp_path / "extra.mcmt"
+        extra.write_text(pattern_with_meta_syntax(paths[1]))
+        assert main(["fmt", str(extra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "parse error: 10:14: a META level, '$' or potency belongs in the meta block"
+        ]
+
+
+def pattern_with_meta_syntax(rules_path: str) -> str:
+    """The PLS rules with `$ mm7 @2-5` after the first FROM declaration, at line 10."""
+    with open(rules_path, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.replace("      m1 : M1\n    }\n    to {", "      m1 : M1$ mm7 @2-5\n    }\n    to {", 1)
 
 
 class TestUsage:

@@ -122,8 +122,9 @@ class TestLoadSave:
 
 
 class TestParseKeepsNoState:
-    """A parse shares equal, frozen `ElementInfo` values within one document,
-    and nothing between two parses."""
+    """A parse shares one frozen `ElementInfo` between the records of one
+    document that carry the same typing texts, and nothing between two
+    parses."""
 
     def test_equal_infos_are_one_object_within_a_parse(self, pls_paths):
         h = load_hierarchy(pls_paths[0])
@@ -232,6 +233,38 @@ class TestRecordFaultsAtScale:
         with pytest.raises(InputError) as err:
             parse_hierarchy(json.dumps(doc))
         assert str(err.value).startswith("models[1].nodes[200].potency: bad potency '1-x'")
+
+    def test_supertypes_on_an_arrow_record_are_refused(self):
+        # only nodes inherit, so a file's arrow supertypes are refused rather than
+        # dropped; the key is checked after the arrow's ends and before its typing
+        doc = wide_document()
+        arrow = doc["models"][1]["arrows"][42]
+        arrow["supertypes"], arrow["type"] = [], "nodot"
+        with pytest.raises(InputError) as err:
+            parse_hierarchy(json.dumps(doc))
+        assert str(err.value) == "models[1].arrows[42].supertypes: only nodes inherit"
+        del arrow["target"]
+        with pytest.raises(InputError, match=r"^models\[1\]\.arrows\[42\]\.target: missing$"):
+            parse_hierarchy(json.dumps(doc))
+
+    @pytest.mark.parametrize("earlier", [None, "node", "arrow"])
+    def test_an_unknown_type_is_named_alike_with_or_without_supertypes(self, earlier):
+        # a node listing supertypes is read under other texts than one without;
+        # its unknown type is still found, and the same node is named
+        doc = wide_document()
+        root, m = doc["models"]
+        if earlier == "node":  # an earlier record of m with the same type and potency texts
+            m["nodes"][20]["type"] = "root.Ghost"
+        elif earlier == "arrow":  # an earlier record, of root, with the same texts
+            root["arrows"][0].update(type="root.Ghost", potency="1-1")
+        m["nodes"][150].update(type="root.Ghost", potency="1-1", supertypes=["n1"])
+        with pytest.raises(SchemaError) as with_supertypes:
+            parse_hierarchy(json.dumps(doc))
+        del m["nodes"][150]["supertypes"]
+        with pytest.raises(SchemaError) as without:
+            parse_hierarchy(json.dumps(doc))
+        named = "n20" if earlier == "node" else "n150"
+        assert str(with_supertypes.value) == str(without.value) == f"m: node {named!r} has unknown type 'root.Ghost'"
 
     def test_the_wide_document_loads(self):
         h = parse_hierarchy(json.dumps(wide_document()))

@@ -2,7 +2,9 @@
 gave when `record_hierarchy_corpus.py` recorded it: the same error class and
 message, or the same saved hierarchy and validation issues, document by
 document.  The corpus was recorded before `parse_hierarchy` and
-`validate_hierarchy` came to work once per distinct type."""
+`validate_hierarchy` came to work once per distinct type; its one later
+re-recording changed only the document with `supertypes` on an arrow
+record, which is now refused."""
 
 import json
 

@@ -95,6 +95,19 @@ class TestParsing:
         assert (err.value.line, err.value.column) == (5, 22)
         assert "min exceeds max" in str(err.value)
 
+    @pytest.mark.parametrize("extra, column", [("$", 14), (" mm2", 15), (" @1-2", 15)])
+    @pytest.mark.parametrize("declaration, line", [("      m1 : M1\n    }\n    to", 11), ("      p1 : P1\n", 15)])
+    def test_meta_only_syntax_in_a_pattern_block_is_rejected_where_it_stands(
+        self, extra, column, declaration, line
+    ):
+        # `$`, `mm k` and a potency mean something only in the meta block; a
+        # pattern declaration is a name and a META type, and nothing is dropped
+        bad = CREATE_PART.replace(declaration, declaration.replace("\n", extra + "\n", 1), 1)
+        with pytest.raises(ParseError) as err:
+            parse_rule_module(bad)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{line}:{column}: a META level, '$' or potency belongs in the meta block"
+
     def test_rule_declared_twice_in_a_module(self):
         body = CREATE_PART[CREATE_PART.index("  rule") : CREATE_PART.rindex("}")]
         bad = CREATE_PART[: CREATE_PART.rindex("}")] + body + "}\n"

@@ -3,7 +3,9 @@ it gave when `record_rules_corpus.py` recorded it: the same error class,
 message and position, or the same module, printed text, validation report,
 META lookups, depth and cardinality expansions, document by document.  The
 corpus was recorded before the rule front end came to scan with one regular
-expression, keep token offsets and look META elements up in one table."""
+expression, keep token offsets and look META elements up in one table; its
+one later re-recording changed only documents with a `$`, `mm k` or `@` in a
+`from` or `to` block, which are now refused."""
 
 import json
 
