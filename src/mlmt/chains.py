@@ -17,8 +17,7 @@ read off the hierarchy by `transitive_type_at`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     CompatibilityViolation,
@@ -31,6 +30,7 @@ from .errors import (
 from .graphs import (
     Graph,
     PartialMorphism,
+    Record,
     TotalMorphism,
     _require_subgraph,
     compose_partial,
@@ -40,15 +40,15 @@ from .graphs import (
 from .hierarchy import MultilevelHierarchy, transitive_type_at
 
 
-@dataclass(frozen=True)
-class GraphChain:
+class GraphChain(Record):
     """Graphs G_0 .. G_n with partial typings tau[(j, i)]: G_j -+-> G_i.
 
     graphs[i] sits at level i, so graphs[0] is the top (root) graph.
     """
 
-    graphs: Tuple[Graph, ...]
-    typings: Dict[Tuple[int, int], PartialMorphism] = field(default_factory=dict)
+    def __init__(self, graphs: Tuple[Graph, ...],
+                 typings: Optional[Dict[Tuple[int, int], PartialMorphism]] = None):
+        self.__dict__.update(graphs=graphs, typings={} if typings is None else typings)
 
     @property
     def length(self) -> int:
@@ -133,14 +133,12 @@ def refactor_inclusion_chain(host: Graph, levels: Sequence[Graph]) -> GraphChain
     return GraphChain(graphs, typings)
 
 
-@dataclass(frozen=True)
-class ChainMorphism:
+class ChainMorphism(Record):
     """A level map f plus total components phi_i: G_i -> H_f(i)."""
 
-    src: GraphChain
-    dst: GraphChain
-    level_map: Dict[int, int]
-    components: Dict[int, TotalMorphism]
+    def __init__(self, src: GraphChain, dst: GraphChain, level_map: Dict[int, int],
+                 components: Dict[int, TotalMorphism]):
+        self.__dict__.update(src=src, dst=dst, level_map=level_map, components=components)
 
     def component(self, i: int) -> TotalMorphism:
         return self.components[i]
@@ -207,13 +205,11 @@ def validate_chain_morphism(cm: ChainMorphism) -> List[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class MultilevelTyping:
+class MultilevelTyping(Record):
     """A graph typed over a chain by one partial morphism per level."""
 
-    subject: Graph
-    chain: GraphChain
-    sigmas: Dict[int, PartialMorphism]
+    def __init__(self, subject: Graph, chain: GraphChain, sigmas: Dict[int, PartialMorphism]):
+        self.__dict__.update(subject=subject, chain=chain, sigmas=sigmas)
 
 
 def derive_typing_chain(

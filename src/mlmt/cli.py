@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from typing import List, Optional
@@ -26,21 +25,21 @@ from .hierarchy import (
 from .matching import proliferate_all, rule_set_to_json
 from .rules import parse_rule_module, print_rule_module, validate_rule
 
-log = logging.getLogger("mlmt")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+_LOG_LEVELS = {"error": "ERROR", "warn": "WARNING", "info": "INFO", "debug": "DEBUG"}
 
 
 def _configure_logging():
+    """Send log records to stderr at the level MLM_LOG names.  Without MLM_LOG
+    the level is warn, at which the package logs nothing, so `logging` is not
+    imported at all."""
     name = os.environ.get("MLM_LOG", "")
-    level = _LOG_LEVELS.get(name.lower() or "warn")
+    if not name:
+        return
+    import logging
+
+    level = _LOG_LEVELS.get(name.lower())
     if level is None:
-        level = logging.WARNING
+        level = "WARNING"
         print(f"warning: MLM_LOG={name!r} is not one of {', '.join(_LOG_LEVELS)}; logging at warn",
               file=sys.stderr)
     logging.basicConfig(
@@ -48,6 +47,14 @@ def _configure_logging():
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+
+
+def _log_info(message: str, *args) -> None:
+    """Log `message` at info on the `mlmt` logger.  Where `logging` was never
+    imported, no handler was set up that could take the record, so it is dropped."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("mlmt").info(message, *args)
 
 
 def _write(path: str, text: str) -> bool:
@@ -123,7 +130,7 @@ def cmd_proliferate(args) -> int:
     if args.output:
         if not _write(args.output, json.dumps(rule_set_to_json(all_rules), indent=2) + "\n"):
             return 2
-        log.info("wrote %d rules to %s", total, args.output)
+        _log_info("wrote %d rules to %s", total, args.output)
     return 0
 
 
@@ -171,7 +178,7 @@ def cmd_run(args) -> int:
         return inputs
     h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
-    log.info("run stopped: %s", trace.stop)
+    _log_info("run stopped: %s", trace.stop)
     if args.trace and not _write(args.trace, trace.to_json_lines()):
         return 2
     sys.stdout.write(json.dumps(hierarchy_to_json(trace.final), indent=2))

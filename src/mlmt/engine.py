@@ -9,7 +9,6 @@ typing chain at once.  A seeded scheduler drives repeated application.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
@@ -24,6 +23,7 @@ from .chains import (
 from .errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
 from .graphs import (
     Graph,
+    Record,
     TotalMorphism,
     injective_matches,
     pullback_complement,
@@ -99,12 +99,10 @@ def _morphism(rule: TwoLevelRule, graph: Graph, images: tuple) -> TotalMorphism:
     )
 
 
-@dataclass(frozen=True)
-class ApplicationResult:
-    model: ModelNode
-    match: TotalMorphism
-    created: Tuple[ElementKey, ...]
-    deleted: Tuple[ElementKey, ...]
+class ApplicationResult(Record):
+    def __init__(self, model: ModelNode, match: TotalMorphism, created: Tuple[ElementKey, ...],
+                 deleted: Tuple[ElementKey, ...]):
+        self.__dict__.update(model=model, match=match, created=created, deleted=deleted)
 
 
 def apply_two_level_rule(
@@ -250,13 +248,10 @@ def apply_mcmt(
 # bounded execution
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    rule: str
-    match: Dict[str, str]
-    created: Tuple[ElementKey, ...]
-    deleted: Tuple[ElementKey, ...]
+class TraceStep(Record):
+    def __init__(self, step: int, rule: str, match: Dict[str, str],
+                 created: Tuple[ElementKey, ...], deleted: Tuple[ElementKey, ...]):
+        self.__dict__.update(step=step, rule=rule, match=match, created=created, deleted=deleted)
 
     def to_json(self) -> dict:
         def key(e: ElementKey):
@@ -271,17 +266,22 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
-    steps: Tuple[TraceStep, ...]
-    final: MultilevelHierarchy
-    stop: str  # "max-steps", "no-match" or "all-matches-dangling"
+class ExecutionTrace(Record):
+    def __init__(self, steps: Tuple[TraceStep, ...], final: MultilevelHierarchy, stop: str):
+        # `stop` is "max-steps", "no-match" or "all-matches-dangling"
+        self.__dict__.update(steps=steps, final=final, stop=stop)
 
     def to_json_lines(self) -> str:
+        """One line per step, as `json.dumps(step.to_json(), sort_keys=True)` writes it; the
+        encoder writes a tuple as an array, so the steps' fields are encoded as they are."""
         import json
 
-        encode = json.JSONEncoder(sort_keys=True).encode  # what `json.dumps` would build per step
-        return "".join(encode(s.to_json()) + "\n" for s in self.steps)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join([
+            encode({"created": s.created, "deleted": s.deleted, "match": s.match, "rule": s.rule,
+                    "step": s.step}) + "\n"
+            for s in self.steps
+        ])
 
 
 class _LiveMatches:

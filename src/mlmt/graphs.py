@@ -2,7 +2,8 @@
 
 Graphs carry named nodes and arrows identified by (source, label, target)
 triples.  Everything in this module is immutable; operations return new
-values.  The pushout and pullback-complement constructions implemented here
+values.  `Record`, the base of the package's value types, is defined here,
+in the lowest layer that has any.  The pushout and pullback-complement constructions implemented here
 are the building blocks for co-span rule application: a rule L -> I <- R is
 applied to a host graph by gluing I \\ L onto the host (pushout) and then
 removing the images of I \\ R (pullback complement).
@@ -20,9 +21,8 @@ changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -37,8 +37,43 @@ from .errors import (
 Arrow = Tuple[str, str, str]  # (source, label, target)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable value.  Its fields are its constructor's parameters, in
+    order, which the constructor stores in its `__dict__`.  As with a frozen
+    dataclass, a record equals only a record of its own class with equal
+    fields, hashes and shows its fields, and refuses assignment;
+    `_replace(**changes)` copies it through the constructor, so the copy is
+    checked as a new record is."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        fields = cls._fields = code.co_varnames[1 : code.co_argcount]
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._values(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class Graph(Record):
     """A directed multigraph with named elements.
 
     Node names are unique; arrows are identified by their full
@@ -46,16 +81,13 @@ class Graph:
     as their endpoints differ.
     """
 
-    name: str
-    nodes: FrozenSet[str] = frozenset()
-    arrows: FrozenSet[Arrow] = frozenset()
-
-    def __post_init__(self):
-        nodes = self.nodes
-        bad = [a for a in self.arrows if a[0] not in nodes or a[2] not in nodes]
+    def __init__(self, name: str, nodes: FrozenSet[str] = frozenset(),
+                 arrows: FrozenSet[Arrow] = frozenset()):
+        bad = [a for a in arrows if a[0] not in nodes or a[2] not in nodes]
         if bad:
             src, _, tgt = min(bad)
-            raise DanglingArrow(f"{self.name}: arrow endpoints {(src, tgt)} not declared")
+            raise DanglingArrow(f"{name}: arrow endpoints {(src, tgt)} not declared")
+        self.__dict__.update(name=name, nodes=nodes, arrows=arrows)
 
     @classmethod
     def _trusted(
@@ -66,7 +98,7 @@ class Graph:
         incidence: Optional[Dict[str, FrozenSet[Arrow]]] = None,
     ) -> "Graph":
         """A graph its caller has proved valid, built without the endpoint
-        walk of `__post_init__`; `incidence`, if given, must be its map."""
+        walk of the constructor; `incidence`, if given, must be its map."""
         g = object.__new__(cls)
         g.__dict__.update(name=name, nodes=nodes, arrows=arrows)
         if incidence is not None:
@@ -127,16 +159,13 @@ def build_graph(name: str, nodes: Iterable[str], arrows: Iterable[Arrow]) -> Gra
         seen.add(a)
 
 
-@dataclass(frozen=True)
-class TotalMorphism:
+class TotalMorphism(Record):
     """A total graph homomorphism given by node and arrow maps."""
 
-    src: Graph
-    dst: Graph
-    node_map: Dict[str, str] = field(default_factory=dict)
-    arrow_map: Dict[Arrow, Arrow] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, src: Graph, dst: Graph, node_map: Optional[Dict[str, str]] = None,
+                 arrow_map: Optional[Dict[Arrow, Arrow]] = None):
+        self.__dict__.update(src=src, dst=dst, node_map={} if node_map is None else node_map,
+                             arrow_map={} if arrow_map is None else arrow_map)
         if set(self.node_map) != set(self.src.nodes):
             raise GraphMismatch(
                 f"node map not total on {self.src.name}"
@@ -157,7 +186,7 @@ class TotalMorphism:
     @classmethod
     def _trusted(cls, src: Graph, dst: Graph, node_map: Dict, arrow_map: Dict) -> "TotalMorphism":
         """A morphism its caller has proved total and structure-preserving,
-        built without the checks of `__post_init__`."""
+        built without the checks of the constructor."""
         t = object.__new__(cls)
         t.__dict__.update(src=src, dst=dst, node_map=node_map, arrow_map=arrow_map)
         return t
@@ -181,18 +210,14 @@ def inclusion(sub: Graph, sup: Graph) -> TotalMorphism:
     )
 
 
-@dataclass(frozen=True)
-class PartialMorphism:
+class PartialMorphism(Record):
     """A partial graph homomorphism: total on its domain of definition."""
 
-    src: Graph
-    dst: Graph
-    node_map: Dict[str, str] = field(default_factory=dict)
-    arrow_map: Dict[Arrow, Arrow] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, src: Graph, dst: Graph, node_map: Optional[Dict[str, str]] = None,
+                 arrow_map: Optional[Dict[Arrow, Arrow]] = None):
+        self.__dict__.update(src=src, dst=dst, node_map={} if node_map is None else node_map,
+                             arrow_map={} if arrow_map is None else arrow_map)
         # the domain of definition must be a genuine subgraph of src
-        src = self.src
         if not (self.node_map.keys() <= src.nodes and self.arrow_map.keys() <= src.arrows):
             raise GraphMismatch(f"domain of definition not contained in {src.name}")
         TotalMorphism(self.domain, self.dst, dict(self.node_map), dict(self.arrow_map))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .graphs import Arrow, Graph, build_graph
+from .graphs import Arrow, Graph, Record, build_graph
 
 ElementKey = Union[str, Arrow]  # node name or (source, label, target)
 TypeRef = Tuple[str, ElementKey]  # (model name, element key)
@@ -32,36 +31,33 @@ TypeRef = Tuple[str, ElementKey]  # (model name, element key)
 UNBOUNDED = None  # upper multiplicity bound "n"
 
 
-@dataclass(frozen=True)
-class ElementInfo:
+class ElementInfo(Record):
     """Typing and instantiation data attached to one model element."""
 
-    direct_type: TypeRef
-    potency: Tuple[int, int] = (1, 1)
-    multiplicity: Optional[Tuple[int, Optional[int]]] = None
-    supertypes: FrozenSet[str] = frozenset()
+    def __init__(self, direct_type: TypeRef, potency: Tuple[int, int] = (1, 1),
+                 multiplicity: Optional[Tuple[int, Optional[int]]] = None,
+                 supertypes: FrozenSet[str] = frozenset()):
+        self.__dict__.update(direct_type=direct_type, potency=potency, multiplicity=multiplicity,
+                             supertypes=supertypes)
 
 
-@dataclass(frozen=True)
-class ModelNode:
+class ModelNode(Record):
     """One model in the hierarchy: a graph plus per-element info."""
 
-    name: str
-    parent: Optional[str]
-    level: int
-    graph: Graph
-    info: Dict[ElementKey, ElementInfo] = field(default_factory=dict)
+    def __init__(self, name: str, parent: Optional[str], level: int, graph: Graph,
+                 info: Optional[Dict[ElementKey, ElementInfo]] = None):
+        self.__dict__.update(name=name, parent=parent, level=level, graph=graph,
+                             info={} if info is None else info)
 
     def info_for(self, element: ElementKey) -> ElementInfo:
         return self.info[element]
 
 
-@dataclass(frozen=True)
-class MultilevelHierarchy:
+class MultilevelHierarchy(Record):
     """A tree of models; the root is self-defining at level 0."""
 
-    models: Dict[str, ModelNode]
-    root: str
+    def __init__(self, models: Dict[str, ModelNode], root: str):
+        self.__dict__.update(models=models, root=root)
 
     def model(self, name: str) -> ModelNode:
         if name not in self.models:
@@ -83,12 +79,9 @@ class MultilevelHierarchy:
         return MultilevelHierarchy(models, self.root)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    model: str
-    element: ElementKey
-    rule: str
-    message: str
+class ValidationIssue(Record):
+    def __init__(self, model: str, element: ElementKey, rule: str, message: str):
+        self.__dict__.update(model=model, element=element, rule=rule, message=message)
 
     def __str__(self) -> str:
         return f"{self.model}/{self.element!r}: [{self.rule}] {self.message}"
@@ -363,14 +356,14 @@ def flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
             donors[n] = tuple(sorted(found.union(s for s in sups if m.graph.incident(s))))
             if sups:
                 top = info[max(tops[s] for s in sups)]
-                info[n] = replace(info[n], direct_type=top.direct_type, potency=top.potency)
+                info[n] = info[n]._replace(direct_type=top.direct_type, potency=top.potency)
             for sup in donors[n]:
                 for a in sorted(m.graph.incident(sup)):
                     copy = (n if a[0] == sup else a[0], a[1], n if a[2] == sup else a[2])
                     if copy not in arrows:
                         arrows.add(copy)
-                        info[copy] = replace(m.info[a], supertypes=frozenset())
-        info = {k: replace(v, supertypes=frozenset()) if v.supertypes else v for k, v in info.items()}
+                        info[copy] = m.info[a]._replace(supertypes=frozenset())
+        info = {k: v._replace(supertypes=frozenset()) if v.supertypes else v for k, v in info.items()}
         graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
         new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
     return build_hierarchy(new_models)
@@ -494,7 +487,7 @@ class _Reader:
                 raise _bad(i, f".nodes[{j}].name", _not_a_string(name))
             key = None
             if t.__class__ is str and p.__class__ is str:
-                if supertypes is _ABSENT:
+                if supertypes is _ABSENT or supertypes == []:  # no supertypes, listed or not
                     key = t, p
                 elif supertypes.__class__ is list and all(s.__class__ is str for s in supertypes):
                     key = t, p, tuple(supertypes)

@@ -12,13 +12,12 @@ call, for one rule or a rule set, builds one per stack model it searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import UnresolvedReference
-from .graphs import Arrow, Graph, group_by_end, injective_matches, search_plan
+from .graphs import Arrow, Graph, Record, group_by_end, injective_matches, search_plan
 from .hierarchy import ElementKey, ModelNode, MultilevelHierarchy, TypeRef, transitive_type_at
 from .rules import (
     ARROW,
@@ -30,15 +29,15 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
-class MetaMatch:
-    """A complete match of a META chain into a typing chain: the level map and the per-level
-    bindings, as the search built them.  Matches found along one search branch, and the rules
-    compiled from them (as `source_match`), share these dicts, so they are read-only.
-    Equality is dict equality, so it ignores insertion order; a `MetaMatch` is not hashable."""
+class MetaMatch(Record):
+    """A complete match of a META chain into a typing chain: the level map (meta level -> stack
+    level) and the per-level bindings (meta level -> META element name -> image), as the search
+    built them.  Matches found along one search branch, and the rules compiled from them (as
+    `source_match`), share these dicts, so they are read-only.  Equality is dict equality, so it
+    ignores insertion order; a `MetaMatch` is not hashable."""
 
-    level_map: Dict[int, int]  # meta level -> stack level
-    bindings: Dict[int, Dict[str, ElementKey]]  # meta level -> META element name -> image
+    def __init__(self, level_map: Dict[int, int], bindings: Dict[int, Dict[str, ElementKey]]):
+        self.__dict__.update(level_map=level_map, bindings=bindings)
 
     def f(self, meta_level: int) -> int:
         return self.level_map[meta_level]
@@ -317,8 +316,7 @@ def typing_stack(h: MultilevelHierarchy, target_model: str) -> List[ModelNode]:
 # proliferation
 
 
-@dataclass(frozen=True)
-class TwoLevelRule:
+class TwoLevelRule(Record):
     """A concrete co-span rule produced from an MCMT match.
 
     Element types are references into the hierarchy; `level_types` pins the
@@ -326,22 +324,13 @@ class TwoLevelRule:
     None marking levels where the element must be untyped.
     """
 
-    name: str
-    lhs: Graph
-    interface: Graph
-    rhs: Graph
-    types: Dict[ElementKey, TypeRef]
-    level_types: Dict[ElementKey, Tuple[Tuple[int, Optional[ElementKey]], ...]]
-    source_rule: str
-    source_match: MetaMatch
-
-    @classmethod
-    def _trusted(cls, name, lhs, interface, rhs, types, level_types, source_rule, source_match):
-        """The rule with these fields, built without the frozen dataclass `__init__`."""
-        r = object.__new__(cls)
-        r.__dict__.update(name=name, lhs=lhs, interface=interface, rhs=rhs, types=types,
-                          level_types=level_types, source_rule=source_rule, source_match=source_match)
-        return r
+    def __init__(self, name: str, lhs: Graph, interface: Graph, rhs: Graph,
+                 types: Dict[ElementKey, TypeRef],
+                 level_types: Dict[ElementKey, Tuple[Tuple[int, Optional[ElementKey]], ...]],
+                 source_rule: str, source_match: MetaMatch):
+        self.__dict__.update(name=name, lhs=lhs, interface=interface, rhs=rhs, types=types,
+                             level_types=level_types, source_rule=source_rule,
+                             source_match=source_match)
 
     @cached_property
     def pattern(self) -> Dict[ElementKey, Tuple[Tuple[int, Optional[ElementKey]], ...]]:
@@ -468,7 +457,7 @@ def proliferate(
         ]
         bound_types, profiles = tuple(zip(*bound)) or ((), ())
         for lhs, inter, rhs, keys, pick in variants[key]:
-            out.append(TwoLevelRule._trusted(
+            out.append(TwoLevelRule(
                 f"{rule.name}_{len(out)}", lhs, inter, rhs, dict(zip(keys, pick(bound_types))),
                 dict(zip(keys, pick(profiles))), rule.name, mm_match,
             ))

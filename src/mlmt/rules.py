@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -32,39 +31,36 @@ from .errors import (
     ParseError,
     UnresolvedReference,
 )
-from .graphs import Arrow, Graph, build_graph
+from .graphs import Arrow, Graph, Record, build_graph
 
 NODE = "node"
 ARROW = "arrow"
 
 
-@dataclass(frozen=True)
-class MetaElement:
-    """One declaration in the META pattern chain."""
+class MetaElement(Record):
+    """One declaration in the META pattern chain: `level` is the META level
+    the element lives at (>= 1), `kind` is node or arrow, `type_name` is None
+    for implicit constants, and an arrow's `source` and `target` name its
+    endpoints at the same level."""
 
-    name: str
-    level: int  # META level the element lives at (>= 1)
-    kind: str  # node | arrow
-    type_name: Optional[str]  # None for implicit constants
-    type_level: int
-    constant: bool = False
-    source: Optional[str] = None  # endpoint names, same level (arrows)
-    target: Optional[str] = None
-    potency: Optional[Tuple[int, int]] = None
-    multiplicity: Optional[Tuple[int, Optional[int]]] = None
-    implicit: bool = False
+    def __init__(self, name: str, level: int, kind: str, type_name: Optional[str],
+                 type_level: int, constant: bool = False, source: Optional[str] = None,
+                 target: Optional[str] = None, potency: Optional[Tuple[int, int]] = None,
+                 multiplicity: Optional[Tuple[int, Optional[int]]] = None, implicit: bool = False):
+        self.__dict__.update(
+            name=name, level=level, kind=kind, type_name=type_name, type_level=type_level,
+            constant=constant, source=source, target=target, potency=potency,
+            multiplicity=multiplicity, implicit=implicit,
+        )
 
 
-@dataclass(frozen=True)
-class PatternElement:
+class PatternElement(Record):
     """One FROM/TO declaration, typed by a META element."""
 
-    name: str
-    type_name: str
-    type_level: int
-    kind: str
-    source: Optional[str] = None
-    target: Optional[str] = None
+    def __init__(self, name: str, type_name: str, type_level: int, kind: str,
+                 source: Optional[str] = None, target: Optional[str] = None):
+        self.__dict__.update(name=name, type_name=type_name, type_level=type_level, kind=kind,
+                             source=source, target=target)
 
 
 def element_key(e) -> Union[str, Arrow]:
@@ -73,9 +69,9 @@ def element_key(e) -> Union[str, Arrow]:
     return e.name if e.kind == NODE else (e.source, e.name, e.target)
 
 
-@dataclass(frozen=True)
-class RulePattern:
-    elements: Tuple[PatternElement, ...] = ()
+class RulePattern(Record):
+    def __init__(self, elements: Tuple[PatternElement, ...] = ()):
+        self.__dict__.update(elements=elements)
 
     def nodes(self) -> List[PatternElement]:
         return [e for e in self.elements if e.kind == NODE]
@@ -118,13 +114,14 @@ def _lookup(table: MetaTable, name: str, level: Optional[int] = None) -> MetaEle
     return e
 
 
-@dataclass(frozen=True)
-class McmtRule:
-    name: str
-    meta_elements: Tuple[MetaElement, ...] = ()  # declaration order, explicit
-    implicit_elements: Tuple[MetaElement, ...] = ()
-    from_pattern: RulePattern = field(default_factory=RulePattern)
-    to_pattern: RulePattern = field(default_factory=RulePattern)
+class McmtRule(Record):
+    def __init__(self, name: str, meta_elements: Tuple[MetaElement, ...] = (),
+                 implicit_elements: Tuple[MetaElement, ...] = (),
+                 from_pattern: RulePattern = RulePattern(), to_pattern: RulePattern = RulePattern()):
+        # `meta_elements` are the explicit ones, in declaration order
+        self.__dict__.update(name=name, meta_elements=meta_elements,
+                             implicit_elements=implicit_elements, from_pattern=from_pattern,
+                             to_pattern=to_pattern)
 
     @property
     def depth(self) -> int:
@@ -170,10 +167,9 @@ class McmtRule:
         return profiles[name, level]
 
 
-@dataclass(frozen=True)
-class McmtModule:
-    name: str
-    rules: Tuple[McmtRule, ...] = ()
+class McmtModule(Record):
+    def __init__(self, name: str, rules: Tuple[McmtRule, ...] = ()):
+        self.__dict__.update(name=name, rules=rules)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +209,16 @@ def _tokenize(text: str) -> List[_Tok]:
     return tokens
 
 
-@dataclass
 class _RawDecl:
-    name: str
-    type_name: str
-    constant: bool
-    mm: Optional[int]
-    potency: Optional[Tuple[int, int]]
-    line: int
+    def __init__(self, name: str, type_name: str, constant: bool, mm: Optional[int],
+                 potency: Optional[Tuple[int, int]], line: int):
+        self.name, self.type_name, self.constant = name, type_name, constant
+        self.mm, self.potency, self.line = mm, potency, line  # `mm` is filled in if absent
 
 
-@dataclass
 class _RawAssign:
-    name: str
-    source: str
-    target: str
-    line: int
+    def __init__(self, name: str, source: str, target: str, line: int):
+        self.name, self.source, self.target, self.line = name, source, target, line
 
 
 class _Parser:

@@ -29,7 +29,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -80,7 +79,7 @@ def base_documents(rng: random.Random) -> list:
             texts.append(fh.read())
     for m in range(RANDOM_MODULES):
         rules = [
-            replace(random_mcmt_rule(rng, depth=rng.randint(1, 4)), name=f"R{i}")
+            random_mcmt_rule(rng, depth=rng.randint(1, 4))._replace(name=f"R{i}")
             for i in range(rng.randint(1, 3))
         ]
         texts.append(print_rule_module(McmtModule(f"Random{m}", tuple(rules))))

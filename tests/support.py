@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -461,8 +460,8 @@ def reference_flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy
         for n in order:
             for sup in sorted(closure[n]):
                 sup_info = info[sup]
-                info[n] = replace(
-                    info[n], direct_type=sup_info.direct_type, potency=sup_info.potency
+                info[n] = info[n]._replace(
+                    direct_type=sup_info.direct_type, potency=sup_info.potency
                 )
                 for a in sorted(m.graph.incident(sup)):
                     src = n if a[0] == sup else a[0]
@@ -470,9 +469,9 @@ def reference_flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy
                     copy = (src, a[1], tgt)
                     if copy not in arrows:
                         arrows.add(copy)
-                        info[copy] = replace(info[a], supertypes=frozenset())
+                        info[copy] = info[a]._replace(supertypes=frozenset())
         info = {
-            k: replace(v, supertypes=frozenset()) for k, v in info.items()
+            k: v._replace(supertypes=frozenset()) for k, v in info.items()
         }
         graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
         new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
@@ -529,7 +528,7 @@ def random_inheritance_hierarchy(rng: random.Random) -> MultilevelHierarchy:
                 heir = rng.choice(heirs)
                 (src, label, tgt), sups = a, info[heir].supertypes
                 twin = (heir if src in sups else src, label, heir if tgt in sups else tgt)
-                arrows.setdefault(twin, replace(arrows[a], multiplicity=rng.choice(MULTIPLICITIES)))
+                arrows.setdefault(twin, arrows[a]._replace(multiplicity=rng.choice(MULTIPLICITIES)))
         info.update(arrows)
         graph = build_graph(name, nodes, sorted(arrows))
         models.append(ModelNode(name, models[-1].name, lvl, graph, info))
@@ -592,11 +591,11 @@ def random_mcmt_rule(rng: random.Random, depth: int = 2) -> McmtRule:
     for i, el in enumerate(meta):
         two_up = [e for e in meta if e.kind == NODE and e.level == el.level - 2]
         if el.kind == NODE and two_up and rng.random() < 0.5:
-            el = replace(el, type_name=rng.choice(two_up).name, type_level=el.level - 2)
+            el = el._replace(type_name=rng.choice(two_up).name, type_level=el.level - 2)
         elif el.kind == ARROW and rng.random() < 0.3:
-            el = replace(el, multiplicity=(1, 1))
+            el = el._replace(multiplicity=(1, 1))
         # no element of a random hierarchy is named after a META element
-        meta[i] = replace(el, constant=False)
+        meta[i] = el._replace(constant=False)
     nodes: List[PatternElement] = []
     arrows: List[PatternElement] = []
 
@@ -853,7 +852,7 @@ def _reference_replicate(rule: McmtRule, level: int, name: str, v: int) -> McmtR
         arrows = [c for e in pattern.elements if e.kind == ARROW for c in copies(e)]
         return RulePattern(tuple(nodes + arrows))
 
-    return replace(rule, from_pattern=replicated(rule.from_pattern), to_pattern=replicated(rule.to_pattern))
+    return rule._replace(from_pattern=replicated(rule.from_pattern), to_pattern=replicated(rule.to_pattern))
 
 
 def reference_proliferate(rule: McmtRule, h, target_model: str) -> List[TwoLevelRule]:

@@ -1,7 +1,6 @@
 import json
 import os
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -113,12 +112,12 @@ class TestTwoLevelApplication:
         L, g = rule.lhs, model.graph
         ghost = Graph(g.name, g.nodes | {"ghost"}, g.arrows)
         with pytest.raises(GraphMismatch):
-            apply_two_level_rule(rule, model, pls, at=replace(m, dst=ghost))
+            apply_two_level_rule(rule, model, pls, at=m._replace(dst=ghost))
         renamed = Graph(L.name + "'", L.nodes, L.arrows)
         with pytest.raises(GraphMismatch):
-            apply_two_level_rule(rule, model, pls, at=replace(m, src=renamed))
+            apply_two_level_rule(rule, model, pls, at=m._replace(src=renamed))
         # equal graphs are as good as the same ones
-        equal = replace(m, src=Graph(L.name, L.nodes, L.arrows), dst=Graph(g.name, g.nodes, g.arrows))
+        equal = m._replace(src=Graph(L.name, L.nodes, L.arrows), dst=Graph(g.name, g.nodes, g.arrows))
         (want,) = apply_two_level_rule(rule, model, pls, at=m)[0]
         (got,) = apply_two_level_rule(rule, model, pls, at=equal)[0]
         assert got.model == want.model
@@ -145,7 +144,7 @@ class TestTwoLevelApplication:
         # x is glued on by the pushout and removed again by the pullback complement
         rule = two_level_rules(pls, pls_rules, "CreatePart")[0]
         inter = rule.interface
-        ghost = replace(rule, interface=Graph(inter.name, inter.nodes | {"x"}, inter.arrows))
+        ghost = rule._replace(interface=Graph(inter.name, inter.nodes | {"x"}, inter.arrows))
         model = pls.model("hammer_config")
         (want,) = apply_two_level_rule(rule, model, pls)[0]
         (got,) = apply_two_level_rule(ghost, model, pls)[0]
@@ -173,7 +172,7 @@ class TestTwoLevelApplication:
 
     def test_identity_rule_returns_the_same_graph(self, pls, pls_rules):
         rules = two_level_rules(pls, pls_rules, "CreatePart")
-        noop = replace(rules[0], interface=rules[0].lhs, rhs=rules[0].lhs)
+        noop = rules[0]._replace(interface=rules[0].lhs, rhs=rules[0].lhs)
         model = pls.model("hammer_config")
         results, _ = apply_two_level_rule(noop, model, pls)
         for res in results:

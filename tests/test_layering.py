@@ -6,8 +6,12 @@ Read from the source with `ast`, so an import made inside a function counts too.
 
 import ast
 import os
+import subprocess
+import sys
 
 import mlmt
+
+from support import child_env
 
 # bottom first; `__init__` re-exports every layer and is not one
 LAYERS = ["errors", "graphs", "hierarchy", "chains", "rules", "matching", "engine", "cli"]
@@ -46,7 +50,7 @@ def test_each_module_imports_only_modules_below_it():
 # nothing else, so a third-party import (a faster JSON or regular expression
 # parser, say) fails here until this list is changed on purpose
 STDLIB = {
-    "__future__", "argparse", "bisect", "dataclasses", "functools", "itertools", "json",
+    "__future__", "argparse", "bisect", "functools", "itertools", "json",
     "logging", "operator", "os", "random", "re", "sys", "typing",
 }
 
@@ -65,6 +69,21 @@ def absolute_imports(name: str) -> set:
 def test_the_package_imports_only_the_standard_library():
     outside = {name: sorted(absolute_imports(name) - STDLIB) for name in LAYERS + ["__init__"]}
     assert outside == {name: [] for name in LAYERS + ["__init__"]}
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
+    # importing is most of a short `mlmt run`, in time and memory; `logging` is
+    # imported only when MLM_LOG is set, and the records need no `dataclasses`,
+    # which would bring `inspect` with it
+    env = child_env()
+    env.pop("MLM_LOG", None)
+    code = (
+        "import sys; before = set(sys.modules); import mlmt.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def unused_imports(name: str) -> list:

@@ -6,7 +6,6 @@ matcher must return exactly its oracle's list, order included.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -254,7 +253,7 @@ def test_runs_keep_fresh_matches_on_generated_inputs(monkeypatch):
         rule = random_mcmt_rule(rng, depth=rng.randint(1, depth - 1))
         rules = [rule]
         if case % 2:
-            rules.append(replace(rule, name=rule.name + "_reads", from_pattern=rule.to_pattern))
+            rules.append(rule._replace(name=rule.name + "_reads", from_pattern=rule.to_pattern))
         trace = run(rules, h, target, 8, seed=case)
         assert validate_hierarchy(trace.final) == []
     assert min(seen.values()) >= 10, seen

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -53,10 +52,10 @@ class TestFixtureMatches:
         # rename the implicit `creates` constant so nothing in the stack
         # carries that name
         renamed = tuple(
-            replace(e, name="fabricates") if e.name == "creates" else e
+            e._replace(name="fabricates") if e.name == "creates" else e
             for e in rule.implicit_elements
         )
-        mutated = replace(rule, implicit_elements=renamed)
+        mutated = rule._replace(implicit_elements=renamed)
         assert find_meta_matches(mutated, pls, "hammer_config") == []
 
     def test_pattern_multiplicity_constrains_bindings(self, pls, pls_rules):
@@ -64,10 +63,10 @@ class TestFixtureMatches:
 
         def with_mult(mult):
             meta = tuple(
-                replace(e, multiplicity=mult) if e.name == "h1" else e
+                e._replace(multiplicity=mult) if e.name == "h1" else e
                 for e in rule.meta_elements
             )
-            return replace(rule, meta_elements=meta)
+            return rule._replace(meta_elements=meta)
 
         # h1 binds arrows whose multiplicity is 1..1, which contains 1..1
         assert len(find_meta_matches(with_mult((1, 1)), pls, "hammer_config")) == 12

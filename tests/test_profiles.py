@@ -16,7 +16,6 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -282,7 +281,7 @@ def test_proliferate_agrees_with_the_reference_on_random_rules():
         for depth in (2, 3, 4):
             h = random_hierarchy(rng, depth=depth, varied=True)
             rules = [
-                replace(random_mcmt_rule(rng, depth=rng.randint(1, depth - 1)), name=f"R{i}")
+                random_mcmt_rule(rng, depth=rng.randint(1, depth - 1))._replace(name=f"R{i}")
                 for i in range(rng.randint(2, 4))
             ]
             for target in leaves(h):
