@@ -43,7 +43,6 @@ from .hierarchy import (
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
-    flatten_inheritance,
     load_hierarchy,
     parse_hierarchy,
     save_hierarchy,

@@ -57,10 +57,6 @@ class NotInclusionChain(MlmtError):
     pass
 
 
-class InheritanceCycle(MlmtError):
-    pass
-
-
 class ParseError(MlmtError):
     """Syntax error in a textual input; carries line/column information."""
 

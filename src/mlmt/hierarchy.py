@@ -5,24 +5,19 @@ element of a non-root model carries an individual direct type that lives some
 number of levels above it (the level jump d >= 1), a potency interval that
 constrains the jumps of its own instances, and — for arrows — a multiplicity
 interval.  This module holds the hierarchy itself: its parsing and JSON
-output, validation, inheritance flattening and `transitive_type_at`, the
-one walk up an element's typing.  The typing chain a root path induces is
-derived in `chains`, and the type index the matchers draw candidates from
-lives in `matching`.
+output, validation and `transitive_type_at`, the one walk up an element's
+typing.  The typing chain a root path induces is derived in `chains`, and the
+type index the matchers draw candidates from lives in `matching`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .errors import (
-    InheritanceCycle,
-    InputError,
-    ParseError,
-    SchemaError,
-)
+from .errors import InputError, ParseError, SchemaError
 from .graphs import Arrow, Graph, Record, build_graph
 
 ElementKey = Union[str, Arrow]  # node name or (source, label, target)
@@ -269,7 +264,7 @@ def _check_inheritance(m: ModelNode) -> List[ValidationIssue]:
     issues = []
     heirs = [(elem, info.supertypes) for elem, info in m.info.items() if info.supertypes]
     for elem, supertypes in heirs:
-        if isinstance(elem, tuple):  # `flatten_inheritance` reads supertypes of nodes only
+        if isinstance(elem, tuple):  # supertypes annotate nodes only
             issues.append(ValidationIssue(m.name, elem, "ArrowSupertypes", "only nodes inherit"))
             continue
         for sup in sorted(supertypes):
@@ -279,33 +274,27 @@ def _check_inheritance(m: ModelNode) -> List[ValidationIssue]:
                         m.name, elem, "UnknownSupertype", f"{sup!r} not in model"
                     )
                 )
-    if heirs:  # without supertypes there is no cycle
-        try:
-            _inheritance_order(m)
-        except InheritanceCycle as err:
-            issues.append(
-                ValidationIssue(m.name, str(err), "InheritanceCycle", "cyclic inheritance")
-            )
+    trail = _inheritance_cycle(m) if heirs else None  # without supertypes there is no cycle
+    if trail is not None:
+        issues.append(ValidationIssue(m.name, trail, "InheritanceCycle", "cyclic inheritance"))
     return issues
 
 
 def _supertypes(m: ModelNode, n: str) -> List[str]:
-    """The supertypes of the node `n` that count, sorted: nodes of `m` with info.
-    Validation reports any other as UnknownSupertype, or a node without info as
-    MissingTyping, and `flatten_inheritance` raises SchemaError for it."""
+    """The supertypes of the node `n` that are nodes of `m`, sorted; validation
+    reports any other as UnknownSupertype."""
     info = m.info.get(n)
-    return [s for s in sorted(info.supertypes) if s in m.info and s in m.graph.nodes] if info else []
+    return [s for s in sorted(info.supertypes) if s in m.graph.nodes] if info else []
 
 
-def _inheritance_order(m: ModelNode) -> List[str]:
-    """Topological order of nodes, supertypes first.
+def _inheritance_cycle(m: ModelNode) -> Optional[str]:
+    """The trail of the first supertype cycle among the nodes of `m`, or None.
 
     A depth-first walk with an explicit stack, so that a supertype chain of
-    any length is ordered; the nodes on the stack are the trail that an
-    InheritanceCycle names.
+    any length is walked; the nodes on the stack, then the supertype that
+    closes the cycle, are the trail.
     """
-    order: List[str] = []
-    state: Dict[str, int] = {}  # 1 while on the stack, 2 once ordered
+    state: Dict[str, int] = {}  # 1 while on the stack, 2 once walked
     for root in sorted(m.graph.nodes):
         if root in state:
             continue
@@ -315,7 +304,7 @@ def _inheritance_order(m: ModelNode) -> List[str]:
             n, pending = stack[-1]
             for sup in pending:
                 if state.get(sup) == 1:
-                    raise InheritanceCycle(" -> ".join([x for x, _ in stack] + [sup]))
+                    return " -> ".join([x for x, _ in stack] + [sup])
                 if sup not in state:
                     state[sup] = 1
                     stack.append((sup, iter(_supertypes(m, sup))))
@@ -323,50 +312,7 @@ def _inheritance_order(m: ModelNode) -> List[str]:
             else:
                 stack.pop()
                 state[n] = 2
-                order.append(n)
-    return order
-
-
-def flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
-    """Replicate each supertype's typing and incident arrows onto its heirs.
-
-    A node takes the flattened direct type and potency of its greatest
-    transitive supertype by name, and copies the original arrows of each
-    transitive supertype, both in sorted order, its name put in the
-    supertype's; a copy of an arrow already there is dropped.  One pass in
-    topological order takes time linear in the model plus the arrows copied.
-    Raises InheritanceCycle, or SchemaError for a supertype that is not a node
-    with element info.  Inheritance edges are dropped from the result;
-    applying the operation twice equals applying it once.
-    """
-    new_models = []
-    for m in h.models.values():
-        arrows, info = set(m.graph.arrows), dict(m.info)
-        tops: Dict[str, str] = {}  # the greatest of a node and its transitive supertypes
-        donors: Dict[str, Tuple[str, ...]] = {}  # transitive supertypes with arrows, sorted
-        for n in _inheritance_order(m):  # raises InheritanceCycle
-            sups = _supertypes(m, n)
-            if n in m.info and len(sups) < len(m.info[n].supertypes):
-                bad = min(set(m.info[n].supertypes).difference(sups))
-                raise SchemaError(
-                    f"{m.name}/{n!r}: supertype {bad!r} is not a node with element info"
-                )
-            tops[n] = max([n, *(tops[s] for s in sups)])
-            found = {d for s in sups for d in donors[s]}
-            donors[n] = tuple(sorted(found.union(s for s in sups if m.graph.incident(s))))
-            if sups:
-                top = info[max(tops[s] for s in sups)]
-                info[n] = info[n]._replace(direct_type=top.direct_type, potency=top.potency)
-            for sup in donors[n]:
-                for a in sorted(m.graph.incident(sup)):
-                    copy = (n if a[0] == sup else a[0], a[1], n if a[2] == sup else a[2])
-                    if copy not in arrows:
-                        arrows.add(copy)
-                        info[copy] = m.info[a]._replace(supertypes=frozenset())
-        info = {k: v._replace(supertypes=frozenset()) if v.supertypes else v for k, v in info.items()}
-        graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
-        new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
-    return build_hierarchy(new_models)
+    return None
 
 
 _POTENCY_RE = re.compile(r"([0-9]+)-([0-9]+)")
@@ -567,10 +513,21 @@ class _Reader:
         return info
 
 
+# a document that does not decode, and nests arrays and objects deeper than
+# this before the point where decoding stopped, is "nested too deeply" on every
+# interpreter, not only where the C scanner runs out of stack (3.10-3.12)
+MAX_JSON_DEPTH = 500
+_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|([][{}])')  # a bracket, or a string (closed or not) to skip
+
+
 def parse_hierarchy(text: str) -> MultilevelHierarchy:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
+        # the greatest depth of arrays and objects the text reaches before decoding stopped
+        steps = (1 if b in "[{" else -1 for b in _BRACKET.findall(text, 0, err.pos) if b)
+        if max(accumulate(steps), default=0) > MAX_JSON_DEPTH:
+            raise InputError("JSON nested too deeply") from err
         raise ParseError(err.msg, err.lineno, err.colno) from err
     except RecursionError as err:
         raise InputError("JSON nested too deeply") from err

@@ -13,7 +13,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mlmt.hierarchy
 from mlmt.chains import ChainMorphism, GraphChain, build_chain, derive_typing_chain
-from mlmt.errors import InheritanceCycle
 from mlmt.graphs import (
     Arrow,
     Graph,
@@ -400,84 +399,6 @@ def reference_transitive_type_at(
     return None
 
 
-def _reference_inheritance_order(m: ModelNode) -> List[str]:
-    """`hierarchy._inheritance_order` as it stood before flattening became
-    one pass: the topological order of nodes, supertypes first.
-
-    A depth-first walk with an explicit stack, so that a supertype chain of
-    any length is ordered; the nodes on the stack are the trail that an
-    InheritanceCycle names.
-    """
-    order: List[str] = []
-    state: Dict[str, int] = {}  # 1 while on the stack, 2 once ordered
-
-    def supertypes(n: str):
-        return iter([s for s in sorted(m.info[n].supertypes) if s in m.graph.nodes] if n in m.info else [])
-
-    for root in sorted(m.graph.nodes):
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, supertypes(root))]
-        while stack:
-            n, pending = stack[-1]
-            for sup in pending:
-                if state.get(sup) == 1:
-                    raise InheritanceCycle(" -> ".join([x for x, _ in stack] + [sup]))
-                if sup not in state:
-                    state[sup] = 1
-                    stack.append((sup, supertypes(sup)))
-                    break
-            else:
-                stack.pop()
-                state[n] = 2
-                order.append(n)
-    return order
-
-
-def reference_flatten_inheritance(h: MultilevelHierarchy) -> MultilevelHierarchy:
-    """`flatten_inheritance` as it stood before it became one pass: it builds
-    every node's transitive supertypes and replaces an heir's info once per
-    (heir, supertype) pair.  Replicate each supertype's typing and incident
-    arrows onto its heirs.
-
-    Inheritance edges are dropped from the result; applying the operation
-    twice equals applying it once.
-    """
-    new_models = []
-    for m in h.models.values():
-        order = _reference_inheritance_order(m)  # raises InheritanceCycle
-        # transitive supertypes, computed in topological order
-        closure: Dict[str, set] = {}
-        for n in order:
-            sups = set(m.info[n].supertypes) if n in m.info else set()
-            for s in list(sups):
-                sups |= closure.get(s, set())
-            closure[n] = sups
-
-        arrows = set(m.graph.arrows)
-        info = {k: v for k, v in m.info.items()}
-        for n in order:
-            for sup in sorted(closure[n]):
-                sup_info = info[sup]
-                info[n] = info[n]._replace(
-                    direct_type=sup_info.direct_type, potency=sup_info.potency
-                )
-                for a in sorted(m.graph.incident(sup)):
-                    src = n if a[0] == sup else a[0]
-                    tgt = n if a[2] == sup else a[2]
-                    copy = (src, a[1], tgt)
-                    if copy not in arrows:
-                        arrows.add(copy)
-                        info[copy] = info[a]._replace(supertypes=frozenset())
-        info = {
-            k: v._replace(supertypes=frozenset()) for k, v in info.items()
-        }
-        graph = Graph(m.graph.name, m.graph.nodes, frozenset(arrows))
-        new_models.append(ModelNode(m.name, m.parent, m.level, graph, info))
-    return build_hierarchy(new_models)
-
-
 # the potencies and multiplicities a `random_inheritance_hierarchy` draws from
 INHERITANCE_POTENCIES = [(1, 1), (1, 2), (1, 3), (0, 2), (2, 3)]
 ROOT_ARROW = ("root", ("Node", "Arrow", "Node"))
@@ -490,8 +411,8 @@ def random_inheritance_hierarchy(rng: random.Random) -> MultilevelHierarchy:
     of m1 that allows a jump of 1, so heirs and supertypes differ in direct
     type and potency.  Names are drawn in random order, so that sorted order
     is not a topological one.  Arrows, loops included, are typed by the root's
-    Arrow and share a few labels; some arrows of a supertype are repeated on
-    an heir with another info, so that a copy meets an arrow already there."""
+    Arrow and share a few labels; some arrows at a supertype are repeated at
+    an heir with another multiplicity."""
     root_graph = build_graph("root", ["Node"], [("Node", "Arrow", "Node")])
     root = ModelNode(
         "root",

@@ -10,13 +10,13 @@ import pytest
 
 from mlmt.chains import derive_typing_chain
 from mlmt.cli import main
-from mlmt.errors import InheritanceCycle, InputError, ParseError, SchemaError
+from mlmt.errors import InputError, ParseError, SchemaError
 from mlmt.graphs import build_graph
 from mlmt.hierarchy import (
+    MAX_JSON_DEPTH,
     ElementInfo,
     ModelNode,
     build_hierarchy,
-    flatten_inheritance,
     hierarchy_to_json,
     load_hierarchy,
     parse_hierarchy,
@@ -29,7 +29,6 @@ from support import (
     child_env,
     random_hierarchy,
     random_inheritance_hierarchy,
-    reference_flatten_inheritance,
     reference_transitive_type_at,
 )
 
@@ -97,6 +96,41 @@ class TestLoadSave:
         with pytest.raises(ParseError) as err:
             parse_hierarchy("{ nope")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("[" * 2000, "input error: JSON nested too deeply"),
+            ("[" * 100, "parse error: 2:1: Expecting value"),
+            # brackets in a string, closed or not, do not nest
+            ('"' + "[" * 2000 + '"', "parse error: 2:1: Expecting ',' delimiter"),
+            ('"' + "[" * 2000 + "\\q", "parse error: 1:2013: Invalid \\escape"),
+        ],
+    )
+    def test_nesting_past_the_bound_is_reported_on_every_interpreter(self, value, message, tmp_path, capsys):
+        # unclosed text 2,000 levels deep: the C scanner of 3.10-3.12 runs out
+        # of stack, that of 3.13 reaches the end of the text; both read alike
+        path = tmp_path / "deep.json"
+        path.write_text('{"models": ' + value + "\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_nesting_bound_is_exact(self):
+        # the object around `models` is the first level
+        with pytest.raises(ParseError) as err:
+            parse_hierarchy('{"models": ' + "[" * (MAX_JSON_DEPTH - 1) + "\n")
+        assert str(err.value) == "2:1: Expecting value"
+        with pytest.raises(InputError) as err:
+            parse_hierarchy('{"models": ' + "[" * MAX_JSON_DEPTH + "\n")
+        assert str(err.value) == "JSON nested too deeply"
+
+    def test_well_formed_document_deeper_than_the_bound_is_decoded(self):
+        # the bound is read only once decoding has failed: 600 levels decode,
+        # and the record is checked as usual
+        deep = "[" * 600 + "]" * 600
+        with pytest.raises(InputError) as err:
+            parse_hierarchy('{"models": [{"name": ' + deep + "}]}")
+        assert str(err.value) == "models[0].name: expected a string"
 
     def test_shared_arrow_names_resolved_by_endpoint_typing(self, pls):
         # hammer_plant has two arrows labelled `creates`; each one's typing
@@ -272,6 +306,34 @@ class TestRecordFaultsAtScale:
         assert validate_hierarchy(h) == []
 
 
+def inheritance_fixture():
+    root_graph = build_graph("root", ["Node"], [("Node", "Arrow", "Node")])
+    root = ModelNode(
+        "root",
+        None,
+        0,
+        root_graph,
+        {
+            "Node": ElementInfo(("root", "Node"), (1, 2)),
+            ("Node", "Arrow", "Node"): ElementInfo(
+                ("root", ("Node", "Arrow", "Node")), (1, 2), (0, None)
+            ),
+        },
+    )
+    graph = build_graph("m", ["z", "y", "x", "w"], [("z", "owns", "w")])
+    info = {
+        "z": ElementInfo(("root", "Node"), (1, 1)),
+        "w": ElementInfo(("root", "Node"), (1, 1)),
+        "y": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"z"})),
+        "x": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"y"})),
+        ("z", "owns", "w"): ElementInfo(
+            ("root", ("Node", "Arrow", "Node")), (1, 1), (0, None)
+        ),
+    }
+    m = ModelNode("m", "root", 1, graph, info)
+    return build_hierarchy([root, m])
+
+
 class TestValidation:
     def test_level_jump_through_two_levels_allowed(self, pls):
         out_arrow = ("ghandle", "out", "cv1")
@@ -391,6 +453,50 @@ class TestValidation:
         )
         assert [i for i in validate_hierarchy(mutated) if i.model == "hammer_config"] == []
 
+    def test_inheritance_cycle_reported(self):
+        root_graph = build_graph("root", ["Node"], [])
+        root = ModelNode(
+            "root", None, 0, root_graph, {"Node": ElementInfo(("root", "Node"), (1, 1))}
+        )
+        graph = build_graph("m", ["a", "b"], [])
+        info = {
+            "a": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"b"})),
+            "b": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"a"})),
+        }
+        h = build_hierarchy([root, ModelNode("m", "root", 1, graph, info)])
+        assert [str(i) for i in validate_hierarchy(h)] == [
+            "m/'a -> b -> a': [InheritanceCycle] cyclic inheritance"
+        ]
+
+    def test_unknown_supertype_reported(self, pls_paths):
+        with open(pls_paths[0], encoding="utf-8") as fh:
+            data = json.load(fh)
+        plant = next(m for m in data["models"] if m["name"] == "generic_plant")
+        plant["nodes"].append(
+            {"name": "Extra", "type": "root.Node", "potency": "1-1", "supertypes": ["Ghost"]}
+        )
+        h = parse_hierarchy(json.dumps(data))
+        assert [str(i) for i in validate_hierarchy(h)] == [
+            "generic_plant/'Extra': [UnknownSupertype] 'Ghost' not in model"
+        ]
+
+    def test_supertypes_on_an_arrow_are_reported(self, pls):
+        # supertypes annotate nodes only; on an arrow they would be kept unread
+        plant = pls.model("generic_plant")
+        creates = ("Machine", "creates", "Part")
+        info = {**plant.info, creates: plant.info[creates]._replace(supertypes=frozenset({"Part"}))}
+        h = pls.with_model(plant._replace(info=info))
+        assert [str(i) for i in validate_hierarchy(h)] == [
+            "generic_plant/('Machine', 'creates', 'Part'): [ArrowSupertypes] only nodes inherit"
+        ]
+
+    def test_supertype_without_info_reported_as_missing_typing(self):
+        h = inheritance_fixture()
+        m = h.model("m")
+        info = {k: v for k, v in m.info.items() if k != "z"}
+        h = h.with_model(m._replace(info=info))
+        assert [(i.element, i.rule) for i in validate_hierarchy(h)] == [("z", "MissingTyping")]
+
 
 class TestDeriveTypingChain:
     def test_chain_follows_root_path(self, pls):
@@ -457,169 +563,28 @@ class TestDeriveTypingChain:
             assert chain.length == bottom.level
 
 
-def inheritance_fixture():
-    root_graph = build_graph("root", ["Node"], [("Node", "Arrow", "Node")])
-    root = ModelNode(
-        "root",
-        None,
-        0,
-        root_graph,
-        {
-            "Node": ElementInfo(("root", "Node"), (1, 2)),
-            ("Node", "Arrow", "Node"): ElementInfo(
-                ("root", ("Node", "Arrow", "Node")), (1, 2), (0, None)
-            ),
-        },
-    )
-    graph = build_graph("m", ["z", "y", "x", "w"], [("z", "owns", "w")])
-    info = {
-        "z": ElementInfo(("root", "Node"), (1, 1)),
-        "w": ElementInfo(("root", "Node"), (1, 1)),
-        "y": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"z"})),
-        "x": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"y"})),
-        ("z", "owns", "w"): ElementInfo(
-            ("root", ("Node", "Arrow", "Node")), (1, 1), (0, None)
-        ),
-    }
-    m = ModelNode("m", "root", 1, graph, info)
-    return build_hierarchy([root, m])
+class TestSupertypeAnnotation:
+    """Supertypes are an annotation: on seeded valid hierarchies whose heirs
+    differ from their supertypes, they validate clean and round-trip through
+    JSON unchanged."""
 
-
-class TestFlattenInheritance:
-    def test_no_inheritance_is_identity(self, pls):
-        flat = flatten_inheritance(pls)
-        assert hierarchy_to_json(flat) == hierarchy_to_json(pls)
-
-    def test_child_receives_parent_material(self):
-        h = flatten_inheritance(inheritance_fixture())
-        m = h.model("m")
-        assert ("y", "owns", "w") in m.graph.arrows
-        assert m.info_for("y").supertypes == frozenset()
-
-    def test_two_step_chain_equals_two_single_steps(self):
-        h = inheritance_fixture()
-        flat = flatten_inheritance(h)
-        m = flat.model("m")
-        # x inherits through y from z, so it gets z's arrow transitively
-        assert ("x", "owns", "w") in m.graph.arrows
-
-    def test_idempotent_and_validity_preserving(self):
-        h = inheritance_fixture()
-        once = flatten_inheritance(h)
-        twice = flatten_inheritance(once)
-        assert hierarchy_to_json(once) == hierarchy_to_json(twice)
-        assert validate_hierarchy(once) == []
-
-    def test_cycle_detected(self):
-        root_graph = build_graph("root", ["Node"], [])
-        root = ModelNode(
-            "root", None, 0, root_graph, {"Node": ElementInfo(("root", "Node"), (1, 1))}
-        )
-        graph = build_graph("m", ["a", "b"], [])
-        info = {
-            "a": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"b"})),
-            "b": ElementInfo(("root", "Node"), (1, 1), supertypes=frozenset({"a"})),
-        }
-        h = build_hierarchy([root, ModelNode("m", "root", 1, graph, info)])
-        with pytest.raises(InheritanceCycle):
-            flatten_inheritance(h)
-        assert any(
-            i.rule == "InheritanceCycle" for i in validate_hierarchy(h)
-        )
-
-    def test_unknown_supertype_raises_schema_error(self, pls_paths):
-        with open(pls_paths[0], encoding="utf-8") as fh:
-            data = json.load(fh)
-        plant = next(m for m in data["models"] if m["name"] == "generic_plant")
-        plant["nodes"].append(
-            {"name": "Extra", "type": "root.Node", "potency": "1-1", "supertypes": ["Ghost"]}
-        )
-        h = parse_hierarchy(json.dumps(data))
-        assert [str(i) for i in validate_hierarchy(h)] == [
-            "generic_plant/'Extra': [UnknownSupertype] 'Ghost' not in model"
-        ]
-        with pytest.raises(SchemaError) as err:
-            flatten_inheritance(h)
-        assert str(err.value) == (
-            "generic_plant/'Extra': supertype 'Ghost' is not a node with element info"
-        )
-
-    def test_supertypes_on_an_arrow_are_reported(self, pls):
-        # `flatten_inheritance` reads supertypes of nodes only, and would drop these silently
-        plant = pls.model("generic_plant")
-        creates = ("Machine", "creates", "Part")
-        info = {**plant.info, creates: plant.info[creates]._replace(supertypes=frozenset({"Part"}))}
-        h = pls.with_model(plant._replace(info=info))
-        assert [str(i) for i in validate_hierarchy(h)] == [
-            "generic_plant/('Machine', 'creates', 'Part'): [ArrowSupertypes] only nodes inherit"
-        ]
-
-    def test_supertype_without_info_raises_schema_error(self):
-        h = inheritance_fixture()
-        m = h.model("m")
-        info = {k: v for k, v in m.info.items() if k != "z"}
-        h = h.with_model(m._replace(info=info))
-        assert [(i.element, i.rule) for i in validate_hierarchy(h)] == [("z", "MissingTyping")]
-        with pytest.raises(SchemaError) as err:
-            flatten_inheritance(h)
-        assert str(err.value) == "m/'y': supertype 'z' is not a node with element info"
-
-
-def transitive_supertypes(m: ModelNode, n: str) -> set:
-    found, todo = set(), list(m.info[n].supertypes)
-    while todo:
-        s = todo.pop()
-        if s not in found:
-            found.add(s)
-            todo.extend(m.info[s].supertypes)
-    return found
-
-
-def inheritance_cases(h, flat) -> set:
-    """The cases that tell flattenings apart which `h`, flattened to `flat`,
-    reaches."""
-    reached = set()
-    for name, m in h.models.items():
-        out = flat.models[name]
-        for n in sorted(m.graph.nodes):
-            direct, closure = m.info[n].supertypes, transitive_supertypes(m, n)
-            if not closure:
-                continue
-            top = out.info[max(closure)]
-            if max(closure) not in direct and (top.direct_type, top.potency) != (
-                m.info[n].direct_type,
-                m.info[n].potency,
-            ):
-                reached.add("greatest supertype not direct, other typing or potency")
-            if any(a[0] != a[2] and {a[0], a[2]} <= closure for a in m.graph.arrows):
-                reached.add("arrow joins two supertypes")
-            for s in closure:
-                for a in m.graph.incident(s):
-                    copy = (n if a[0] == s else a[0], a[1], n if a[2] == s else a[2])
-                    if s not in direct and copy not in m.graph.arrows:
-                        reached.add("arrow copied from a transitive supertype only")
-                    if copy in m.graph.arrows and m.info[copy] != m.info[a]:
-                        reached.add("copy meets an arrow with another info")
-    return reached
-
-
-class TestFlattenAgainstReference:
-    """One pass in topological order flattens as the reference, which builds
-    every transitive closure and replaces an heir's info once per supertype,
-    does, on seeded valid hierarchies that reach each case telling them apart."""
-
-    def test_random_hierarchies(self):
+    def test_random_hierarchies_validate_and_round_trip(self):
         reached = Counter()
         for seed in range(2000):
             h = random_inheritance_hierarchy(random.Random(seed))
             assert validate_hierarchy(h) == []
-            flat, ref = flatten_inheritance(h), reference_flatten_inheritance(h)
-            for name in h.models:
-                assert flat.models[name].graph == ref.models[name].graph
-                assert flat.models[name].info == ref.models[name].info
-            assert hierarchy_to_json(flat) == hierarchy_to_json(ref)
-            reached.update(inheritance_cases(h, ref))
-        assert len(reached) == 4 and min(reached.values()) >= 100, reached
+            assert parse_hierarchy(json.dumps(hierarchy_to_json(h))) == h
+            for m in h.models.values():
+                for n in m.graph.nodes:
+                    sups, own = m.info[n].supertypes, (m.info[n].direct_type, m.info[n].potency)
+                    reached["typing or potency unlike a supertype's"] += any(
+                        (m.info[s].direct_type, m.info[s].potency) != own for s in sups
+                    )
+                    reached["two or more supertypes"] += len(sups) >= 2
+                    reached["a supertype with supertypes"] += any(m.info[s].supertypes for s in sups)
+        floors = {"typing or potency unlike a supertype's": 8000, "two or more supertypes": 4000,
+                  "a supertype with supertypes": 4000}
+        assert all(reached[case] >= floor for case, floor in floors.items()), reached
 
 
 def supertype_chain_document(length: int, cyclic: bool) -> dict:
@@ -639,7 +604,7 @@ def supertype_chain_document(length: int, cyclic: bool) -> dict:
 
 class TestLongSupertypeChains:
     """Supertype chains longer than the interpreter's recursion limit are
-    ordered, and a cycle through all of them is reported once."""
+    walked, and a cycle through all of them is reported once."""
 
     def test_long_chain_validates(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
@@ -648,34 +613,6 @@ class TestLongSupertypeChains:
         captured = capsys.readouterr()
         assert captured.out == f"0 violation(s) in {path}\n"
         assert captured.err == ""
-
-    def test_long_chain_flattens_in_linear_time(self, tmp_path):
-        # the topmost supertype has a loop, and each heir gets one copy of it; a
-        # flattening quadratic in the chain's length does not end within the
-        # timeout of the child process
-        length = 3000
-        names = [f"n{i:05d}" for i in range(length)]
-        document = supertype_chain_document(length, cyclic=False)
-        loop = {"name": "Arrow", "source": names[-1], "target": names[-1], "type": "root.Arrow"}
-        document["models"][1]["arrows"].append(loop)
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps(document))
-        code = """if True:
-            import json, sys
-            try:
-                import resource
-                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            except (ImportError, OSError, ValueError):
-                pass
-            from mlmt.hierarchy import flatten_inheritance, load_hierarchy
-            flat = flatten_inheritance(load_hierarchy(sys.argv[1]))
-            print(json.dumps(sorted(flat.model("m1").graph.arrows)))
-        """
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)], capture_output=True, env=child_env(), text=True, timeout=10
-        )
-        assert proc.stderr == ""
-        assert json.loads(proc.stdout) == [[n, "Arrow", n] for n in names]
 
     def test_long_cycle_reported_once(self, tmp_path, capsys):
         path = tmp_path / "cycle.json"
