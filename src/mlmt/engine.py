@@ -9,6 +9,7 @@ typing chain at once.  A seeded scheduler drives repeated application.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import (
@@ -285,8 +286,9 @@ class ExecutionTrace(Record):
 
 
 class _LiveMatches:
-    """Each compiled rule's `typed_matches` in the bottom model of a run, kept across steps as
-    the sorted tuples of their images of `rule.pattern`.
+    """Each compiled rule's `typed_matches` in the bottom model of a run, kept across steps in
+    one sorted list `matches` of `(rule index, images of rule.pattern)`: each rule's matches in
+    `typed_matches` order, the rules in compiled order, which is the list `run` draws from.
 
     Rules have no negative conditions, and an element that survives a step keeps its type and
     info, so a step removes exactly the matches that use a deleted element, and every new match
@@ -307,7 +309,7 @@ class _LiveMatches:
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
-        self.rules, self.index, self.lists = rules, TypeIndex(h, model), []
+        self.index, self.matches = TypeIndex(h, model), []
         # (kind, key) -> (rule index, pattern element, `_anchored`'s other arguments) for each
         # element of `_anchor_plans`: an arrow's key is its `by_ends` key, a node's its profile;
         # `index.step` updates the pools in place
@@ -317,7 +319,7 @@ class _LiveMatches:
             pattern = r.pattern
             order, pools = tuple(pattern), self.index.pools(pattern)
             found = typed_matches(r, model, h, pools=pools)
-            self.lists.append([tuple(m(e) for e in order) for m in found])
+            self.matches += [(i, tuple(m(e) for e in order)) for m in found]
             for p, plan in plans[r.lhs].items():
                 kind = isinstance(p, tuple)
                 key = (pattern[p], pattern[p[0]], pattern[p[2]]) if kind else pattern[p]
@@ -328,17 +330,15 @@ class _LiveMatches:
         created = self.index.step(result.model, result.created, result.deleted)
         gone = set(result.deleted)
         if gone:
-            self.lists = [[t for t in found if gone.isdisjoint(t)] for found in self.lists]
-        new = {}
+            self.matches = [m for m in self.matches if gone.isdisjoint(m[1])]
+        new = set()  # a match through two created elements is found from each
         for x, keys in created.items():
             kind = isinstance(x, tuple)
             for key in keys:
                 for i, p, order, plan, pools, incidence in self.anchors.get((kind, key), ()):
-                    found = _anchored(order, plan, pools, incidence, x, p)
-                    if found:
-                        new.setdefault(i, set()).update(found)
-        for i, found in new.items():
-            self.lists[i] = sorted(self.lists[i] + list(found))
+                    new.update((i, t) for t in _anchored(order, plan, pools, incidence, x, p))
+        for m in new:
+            insort(self.matches, m)
 
 
 def run(
@@ -348,7 +348,8 @@ def run(
     max_steps: int,
     seed: int,
 ) -> ExecutionTrace:
-    """Seeded uniform scheduling of proliferated rules until quiescence."""
+    """Seeded uniform scheduling of proliferated rules until quiescence: a step draws from the
+    live `_LiveMatches.matches`, and drops a draw that dangles and draws again from the rest."""
     compiled: List[TwoLevelRule] = []
     indexes: Dict[str, TypeIndex] = {}  # the rules share one per stack model
     for rule in rules:
@@ -360,13 +361,13 @@ def run(
     stop = "max-steps"
     for step in range(max_steps):
         model = current.model(target_model)
-        pairs = [(r, t) for r, found in zip(compiled, live.lists) for t in found]
+        pairs = live.matches[:]
         if not pairs:
             stop = "no-match"
             break
         while pairs:
-            idx = rng.randrange(len(pairs))
-            tl_rule, images = pairs.pop(idx)
+            i, images = pairs.pop(rng.randrange(len(pairs)))
+            tl_rule = compiled[i]
             m = _morphism(tl_rule, model.graph, images)
             successors, _ = apply_two_level_rule(tl_rule, model, current, at=m)
             if not successors:
@@ -378,11 +379,7 @@ def run(
                 (p[1] if isinstance(p, tuple) else p): (x[1] if isinstance(x, tuple) else x)
                 for p, x in zip(tl_rule.pattern, images)
             }
-            steps.append(
-                TraceStep(
-                    step, tl_rule.name, match_view, result.created, result.deleted
-                )
-            )
+            steps.append(TraceStep(step, tl_rule.name, match_view, result.created, result.deleted))
             break
         else:
             stop = "all-matches-dangling"

@@ -6,6 +6,7 @@ separate from the library implementations) and random instance generators.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from itertools import combinations, permutations, product
@@ -13,6 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mlmt.hierarchy
 from mlmt.chains import ChainMorphism, GraphChain, build_chain, derive_typing_chain
+from mlmt.engine import apply_two_level_rule, typed_matches
 from mlmt.graphs import (
     Arrow,
     Graph,
@@ -28,7 +30,7 @@ from mlmt.hierarchy import (
     build_hierarchy,
     transitive_type_at,
 )
-from mlmt.matching import MetaMatch, TwoLevelRule, find_meta_matches, typing_stack
+from mlmt.matching import MetaMatch, TwoLevelRule, find_meta_matches, proliferate, typing_stack
 from mlmt.rules import (
     ARROW,
     NODE,
@@ -1018,6 +1020,48 @@ def reference_search_plan(
         plan.append((node, None, near[node]))
         bound.add(node)
         todo.remove(node)
+
+
+# ---------------------------------------------------------------------------
+# reference scheduler: `run`'s draw rule over match lists rebuilt every step
+
+
+def reference_run(rules, h, target, steps, seed):
+    """`run` with every match listed afresh at each step: each compiled rule's
+    `typed_matches` on the current model, in compiled-rule order, one list of
+    (rule, match) pairs from which a step pops `rng.randrange(len(pairs))`; a
+    match whose deletion would leave a dangling arrow is skipped, and the next
+    draw is from the rest.  Returns the trace lines as `to_json_lines` writes
+    them, the stop reason, the final hierarchy and the number of skips."""
+    compiled = [r for rule in rules for r in proliferate(rule, h, target)]
+    rng, lines, stop, skips = random.Random(seed), [], "max-steps", 0
+
+    def key(e):
+        return list(e) if isinstance(e, tuple) else e
+
+    for step in range(steps):
+        model = h.model(target)
+        pairs = [(r, m) for r in compiled for m in typed_matches(r, model, h)]
+        if not pairs:
+            stop = "no-match"
+            break
+        while pairs:
+            rule, m = pairs.pop(rng.randrange(len(pairs)))
+            successors, _ = apply_two_level_rule(rule, model, h, at=m)
+            if successors:
+                break
+            skips += 1
+        else:
+            stop = "all-matches-dangling"
+            break
+        result = successors[0]
+        h = h.with_model(result.model)
+        match = {**m.node_map, **{a[1]: image[1] for a, image in m.arrow_map.items()}}
+        line = {"step": step, "rule": rule.name, "match": match,
+                "created": [key(e) for e in result.created],
+                "deleted": [key(e) for e in result.deleted]}
+        lines.append(json.dumps(line, sort_keys=True) + "\n")
+    return "".join(lines), stop, h, skips
 
 
 def child_env() -> dict:

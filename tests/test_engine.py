@@ -438,7 +438,7 @@ class TestRun:
         # pattern node without arrows, a created arrow only when its ends are in
         # the pools of the pattern arrow's ends, and also when an end was
         # created with it
-        initial, searched, lives, made, joined = [], [], [], [], []
+        initial, searched, lives, made, joined, kept = [], [], [], [], [], []
         inner, anchored, init = engine.typed_matches, engine._anchored, engine._LiveMatches.__init__
         step = engine._LiveMatches.step
 
@@ -449,16 +449,17 @@ class TestRun:
         def recording(order, plan, pools, incidence, x, p):
             (live,) = lives
             (i,) = {e[0] for entries in live.anchors.values() for e in entries if e[4] is pools}
-            rule = live.rules[i]
+            rule = kept[0][i]
             h = pls.with_model(live.index.model)
             searched.append((rule, p, x, h, made[-1]))
             if isinstance(x, tuple):
                 joined.append(x[0] in pools[p[0]] and x[2] in pools[p[2]])
             return anchored(order, plan, pools, incidence, x, p)
 
-        def keeping(live, *args):
-            init(live, *args)
+        def keeping(live, rules, *args):
+            init(live, rules, *args)
             lives.append(live)
+            kept.append(rules)
 
         def stepping(live, result):
             made.append(set(result.created))
@@ -490,7 +491,7 @@ class TestRun:
         # pools are all non-empty, each of the 4 distinct left graphs gets
         # anchor plans once, only for its arrows and its nodes without arrows,
         # and a step makes few anchored searches
-        planned, searched, anchored, lives, anchor_plans = [], [], [], [], []
+        planned, searched, anchored, lives, anchor_plans, kept = [], [], [], [], [], []
         plan, inner, anchor = engine.search_plan, engine.injective_matches, engine._anchored
         init, plans_of = engine._LiveMatches.__init__, engine._anchor_plans
 
@@ -512,9 +513,10 @@ class TestRun:
             anchored.append(args)
             return anchor(*args)
 
-        def keeping(live, *args):
-            init(live, *args)
+        def keeping(live, rules, *args):
+            init(live, rules, *args)
             lives.append(live)
+            kept.append(rules)
 
         monkeypatch.setattr(engine, "search_plan", planning)
         monkeypatch.setattr(engine, "injective_matches", searching)
@@ -523,15 +525,15 @@ class TestRun:
         monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=0)
         assert len(trace.steps) == 50
-        (live,) = lives
-        assert len(anchor_plans) == len({r.lhs for r in live.rules}) == 4
-        assert len(live.rules) == 21
+        (live,), (rules,) = lives, kept
+        assert len(anchor_plans) == len({r.lhs for r in rules}) == 4
+        assert len(rules) == 21
         fresh = TypeIndex(pls, pls.model("hammer_config"))
-        full = [i for i, r in enumerate(live.rules) if all(fresh.pools(r.pattern)[0].values())]
+        full = [i for i, r in enumerate(rules) if all(fresh.pools(r.pattern)[0].values())]
         rule_of = {id(e[4]): e[0] for entries in live.anchors.values() for e in entries}
         assert len(full) == len(planned) == 2
         assert [rule_of[id(pools)] for pools in searched] == full
-        for r in live.rules:
+        for r in rules:
             lhs = r.lhs
             apart = {n for n in lhs.nodes if not lhs.incident(n)}
             assert set(plans_of(lhs)) == set(lhs.arrows) | apart

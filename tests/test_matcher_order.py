@@ -77,6 +77,29 @@ def test_typed_matches_in_order_on_random_hierarchies():
     assert found >= 200
 
 
+def per_rule(live, n):
+    """`live.matches` as `n` lists of image tuples, one per rule index; the one
+    list must hold each rule's matches together, the rules in index order."""
+    lists = [[] for _ in range(n)]
+    for i, t in live.matches:
+        lists[i].append(t)
+    assert live.matches == [(i, t) for i, found in enumerate(lists) for t in found]
+    return lists
+
+
+def keeping_rules(monkeypatch):
+    """The compiled rules of each `_LiveMatches` built from now on, the
+    latest last."""
+    kept, init = [], engine._LiveMatches.__init__
+
+    def keeping(live, rules, *rest):
+        init(live, rules, *rest)
+        kept.append(rules)
+
+    monkeypatch.setattr(engine._LiveMatches, "__init__", keeping)
+    return kept
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("target", ["hammer_config", "stool_config"])
 def test_maintained_matches_equal_fresh_ones(pls, pls_module, monkeypatch, target, seed):
@@ -84,16 +107,17 @@ def test_maintained_matches_equal_fresh_ones(pls, pls_module, monkeypatch, targe
     # step they must be the images, in `rule.pattern` order, of the lists a
     # search from scratch returns
     step = engine._LiveMatches.step
-    checked = []
+    checked, kept = [], keeping_rules(monkeypatch)
 
     def checking_step(live, result):
         step(live, result)
         model = result.model
         h = pls.with_model(model)
-        for tl_rule, found in zip(live.rules, live.lists):
+        rules = kept[-1]
+        for tl_rule, found in zip(rules, per_rule(live, len(rules))):
             want = typed_matches(tl_rule, model, h)
             assert found == [tuple(m(e) for e in tl_rule.pattern) for m in want]
-        checked.append(sum(map(len, live.lists)))
+        checked.append(len(live.matches))
 
     monkeypatch.setattr(engine._LiveMatches, "step", checking_step)
     trace = run(pls_module.rules, pls, target, 200, seed)
@@ -202,11 +226,11 @@ def test_anchor_table_steps_agree_with_the_exhaustive_search(monkeypatch):
         rules.append(_rule_around(rng, h_after, after, rng.choice(created)))
         live = engine._LiveMatches(rules, h, before.name)
         live.step(engine.ApplicationResult(after, None, tuple(created), tuple(deleted)))
-        for rule, found in zip(rules, live.lists):
+        for rule, found in zip(rules, per_rule(live, len(rules))):
             want = filtered_homomorphisms(rule, after, h_after)
             assert found == [tuple(m(e) for e in rule.pattern) for m in want]
         skipped = {a for a in created if isinstance(a, tuple) and (a[0] in created or a[2] in created)}
-        seen["created end"] += any(not skipped.isdisjoint(t) for found in live.lists for t in found)
+        seen["created end"] += any(not skipped.isdisjoint(t) for _, t in live.matches)
     assert min(seen.values()) >= 20, seen
 
 
@@ -223,14 +247,15 @@ def test_runs_keep_fresh_matches_on_generated_inputs(monkeypatch):
     # entries for pattern nodes with arrows, this test fails.
     rng = random.Random(2008)
     seen = dict.fromkeys(["deletes", "created end", "through a created node"], 0)
-    step = engine._LiveMatches.step
+    step, kept = engine._LiveMatches.step, keeping_rules(monkeypatch)
 
     def checking_step(live, result):
         step(live, result)
         model, created = result.model, set(result.created)
         h, g = live.index.h.with_model(model), model.graph
         assert g._incidence == Graph(g.name, g.nodes, g.arrows)._incidence
-        for tl_rule, found in zip(live.rules, live.lists):
+        rules = kept[-1]
+        for tl_rule, found in zip(rules, per_rule(live, len(rules))):
             want = typed_matches(tl_rule, model, h)
             assert found == [tuple(m(e) for e in tl_rule.pattern) for m in want]
             seen["through a created node"] += sum(
@@ -293,7 +318,7 @@ def live_steps(rule, h, target, steps):
     live = engine._LiveMatches([rule], h, target)
     for after, created, deleted in steps:
         live.step(engine.ApplicationResult(after, None, tuple(created), tuple(deleted)))
-        yield after, created, live.lists[0]
+        yield after, created, per_rule(live, 1)[0]
 
 
 def test_anchored_matches_agree_with_the_brute_force_oracle():
