@@ -147,10 +147,7 @@ def _apply_at(
     removes d(I \\ R), and the model gains the copies of `rule.created` and loses m(L \\ R)."""
     _, d = pushout(rule.interface, m)
     T, _ = pullback_complement(rule.rhs, d)
-    created: Dict[ElementKey, ElementInfo] = {}
-    for x in rule.created:
-        mult = (0, None) if isinstance(x, tuple) else None
-        created[d(x)] = ElementInfo(rule.types[x], (1, 1), mult)
+    created = dict(zip(map(d, rule.created), rule.created_infos))
     gone_nodes, gone_arrows = rule.removed
     deleted = tuple(sorted({m.node_map[x] for x in gone_nodes})) + tuple(
         sorted({m.arrow_map[x] for x in gone_arrows})

@@ -9,14 +9,16 @@ applied to a host graph by gluing I \\ L onto the host (pushout) and then
 removing the images of I \\ R (pullback complement).
 
 Each graph maps every node with an arrow to the frozenset of its incident
-arrows.  The map is built on first use and then carried along: the pushout
-derives D's map from S's by adding the copied arrows, the pullback
-complement derives T's from D's by removing the deleted ones, and neither
+arrows.  The map is built when incident arrows are first asked for, as the
+dangling check of a node-deleting step does, and is derived only from a map
+that exists: the pushout derives D's map from S's by adding the copied
+arrows, the pullback complement derives T's from D's by removing the deleted
+ones, and where the input holds no map neither builds one.  Neither
 re-validates its result, which is valid by construction.  A node set, arrow
 set or incidence map that a step leaves unchanged is shared with the result
 rather than copied; all three are immutable.  So a rewrite step costs the
 rule, the arrows incident to deleted nodes and a copy of each collection it
-changes.
+changes, and a run that deletes no node never builds a map.
 """
 
 from __future__ import annotations
@@ -298,20 +300,17 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
         copies.add(img)
 
     nodes = S.nodes.union(node_copy.values()) if node_copy else S.nodes
-    arrows, incidence = S.arrows, S._incidence
+    arrows, incidence = S.arrows, S.__dict__.get("_incidence")
     if copies:
-        arrows, incidence = arrows.union(copies), dict(incidence)
-        for n, added in group_by_end(copies).items():
-            incidence[n] = incidence.get(n, frozenset()) | added
+        arrows = arrows.union(copies)
+        if incidence is not None:
+            incidence = dict(incidence)
+            for n, added in group_by_end(copies).items():
+                incidence[n] = incidence.get(n, frozenset()) | added
     # valid: the copies' ends are S's nodes or copied nodes
     D = Graph._trusted(S.name, nodes, arrows, incidence)
     # valid: L's elements map as m does and the rest to their copies, whose ends map alike
-    d = TotalMorphism._trusted(
-        I,
-        D,
-        {n: map_node(n) for n in I.nodes},
-        {a: (arrow_copy[a] if a in arrow_copy else m.arrow_map[a]) for a in I.arrows},
-    )
+    d = TotalMorphism._trusted(I, D, {**m.node_map, **node_copy}, {**m.arrow_map, **arrow_copy})
     return D, d
 
 
@@ -343,13 +342,16 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
             f"deleting a node would orphan surviving arrow {min(orphans)!r}"
         )
     nodes = D.nodes - gone_nodes if gone_nodes else D.nodes
-    arrows, incidence = D.arrows, D._incidence
+    # the check above built D's map if a node goes
+    arrows, incidence = D.arrows, D.__dict__.get("_incidence")
     if gone_arrows:
-        arrows, incidence = arrows - gone_arrows, dict(incidence)
-        for n, removed in group_by_end(gone_arrows).items():
-            rest = incidence.pop(n) - removed
-            if rest:
-                incidence[n] = rest
+        arrows = arrows - gone_arrows
+        if incidence is not None:
+            incidence = dict(incidence)
+            for n, removed in group_by_end(gone_arrows).items():
+                rest = incidence.pop(n) - removed
+                if rest:
+                    incidence[n] = rest
     # valid: no surviving arrow ends at a deleted node
     T = Graph._trusted(D.name, nodes, arrows, incidence)
     # valid: no image of R's elements is deleted

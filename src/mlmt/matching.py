@@ -18,7 +18,14 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .errors import UnresolvedReference
 from .graphs import Arrow, Graph, Record, group_by_end, injective_matches, search_plan
-from .hierarchy import ElementKey, ModelNode, MultilevelHierarchy, TypeRef, transitive_type_at
+from .hierarchy import (
+    ElementInfo,
+    ElementKey,
+    ModelNode,
+    MultilevelHierarchy,
+    TypeRef,
+    transitive_type_at,
+)
 from .rules import (
     ARROW,
     NODE,
@@ -345,6 +352,16 @@ class TwoLevelRule(Record):
         the pullback complement removes the other copies of I \\ L that the pushout glued on."""
         I, L, R = self.interface, self.lhs, self.rhs
         return (*sorted((I.nodes - L.nodes) & R.nodes), *sorted((I.arrows - L.arrows) & R.arrows))
+
+    @cached_property
+    def created_infos(self) -> Tuple[ElementInfo, ...]:
+        """The `ElementInfo` of each copy of `created`, in its order: the element's type, potency
+        1-1 and, for an arrow, multiplicity 0..*.  Records are immutable, so every step that
+        applies the rule shares them."""
+        return tuple([
+            ElementInfo(self.types[x], (1, 1), (0, None) if isinstance(x, tuple) else None)
+            for x in self.created
+        ])
 
     @cached_property
     def removed(self) -> Tuple[FrozenSet[str], FrozenSet[Arrow]]:

@@ -29,6 +29,7 @@ TIMEOUT = 300  # seconds per child process; a test run that hangs counts as a ki
 
 SCHEDULE = "tests/test_scheduler.py"
 MAINTAINED = "tests/test_matcher_order.py::test_maintained_matches_equal_fresh_ones"
+STEPS = "tests/test_graphs.py::TestDerivedGraphs::test_randomized_chain_of_steps"
 
 MUTANTS = [
     {
@@ -58,6 +59,40 @@ MUTANTS = [
         "old": "insort(self.matches, m)",
         "new": "self.matches.append(m)",
         "tests": [SCHEDULE, MAINTAINED],
+    },
+    {
+        "name": "the pushout's map misses the copied arrows",
+        "file": "mlmt/graphs.py",
+        "old": "incidence.get(n, frozenset()) | added",
+        "new": "incidence.get(n, frozenset())",
+        "tests": [STEPS],
+    },
+    {
+        "name": "the pullback complement's map keeps the deleted arrows",
+        "file": "mlmt/graphs.py",
+        "old": "rest = incidence.pop(n) - removed",
+        "new": "rest = incidence.pop(n)",
+        "tests": [STEPS],
+    },
+    {
+        "name": "a created arrow has no multiplicity",
+        "file": "mlmt/matching.py",
+        "old": "(0, None) if isinstance(x, tuple) else None",
+        "new": "None",
+        "tests": [
+            "tests/test_acceptance.py::test_criterion_5_pipeline_equivalence",
+            "tests/test_engine.py::test_compiled_and_direct_routes_agree_on_generated_inputs",
+        ],
+    },
+    {
+        "name": "the pushout builds its input's map",
+        "file": "mlmt/graphs.py",
+        "old": 'arrows, incidence = S.arrows, S.__dict__.get("_incidence")',
+        "new": "arrows, incidence = S.arrows, S._incidence",
+        "tests": [
+            "tests/test_graphs.py::TestIncidenceOnFirstUse::test_a_step_that_deletes_no_node_builds_no_map",
+            "tests/test_engine.py::TestRun::test_only_a_run_that_deletes_nodes_builds_an_incidence_map",
+        ],
     },
 ]
 

@@ -121,6 +121,18 @@ def oracle_pullback_complement(R: Graph, I: Graph, d: TotalMorphism):
     return t_nodes, t_arrows
 
 
+def brute_force_orphans(R: Graph, I: Graph, d: TotalMorphism) -> List[Arrow]:
+    """The arrows of d.dst, sorted, that survive the pullback complement of
+    R c-> I -d-> d.dst but end at a deleted node: a scan of every arrow,
+    with no incidence map."""
+    gone_nodes = {d.node_map[n] for n in I.nodes - R.nodes}
+    gone_arrows = {d.arrow_map[a] for a in I.arrows - R.arrows}
+    return sorted(
+        a for a in d.dst.arrows
+        if a not in gone_arrows and (a[0] in gone_nodes or a[2] in gone_nodes)
+    )
+
+
 def chain_conditions_hold(graphs, typings) -> Optional[str]:
     """Direct evaluation of the chain conditions; None when all hold."""
     n = len(graphs) - 1

@@ -14,7 +14,13 @@ from mlmt.chains import (
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
 from mlmt.graphs import Graph, TotalMorphism
-from mlmt.hierarchy import ElementInfo, ModelNode, transitive_type_at, validate_hierarchy
+from mlmt.hierarchy import (
+    ElementInfo,
+    ModelNode,
+    load_hierarchy,
+    transitive_type_at,
+    validate_hierarchy,
+)
 from mlmt.matching import TwoLevelRule, proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
@@ -561,6 +567,24 @@ class TestRun:
             rules = parse_rule_module(fh.read()).rules
         trace = run(rules, pls, "hammer_config", 10, seed=0)
         assert (trace.steps, trace.stop) == ((), "all-matches-dangling")
+
+    def test_only_a_run_that_deletes_nodes_builds_an_incidence_map(self, pls_paths, pls_module):
+        # the dangling check of a node deletion is the only reader of the bottom graph's map; a
+        # fresh load, as other tests may have built the map of the shared fixture's graphs
+        h = load_hierarchy(pls_paths[0])
+        assert "_incidence" not in vars(h.model("hammer_config").graph)
+        for seed in range(4):  # no PLS rule deletes a node
+            graph = run(pls_module.rules, h, "hammer_config", 50, seed).final.model(
+                "hammer_config"
+            ).graph
+            assert "_incidence" not in vars(graph)
+        scrap = os.path.join(os.path.dirname(__file__), "fixtures", "pls_scrap.mcmt")
+        with open(scrap, encoding="utf-8") as fh:
+            rules = parse_rule_module(fh.read()).rules
+        trace = run(rules, h, "hammer_config", 60, seed=4)
+        assert sum(s.rule.startswith("ScrapPart_") for s in trace.steps) == 13
+        graph = trace.final.model("hammer_config").graph
+        assert vars(graph)["_incidence"] == Graph(graph.name, graph.nodes, graph.arrows)._incidence
 
     def test_hammers_emerge_and_typing_is_preserved(self, pls, pls_module):
         trace = run(pls_module.rules, pls, "hammer_config", 50, seed=1)

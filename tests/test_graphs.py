@@ -26,6 +26,7 @@ from mlmt.graphs import (
 )
 
 from support import (
+    brute_force_orphans,
     find_homomorphisms,
     oracle_pullback_complement,
     pushout_agrees_with_oracle,
@@ -283,7 +284,8 @@ class TestPullbackComplement:
 def with_derived_incidence(S: Graph) -> Graph:
     """S again, through a pushout that adds a node with arrows to and from
     every node of S and a pullback complement that deletes them: a graph
-    equal to S whose incidence map was derived twice, not built."""
+    equal to S whose incidence map was derived, not built (the dangling
+    check builds the pushout's, with the added arrows, unless S has one)."""
     L = Graph("L", S.nodes, frozenset())
     junk = [(n, "j", "x") for n in S.nodes] + [("x", "j", n) for n in S.nodes]
     I = Graph("I", S.nodes | {"x"}, frozenset(junk))
@@ -369,6 +371,7 @@ class TestDerivedGraphs:
         for step in range(120):
             if len(host.nodes) < 3 or len(host.arrows) < 2:
                 host = random_graph(rng, "S", 8)
+                host.incident("n0")
             L, I, R = self.rule_of_kind(rng, kind)
             m = random_total_morphism(rng, L, host)
             if m is None:
@@ -422,6 +425,98 @@ class TestDerivedGraphs:
         assert len(built) > 1000
         for t in built:
             assert TotalMorphism(t.src, t.dst, dict(t.node_map), dict(t.arrow_map)) == t
+
+
+class TestIncidenceOnFirstUse:
+    """A graph's incidence map is built when incident arrows are first asked
+    for, which only the dangling check of a node-deleting step does, and a
+    step derives its result's map only from a map its input holds."""
+
+    def test_a_step_that_deletes_no_node_builds_no_map(self):
+        rng = random.Random(59)
+        host = random_graph(rng, "S", 8)
+        applied, copied, removed = 0, 0, 0
+        for step in range(240):
+            if len(host.nodes) < 3 or len(host.arrows) < 2:
+                host = random_graph(rng, "S", 8)
+            kind = ("add", "delete arrows", "move arrows")[step % 3]
+            L, I, R = TestDerivedGraphs.rule_of_kind(rng, kind)
+            assert I.nodes <= R.nodes
+            m = random_total_morphism(rng, L, host)
+            if m is None:
+                continue
+            D, d = pushout(I, m)
+            expected = oracle_pullback_complement(R, I, d)
+            if expected is None:  # a deleted arrow shares its image with a kept one
+                continue
+            T, _ = pullback_complement(R, d)
+            assert (T.nodes, T.arrows) == expected
+            assert "_incidence" not in vars(host)
+            assert "_incidence" not in vars(D)
+            assert "_incidence" not in vars(T)
+            copied += D.arrows != host.arrows
+            removed += T.arrows != D.arrows
+            host, applied = T, applied + 1
+        assert applied >= 100 and copied >= 25 and removed >= 15
+
+    def test_a_node_deleting_step_builds_the_map_it_checks(self):
+        rng = random.Random(61)
+        applied, dangling, copied = 0, 0, 0
+        while applied < 60:
+            host = random_graph(rng, "S", 8)
+            I = random_graph(rng, "I", 4)
+            L = Graph("L", *random_subgraph_pair(rng, I))
+            R = Graph("R", *random_subgraph_pair(rng, I))
+            if not I.nodes - R.nodes:
+                continue
+            m = random_total_morphism(rng, L, host)
+            if m is None:
+                continue
+            D, d = pushout(I, m)
+            assert "_incidence" not in vars(D)
+            expected = oracle_pullback_complement(R, I, d)
+            if expected is None:
+                with pytest.raises(DanglingDeletion):
+                    pullback_complement(R, d)
+                dangling += 1
+                continue
+            T, _ = pullback_complement(R, d)
+            assert (T.nodes, T.arrows) == expected
+            assert "_incidence" not in vars(host)
+            assert vars(D)["_incidence"] == Graph(D.name, D.nodes, D.arrows)._incidence
+            assert_valid_with_carried_incidence(T)
+            copied += D.arrows != host.arrows
+            applied += 1
+        assert dangling > 0 and copied > 0
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_dangling_message_names_the_smallest_orphan_a_scan_finds(self, built):
+        rng = random.Random(67)
+        named = 0
+        while named < 60:
+            host = random_graph(rng, "S", 8)
+            if built:
+                host.incident("n0")
+            I = random_graph(rng, "I", 4)
+            L = Graph("L", *random_subgraph_pair(rng, I))
+            R = Graph("R", L.nodes & random_subgraph_pair(rng, I)[0], frozenset())
+            m = random_total_morphism(rng, L, host)
+            if m is None:
+                continue
+            _, d = pushout(I, m)
+            gone = {d.node_map[n] for n in I.nodes - R.nodes}
+            if gone & {d.node_map[n] for n in R.nodes}:
+                continue  # refused as non-injective before any orphan is sought
+            orphans = brute_force_orphans(R, I, d)
+            if not orphans:
+                pullback_complement(R, d)
+                continue
+            with pytest.raises(DanglingDeletion) as err:
+                pullback_complement(R, d)
+            assert str(err.value) == (
+                f"deleting a node would orphan surviving arrow {orphans[0]!r}"
+            )
+            named += 1
 
 
 class TestPartialCompositionAssociativity:
