@@ -99,15 +99,11 @@ def cmd_rules_check(args) -> int:
     except ParseError as err:
         print(f"{args.rules}: SyntaxError: {err}", file=sys.stderr)
         return 1
-    problems: List[str] = []
-    if args.hierarchy:
+    root_graph = None
+    if args.hierarchy:  # only the root names of level-0 types need it
         h = load_hierarchy(args.hierarchy)
         root_graph = h.model(h.root).graph
-    else:
-        root_graph = None
-    for rule in module.rules:
-        if root_graph is not None or not rule.meta_elements:
-            problems.extend(validate_rule(rule, root_graph))
+    problems = [p for rule in module.rules for p in validate_rule(rule, root_graph)]
     for p in problems:
         print(p, file=sys.stderr)
     print(f"{len(module.rules)} rule(s), {len(problems)} problem(s)")

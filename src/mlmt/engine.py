@@ -44,7 +44,6 @@ from .matching import (
     TypeIndex,
     instance_profile,
     proliferate,
-    typing_stack,
 )
 from .rules import McmtRule, RulePattern, element_key
 
@@ -194,7 +193,6 @@ def apply_mcmt(
     m: TotalMorphism,
 ) -> Tuple[MultilevelHierarchy, ApplicationResult]:
     """Direct application via chain pushout + chain pullback complement."""
-    stack = typing_stack(h, target_model)
     model = h.model(target_model)
     lhs_names = rule.from_pattern.by_name()
     created = [e for e in rule.to_pattern.elements if e.name not in lhs_names]
@@ -210,7 +208,7 @@ def apply_mcmt(
                 raise IncompatibleMatch(level, key)
 
     # the chain match of L into S, then the co-span L c-> I <-c R on S
-    _, mt = derive_typing_chain(h, target_model)
+    chain, mt = derive_typing_chain(h, target_model)
     s_chain, _ = typing_to_chain(mt)
     m_chain = lift(m, _pattern_chain(rule, "L", rule.from_pattern), s_chain, mm_match.level_map)
     _, d_morph = chain_pushout(_pattern_chain(rule, "I", interface), m_chain)
@@ -226,7 +224,7 @@ def apply_mcmt(
         created_keys.append(img)
         meta_el = rule.meta_element(e.type_name, e.type_level)
         bound = mm_match.binding(meta_el.level)[meta_el.name]
-        type_model = stack[mm_match.f(meta_el.level)].name
+        type_model = chain.graph_at(mm_match.f(meta_el.level)).name
         if isinstance(img, tuple):
             info[img] = ElementInfo((type_model, bound), (1, 1), (0, None))
         else:

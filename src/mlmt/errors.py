@@ -85,7 +85,7 @@ class DuplicateDeclaration(MlmtError):
 
 
 class TypeMismatch(MlmtError):
-    """A rule is typed over a different model than the one it is applied to."""
+    """An image of a given match lacks the type the rule asks of it at some level."""
 
 
 class IncompatibleMatch(MlmtError):

@@ -33,6 +33,7 @@ from .rules import (
     MetaElement,
     element_key,
     expand_cardinalities,
+    root_type,
 )
 
 
@@ -55,28 +56,19 @@ class MetaMatch(Record):
 
 
 def _root_binding(rule: McmtRule, root: ModelNode) -> Dict[str, ElementKey]:
-    """The trivial level-0 binding: root type names resolve by name."""
+    """The trivial level-0 binding: root type names resolve by name (`root_type`)."""
     binding: Dict[str, ElementKey] = {}
-    arrows_by_label: Dict[str, List[Arrow]] = {}
-    for a in root.graph.arrows:
-        arrows_by_label.setdefault(a[1], []).append(a)
     for el in rule.meta_elements + rule.implicit_elements:
         if el.type_name is None or el.type_level != 0:
             continue
-        if el.kind == NODE:
-            if el.type_name not in root.graph.nodes:
-                raise UnresolvedReference(
-                    f"{rule.name}: unknown root type {el.type_name!r}"
-                )
-            binding[el.type_name] = el.type_name
-        else:
-            candidates = arrows_by_label.get(el.type_name, [])
-            if len(candidates) != 1:
-                raise UnresolvedReference(
-                    f"{rule.name}: root arrow type {el.type_name!r} "
-                    f"not uniquely resolvable"
-                )
-            binding[el.type_name] = candidates[0]
+        found = root_type(root.graph, el)
+        if len(found) != 1 and el.kind == NODE:
+            raise UnresolvedReference(f"{rule.name}: unknown root type {el.type_name!r}")
+        if len(found) != 1:
+            raise UnresolvedReference(
+                f"{rule.name}: root arrow type {el.type_name!r} not uniquely resolvable"
+            )
+        binding[el.type_name] = found[0]
     return binding
 
 

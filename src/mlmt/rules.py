@@ -545,26 +545,35 @@ def type_chain(rule: McmtRule, element: MetaElement) -> List[MetaElement]:
     return chain
 
 
-def validate_rule(rule: McmtRule, root_graph: Optional[Graph]) -> List[str]:
-    """The problems of `rule` against the root graph.  A rule with an empty
-    meta block has only its MetaEmpty problem, found without the root graph."""
+def root_type(root_graph: Graph, el: MetaElement) -> List[Union[str, Arrow]]:
+    """The root elements the level-0 type name of `el` names: for a node type the root node of
+    that name, for an arrow type every root arrow with that label.  It resolves only when there
+    is exactly one."""
+    if el.kind == NODE:
+        return [el.type_name] if el.type_name in root_graph.nodes else []
+    return [a for a in root_graph.arrows if a[1] == el.type_name]
+
+
+def validate_rule(rule: McmtRule, root_graph: Optional[Graph] = None) -> List[str]:
+    """The problems of `rule`.  Without a root graph every check runs but the one that level-0
+    type names name root elements.  A rule with an empty meta block has only its MetaEmpty
+    problem."""
     if not rule.meta_elements:
         return [f"{rule.name}: MetaEmpty — the meta block must contain a pattern"]
     report: List[str] = []
-    root_arrow_labels = {a[1] for a in root_graph.arrows}
     for el in rule.meta_elements + rule.implicit_elements:
         if el.type_level >= el.level:
             report.append(
                 f"{rule.name}: {el.name!r} typed at level {el.type_level}, "
                 f"not above its own level {el.level}"
             )
-        if el.type_name is not None and el.type_level == 0:
-            known = root_graph.nodes if el.kind == NODE else root_arrow_labels
-            if el.type_name not in known:
-                report.append(
-                    f"{rule.name}: {el.name!r} references unknown root "
-                    f"type {el.type_name!r}"
-                )
+        if root_graph is not None and el.type_name is not None and el.type_level == 0:
+            found = root_type(root_graph, el)
+            if not found:
+                report.append(f"{rule.name}: {el.name!r} references unknown root type {el.type_name!r}")
+            elif len(found) > 1:
+                report.append(f"{rule.name}: {el.name!r} references root arrow type "
+                              f"{el.type_name!r}, which labels {len(found)} root arrows")
         if el.type_name is not None and el.type_level >= 1:
             try:
                 ty = rule.meta_element(el.type_name, el.type_level)
@@ -668,13 +677,11 @@ def _replicate(rule: McmtRule, meta: MetaElement, v: int) -> McmtRule:
 # canonical printing
 
 
-def _format_decl(el_name: str, type_name: str, constant: bool,
-                 mm: Optional[int], potency) -> str:
+def _format_decl(el_name: str, type_name: str, constant: bool, mm: int, potency) -> str:
     text = f"{el_name} : {type_name}"
     if constant:
         text += "$"
-    if mm is not None:
-        text += f" mm{mm}"
+    text += f" mm{mm}"
     if potency is not None:
         text += f" @{potency[0]}-{potency[1]}"
     return text

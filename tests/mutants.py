@@ -94,6 +94,40 @@ MUTANTS = [
             "tests/test_engine.py::TestRun::test_only_a_run_that_deletes_nodes_builds_an_incidence_map",
         ],
     },
+    {
+        "name": "the root resolver takes the first of several root arrows",
+        "file": "mlmt/rules.py",
+        "old": "return [a for a in root_graph.arrows if a[1] == el.type_name]",
+        "new": "return [a for a in root_graph.arrows if a[1] == el.type_name][:1]",
+        "tests": [
+            "tests/test_rules.py::TestValidation::test_label_of_several_root_arrows_is_reported_with_their_number",
+            "tests/test_matching.py::TestRootBinding::test_label_of_several_root_arrows",
+        ],
+    },
+    {
+        "name": "rule validation returns early without a root graph",
+        "file": "mlmt/rules.py",
+        "old": "report: List[str] = []",
+        "new": "report: List[str] = []\n    if root_graph is None:\n        return report",
+        "tests": [
+            "tests/test_rules.py::TestValidation::test_type_missing_at_its_level_in_a_rule_built_in_code",
+            "tests/test_cli.py::TestRulesCheck::test_arrow_end_typed_off_its_meta_arrow_is_reported[False]",
+        ],
+    },
+    {
+        "name": "a META multiplicity's upper bound is compared the wrong way round",
+        "file": "mlmt/matching.py",
+        "old": "hi > target_mult[1]",
+        "new": "hi < target_mult[1]",
+        "tests": ["tests/test_matching.py::TestElementSatisfies::test_multiplicity_within_the_images_type"],
+    },
+    {
+        "name": "building a hierarchy skips the level check",
+        "file": "mlmt/hierarchy.py",
+        "old": "if m.level != depth:",
+        "new": "if False:",
+        "tests": ["tests/test_hierarchy.py::TestLoadSave::test_models_built_in_code_are_checked"],
+    },
 ]
 
 

@@ -1082,6 +1082,20 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def two_arrow_root_document(hierarchy_path: str) -> dict:
+    """The hierarchy document at `hierarchy_path` with a root node `Thing` and a second root
+    arrow labelled `Arrow`, `Thing -> Thing`: a valid hierarchy in which the level-0 type name
+    `Arrow` names no single root arrow."""
+    with open(hierarchy_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    root = next(m for m in doc["models"] if m["parent"] is None)
+    root["nodes"].append({"name": "Thing", "type": "root.Node", "potency": "1-2"})
+    root["arrows"].append(
+        {"name": "Arrow", "source": "Thing", "target": "Thing", "type": "root.Arrow", "potency": "1-2"}
+    )
+    return doc
+
+
 def pls_fixture_paths():
     base = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     return (

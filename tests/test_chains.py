@@ -4,6 +4,7 @@ import pytest
 
 from mlmt.chains import (
     ChainMorphism,
+    GraphChain,
     MultilevelTyping,
     build_chain,
     chain_pullback_complement,
@@ -112,6 +113,13 @@ class TestRefactorInclusionChain:
         assert [c.name for c in chain.graphs] == ["g", "s1", "s2"]
         # valid by construction: the full re-check agrees
         assert build_chain(chain.graphs, chain.typings) == chain
+
+    def test_subgraph_levels_with_a_non_identity_typing_are_not_one(self):
+        g0 = build_graph("g0", ["a", "b"], [])
+        g1 = build_graph("g1", ["a"], [])
+        for image, inclusion in (("a", True), ("b", False)):
+            typing = PartialMorphism(g1, g0, {"a": image}, {})
+            assert GraphChain((g0, g1), {(1, 0): typing}).is_inclusion_chain() is inclusion
 
 
 class TestChainMorphism:

@@ -12,7 +12,7 @@ from mlmt.cli import main
 from mlmt.hierarchy import load_hierarchy, read_text, validate_hierarchy
 from mlmt.rules import parse_rule_module, validate_rule
 
-from support import child_env
+from support import child_env, two_arrow_root_document
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -457,7 +457,9 @@ class TestRulesCheck:
         assert captured.out == "1 rule(s), 1 problem(s)\n"
         assert captured.err.splitlines() == ["A: MetaEmpty — the meta block must contain a pattern"]
 
-    def test_arrow_end_typed_off_its_meta_arrow_is_reported(self, paths, tmp_path, capsys):
+    @pytest.mark.parametrize("with_hierarchy", [False, True])
+    def test_arrow_end_typed_off_its_meta_arrow_is_reported(self, paths, tmp_path, capsys, with_hierarchy):
+        # only the root names of level-0 types need the hierarchy, and this rule has none
         rules = tmp_path / "ends.mcmt"
         rules.write_text(TYPING_INCOMPATIBLE)
         want = [
@@ -466,16 +468,33 @@ class TestRulesCheck:
         ]
         hierarchy = load_hierarchy(paths[0])
         (rule,) = parse_rule_module(TYPING_INCOMPATIBLE).rules
-        assert validate_rule(rule, hierarchy.model(hierarchy.root).graph) == want
-        assert main(["rules", "check", str(rules), "--hierarchy", paths[0]]) == 1
+        root = hierarchy.model(hierarchy.root).graph if with_hierarchy else None
+        assert validate_rule(rule, root) == want
+        argv = ["rules", "check", str(rules)] + (["--hierarchy", paths[0]] if with_hierarchy else [])
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "1 rule(s), 2 problem(s)\n"
         assert captured.err.splitlines() == want
+
+    def test_label_of_several_root_arrows_fails_the_check(self, paths, tmp_path, capsys):
+        # the hierarchy is valid, but proliferation finds no single root arrow `Arrow`
+        hierarchy = tmp_path / "two_arrows.json"
+        hierarchy.write_text(json.dumps(two_arrow_root_document(paths[0])))
+        assert main(["validate", str(hierarchy)]) == 0
+        capsys.readouterr()
+        assert main(["rules", "check", paths[1], "--hierarchy", str(hierarchy)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "4 rule(s), 8 problem(s)\n"
+        assert captured.err.splitlines()[:2] == [
+            f"SendPartOut: {name!r} references root arrow type 'Arrow', which labels 2 root arrows"
+            for name in ("out", "contains")
+        ]
 
     @pytest.mark.parametrize(
         "argv, last",
         [
             (["rules", "check", "{rules}", "--hierarchy", "{hierarchy}"], ["1 rule(s), 2 problem(s)"]),
+            (["rules", "check", "{rules}"], ["1 rule(s), 2 problem(s)"]),
             (["proliferate", "{hierarchy}", "{rules}", "--target", "hammer_config"], []),
         ],
     )

@@ -539,6 +539,13 @@ class TestPartialCompositionAssociativity:
             assert left.arrow_map == right.arrow_map
             checked += 1
 
+    def test_factors_that_do_not_meet_are_rejected(self):
+        A, B, C = g("A", ["a"]), g("B", ["b"]), g("C", ["b"])
+        f = PartialMorphism(A, B, {"a": "b"}, {})
+        h = PartialMorphism(C, A, {"b": "a"}, {})
+        with pytest.raises(GraphMismatch, match="^cannot compose through B and C$"):
+            compose_partial(f, h)
+
 
 class TestFindHomomorphisms:
     def test_counts_on_triangle(self):

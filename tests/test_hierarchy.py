@@ -16,6 +16,7 @@ from mlmt.hierarchy import (
     MAX_JSON_DEPTH,
     ElementInfo,
     ModelNode,
+    MultilevelHierarchy,
     build_hierarchy,
     hierarchy_to_json,
     load_hierarchy,
@@ -91,6 +92,22 @@ class TestLoadSave:
             [sys.executable, "-c", code], capture_output=True, env=child_env(), text=True, timeout=20
         )
         assert (proc.stdout, proc.stderr) == ("parent cycle through 'a'\n", "")
+
+    @pytest.mark.parametrize(
+        "children, message",
+        [
+            ([("m", "root", 1), ("m", "root", 1)], "duplicate model name 'm'"),
+            ([("m", "ghost", 1)], "m: unknown parent 'ghost'"),
+            ([("m", "root", 2)], "m: declared level 2 but tree depth is 1"),
+        ],
+    )
+    def test_models_built_in_code_are_checked(self, children, message):
+        # `parse_hierarchy` rejects each of these before it builds the models
+        models = [ModelNode("root", None, 0, build_graph("root", [], []))]
+        models += [ModelNode(n, p, level, build_graph(n, [], [])) for n, p, level in children]
+        with pytest.raises(SchemaError) as err:
+            build_hierarchy(models)
+        assert str(err.value) == message
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError) as err:
@@ -452,6 +469,16 @@ class TestValidation:
             ModelNode(hc.name, hc.parent, hc.level, hc.graph, info)
         )
         assert [i for i in validate_hierarchy(mutated) if i.model == "hammer_config"] == []
+
+    def test_level_jump_out_of_range_reported(self):
+        # `build_hierarchy` rejects a level that is not the model's tree depth,
+        # so only a hierarchy assembled without it has a jump of 0
+        root_info = {"Node": ElementInfo(("root", "Node"), (1, 2))}
+        root = ModelNode("root", None, 0, build_graph("root", ["Node"], []), root_info)
+        a = ModelNode("a", "root", 1, build_graph("a", ["T"], []), {"T": ElementInfo(("root", "Node"))})
+        b = ModelNode("b", "a", 1, build_graph("b", ["x"], []), {"x": ElementInfo(("a", "T"))})
+        h = MultilevelHierarchy({m.name: m for m in (root, a, b)}, "root")
+        assert [str(i) for i in validate_hierarchy(h)] == ["b/'x': [BadJump] level jump 0 out of range"]
 
     def test_inheritance_cycle_reported(self):
         root_graph = build_graph("root", ["Node"], [])

@@ -1,18 +1,22 @@
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from mlmt.chains import validate_chain_morphism
+from mlmt.errors import UnresolvedReference
+from mlmt.hierarchy import parse_hierarchy
 from mlmt.matching import (
     MetaMatch,
+    _element_satisfies,
     find_meta_matches,
     proliferate,
     proliferate_all,
     rule_set_to_json,
     typing_stack,
 )
-from mlmt.rules import parse_rule_module
+from mlmt.rules import ARROW, NODE, MetaElement, parse_rule_module
 
 from support import (
     brute_force_meta_matches,
@@ -21,6 +25,7 @@ from support import (
     meta_match_key,
     random_hierarchy,
     random_meta_rule,
+    two_arrow_root_document,
 )
 
 
@@ -97,6 +102,37 @@ rules R {
         levels = sorted({m.f(1) for m in matches})
         assert levels == [1, 2]
         assert len(matches) == 11
+
+
+class TestRootBinding:
+    def test_unknown_root_node_type(self, pls):
+        module = parse_rule_module("rules R { rule Bad { meta { X : Bogus mm0 } from { } to { } } }")
+        with pytest.raises(UnresolvedReference) as err:
+            find_meta_matches(module.rules[0], pls, "hammer_config")
+        assert str(err.value) == "Bad: unknown root type 'Bogus'"
+
+    def test_label_of_several_root_arrows(self, pls_paths, pls_rules):
+        h = parse_hierarchy(json.dumps(two_arrow_root_document(pls_paths[0])))
+        with pytest.raises(UnresolvedReference) as err:
+            find_meta_matches(pls_rules["SendPartOut"], h, "hammer_config")
+        assert str(err.value) == "SendPartOut: root arrow type 'Arrow' not uniquely resolvable"
+
+
+class TestElementSatisfies:
+    @pytest.mark.parametrize(
+        "kind, candidate, multiplicity, satisfied",
+        [
+            (ARROW, ("Hammer", "hasHandle", "Handle"), (1, 1), True),
+            # an upper bound above the type's 1..1, or none
+            (ARROW, ("Hammer", "hasHandle", "Handle"), (1, 2), False),
+            (ARROW, ("Hammer", "hasHandle", "Handle"), (1, None), False),
+            # only an arrow carries a multiplicity
+            (NODE, "Hammer", (1, 1), False),
+        ],
+    )
+    def test_multiplicity_within_the_images_type(self, pls, kind, candidate, multiplicity, satisfied):
+        meta_el = MetaElement("e", 2, kind, "t", 1, multiplicity=multiplicity)
+        assert _element_satisfies(meta_el, pls.model("hammer_plant"), candidate) is satisfied
 
 
 def assert_match_form(rule, mm):

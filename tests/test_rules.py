@@ -1,13 +1,21 @@
+import json
+
 import pytest
 
 from mlmt.errors import DuplicateDeclaration, ParseError, UnresolvedReference
+from mlmt.hierarchy import parse_hierarchy
 from mlmt.rules import (
+    NODE,
+    McmtRule,
+    MetaElement,
     expand_cardinalities,
     parse_rule_module,
     print_rule_module,
     type_chain,
     validate_rule,
 )
+
+from support import two_arrow_root_document
 
 
 CREATE_PART = """
@@ -166,6 +174,26 @@ rules R {
         module = parse_rule_module(text)
         issues = validate_rule(module.rules[0], pls.model("root").graph)
         assert any("unknown root" in i for i in issues)
+
+    def test_label_of_several_root_arrows_is_reported_with_their_number(self, pls_paths, pls_rules):
+        # proliferation binds a level-0 arrow type only to the one root arrow of its label
+        h = parse_hierarchy(json.dumps(two_arrow_root_document(pls_paths[0])))
+        assert validate_rule(pls_rules["SendPartOut"], h.model(h.root).graph) == [
+            f"SendPartOut: {name!r} references root arrow type 'Arrow', which labels 2 root arrows"
+            for name in ("out", "contains")
+        ]
+
+    def test_without_a_root_graph_only_the_root_names_go_unchecked(self, pls_rules):
+        for rule in pls_rules.values():
+            assert validate_rule(rule) == []
+        bogus = parse_rule_module("rules R { rule Bad { meta { X : Bogus mm0 } from { } to { } } }")
+        assert validate_rule(bogus.rules[0]) == []
+
+    def test_type_missing_at_its_level_in_a_rule_built_in_code(self):
+        # the parser synthesises an implicit constant for every META type it
+        # does not find, so only a rule built in code lacks one
+        rule = McmtRule("Built", (MetaElement("X", 2, NODE, "Ghost", 1),))
+        assert validate_rule(rule) == ["Built: type 'Ghost' of 'X' missing at level 1"]
 
     def test_type_chain_descends_to_the_implicit_constant(self):
         rule = parse_rule_module(CREATE_PART).rules[0]
