@@ -2,8 +2,9 @@
 
 Subcommands: validate, rules check, proliferate, apply, run, fmt.
 Exit codes: 0 success, 1 validation/application failure, 2 usage, parse
-or input errors and paths that cannot be read or written.  Log verbosity
-comes from the MLM_LOG environment variable.
+or input errors and paths that cannot be read or written.  Each call of
+`main` reads the log level from the MLM_LOG environment variable; at info or
+debug, `proliferate -o` and `run` print one `INFO mlmt:` line each to stderr.
 """
 
 from __future__ import annotations
@@ -25,36 +26,17 @@ from .hierarchy import (
 from .matching import proliferate_all, rule_set_to_json
 from .rules import parse_rule_module, print_rule_module, validate_rule
 
-_LOG_LEVELS = {"error": "ERROR", "warn": "WARNING", "info": "INFO", "debug": "DEBUG"}
+_LOG_LEVELS = ("error", "warn", "info", "debug")
 
 
-def _configure_logging():
-    """Send log records to stderr at the level MLM_LOG names.  Without MLM_LOG
-    the level is warn, at which the package logs nothing, so `logging` is not
-    imported at all."""
+def _info_admitted() -> bool:
+    """Whether the level MLM_LOG names admits info lines, which the commands print to stderr
+    themselves.  Unset, the level is warn; another value is named on stderr and logs at warn."""
     name = os.environ.get("MLM_LOG", "")
-    if not name:
-        return
-    import logging
-
-    level = _LOG_LEVELS.get(name.lower())
-    if level is None:
-        level = "WARNING"
+    if name and name.lower() not in _LOG_LEVELS:
         print(f"warning: MLM_LOG={name!r} is not one of {', '.join(_LOG_LEVELS)}; logging at warn",
               file=sys.stderr)
-    logging.basicConfig(
-        level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
-
-def _log_info(message: str, *args) -> None:
-    """Log `message` at info on the `mlmt` logger.  Where `logging` was never
-    imported, no handler was set up that could take the record, so it is dropped."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("mlmt").info(message, *args)
+    return name.lower() in ("info", "debug")
 
 
 def _write(path: str, text: str) -> bool:
@@ -126,7 +108,8 @@ def cmd_proliferate(args) -> int:
     if args.output:
         if not _write(args.output, json.dumps(rule_set_to_json(all_rules), indent=2) + "\n"):
             return 2
-        _log_info("wrote %d rules to %s", total, args.output)
+        if args.info:
+            print(f"INFO mlmt: wrote {total} rules to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -174,7 +157,8 @@ def cmd_run(args) -> int:
         return inputs
     h, module = inputs
     trace = run_engine(list(module.rules), h, args.target, args.steps, args.seed)
-    _log_info("run stopped: %s", trace.stop)
+    if args.info:
+        print(f"INFO mlmt: run stopped: {trace.stop}", file=sys.stderr)
     if args.trace and not _write(args.trace, trace.to_json_lines()):
         return 2
     sys.stdout.write(json.dumps(hierarchy_to_json(trace.final), indent=2))
@@ -237,12 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
+    info = _info_admitted()  # before parsing, so the warning comes before a usage error
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    args.info = info
     try:
         code = args.func(args)
         sys.stdout.flush()  # a stdout that cannot take the output fails here, not at exit

@@ -119,7 +119,7 @@ class TypeIndex:
     call read one index per stack model, and never change its sets."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
-        self.h, self.model, self.verdicts, self.found, self.ends = h, model, {}, {}, {}
+        self.h, self.model, self.found, self.ends = h, model, {}, {}
         self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
         self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
         self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
@@ -215,13 +215,9 @@ class TypeIndex:
 
     def _holds(self, t: TypeRef, profile: tuple) -> bool:
         """Whether an element of direct type `t` has the profile's types above the model."""
-        if (t, profile) not in self.verdicts:
-            n = self.model.level
-            up = self.h.model(t[0]).level < n
-            self.verdicts[t, profile] = all(
-                want == (transitive_type_at(self.h, *t, lvl) if up else None) for lvl, want in profile if lvl < n
-            )
-        return self.verdicts[t, profile]
+        n = self.model.level
+        up = self.h.model(t[0]).level < n
+        return all(want == (transitive_type_at(self.h, *t, lvl) if up else None) for lvl, want in profile if lvl < n)
 
     def _own(self, e: ElementKey, profile: tuple) -> bool:
         # at level n an element is its own type; below n, untyped

@@ -128,6 +128,97 @@ MUTANTS = [
         "new": "if False:",
         "tests": ["tests/test_hierarchy.py::TestLoadSave::test_models_built_in_code_are_checked"],
     },
+    {
+        "name": "MLM_LOG admits info lines at every level",
+        "file": "mlmt/cli.py",
+        "old": 'return name.lower() in ("info", "debug")',
+        "new": "return True",
+        "tests": [
+            "tests/test_cli.py::TestLogLevel::test_each_level_in_this_process",
+            "tests/test_cli.py::TestLogLevel::test_each_call_logs_at_its_own_level",
+        ],
+    },
+    {
+        "name": "an unknown MLM_LOG value is not named",
+        "file": "mlmt/cli.py",
+        "old": "if name and name.lower() not in _LOG_LEVELS:",
+        "new": "if False:",
+        "tests": [
+            "tests/test_cli.py::TestLogLevel::test_an_unknown_level_is_named",
+            "tests/test_cli.py::TestLogLevel::test_each_level_in_this_process",
+        ],
+    },
+    {
+        "name": "the type index gives an element every profile of its direct type",
+        "file": "mlmt/matching.py",
+        "old": "return [p for p, own in self.held[key] if not own or self._own(e, p)]",
+        "new": "return [p for p, own in self.held[key]]",
+        "tests": [
+            "tests/test_engine.py::test_typed_matches_are_total_and_keep_ends",
+            "tests/test_matcher_order.py::test_anchored_matches_agree_with_the_brute_force_oracle",
+        ],
+    },
+    {
+        "name": "a step of the type index keeps the deleted elements",
+        "file": "mlmt/matching.py",
+        "old": "for e in deleted:",
+        "new": "for e in ():",
+        "tests": [
+            "tests/test_engine.py::TestRun::test_applied_matches_are_total_and_keep_ends",
+            "tests/test_acceptance.py::test_criterion_6_hammers_are_reachable",
+        ],
+    },
+    {
+        "name": "an emptied by_ends group keeps its end",
+        "file": "mlmt/matching.py",
+        "old": "del groups[end]",
+        "new": "pass",
+        "tests": ["tests/test_engine.py::TestTypeIndex::test_one_index_serves_every_state_of_a_run"],
+    },
+    {
+        "name": "the search plan leaves out the arrows a bound node makes ready",
+        "file": "mlmt/graphs.py",
+        "old": "if far in bound]",
+        "new": "if False]",
+        "tests": [
+            "tests/test_graphs.py::test_search_plan_matches_the_rescanning_reference",
+            "tests/test_acceptance.py::test_criterion_8_matcher_equals_exhaustive_search",
+        ],
+    },
+    {
+        "name": "the META table lets the last element with a key win",
+        "file": "mlmt/rules.py",
+        "old": "table.setdefault((e.name, e.level), e)",
+        "new": "table[e.name, e.level] = e",
+        "tests": [
+            "tests/test_rules_corpus.py::test_corpus_replays_byte_equal",
+            "tests/test_cli.py::TestRulesCheck::test_meta_type_cycle_rejected_without_hanging",
+        ],
+    },
+    {
+        "name": "comments before a rule module's first token are not skipped",
+        "file": "mlmt/rules.py",
+        "old": '_SKIP_RE = re.compile(r"\\s*(?://[^\\n]*\\s*)*")',
+        "new": '_SKIP_RE = re.compile(r"\\s*")',
+        "tests": ["tests/test_fuzz.py::test_whitespace_and_comments_between_tokens_change_nothing"],
+    },
+    {
+        "name": "the rule parser's column is off by one",
+        "file": "mlmt/rules.py",
+        "old": "tok[2] - self.line_starts[line - 1] + 1",
+        "new": "tok[2] - self.line_starts[line - 1]",
+        "tests": [
+            "tests/test_rules.py::TestParsing::test_reversed_potency_is_rejected_at_its_low_bound",
+            "tests/test_rules_corpus.py::test_corpus_replays_byte_equal",
+        ],
+    },
+    {
+        "name": "building a graph skips its node-count check",
+        "file": "mlmt/graphs.py",
+        "old": "len(node_set) == len(nodes) and ",
+        "new": "",
+        "tests": ["tests/test_graphs.py::TestBuildGraph::test_rejects_duplicate_nodes"],
+    },
 ]
 
 

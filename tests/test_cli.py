@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -671,13 +673,8 @@ class TestRun:
 
     @pytest.mark.parametrize("level", [None, "info"])
     def test_stop_reason_is_logged_at_info(self, paths, monkeypatch, level):
-        hierarchy, _ = paths
-        rules = os.path.join(FIXTURES, "scrap_machine.mcmt")
-        monkeypatch.delenv("MLM_LOG", raising=False)
-        if level:
-            monkeypatch.setenv("MLM_LOG", level)
-        argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "10", "--seed", "0"]
-        proc = _run_cli(argv, subprocess.PIPE)
+        _set_log(monkeypatch, level)
+        proc = _run_cli(scrap_run(paths[0], 10), subprocess.PIPE)
         assert proc.returncode == 0
         logged = ["INFO mlmt: run stopped: all-matches-dangling"] if level else []
         assert proc.stderr.splitlines() == [*logged, "0 step(s) applied"]
@@ -761,17 +758,19 @@ class TestUsage:
         assert captured.err.splitlines() == [f"usage error: --target 'nosuch' is not a model of {hierarchy}"]
 
 
+DOCUMENTED = [None, "", "error", "warn", "info", "debug", "DEBUG"]
+UNKNOWN_LEVEL = "warning: MLM_LOG='trace' is not one of error, warn, info, debug; logging at warn"
+
+
 class TestLogLevel:
     """`MLM_LOG` names one of four levels; another value is named on stderr
     before the command runs, which then logs at `warn`."""
 
     def validate(self, paths, monkeypatch, value):
-        monkeypatch.delenv("MLM_LOG", raising=False)
-        if value is not None:
-            monkeypatch.setenv("MLM_LOG", value)
+        _set_log(monkeypatch, value)
         return _run_cli(["validate", paths[0]], subprocess.PIPE)
 
-    @pytest.mark.parametrize("value", [None, "", "error", "warn", "info", "debug", "DEBUG"])
+    @pytest.mark.parametrize("value", DOCUMENTED)
     def test_a_documented_level_adds_no_line(self, paths, monkeypatch, value):
         proc = self.validate(paths, monkeypatch, value)
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -781,6 +780,55 @@ class TestLogLevel:
         unset = self.validate(paths, monkeypatch, None)
         proc = self.validate(paths, monkeypatch, "trace")
         assert (proc.returncode, proc.stdout) == (unset.returncode, unset.stdout)
-        assert proc.stderr.splitlines() == [
-            "warning: MLM_LOG='trace' is not one of error, warn, info, debug; logging at warn"
-        ]
+        assert proc.stderr.splitlines() == [UNKNOWN_LEVEL]
+
+    @pytest.mark.parametrize("value", [*DOCUMENTED, "trace"])
+    def test_each_level_in_this_process(self, paths, monkeypatch, capsys, tmp_path, value):
+        # what the child processes above show, through `main` in this process, where the
+        # host may have set up `logging` itself; a run's stop reason and a written rule file
+        # are the info lines
+        _set_log(monkeypatch, value)
+        warned = [UNKNOWN_LEVEL] if value == "trace" else []
+        info = value in ("info", "debug", "DEBUG")
+        assert main(["validate", paths[0]]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == (f"0 violation(s) in {paths[0]}\n", warned)
+        assert main(scrap_run(paths[0], 3)) == 0
+        logged = ["INFO mlmt: run stopped: all-matches-dangling"] if info else []
+        assert capsys.readouterr().err.splitlines() == [*warned, *logged, "0 step(s) applied"]
+        out = tmp_path / "rules.json"
+        assert main(["proliferate", *paths, "--target", "hammer_config", "-o", str(out)]) == 0
+        logged = [f"INFO mlmt: wrote 21 rules to {out}"] if info else []
+        assert capsys.readouterr().err.splitlines() == [*warned, *logged]
+        assert main(scrap_run(paths[0], 3)[:-2]) == 2  # no --seed: the warning comes first
+        err = capsys.readouterr().err.splitlines()
+        assert err[: len(warned)] == warned and err[len(warned)].startswith("usage: mlmt run ")
+        assert err[-1] == "mlmt run: error: the following arguments are required: --seed"
+
+    @pytest.mark.parametrize("second", [None, "error"])
+    def test_each_call_logs_at_its_own_level(self, paths, monkeypatch, second):
+        # each call reads MLM_LOG afresh and writes to the stderr it finds; the first call's
+        # stream is closed before the second runs, so a write to it would fail there
+        def stderr_of(value):
+            _set_log(monkeypatch, value)
+            with io.StringIO() as err:
+                with contextlib.redirect_stderr(err):
+                    assert main(scrap_run(paths[0], 3)) == 0
+                return err.getvalue()
+
+        assert stderr_of("info") == "INFO mlmt: run stopped: all-matches-dangling\n0 step(s) applied\n"
+        assert stderr_of(second) == "0 step(s) applied\n"
+
+
+def _set_log(monkeypatch, value):
+    """Set MLM_LOG to `value`, or unset it for None."""
+    monkeypatch.delenv("MLM_LOG", raising=False)
+    if value is not None:
+        monkeypatch.setenv("MLM_LOG", value)
+
+
+def scrap_run(hierarchy: str, steps: int) -> list:
+    """The argv of a seed-0 `run` of `scrap_machine.mcmt` on `hammer_config`, which stops at
+    once: every match of its rules would leave a dangling arrow."""
+    rules = os.path.join(FIXTURES, "scrap_machine.mcmt")
+    return ["run", hierarchy, rules, "--target", "hammer_config", "--steps", str(steps), "--seed", "0"]

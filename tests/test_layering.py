@@ -51,7 +51,7 @@ def test_each_module_imports_only_modules_below_it():
 # parser, say) fails here until this list is changed on purpose
 STDLIB = {
     "__future__", "argparse", "bisect", "functools", "itertools", "json",
-    "logging", "operator", "os", "random", "re", "sys", "typing",
+    "operator", "os", "random", "re", "sys", "typing",
 }
 
 
@@ -72,9 +72,9 @@ def test_the_package_imports_only_the_standard_library():
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
-    # importing is most of a short `mlmt run`, in time and memory; `logging` is
-    # imported only when MLM_LOG is set, and the records need no `dataclasses`,
-    # which would bring `inspect` with it
+    # importing is most of a short `mlmt run`, in time and memory; the CLI prints
+    # its info lines itself, and the records need no `dataclasses`, which would
+    # bring `inspect` with it
     env = child_env()
     env.pop("MLM_LOG", None)
     code = (
@@ -84,6 +84,24 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_run_that_logs_at_info_loads_no_logging():
+    # the info lines go straight to stderr, so no level of MLM_LOG brings `logging` in
+    tests = os.path.dirname(os.path.abspath(__file__))
+    hierarchy = os.path.join(tests, "..", "fixtures", "pls.json")
+    rules = os.path.join(tests, "fixtures", "scrap_machine.mcmt")
+    argv = ["run", hierarchy, rules, "--target", "hammer_config", "--steps", "3", "--seed", "0"]
+    code = (
+        "import sys; from mlmt.cli import main; code = main(sys.argv[1:]); "
+        "print('logging' in sys.modules, code, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env={**child_env(), "MLM_LOG": "info"},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "INFO mlmt: run stopped: all-matches-dangling", "0 step(s) applied", "False 0"
+    ]
 
 
 def unused_imports(name: str) -> list:
