@@ -50,12 +50,17 @@ def _write(path: str, text: str) -> bool:
     return True
 
 
-def _load_inputs(args):
+def _load_inputs(args, leaf: bool = False):
     """The hierarchy and rule module of a command, or its exit code once the reason is printed:
-    2 for a target that is not a model, 1 for every problem that validation finds in them."""
+    2 for a target that is not a model, or, where the command rewrites it (`leaf`), a model with
+    child models; 1 for every problem that validation finds in them."""
     h, module = load_hierarchy(args.hierarchy), parse_rule_module(read_text(args.rules))
     if args.target not in h.models:
         print(f"usage error: --target {args.target!r} is not a model of {args.hierarchy}", file=sys.stderr)
+        return 2
+    if leaf and any(m.parent == args.target for m in h.models.values()):
+        print(f"usage error: --target {args.target!r} is not a leaf model of {args.hierarchy}",
+              file=sys.stderr)
         return 2
     problems = [str(i) for i in validate_hierarchy(h)]
     root_graph = h.model(h.root).graph
@@ -114,7 +119,7 @@ def cmd_proliferate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    inputs = _load_inputs(args)
+    inputs = _load_inputs(args, leaf=True)
     if isinstance(inputs, int):
         return inputs
     h, module = inputs
@@ -152,7 +157,7 @@ def cmd_run(args) -> int:
     if args.steps < 0:
         print(f"usage error: --steps must be 0 or more, got {args.steps}", file=sys.stderr)
         return 2
-    inputs = _load_inputs(args)
+    inputs = _load_inputs(args, leaf=True)
     if isinstance(inputs, int):
         return inputs
     h, module = inputs
@@ -239,7 +244,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if err.filename is None:  # not a path: stdout closed early or its device full
             print(f"cannot write stdout: {err.strerror}", file=sys.stderr)
             # the interpreter flushes stdout again at exit; send what is left nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return 2
         print(f"cannot read {err.filename}: {err.strerror}", file=sys.stderr)
         return 2

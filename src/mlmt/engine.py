@@ -21,7 +21,7 @@ from .chains import (
     refactor_inclusion_chain,
     typing_to_chain,
 )
-from .errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
+from .errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, MlmtError, TypeMismatch
 from .graphs import (
     Graph,
     Record,
@@ -344,7 +344,10 @@ def run(
     seed: int,
 ) -> ExecutionTrace:
     """Seeded uniform scheduling of proliferated rules until quiescence: a step draws from the
-    live `_LiveMatches.matches`, and drops a draw that dangles and draws again from the rest."""
+    live `_LiveMatches.matches`, and drops a draw that dangles and draws again from the rest.
+    Only a leaf model is rewritten: the elements of a model with child models may type theirs."""
+    if any(m.parent == target_model for m in h.models.values()):
+        raise MlmtError(f"{target_model!r} has child models; only a leaf model can be rewritten")
     compiled: List[TwoLevelRule] = []
     indexes: Dict[str, TypeIndex] = {}  # the rules share one per stack model
     for rule in rules:

@@ -204,14 +204,6 @@ def _require_subgraph(sub: Graph, sup: Graph) -> None:
         raise NotInclusion(f"{sub.name} is not a subgraph of {sup.name}")
 
 
-def inclusion(sub: Graph, sup: Graph) -> TotalMorphism:
-    """The inclusion of `sub` into `sup`; fails if `sub` is not contained."""
-    _require_subgraph(sub, sup)
-    return TotalMorphism(
-        sub, sup, {n: n for n in sub.nodes}, {a: a for a in sub.arrows}
-    )
-
-
 class PartialMorphism(Record):
     """A partial graph homomorphism: total on its domain of definition."""
 

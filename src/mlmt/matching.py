@@ -31,7 +31,6 @@ from .rules import (
     NODE,
     McmtRule,
     MetaElement,
-    element_key,
     expand_cardinalities,
     root_type,
 )
@@ -116,10 +115,14 @@ class TypeIndex:
     bottom model, and the survivors keep their types: `step` updates by that delta the candidate
     sets and the joined arrows of the profiles each element carries, and reports the joined
     groups each created arrow enters (the beta network).  All META searches of one proliferation
-    call read one index per stack model, and never change its sets."""
+    call read one index per stack model, and never change its sets.  `filtered` keeps for those
+    searches the candidates of each profile that pass a META element's test, keyed by (kind,
+    profile, constant name or None, potency, multiplicity), so rules and levels that ask the same
+    test share one set, which no one may change.  `run`'s own index of its target model is the
+    one that `step` changes, and no META search reads it."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
-        self.h, self.model, self.found, self.ends = h, model, {}, {}
+        self.h, self.model, self.found, self.ends, self.filtered = h, model, {}, {}, {}
         self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
         self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
         self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
@@ -238,23 +241,30 @@ def graph_match(
     lexicographic order of node, then arrow images.  Type checks read only
     lower levels' bindings, so candidates come first.  They come from the
     model's `TypeIndex` in `indexes`, a table the caller's searches share,
-    where a missing one is built and kept."""
+    where a missing one is built and kept; each element's pool is the
+    index's `filtered` set for its profile and test, built on first ask and
+    only read here, by the incidence build and by `injective_matches`."""
     nodes = [el.name for el in pattern if el.kind == NODE]
     ends = [(el.name, el.source, el.target) for el in pattern if el.kind == ARROW]
     if len(nodes) > len(target.graph.nodes) or len(ends) > len(target.graph.arrows):
         return []  # too few elements for an injective image
     indexes = {} if indexes is None else indexes
     index = indexes.get(target.name) or indexes.setdefault(target.name, TypeIndex(h, target))
-    pools = {}
+    pools, filtered = {}, index.filtered
     for el in pattern:
-        pools[el.name] = {
-            c
-            for c in index.candidates(el.kind == ARROW, _meta_profile(rule, el, level_map, bindings))
-            if (not el.constant or (c if el.kind == NODE else c[1]) == el.name)
-            and _element_satisfies(el, target, c)
-        }
-        if not pools[el.name]:
+        arrow, profile = el.kind == ARROW, _meta_profile(rule, el, level_map, bindings)
+        key = (arrow, profile, el.name if el.constant else None, el.potency, el.multiplicity)
+        pool = filtered.get(key)
+        if pool is None:
+            pool = filtered[key] = {
+                c
+                for c in index.candidates(arrow, profile)
+                if (not el.constant or (c[1] if arrow else c) == el.name)
+                and _element_satisfies(el, target, c)
+            }
+        if not pool:
             return []  # an element with no candidate image
+        pools[el.name] = pool
     plan = search_plan(nodes, ends, size=lambda n: len(pools[n]))
     if plan is None:
         return []  # an arrow with an end off this level's nodes
@@ -284,19 +294,24 @@ def find_meta_matches(
         return []
     depth, found = rule.depth, []
     indexes = {} if indexes is None else indexes
+    root = {0: _root_binding(rule, stack[0])}
+    if depth == 0:  # no META level below the root's
+        return [MetaMatch({0: 0}, root)]
 
     def extend(mm_level, tg_level, level_map, bindings) -> None:
-        if mm_level == depth:
-            found.append(MetaMatch(level_map, bindings))
-            return
-        pattern = rule.meta_at(mm_level + 1)
+        level = mm_level + 1
+        pattern = rule.meta_at(level)
         # leave room below for the remaining META levels
-        for t in range(tg_level + 1, len(stack) - (depth - mm_level - 1)):
-            deeper = {**level_map, mm_level + 1: t}
-            for binding in graph_match(pattern, stack[t], h, rule, deeper, bindings, indexes):
-                extend(mm_level + 1, t, deeper, {**bindings, mm_level + 1: binding})
+        for t in range(tg_level + 1, len(stack) - (depth - level)):
+            deeper = {**level_map, level: t}
+            found_here = graph_match(pattern, stack[t], h, rule, deeper, bindings, indexes)
+            if level == depth:  # each binding of the last META level completes a match
+                found.extend([MetaMatch(deeper, {**bindings, level: b}) for b in found_here])
+                continue
+            for binding in found_here:
+                extend(level, t, deeper, {**bindings, level: binding})
 
-    extend(0, 0, {0: 0}, {0: _root_binding(rule, stack[0])})
+    extend(0, 0, {0: 0}, root)
     del extend  # as in `injective_matches`: the search's state goes when it returns
     return found
 
@@ -367,7 +382,8 @@ def _variant(expanded: McmtRule, name: str, slots: Dict[Tuple[str, int], int]):
     inter = Graph._trusted(name, lhs.nodes | rhs.nodes, lhs.arrows | rhs.arrows)
     typed_by: Dict[ElementKey, int] = {}
     for e in expanded.to_pattern.elements + expanded.from_pattern.elements:
-        typed_by.setdefault(element_key(e), slots[e.type_name, e.type_level])
+        key = e.name if e.kind == NODE else (e.source, e.name, e.target)
+        typed_by.setdefault(key, slots[e.type_name, e.type_level])
     at = tuple(typed_by.values())
     # `itemgetter` returns a bare value, not a tuple, for one index, and needs at least one
     pick = itemgetter(*at) if len(at) > 1 else lambda values: tuple([values[i] for i in at])
@@ -420,9 +436,12 @@ def proliferate(
     element's image only from elements whose transitive types at the stack
     levels of its META type chain are the chain's bindings there, and the
     untyped levels of a profile follow from the level map; so each level map
-    keeps, per META element, its profile shape and a memo from image to bound
-    type and instance profile.  A META match then derives each slot's type and
-    profile once, and each rule picks its `types` and `level_types` by slot.
+    keeps, per META element, its profile shape and a memo from image to
+    instance profile.  A META match then derives each slot's type and
+    profile in one pass over the slots, and each rule picks its `types` and
+    `level_types` by slot.  The `indexes` table, with the filtered candidate
+    pools its indexes keep, may be shared by the calls of one rule set;
+    nothing else is kept between calls.
     """
     stack = typing_stack(h, target_model)
     meta_els = {
@@ -434,12 +453,12 @@ def proliferate(
     meta_arrows = [el for el in metas if el.kind == ARROW and el.level >= 1]
     variants: Dict[tuple, list] = {}
     # level map -> per META arrow (level, name, model info), per slot (level, name, model name,
-    # profile shape, image -> (bound type, profile))
+    # profile shape, image -> profile)
     tables: Dict[tuple, tuple] = {}
     out: List[TwoLevelRule] = []
     for mm_match in find_meta_matches(rule, h, target_model, indexes):
         level_map, bindings = mm_match.level_map, mm_match.bindings
-        levels = tuple(level_map.items())
+        levels = tuple(level_map.values())  # META levels 0..depth, in order
         if levels not in tables:
             tables[levels] = (
                 [(el.level, el.name, stack[level_map[el.level]].info) for el in meta_arrows],
@@ -450,18 +469,21 @@ def proliferate(
             )
         arrows, table = tables[levels]
         key = tuple([info[bindings[lvl][meta]].multiplicity for lvl, meta, info in arrows])
-        if key not in variants:
+        variant_list = variants.get(key)
+        if variant_list is None:
             bound_mults = {(el.level, el.name): m or (0, None) for el, m in zip(meta_arrows, key)}
             expanded = expand_cardinalities(rule, bound_mults)
-            variants[key] = [_variant(e, target_model, slots) for e in expanded]
-        # each slot's (bound type, profile), from its memo per image
-        bound = [
-            memo.get(image) or memo.setdefault(image, ((model_name, image), _filled(shape, mm_match)))
-            for lvl, meta, model_name, shape, memo in table
-            for image in (bindings[lvl][meta],)
-        ]
-        bound_types, profiles = tuple(zip(*bound)) or ((), ())
-        for lhs, inter, rhs, keys, pick in variants[key]:
+            variant_list = variants[key] = [_variant(e, target_model, slots) for e in expanded]
+        # each slot's bound type, and its profile from its memo per image
+        bound_types, profiles = [], []
+        for lvl, meta, model_name, shape, memo in table:
+            image = bindings[lvl][meta]
+            profile = memo.get(image)
+            if profile is None:
+                profile = memo[image] = _filled(shape, mm_match)
+            bound_types.append((model_name, image))
+            profiles.append(profile)
+        for lhs, inter, rhs, keys, pick in variant_list:
             out.append(TwoLevelRule(
                 f"{rule.name}_{len(out)}", lhs, inter, rhs, dict(zip(keys, pick(bound_types))),
                 dict(zip(keys, pick(profiles))), rule.name, mm_match,

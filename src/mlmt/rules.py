@@ -83,11 +83,14 @@ class RulePattern(Record):
         return {e.name: e for e in self.elements}
 
     def graph(self, name: str) -> Graph:
-        return build_graph(
-            name,
-            [e.name for e in self.nodes()],
-            [element_key(e) for e in self.arrows()],
-        )
+        nodes: List[str] = []
+        arrows: List[Arrow] = []
+        for e in self.elements:
+            if e.kind == NODE:
+                nodes.append(e.name)
+            else:
+                arrows.append((e.source, e.name, e.target))
+        return build_graph(name, nodes, arrows)
 
 
 MetaTable = Dict[Union[str, Tuple[str, int]], MetaElement]
@@ -641,13 +644,15 @@ def expand_cardinalities(
 
 
 def _replicate(rule: McmtRule, meta: MetaElement, v: int) -> McmtRule:
+    if v == 1:
+        return rule
     targets = {
         e.target
         for pat in (rule.from_pattern, rule.to_pattern)
         for e in pat.arrows()
         if e.type_name == meta.name and e.type_level == meta.level
     }
-    if not targets or v == 1:
+    if not targets:
         return rule
 
     def copy(e: PatternElement, i: int) -> PatternElement:

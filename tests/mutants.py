@@ -30,6 +30,8 @@ TIMEOUT = 300  # seconds per child process; a test run that hangs counts as a ki
 SCHEDULE = "tests/test_scheduler.py"
 MAINTAINED = "tests/test_matcher_order.py::test_maintained_matches_equal_fresh_ones"
 STEPS = "tests/test_graphs.py::TestDerivedGraphs::test_randomized_chain_of_steps"
+POOLS = "tests/test_matching.py::TestSharedPools::test_each_rule_keeps_its_own_test[filtered-{}-{}]"
+POOL_KEY = "key = (arrow, profile, el.name if el.constant else None, el.potency, el.multiplicity)"
 
 MUTANTS = [
     {
@@ -211,6 +213,27 @@ MUTANTS = [
             "tests/test_rules.py::TestParsing::test_reversed_potency_is_rejected_at_its_low_bound",
             "tests/test_rules_corpus.py::test_corpus_replays_byte_equal",
         ],
+    },
+    {
+        "name": "the filtered META pools are not keyed by potency",
+        "file": "mlmt/matching.py",
+        "old": POOL_KEY,
+        "new": "key = (arrow, profile, el.name if el.constant else None, el.multiplicity)",
+        "tests": [POOLS.format("first", "potency"), POOLS.format("last", "potency")],
+    },
+    {
+        "name": "the filtered META pools are not keyed by multiplicity",
+        "file": "mlmt/matching.py",
+        "old": POOL_KEY,
+        "new": "key = (arrow, profile, el.name if el.constant else None, el.potency)",
+        "tests": [POOLS.format("first", "multiplicity"), POOLS.format("last", "multiplicity")],
+    },
+    {
+        "name": "the filtered META pools are not keyed by constant name",
+        "file": "mlmt/matching.py",
+        "old": POOL_KEY,
+        "new": "key = (arrow, profile, el.potency, el.multiplicity)",
+        "tests": [POOLS.format("first", "constant"), POOLS.format("last", "constant")],
     },
     {
         "name": "building a graph skips its node-count check",

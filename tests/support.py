@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import mlmt.hierarchy
 from mlmt.chains import ChainMorphism, GraphChain, build_chain, derive_typing_chain
 from mlmt.engine import apply_two_level_rule, typed_matches
+from mlmt.errors import NotInclusion
 from mlmt.graphs import (
     Arrow,
     Graph,
@@ -43,6 +44,13 @@ from mlmt.rules import (
 
 # ---------------------------------------------------------------------------
 # brute-force categorical oracles
+
+
+def inclusion(sub: Graph, sup: Graph) -> TotalMorphism:
+    """The inclusion of `sub` into `sup`; fails with `NotInclusion` if `sub` is not contained."""
+    if not (sub.nodes <= sup.nodes and sub.arrows <= sup.arrows):
+        raise NotInclusion(f"{sub.name} is not a subgraph of {sup.name}")
+    return TotalMorphism(sub, sup, {n: n for n in sub.nodes}, {a: a for a in sub.arrows})
 
 
 def oracle_pushout(L: Graph, I: Graph, m_nodes: Dict, m_arrows: Dict, S: Graph):

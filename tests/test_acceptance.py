@@ -16,7 +16,6 @@ from mlmt.graphs import (
     Graph,
     TotalMorphism,
     compose_partial,
-    inclusion,
     pullback_complement,
     pushout,
 )
@@ -28,6 +27,7 @@ from support import (
     chain_conditions_hold,
     chain_morphism_conditions_hold,
     compatibility_holds,
+    inclusion,
     meta_match_key,
     oracle_pullback_complement,
     pushout_agrees_with_oracle,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -401,6 +402,41 @@ class TestStdoutFailures:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["cannot write stdout: Broken pipe"]
 
+    def test_in_process_call_leaks_no_descriptor(self, paths, monkeypatch, capsys):
+        # a stand-in stdout that takes the text but cannot flush it, over a temporary file's
+        # descriptor, which `main` points at the null device
+        class BrokenStdout(io.StringIO):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def fileno(self):
+                return self.fd
+
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def tracking_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def tracking_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        with tempfile.TemporaryFile() as fh:
+            monkeypatch.setattr(sys, "stdout", BrokenStdout(fh.fileno()))
+            monkeypatch.setattr(os, "open", tracking_open)
+            monkeypatch.setattr(os, "close", tracking_close)
+            code = main(["fmt", paths[1]])
+            monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"cannot write stdout: {os.strerror(errno.EPIPE)}"]
+        assert len(opened) == 1 and closed == opened
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_full_device(self, paths):
         hierarchy, rules = paths
@@ -680,15 +716,19 @@ class TestRun:
         assert proc.stderr.splitlines() == [*logged, "0 step(s) applied"]
 
 
+ROOT_NOT_A_LEAF = "usage error: --target 'root' is not a leaf model of {}"
+
+
 class TestRootTarget:
-    """The root has no typing chain above it, so no META pattern matches there."""
+    """The root has no typing chain above it, so no META pattern matches there; it has child
+    models, so `run` and `apply`, which rewrite their target, refuse it."""
 
     @pytest.mark.parametrize(
         "command, extra, code, out_line, err_line",
         [
             ("proliferate", [], 0, "4 MCMT rules -> 0 two-level rules", None),
-            ("apply", ["--rule", "CreatePart"], 1, None, "no proliferated rule named 'CreatePart'"),
-            ("run", ["--steps", "5", "--seed", "0"], 0, None, "0 step(s) applied"),
+            ("apply", ["--rule", "CreatePart"], 2, None, ROOT_NOT_A_LEAF),
+            ("run", ["--steps", "5", "--seed", "0"], 2, None, ROOT_NOT_A_LEAF),
         ],
         ids=["proliferate", "apply", "run"],
     )
@@ -697,9 +737,50 @@ class TestRootTarget:
         assert main([command, hierarchy, rules, "--target", "root", *extra]) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert captured.err.splitlines() == ([err_line] if err_line else [])
+        assert captured.err.splitlines() == ([err_line.format(hierarchy)] if err_line else [])
         if out_line:
             assert captured.out.splitlines()[-1] == out_line
+
+
+# deletes the hammer plant's machines, which type the elements of `hammer_config`
+DROP_MACHINE = """rules P {
+  rule DropMachine {
+    meta { Machine : Node$ mm0 }
+    from { m : Machine }
+    to { }
+  }
+}
+"""
+
+
+class TestNonLeafTarget:
+    """A step deletes and creates elements of its target, which the elements of its child models
+    may be typed by, so `run` and `apply` rewrite only a leaf model; `proliferate`, which
+    rewrites nothing, compiles onto any model."""
+
+    def test_the_rule_passes_the_checks_and_proliferates(self, paths, tmp_path, capsys):
+        hierarchy, _ = paths
+        rules = tmp_path / "drop.mcmt"
+        rules.write_text(DROP_MACHINE)
+        assert main(["rules", "check", str(rules), "--hierarchy", hierarchy]) == 0
+        assert main(["proliferate", hierarchy, str(rules), "--target", "hammer_plant"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1 MCMT rules -> 1 two-level rules"
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("apply", ["--rule", "DropMachine"]), ("run", ["--steps", "1", "--seed", "0"])],
+        ids=["apply", "run"],
+    )
+    def test_a_target_with_child_models_exits_two(self, paths, tmp_path, capsys, command, extra):
+        hierarchy, _ = paths
+        rules = tmp_path / "drop.mcmt"
+        rules.write_text(DROP_MACHINE)
+        assert main([command, hierarchy, str(rules), "--target", "hammer_plant", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"usage error: --target 'hammer_plant' is not a leaf model of {hierarchy}"
+        ]
 
 
 class TestFmt:

@@ -12,7 +12,7 @@ from mlmt.chains import (
     validate_chain_morphism,
 )
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
-from mlmt.errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, TypeMismatch
+from mlmt.errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, MlmtError, TypeMismatch
 from mlmt.graphs import Graph, TotalMorphism
 from mlmt.hierarchy import (
     ElementInfo,
@@ -404,6 +404,11 @@ class TestTypeIndex:
 
 
 class TestRun:
+    def test_a_target_with_child_models_is_refused(self, pls, pls_module):
+        # hammer_config's elements are typed by hammer_plant's, which a step would rewrite
+        with pytest.raises(MlmtError, match="^'hammer_plant' has child models"):
+            run(pls_module.rules, pls, "hammer_plant", 1, seed=0)
+
     def test_trace_is_deterministic_for_a_seed(self, pls, pls_module):
         a = run(pls_module.rules, pls, "hammer_config", 20, seed=5)
         b = run(pls_module.rules, pls, "hammer_config", 20, seed=5)

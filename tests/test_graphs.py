@@ -19,7 +19,6 @@ from mlmt.graphs import (
     build_graph,
     compose_partial,
     fresh_name,
-    inclusion,
     pullback_complement,
     pushout,
     search_plan,
@@ -28,6 +27,7 @@ from mlmt.graphs import (
 from support import (
     brute_force_orphans,
     find_homomorphisms,
+    inclusion,
     oracle_pullback_complement,
     pushout_agrees_with_oracle,
     random_graph,

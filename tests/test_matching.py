@@ -6,7 +6,7 @@ import pytest
 
 from mlmt.chains import validate_chain_morphism
 from mlmt.errors import UnresolvedReference
-from mlmt.hierarchy import parse_hierarchy
+from mlmt.hierarchy import parse_hierarchy, validate_hierarchy
 from mlmt.matching import (
     MetaMatch,
     _element_satisfies,
@@ -82,6 +82,13 @@ class TestFixtureMatches:
         # the root has no typing chain above it at all
         for target in ("generic_plant", "root"):
             assert find_meta_matches(pls_rules["CreatePart"], pls, target) == []
+
+    def test_empty_meta_chain_has_the_root_match_alone(self, pls):
+        # with no META level below the root, the root binding alone is a match, as in the oracle
+        (rule,) = parse_rule_module("rules R { rule Empty { meta { } from { } to { } } }").rules
+        stack = typing_stack(pls, "hammer_config")
+        matches = find_meta_matches(rule, pls, "hammer_config")
+        assert matches == brute_force_meta_matches(rule, stack, pls) == [MetaMatch({0: 0}, {0: {}})]
 
     def test_shallow_pattern_slides_across_levels(self, pls):
         module = parse_rule_module(
@@ -257,3 +264,85 @@ class TestAgainstOracles:
             assert got == want
             nonempty += bool(got)
         assert nonempty >= 100
+
+
+def _pool_document() -> dict:
+    """A valid four-level hierarchy whose `lang` nodes, all typed by the root's `Node`, differ in
+    potency, and whose `lang` arrows, all typed by the root's `Arrow`, differ in multiplicity:
+    META elements with one profile and different tests draw from one candidate set there."""
+
+    def node(name, type_ref, potency="1-1"):
+        return {"name": name, "type": type_ref, "potency": potency}
+
+    def arrow(source, name, target, type_ref, multiplicity="0..n", potency="1-1"):
+        return {"name": name, "source": source, "target": target, "type": type_ref,
+                "potency": potency, "multiplicity": multiplicity}
+
+    return {"models": [
+        {"name": "root", "parent": None, "nodes": [node("Node", "root.Node", "1-2")],
+         "arrows": [arrow("Node", "Arrow", "Node", "root.Arrow", potency="1-2")]},
+        {"name": "lang", "parent": "root",
+         "nodes": [node("Wide", "root.Node", "0-2"), node("Narrow", "root.Node"),
+                   node("Low", "root.Node", "0-1")],
+         "arrows": [arrow("Wide", "one", "Narrow", "root.Arrow", "1..1"),
+                    arrow("Wide", "many", "Low", "root.Arrow", "0..n", "1-2"),
+                    arrow("Narrow", "few", "Low", "root.Arrow", "0..2")]},
+        {"name": "model", "parent": "lang",
+         "nodes": [node("w", "lang.Wide"), node("n", "lang.Narrow"), node("l", "lang.Low")],
+         "arrows": [arrow("w", "o", "n", "lang.one", "1..1"), arrow("w", "m", "l", "lang.many")]},
+        {"name": "leaf", "parent": "model", "nodes": [node("w1", "model.w")], "arrows": []},
+    ]}
+
+
+_POOL_RULES = {
+    "potency": (
+        "rule Low { meta { X : Node mm0 @0-1 } from { x : X } to { x : X } }",
+        "rule Any { meta { X : Node mm0 } from { x : X } to { x : X } }",
+    ),
+    "multiplicity": (
+        "rule Bounded { meta { A : Node mm0  B : Node mm0  r : Arrow mm0  r = A -> B }"
+        " from { a : A  b : B  x : r  x = a -> b } to { a : A  b : B  x : r  x = a -> b } }",
+        "rule Unbounded { meta { A : Node mm0  B : Node mm0  r : Arrow mm0  r = A -> B }"
+        " from { a : A  b : B  x : r  x = a -> b } to { a : A  b : B  x : r  x = a -> b } }",
+    ),
+    "constant": (
+        "rule Named { meta { Narrow : Node$ mm0 } from { n : Narrow } to { n : Narrow } }",
+        "rule Open { meta { Narrow : Node mm0 } from { n : Narrow } to { n : Narrow } }",
+    ),
+}
+
+
+class TestSharedPools:
+    """One `proliferate_all` call shares each stack model's filtered candidate sets among its
+    rules; META elements with one profile and different tests must not share a set."""
+
+    @staticmethod
+    def rules_for(test):
+        first, second = _POOL_RULES[test]
+        rules = list(parse_rule_module(f"rules R {{ {first} {second} }}").rules)
+        if test == "multiplicity":  # the rule language has no META multiplicity
+            meta = tuple(e._replace(multiplicity=(0, None)) if e.name == "r" else e
+                         for e in rules[0].meta_elements)
+            rules[0] = rules[0]._replace(meta_elements=meta)
+        return rules
+
+    def test_the_document_is_valid(self):
+        assert validate_hierarchy(parse_hierarchy(json.dumps(_pool_document()))) == []
+
+    @pytest.mark.parametrize("test", sorted(_POOL_RULES))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["filtered-first", "filtered-last"])
+    def test_each_rule_keeps_its_own_test(self, test, reverse):
+        h = parse_hierarchy(json.dumps(_pool_document()))
+        rules = self.rules_for(test)
+        rules = rules[::-1] if reverse else rules
+        per_rule = proliferate_all(rules, h, "leaf")
+        stack = typing_stack(h, "leaf")
+        wants = []
+        for rule in rules:
+            matches = {id(r.source_match): r.source_match for r in per_rule[rule.name]}.values()
+            got = Counter(map(meta_match_key, matches))
+            want = Counter(map(meta_match_key, brute_force_meta_matches(rule, stack, h)))
+            assert got == want, rule.name
+            wants.append(want)
+        # the two tests pick different, non-empty match sets from one profile
+        assert all(wants) and wants[0] != wants[1]
