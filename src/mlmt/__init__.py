@@ -17,7 +17,6 @@ from .chains import (
     lift,
     refactor_inclusion_chain,
     typing_to_chain,
-    validate_chain_morphism,
 )
 from .engine import (
     ApplicationResult,
@@ -43,9 +42,9 @@ from .hierarchy import (
     ModelNode,
     MultilevelHierarchy,
     build_hierarchy,
+    hierarchy_to_json,
     load_hierarchy,
     parse_hierarchy,
-    save_hierarchy,
     validate_hierarchy,
 )
 from .matching import (

@@ -17,7 +17,7 @@ read off the hierarchy by `transitive_type_at`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     CompatibilityViolation,
@@ -160,49 +160,6 @@ def lift(
         for i, g in enumerate(src.graphs)
     }
     return ChainMorphism(src, dst, dict(f), components)
-
-
-def validate_chain_morphism(cm: ChainMorphism) -> List[str]:
-    """Check Def.-2 conditions; returns one message per failure."""
-    problems: List[str] = []
-    n, m = cm.src.length, cm.dst.length
-    if n > m:
-        problems.append(f"source chain deeper than target ({n} > {m})")
-        return problems
-    if cm.level_map.get(0) != 0:
-        problems.append("level map must fix level 0")
-    for i in range(n):
-        if cm.level_map[i] >= cm.level_map[i + 1]:
-            problems.append(
-                f"level map not strictly monotone at {i} -> {i + 1}"
-            )
-    for i in range(n + 1):
-        comp = cm.components[i]
-        if comp.src.elements != cm.src.graph_at(i).elements:
-            problems.append(f"component {i} has wrong source graph")
-        if comp.dst.elements != cm.dst.graph_at(cm.level_map[i]).elements:
-            problems.append(f"component {i} has wrong target graph")
-    if problems:
-        return problems
-
-    for j in range(1, n + 1):
-        for i in range(j):
-            tau_g = cm.src.typing(j, i)
-            tau_h = cm.dst.typing(cm.level_map[j], cm.level_map[i])
-            phi_i, phi_j = cm.components[i], cm.components[j]
-            for elem in sorted(cm.src.graph_at(j).nodes) + sorted(
-                cm.src.graph_at(j).arrows
-            ):
-                image = phi_j(elem)
-                if tau_g.defined_on(elem) != tau_h.defined_on(image):
-                    problems.append(
-                        f"typing not reflected at levels ({j},{i}) on {elem!r}"
-                    )
-                elif tau_g.defined_on(elem) and phi_i(tau_g(elem)) != tau_h(image):
-                    problems.append(
-                        f"typing square ({j},{i}) does not commute on {elem!r}"
-                    )
-    return problems
 
 
 class MultilevelTyping(Record):

@@ -111,9 +111,10 @@ def apply_two_level_rule(
     h: MultilevelHierarchy,
     at: Optional[TotalMorphism] = None,
 ) -> Tuple[List[ApplicationResult], List[str]]:
-    """Apply at every (or one given) match; returns successors and a report
-    of matches skipped because deletion would leave dangling arrows.  A given
-    match must map the rule's left pattern into the model's graph."""
+    """Apply at every (or one given) match in a leaf model (`_require_leaf`); returns successors
+    and a report of matches skipped because deletion would leave dangling arrows.  A given match
+    must map the rule's left pattern into the model's graph."""
+    _require_leaf(h, model.name)
     if at is not None:
         g, lhs = model.graph, rule.lhs
         if (at.dst is not g and at.dst != g) or (at.src is not lhs and at.src != lhs):
@@ -137,6 +138,12 @@ def apply_two_level_rule(
         except DanglingDeletion as err:
             report.append(f"{rule.name}: skipped match, {err}")
     return successors, report
+
+
+def _require_leaf(h: MultilevelHierarchy, name: str) -> None:
+    """Only a leaf model is rewritten: the elements of a model with child models may type theirs."""
+    if any(m.parent == name for m in h.models.values()):
+        raise MlmtError(f"{name!r} has child models; only a leaf model can be rewritten")
 
 
 def _apply_at(
@@ -249,18 +256,6 @@ class TraceStep(Record):
                  created: Tuple[ElementKey, ...], deleted: Tuple[ElementKey, ...]):
         self.__dict__.update(step=step, rule=rule, match=match, created=created, deleted=deleted)
 
-    def to_json(self) -> dict:
-        def key(e: ElementKey):
-            return list(e) if isinstance(e, tuple) else e
-
-        return {
-            "step": self.step,
-            "rule": self.rule,
-            "match": {k: key(v) for k, v in self.match.items()},
-            "created": [key(e) for e in self.created],
-            "deleted": [key(e) for e in self.deleted],
-        }
-
 
 class ExecutionTrace(Record):
     def __init__(self, steps: Tuple[TraceStep, ...], final: MultilevelHierarchy, stop: str):
@@ -268,8 +263,8 @@ class ExecutionTrace(Record):
         self.__dict__.update(steps=steps, final=final, stop=stop)
 
     def to_json_lines(self) -> str:
-        """One line per step, as `json.dumps(step.to_json(), sort_keys=True)` writes it; the
-        encoder writes a tuple as an array, so the steps' fields are encoded as they are."""
+        """What `mlmt run --trace FILE` writes: per step, the line `json.dumps(d, sort_keys=True)`
+        of the dict `d` of its `created`, `deleted`, `match`, `rule` and `step`, arrows as arrays."""
         import json
 
         encode = json.JSONEncoder(sort_keys=True).encode
@@ -345,9 +340,8 @@ def run(
 ) -> ExecutionTrace:
     """Seeded uniform scheduling of proliferated rules until quiescence: a step draws from the
     live `_LiveMatches.matches`, and drops a draw that dangles and draws again from the rest.
-    Only a leaf model is rewritten: the elements of a model with child models may type theirs."""
-    if any(m.parent == target_model for m in h.models.values()):
-        raise MlmtError(f"{target_model!r} has child models; only a leaf model can be rewritten")
+    Only a leaf model is rewritten (`_require_leaf`)."""
+    _require_leaf(h, target_model)
     compiled: List[TwoLevelRule] = []
     indexes: Dict[str, TypeIndex] = {}  # the rules share one per stack model
     for rule in rules:

@@ -626,9 +626,3 @@ def hierarchy_to_json(h: MultilevelHierarchy) -> dict:
             {"name": m.name, "parent": m.parent, "nodes": nodes, "arrows": arrows}
         )
     return out
-
-
-def save_hierarchy(h: MultilevelHierarchy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hierarchy_to_json(h), fh, indent=2, sort_keys=False)
-        fh.write("\n")

@@ -242,6 +242,16 @@ MUTANTS = [
         "new": "",
         "tests": ["tests/test_graphs.py::TestBuildGraph::test_rejects_duplicate_nodes"],
     },
+    {
+        "name": "the leaf check admits every model",
+        "file": "mlmt/engine.py",
+        "old": "if any(m.parent == name for m in h.models.values()):",
+        "new": "if False:",
+        "tests": [
+            "tests/test_engine.py::TestTwoLevelApplication::test_a_model_with_child_models_is_refused",
+            "tests/test_engine.py::TestRun::test_a_target_with_child_models_is_refused",
+        ],
+    },
 ]
 
 

@@ -166,12 +166,19 @@ def chain_conditions_hold(graphs, typings) -> Optional[str]:
 
 
 def chain_morphism_conditions_hold(cm) -> bool:
-    """Direct evaluation of the chain morphism conditions."""
+    """Direct evaluation of the chain morphism conditions: the level map, each component's
+    source and target graph, then the typing squares."""
     n, m = cm.src.length, cm.dst.length
-    if n > m or cm.level_map[0] != 0:
+    if n > m or cm.level_map.get(0) != 0:
         return False
     for i in range(n):
         if cm.level_map[i] >= cm.level_map[i + 1]:
+            return False
+    for i in range(n + 1):
+        comp = cm.components[i]
+        if comp.src.elements != cm.src.graph_at(i).elements:
+            return False
+        if comp.dst.elements != cm.dst.graph_at(cm.level_map[i]).elements:
             return False
     for j in range(1, n + 1):
         for i in range(j):

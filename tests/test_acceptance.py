@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 
-from mlmt.chains import derive_typing_chain, typing_to_chain, validate_chain_morphism
+from mlmt.chains import derive_typing_chain, typing_to_chain
 from mlmt.engine import apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import DanglingDeletion
 from mlmt.graphs import (
@@ -259,7 +259,6 @@ def test_criterion_7_randomized_construction_oracles(pls, pls_module):
             assert chain_conditions_hold(list(chain.graphs), typings) is None
             assert compatibility_holds(mt)
             _, cm = typing_to_chain(mt)
-            assert validate_chain_morphism(cm) == []
             assert chain_morphism_conditions_hold(cm)
 
 

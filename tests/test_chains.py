@@ -13,7 +13,6 @@ from mlmt.chains import (
     derive_typing_chain,
     refactor_inclusion_chain,
     typing_to_chain,
-    validate_chain_morphism,
 )
 from mlmt.errors import (
     CompatibilityViolation,
@@ -141,7 +140,6 @@ class TestChainMorphism:
         graphs, typings = simple_chain()
         chain = build_chain(graphs, typings)
         cm = self.identity_morphism(chain, chain, {i: i for i in range(3)})
-        assert validate_chain_morphism(cm) == []
         assert chain_morphism_conditions_hold(cm)
 
     def test_detects_non_monotone_level_map(self):
@@ -161,28 +159,28 @@ class TestChainMorphism:
                 for i in range(3)
             },
         )
-        assert any("monotone" in p for p in validate_chain_morphism(cm))
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_reports_a_source_deeper_than_its_target(self):
         graphs, typings = simple_chain()
         deep = build_chain(graphs, typings)
         shallow = build_chain(graphs[:2], {(1, 0): typings[(1, 0)]})
         cm = ChainMorphism(deep, shallow, {0: 0, 1: 1, 2: 1}, {})
-        assert validate_chain_morphism(cm) == ["source chain deeper than target (2 > 1)"]
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_reports_a_level_map_that_moves_level_zero(self):
         graphs, typings = simple_chain()
         chain = build_chain(graphs, typings)
         lower = build_chain(graphs[1:], {(1, 0): typings[(2, 1)]})
         cm = self.identity_morphism(lower, chain, {0: 1, 1: 2})
-        assert validate_chain_morphism(cm) == ["level map must fix level 0"]
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_reports_a_component_with_the_wrong_source(self):
         graphs, typings = simple_chain()
         chain = build_chain(graphs, typings)
         cm = self.identity_morphism(chain, chain, {i: i for i in range(3)})
         cm.components[1] = TotalMorphism(graphs[2], graphs[1], {"p": "x"}, {})
-        assert validate_chain_morphism(cm) == ["component 1 has wrong source graph"]
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_reports_a_typing_the_target_has_and_the_source_lacks(self):
         g0 = build_graph("g0", ["N"], [])
@@ -199,7 +197,7 @@ class TestChainMorphism:
 
         src, dst = chain({"p": "x"}), chain({"p": "x", "q": "x"})
         cm = self.identity_morphism(src, dst, {i: i for i in range(3)})
-        assert validate_chain_morphism(cm) == ["typing not reflected at levels (2,1) on 'q'"]
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_reports_a_typing_square_that_does_not_commute(self):
         g0 = build_graph("g0", ["N", "M"], [])
@@ -207,7 +205,7 @@ class TestChainMorphism:
         src = build_chain([g0, g1], {(1, 0): PartialMorphism(g1, g0, {"x": "N"}, {})})
         dst = build_chain([g0, g1], {(1, 0): PartialMorphism(g1, g0, {"x": "M"}, {})})
         cm = self.identity_morphism(src, dst, {0: 0, 1: 1})
-        assert validate_chain_morphism(cm) == ["typing square (1,0) does not commute on 'x'"]
+        assert not chain_morphism_conditions_hold(cm)
 
     def test_detects_unreflected_typing(self):
         g0 = build_graph("g0", ["N"], [])
@@ -236,8 +234,7 @@ class TestChainMorphism:
                 1: TotalMorphism(g2, g2, {"p": "p"}, {}),
             },
         )
-        assert validate_chain_morphism(cm) == []  # (1,0) square holds fine
-        assert chain_morphism_conditions_hold(cm)
+        assert chain_morphism_conditions_hold(cm)  # the (1,0) square holds fine
 
 
 class TestMultilevelTyping:
@@ -333,7 +330,7 @@ class TestMultilevelTyping:
         )
         incl_chain, cm = typing_to_chain(mt)
         assert incl_chain.is_inclusion_chain()
-        assert validate_chain_morphism(cm) == []
+        assert chain_morphism_conditions_hold(cm)
         assert incl_chain.graph_at(1).nodes == frozenset({"q"})
 
     def test_random_derived_typings_are_compatible(self):
@@ -345,7 +342,6 @@ class TestMultilevelTyping:
             check_compatibility(mt)
             assert compatibility_holds(mt)
             incl_chain, cm = typing_to_chain(mt)
-            assert validate_chain_morphism(cm) == []
             assert chain_morphism_conditions_hold(cm)
 
 

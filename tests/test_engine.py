@@ -9,7 +9,6 @@ from mlmt.chains import (
     build_chain,
     chain_pullback_complement,
     chain_pushout,
-    validate_chain_morphism,
 )
 from mlmt.engine import TypeIndex, apply_mcmt, apply_two_level_rule, run, typed_matches
 from mlmt.errors import DanglingDeletion, GraphMismatch, IncompatibleMatch, MlmtError, TypeMismatch
@@ -24,7 +23,13 @@ from mlmt.hierarchy import (
 from mlmt.matching import TwoLevelRule, proliferate, typing_stack
 from mlmt.rules import expand_cardinalities, parse_rule_module
 
-from support import random_hierarchy, random_mcmt_rule, random_two_level_rule
+from support import (
+    chain_morphism_conditions_hold,
+    random_hierarchy,
+    random_mcmt_rule,
+    random_two_level_rule,
+)
+from test_cli import DROP_MACHINE
 from test_matcher_order import live_steps, two_steps
 
 
@@ -128,6 +133,17 @@ class TestTwoLevelApplication:
         (got,) = apply_two_level_rule(rule, model, pls, at=equal)[0]
         assert got.model == want.model
         assert validate_hierarchy(pls.with_model(got.model)) == []
+
+    def test_a_model_with_child_models_is_refused(self, pls):
+        # deleting a machine of hammer_plant would leave hammer_config's elements typed by
+        # nothing; `run` refuses the same target with the same message
+        (rule,) = proliferate(parse_rule_module(DROP_MACHINE).rules[0], pls, "hammer_plant")
+        model = pls.model("hammer_plant")
+        matches = typed_matches(rule, model, pls)
+        assert matches
+        for at in (None, matches[0]):
+            with pytest.raises(MlmtError, match="^'hammer_plant' has child models"):
+                apply_two_level_rule(rule, model, pls, at=at)
 
     def test_incompatible_match_is_refused_by_the_direct_route(self, pls, pls_rules):
         rules = two_level_rules(pls, pls_rules, "CreatePart")
@@ -299,7 +315,7 @@ class TestDirectApplication:
             for g, h in zip(sub.graphs, sup.graphs):
                 assert g.nodes <= h.nodes and g.arrows <= h.arrows
         for cm in seen:
-            assert validate_chain_morphism(cm) == []
+            assert chain_morphism_conditions_hold(cm)
             for c in (cm.src, cm.dst):
                 # refactor_inclusion_chain skips this re-check as valid by construction
                 assert build_chain(c.graphs, c.typings) == c
@@ -425,14 +441,6 @@ class TestRun:
             payload = json.loads(line)
             assert payload["step"] == i
             assert set(payload) == {"step", "rule", "match", "created", "deleted"}
-
-    def test_trace_lines_are_each_steps_json_dumps(self, pls, pls_module):
-        # the bytes `mlmt run` writes and the golden digests hash
-        trace = run(pls_module.rules, pls, "hammer_config", 30, seed=4)
-        lines = [json.dumps(s.to_json(), sort_keys=True) for s in trace.steps]
-        assert len(lines) == 30
-        assert trace.to_json_lines() == "\n".join(lines) + "\n"
-        assert run([], pls, "hammer_config", 10, seed=0).to_json_lines() == ""
 
     def test_empty_rule_list_gives_empty_trace(self, pls):
         trace = run([], pls, "hammer_config", 10, seed=0)

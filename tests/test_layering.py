@@ -122,3 +122,37 @@ def test_each_module_uses_what_it_imports():
     # `__init__` imports to re-export, so it is not checked
     unused = {name: unused_imports(name) for name in LAYERS}
     assert unused == {name: [] for name in LAYERS}
+
+
+# the top-level definitions that no other code of the package reads, each with why it stays
+UNREAD = {"engine.apply_mcmt": "the direct-route oracle that the tests check the compiled route by"}
+
+
+def unreferenced_definitions() -> list:
+    """`module.name` of each top-level `def` or `class` of the package whose name no code of
+    the package reads outside that definition; `__init__` only re-exports, so it does not
+    count as a reader.  A relative import reads the name it imports, as `run as run_engine`
+    does: `test_each_module_uses_what_it_imports` checks that the import is read in turn."""
+    trees = {name: parsed(name) for name in LAYERS}
+    read = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    read.setdefault(alias.name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                inside = {id(n) for n in ast.walk(d)}
+                if all(id(n) in inside for n in read.get(d.name, ())):
+                    found.append(f"{module}.{d.name}")
+    return sorted(found)
+
+
+def test_every_definition_is_read_by_the_package():
+    assert unreferenced_definitions() == sorted(UNREAD)
