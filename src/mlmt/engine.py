@@ -70,13 +70,21 @@ def typed_matches(
     return [_morphism(rule, model.graph, m) for m in found]
 
 
-def _anchor_plans(lhs: Graph) -> Dict[ElementKey, List[tuple]]:
+def _anchor_plans(lhs: Graph) -> Dict[ElementKey, Tuple[List[tuple], tuple]]:
     """For each arrow of a left graph, and each node without arrows, the `search_plan` of the
-    matches that fix its image (an arrow's ends with it): where a `run` step searches from."""
+    matches that fix its image (an arrow's ends with it), where a `run` step searches from, and
+    its joins: each other arrow at a fixed end with that end's position in the anchor's image,
+    0 for its source and 2 for its target, once for each end it touches."""
     nodes, arrows = sorted(lhs.nodes), sorted(lhs.arrows)
     ends = [(a, a[0], a[2]) for a in arrows]
-    plans = {n: search_plan(nodes, ends, (n,)) for n in nodes if not lhs.incident(n)}
-    plans.update({a: search_plan(nodes, ends, (a, a[0], a[2])) for a in arrows})
+    plans = {n: (search_plan(nodes, ends, (n,)), ()) for n in nodes if not lhs.incident(n)}
+    for a in arrows:
+        joins = tuple(
+            (b, 0 if end == a[0] else 2)
+            for b in arrows if b != a
+            for end in sorted({b[0], b[2]} & {a[0], a[2]})
+        )
+        plans[a] = (search_plan(nodes, ends, (a, a[0], a[2])), joins)
     return plans
 
 
@@ -287,9 +295,13 @@ class _LiveMatches:
     a pattern node from a created node that carries its profile (RETE's alpha network at the
     level of pattern elements), a pattern arrow from a created arrow that entered the
     `TypeIndex.by_ends` group of its profile and its ends' profiles (RETE's beta network, which
-    joins an arrow with its ends).  Each rule's pools are built once, for its initial search and
-    its anchors, each distinct left graph's `_anchor_plans` once per run, and a rule with an
-    empty pool is not searched at the start.
+    joins an arrow with its ends).  A search from an arrow starts only where its join with the
+    pattern's other arrows at its ends is non-empty: each of them has the image of the end it
+    shares as a key of its `by_ends` groups.  A match needs that, and the search would test it
+    anyway, so the check changes no result and only spares searches that find nothing.  Each
+    rule's pools are built once, for its initial search and its anchors, each distinct left
+    graph's `_anchor_plans` once per run, and a rule with an empty pool is not searched at the
+    start.
 
     A created node is searched only for pattern nodes without arrows.  It is new (`fresh_name`
     avoids every node of the model, and no arrow ends at a name the model lacks), so every arrow
@@ -300,9 +312,10 @@ class _LiveMatches:
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
         self.index, self.matches = TypeIndex(h, model), []
-        # (kind, key) -> (rule index, pattern element, `_anchored`'s other arguments) for each
-        # element of `_anchor_plans`: an arrow's key is its `by_ends` key, a node's its profile;
-        # `index.step` updates the pools in place
+        # (kind, key) -> (joins, rule index, pattern element, `_anchored`'s other arguments) for
+        # each element of `_anchor_plans`: an arrow's key is its `by_ends` key, a node's its
+        # profile, and each join is the rule's `by_ends` groups of the joined arrow with the
+        # position of its end in the anchor's image; `index.step` updates pools and groups in place
         self.anchors: Dict[tuple, List[tuple]] = {}
         plans = {lhs: _anchor_plans(lhs) for lhs in {r.lhs for r in rules}}
         for i, r in enumerate(rules):
@@ -310,10 +323,11 @@ class _LiveMatches:
             order, pools = tuple(pattern), self.index.pools(pattern)
             found = typed_matches(r, model, h, pools=pools)
             self.matches += [(i, tuple(m(e) for e in order)) for m in found]
-            for p, plan in plans[r.lhs].items():
+            for p, (plan, joins) in plans[r.lhs].items():
                 kind = isinstance(p, tuple)
                 key = (pattern[p], pattern[p[0]], pattern[p[2]]) if kind else pattern[p]
-                self.anchors.setdefault((kind, key), []).append((i, p, order, plan, *pools))
+                joins = tuple((pools[1][b], end) for b, end in joins)
+                self.anchors.setdefault((kind, key), []).append((joins, i, p, order, plan, *pools))
 
     def step(self, result: ApplicationResult) -> None:
         """Move to the bottom model `result` made."""
@@ -325,8 +339,9 @@ class _LiveMatches:
         for x, keys in created.items():
             kind = isinstance(x, tuple)
             for key in keys:
-                for i, p, order, plan, pools, incidence in self.anchors.get((kind, key), ()):
-                    new.update((i, t) for t in _anchored(order, plan, pools, incidence, x, p))
+                for joins, i, p, order, plan, pools, incidence in self.anchors.get((kind, key), ()):
+                    if all(x[end] in groups for groups, end in joins):
+                        new.update((i, t) for t in _anchored(order, plan, pools, incidence, x, p))
         for m in new:
             insort(self.matches, m)
 

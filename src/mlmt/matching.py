@@ -110,21 +110,25 @@ class TypeIndex:
     A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
     Above its model an element has its direct type's types, as that lies higher, so a profile is
     decided once per direct type, and each kind and direct type maps to the profiles asked of the
-    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile
-    with the profiles of its ends.  In `run` a step only deletes and creates elements of the
-    bottom model, and the survivors keep their types: `step` updates by that delta the candidate
-    sets and the joined arrows of the profiles each element carries, and reports the joined
-    groups each created arrow enters (the beta network).  All META searches of one proliferation
-    call read one index per stack model, and never change its sets.  `filtered` keeps for those
-    searches the candidates of each profile that pass a META element's test, keyed by (kind,
-    profile, constant name or None, potency, multiplicity), so rules and levels that ask the same
-    test share one set, which no one may change.  `run`'s own index of its target model is the
+    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile with
+    the profiles of its ends, groups the joined arrows under each end, and drops an end whose group
+    empties, so an end is a key exactly while a joined arrow touches it.  In `run` a step only
+    deletes and creates elements of the bottom model, and the survivors keep their types: `step`
+    updates by that delta the candidate sets and the joined arrows of the profiles each element
+    carries, and reports the joined groups each created arrow enters (the beta network).  `joined`
+    keeps each join with the two end candidate sets it reads and the groups it writes, so an update
+    reads an element's info once and looks up no set by its key.  All META searches of one
+    proliferation call read one index per stack model, and never change its sets.  `filtered` keeps
+    for those searches the candidates of each profile that pass a META element's test, keyed by
+    (kind, profile, constant name or None, potency, multiplicity), so rules and levels that ask the
+    same test share one set, which no one may change.  `run`'s own index of its target model is the
     one that `step` changes, and no META search reads it."""
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
         self.h, self.model, self.found, self.ends, self.filtered = h, model, {}, {}, {}
         self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
-        self.joined: Dict[tuple, List[Tuple[tuple, tuple]]] = {}  # arrow profile -> end profiles
+        # arrow profile -> its `by_ends` keys, each with its ends' candidate sets and its groups
+        self.joined: Dict[tuple, List[Tuple[tuple, Set[ElementKey], Set[ElementKey], dict]]] = {}
         self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
         for e in (*model.graph.nodes, *model.graph.arrows):
             self.groups.setdefault((isinstance(e, tuple), model.info_for(e).direct_type), set()).add(e)
@@ -145,16 +149,16 @@ class TypeIndex:
         """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
         returns a node's `profiles`, or the `by_ends` keys whose groups an added arrow entered."""
         kind = isinstance(e, tuple)
+        key = (kind, self.model.info_for(e).direct_type)
         change = set.add if add else set.remove
-        change(self.groups.setdefault((kind, self.model.info_for(e).direct_type), set()), e)
-        profiles, entered = self.profiles(e), []
+        change(self.groups.setdefault(key, set()), e)
+        profiles, entered = self.profiles(e, key), []
         for profile in profiles:
             change(self.found[kind, profile], e)
-            for source, target in self.joined.get(profile, ()) if kind else ():
-                groups = self.ends[profile, source, target]
+            for join, sources, targets, groups in self.joined.get(profile, ()) if kind else ():
                 if add:
-                    if e[0] in self.found[False, source] and e[2] in self.found[False, target]:
-                        entered.append((profile, source, target))
+                    if e[0] in sources and e[2] in targets:
+                        entered.append(join)
                         for end in {e[0], e[2]}:
                             groups.setdefault(end, set()).add(e)
                 elif e in groups.get(e[0], ()):
@@ -164,16 +168,15 @@ class TypeIndex:
                             del groups[end]
         return entered if kind else profiles
 
-    def profiles(self, e: ElementKey) -> List[tuple]:
-        """The profiles asked of this index so far that the model's element `e` carries."""
-        kind = isinstance(e, tuple)
-        key = (kind, self.model.info_for(e).direct_type)
+    def profiles(self, e: ElementKey, key: Tuple[bool, TypeRef]) -> List[tuple]:
+        """The profiles asked of this index so far that the model's element `e` carries, given
+        `key`, its kind (whether it is an arrow) and its direct type."""
         if key not in self.held:
             n = self.model.level
             self.held[key] = [
                 (p, any(lvl >= n for lvl, _ in p))
                 for arrows, p in self.found
-                if arrows == kind and self._holds(key[1], p)
+                if arrows == key[0] and self._holds(key[1], p)
             ]
         return [p for p, own in self.held[key] if not own or self._own(e, p)]
 
@@ -198,10 +201,10 @@ class TypeIndex:
         key = (profile, source, target)
         if key not in self.ends:
             sources, targets = self.candidates(False, source), self.candidates(False, target)
-            self.ends[key] = group_by_end(
+            groups = self.ends[key] = group_by_end(
                 a for a in self.candidates(True, profile) if a[0] in sources and a[2] in targets
             )
-            self.joined.setdefault(profile, []).append((source, target))
+            self.joined.setdefault(profile, []).append((key, sources, targets, groups))
         return self.ends[key]
 
     def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:

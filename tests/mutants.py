@@ -252,6 +252,32 @@ MUTANTS = [
             "tests/test_engine.py::TestRun::test_a_target_with_child_models_is_refused",
         ],
     },
+    {
+        "name": "the join check admits every anchor",
+        "file": "mlmt/engine.py",
+        "old": "if all(x[end] in groups for groups, end in joins):",
+        "new": "if True:",
+        "tests": [
+            "tests/test_engine.py::TestRun::test_a_run_plans_and_searches_only_where_a_match_can_exist",
+        ],
+    },
+    {
+        "name": "the join check reads the other end of the anchor arrow",
+        "file": "mlmt/engine.py",
+        "old": "(b, 0 if end == a[0] else 2)",
+        "new": "(b, 2 if end == a[0] else 0)",
+        "tests": [SCHEDULE, "tests/test_long_run.py", MAINTAINED],
+    },
+    {
+        "name": "a stored join adds an arrow under its source end only",
+        "file": "mlmt/matching.py",
+        "old": "groups.setdefault(end, set()).add(e)",
+        "new": "groups.setdefault(e[0], set()).add(e)",
+        "tests": [
+            MAINTAINED,
+            "tests/test_matcher_order.py::test_anchor_table_steps_agree_with_the_exhaustive_search",
+        ],
+    },
 ]
 
 

@@ -182,13 +182,29 @@ def test_anchored_matches_on_random_steps():
 
 def _rule_around(rng, h, model, x):
     """A rule whose left pattern is the element `x` of `model`, with an
-    arrow's ends, and whose level types are its own types at random levels
-    above the model, so that it matches at `x`, and at its look-alikes."""
-    if isinstance(x, tuple):
-        like = {"y0": x[0], "y1": x[2]} if x[0] != x[2] else {"y0": x[0]}
-        like[("y0", "b", "y1" if x[0] != x[2] else "y0")] = x
-    else:
-        like = {"y0": x}
+    arrow's ends and, half the time, another arrow of the model at one of
+    them, with its ends, and whose level types are its own types at random
+    levels above the model, so that it matches at `x`, and at its
+    look-alikes.  A search from either arrow then joins with the other."""
+    if not isinstance(x, tuple):
+        return _rule_like(rng, h, model, {"y0": x})
+    names = {}  # image -> pattern node
+
+    def node(image):
+        return names.setdefault(image, f"y{len(names)}")
+
+    like = {(node(x[0]), "b", node(x[2])): x}
+    beside = sorted(a for a in model.graph.arrows if a != x and {a[0], a[2]} & {x[0], x[2]})
+    if beside and rng.random() < 0.5:
+        z = rng.choice(beside)
+        like[node(z[0]), "c", node(z[2])] = z
+    like.update({name: image for image, name in names.items()})
+    return _rule_like(rng, h, model, like)
+
+
+def _rule_like(rng, h, model, like):
+    """A rule whose left pattern is the elements of `like`, each with its
+    image's types at random levels above the model."""
     nodes = frozenset(e for e in like if not isinstance(e, tuple))
     lhs = Graph(model.name, nodes, frozenset(like) - nodes)
     levels = sorted(rng.sample(range(model.level), rng.randint(0, model.level)), reverse=True)
@@ -199,19 +215,54 @@ def _rule_around(rng, h, model, x):
     return TwoLevelRule("Around", lhs, lhs, lhs, {}, level_types, "Around", None)
 
 
+def _anchorable(rule, h, model, x):
+    """The arrows of the rule's left pattern that the model's arrow `x` can
+    stand for by its and its ends' level types, found without an index."""
+    def typed(e, img):
+        return all(
+            transitive_type_at(h, model.name, img, level) == want
+            for level, want in rule.level_types[e]
+        )
+
+    return [
+        p for p in sorted(rule.lhs.arrows)
+        if typed(p, x) and typed(p[0], x[0]) and typed(p[2], x[2])
+    ]
+
+
+def _beside_loop_or_both_ends(lhs, p):
+    """Whether another arrow of `lhs` is a loop at an end of `p`, or joins
+    both ends of `p`."""
+    ends = {p[0], p[2]}
+    return any(
+        b != p and ({b[0], b[2]} == ends or (b[0] == b[2] and b[0] in ends))
+        for b in lhs.arrows
+    )
+
+
 def test_anchor_table_steps_agree_with_the_exhaustive_search(monkeypatch):
     # after `_LiveMatches.step` on a made-up delta, each rule's kept list is
     # the exhaustive search's on the grown model, in `rule.pattern` order;
     # the anchored searches behind it start from nodes, arrows and loops, and
-    # a match through a created arrow with a created end is still found
+    # a match through a created arrow with a created end is still found.  A
+    # created arrow that can stand for a pattern arrow by its types, and from
+    # which no search starts, was refused by the join with the pattern's other
+    # arrows at its ends; such refusals of arrows, of loops, and of anchors
+    # next to a loop or to an arrow that joins both their ends are counted,
+    # and the lists still match, so no refusal loses a match
     rng = random.Random(1970)
-    seen = dict.fromkeys(["node anchor", "arrow anchor", "loop anchor", "created end"], 0)
-    anchored = engine._anchored
+    seen = dict.fromkeys(
+        ["node anchor", "arrow anchor", "loop anchor", "created end", "refused arrow",
+         "refused loop", "refused beside a loop or a both-ends arrow"],
+        0,
+    )
+    anchored, searched = engine._anchored, set()
 
     def counting(order, plan, pools, incidence, x, p):
         found = anchored(order, plan, pools, incidence, x, p)
         kind = "node" if not isinstance(x, tuple) else "loop" if x[0] == x[2] else "arrow"
         seen[f"{kind} anchor"] += bool(found)
+        searched.add((id(pools), p, x))
         return found
 
     monkeypatch.setattr(engine, "_anchored", counting)
@@ -225,10 +276,19 @@ def test_anchor_table_steps_agree_with_the_exhaustive_search(monkeypatch):
         rules = [random_two_level_rule(rng, h_after, after) for _ in range(2)]
         rules.append(_rule_around(rng, h_after, after, rng.choice(created)))
         live = engine._LiveMatches(rules, h, before.name)
+        searched.clear()
         live.step(engine.ApplicationResult(after, None, tuple(created), tuple(deleted)))
-        for rule, found in zip(rules, per_rule(live, len(rules))):
+        pools_of = {e[1]: id(e[5]) for entries in live.anchors.values() for e in entries}
+        for i, (rule, found) in enumerate(zip(rules, per_rule(live, len(rules)))):
             want = filtered_homomorphisms(rule, after, h_after)
             assert found == [tuple(m(e) for e in rule.pattern) for m in want]
+            for x in (c for c in created if isinstance(c, tuple)):
+                for p in _anchorable(rule, h_after, after, x):
+                    if (pools_of[i], p, x) in searched:
+                        continue
+                    seen["refused loop" if x[0] == x[2] else "refused arrow"] += 1
+                    beside = _beside_loop_or_both_ends(rule.lhs, p)
+                    seen["refused beside a loop or a both-ends arrow"] += beside
         skipped = {a for a in created if isinstance(a, tuple) and (a[0] in created or a[2] in created)}
         seen["created end"] += any(not skipped.isdisjoint(t) for _, t in live.matches)
     assert min(seen.values()) >= 20, seen
