@@ -9,7 +9,7 @@ subgraphs of it at levels 1..m and identity typings on their intersections
 pullback-complement twin drive direct rule application on a whole typing
 chain at once.  Like their graph twins, they take the rule's chains, not
 morphisms between them: `chain_pushout(I, m) -> (D, d)` with L = m.src, and
-`chain_pullback_complement(R, d) -> (T, t_in)` with I = d.src; each checks
+`chain_pullback_complement(R, d) -> T` with I = d.src; each checks
 that the leg is a subgraph of I at every level.  The typing chain they
 rewrite is the one a hierarchy's root path induces (`derive_typing_chain`),
 read off the hierarchy by `transitive_type_at`.
@@ -301,23 +301,20 @@ def chain_pushout(I: GraphChain, m: ChainMorphism) -> Tuple[GraphChain, ChainMor
     return D, lift(d0, I, D, f)
 
 
-def chain_pullback_complement(
-    R: GraphChain, d: ChainMorphism
-) -> Tuple[GraphChain, ChainMorphism]:
+def chain_pullback_complement(R: GraphChain, d: ChainMorphism) -> GraphChain:
     """Pullback complement of R c-> I -(d,f)-> D for inclusion chains, where
     R must be a subgraph of I = d.src at every level.
 
     Mirrors the two-step pushout: deletes the d-images of I minus R at the
-    base and intersects the upper levels with the survivors.  Returns
-    (T, t_in) with t_in: R -> T; T is a subgraph of D at every level.
+    base and intersects the upper levels with the survivors.  Returns T, a
+    subgraph of D at every level; the chain morphism R -> T is d restricted
+    to R.
     """
     I, D = d.src, d.dst
     _require_rule_leg(R, I)
     _require_inclusion_chains(R, I, D)
 
-    T0, t_in0 = pullback_complement(R.graph_at(0), d.component(0))
-
-    T = refactor_inclusion_chain(  # T0 is named after D's level 0
+    T0 = pullback_complement(R.graph_at(0), d.component(0))
+    return refactor_inclusion_chain(  # T0 is named after D's level 0
         T0, [Graph(g.name, g.nodes & T0.nodes, g.arrows & T0.arrows) for g in D.graphs[1:]]
     )
-    return T, lift(t_in0, R, T, d.level_map)

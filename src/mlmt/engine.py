@@ -62,11 +62,9 @@ def typed_matches(
     pools, incidence = pools or TypeIndex(h, model).pools(rule.pattern)
     if not all(pools.values()):
         return []
-    order = tuple(rule.pattern)
-    nodes = sorted(rule.lhs.nodes)
-    arrows = [(a, a[0], a[2]) for a in order[len(nodes):]]
-    plan = search_plan(nodes, arrows, size=lambda n: len(pools[n]))
-    found = injective_matches(order, plan, pools, incidence)
+    nodes, arrows = rule.pattern_keys
+    plan = search_plan(nodes, [(a, a[0], a[2]) for a in arrows], size=lambda n: len(pools[n]))
+    found = injective_matches(nodes + arrows, plan, pools, incidence)
     return [_morphism(rule, model.graph, m) for m in found]
 
 
@@ -101,9 +99,9 @@ def _anchored(order, plan, pools, incidence, x: ElementKey, p: ElementKey) -> Li
 
 def _morphism(rule: TwoLevelRule, graph: Graph, images: tuple) -> TotalMorphism:
     """The match into `graph` with the images of `rule.pattern` that `injective_matches` found."""
-    order, n = tuple(rule.pattern), len(rule.lhs.nodes)
+    nodes, arrows = rule.pattern_keys
     return TotalMorphism._trusted(
-        rule.lhs, graph, dict(zip(order[:n], images)), dict(zip(order[n:], images[n:]))
+        rule.lhs, graph, dict(zip(nodes, images)), dict(zip(arrows, images[len(nodes):]))
     )
 
 
@@ -160,7 +158,7 @@ def _apply_at(
     """One co-span step: the pushout glues on a fresh copy of I \\ L, the pullback complement
     removes d(I \\ R), and the model gains the copies of `rule.created` and loses m(L \\ R)."""
     _, d = pushout(rule.interface, m)
-    T, _ = pullback_complement(rule.rhs, d)
+    T = pullback_complement(rule.rhs, d)
     created = dict(zip(map(d, rule.created), rule.created_infos))
     gone_nodes, gone_arrows = rule.removed
     deleted = tuple(sorted({m.node_map[x] for x in gone_nodes})) + tuple(
@@ -227,7 +225,7 @@ def apply_mcmt(
     s_chain, _ = typing_to_chain(mt)
     m_chain = lift(m, _pattern_chain(rule, "L", rule.from_pattern), s_chain, mm_match.level_map)
     _, d_morph = chain_pushout(_pattern_chain(rule, "I", interface), m_chain)
-    t_chain, _ = chain_pullback_complement(_pattern_chain(rule, "R", rule.to_pattern), d_morph)
+    t_chain = chain_pullback_complement(_pattern_chain(rule, "R", rule.to_pattern), d_morph)
 
     # install the result as the new bottom model
     t0 = t_chain.graph_at(0).renamed(target_model)
@@ -307,7 +305,11 @@ class _LiveMatches:
     avoids every node of the model, and no arrow ends at a name the model lacks), so every arrow
     at it was created in the same step.  A match that sends a pattern node with an arrow to it
     sends that arrow to a created arrow, which joins the arrow's profile with its ends' and is
-    searched with its ends fixed, also when they are created, so that search finds the match."""
+    searched with its ends fixed, also when they are created, so that search finds the match.
+
+    What a step reads per element is resolved where its input is fixed: the index resolves each
+    element type's memberships, the candidate sets and joins its elements enter, once per index,
+    and each rule keeps its pattern's node and arrow keys and the names a trace step shows."""
 
     def __init__(self, rules: List[TwoLevelRule], h: MultilevelHierarchy, target_model: str):
         model = h.model(target_model)
@@ -340,8 +342,12 @@ class _LiveMatches:
             kind = isinstance(x, tuple)
             for key in keys:
                 for joins, i, p, order, plan, pools, incidence in self.anchors.get((kind, key), ()):
-                    if all(x[end] in groups for groups, end in joins):
-                        new.update((i, t) for t in _anchored(order, plan, pools, incidence, x, p))
+                    for groups, end in joins:
+                        if x[end] not in groups:
+                            break
+                    else:
+                        for images in _anchored(order, plan, pools, incidence, x, p):
+                            new.add((i, images))
         for m in new:
             insort(self.matches, m)
 
@@ -382,10 +388,9 @@ def run(
             result = successors[0]
             current = current.with_model(result.model)
             live.step(result)
-            match_view = {
-                (p[1] if isinstance(p, tuple) else p): (x[1] if isinstance(x, tuple) else x)
-                for p, x in zip(tl_rule.pattern, images)
-            }
+            nodes, labels = tl_rule.shown_names
+            match_view = dict(zip(nodes, images))
+            match_view.update(zip(labels, [x[1] for x in images[len(nodes):]]))
             steps.append(TraceStep(step, tl_rule.name, match_view, result.created, result.deleted))
             break
         else:

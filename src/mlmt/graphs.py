@@ -306,15 +306,15 @@ def pushout(I: Graph, m: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
     return D, d
 
 
-def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphism]:
+def pullback_complement(R: Graph, d: TotalMorphism) -> Graph:
     """Pullback complement of R c-> I -d-> D, where R must be a subgraph of
     I = d.src.
 
     Removes from D the d-images of all elements of I outside R, and returns
-    (T, R -> T); T is a subgraph of D.  Raises DanglingDeletion when removing
-    a node image would orphan a surviving arrow (naming the smallest such
-    arrow), or when a deleted image is shared with a preserved element (both
-    are gluing-condition violations).
+    T, a subgraph of D; the morphism R -> T is d restricted to R.  Raises
+    DanglingDeletion when removing a node image would orphan a surviving
+    arrow (naming the smallest such arrow), or when a deleted image is shared
+    with a preserved element (both are gluing-condition violations).
     """
     I, D = d.src, d.dst
     _require_subgraph(R, I)
@@ -345,15 +345,7 @@ def pullback_complement(R: Graph, d: TotalMorphism) -> Tuple[Graph, TotalMorphis
                 if rest:
                     incidence[n] = rest
     # valid: no surviving arrow ends at a deleted node
-    T = Graph._trusted(D.name, nodes, arrows, incidence)
-    # valid: no image of R's elements is deleted
-    t_in = TotalMorphism._trusted(
-        R,
-        T,
-        {n: d.node_map[n] for n in R.nodes},
-        {a: d.arrow_map[a] for a in R.arrows},
-    )
-    return T, t_in
+    return Graph._trusted(D.name, nodes, arrows, incidence)
 
 
 def search_plan(

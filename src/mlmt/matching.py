@@ -109,14 +109,17 @@ class TypeIndex:
 
     A profile is a tuple of (level, type) pairs, None asking that the element be untyped there.
     Above its model an element has its direct type's types, as that lies higher, so a profile is
-    decided once per direct type, and each kind and direct type maps to the profiles asked of the
-    index so far that it holds (the alpha network of RETE).  `by_ends` joins an arrow profile with
-    the profiles of its ends, groups the joined arrows under each end, and drops an end whose group
-    empties, so an end is a key exactly while a joined arrow touches it.  In `run` a step only
-    deletes and creates elements of the bottom model, and the survivors keep their types: `step`
-    updates by that delta the candidate sets and the joined arrows of the profiles each element
-    carries, and reports the joined groups each created arrow enters (the beta network).  `joined`
-    keeps each join with the two end candidate sets it reads and the groups it writes, so an update
+    decided once per direct type (the alpha network of RETE).  `by_ends` joins an arrow profile
+    with the profiles of its ends, groups the joined arrows under each end, and drops an end whose
+    group empties, so an end is a key exactly while a joined arrow touches it.  In `run` a step
+    only deletes and creates elements of the bottom model, and the survivors keep their types:
+    `step` updates by that delta the candidate sets and the joined arrows of the profiles each
+    element carries, and reports the joined groups each created arrow enters (the beta network).
+    Each kind and direct type's memberships are resolved once per index, and again only after a
+    new profile or join is asked of it: `held` lists, for the profiles asked so far that the type
+    holds, the live candidate set its elements enter, whether the profile constrains the model's
+    own level (so each element is tested against it), and the profile's joins.  `joined` keeps
+    each join with the two end candidate sets it reads and the groups it writes, so an update
     reads an element's info once and looks up no set by its key.  All META searches of one
     proliferation call read one index per stack model, and never change its sets.  `filtered` keeps
     for those searches the candidates of each profile that pass a META element's test, keyed by
@@ -126,7 +129,8 @@ class TypeIndex:
 
     def __init__(self, h: MultilevelHierarchy, model: ModelNode):
         self.h, self.model, self.found, self.ends, self.filtered = h, model, {}, {}, {}
-        self.held: Dict[Tuple[bool, TypeRef], List[Tuple[tuple, bool]]] = {}
+        # (kind, direct type) -> (profile, candidate set, own-level flag, joins) per profile held
+        self.held: Dict[Tuple[bool, TypeRef], List[tuple]] = {}
         # arrow profile -> its `by_ends` keys, each with its ends' candidate sets and its groups
         self.joined: Dict[tuple, List[Tuple[tuple, Set[ElementKey], Set[ElementKey], dict]]] = {}
         self.groups: Dict[Tuple[bool, TypeRef], Set[ElementKey]] = {}
@@ -137,8 +141,9 @@ class TypeIndex:
         self, model: ModelNode, created: Iterable[ElementKey], deleted: Iterable[ElementKey]
     ) -> Dict[ElementKey, List[tuple]]:
         """Move to `model`, which differs from the current one by `created` and `deleted`, and
-        return for each created node its `profiles`, and for each created arrow the `by_ends`
-        keys, (profile, source profile, target profile), whose groups it entered."""
+        return for each created node the profiles asked so far that it carries, and for each
+        created arrow the `by_ends` keys, (profile, source profile, target profile), whose groups
+        it entered."""
         for e in deleted:
             self._update(e, False)
         self.model = model
@@ -147,38 +152,39 @@ class TypeIndex:
 
     def _update(self, e: ElementKey, add: bool) -> List[tuple]:
         """Add `e` to, or remove it from, its group, its candidate sets and its joined arrows;
-        returns a node's `profiles`, or the `by_ends` keys whose groups an added arrow entered."""
+        returns the profiles an added node carries, or the `by_ends` keys whose groups an added
+        arrow entered."""
         kind = isinstance(e, tuple)
         key = (kind, self.model.info_for(e).direct_type)
         change = set.add if add else set.remove
         change(self.groups.setdefault(key, set()), e)
-        profiles, entered = self.profiles(e, key), []
-        for profile in profiles:
-            change(self.found[kind, profile], e)
-            for join, sources, targets, groups in self.joined.get(profile, ()) if kind else ():
+        held = self.held.get(key)
+        if held is None:
+            n, t = self.model.level, key[1]
+            held = self.held[key] = [
+                (p, found, any(lvl >= n for lvl, _ in p), self.joined.get(p, ()) if kind else ())
+                for (arrows, p), found in self.found.items()
+                if arrows == kind and self._holds(t, p)
+            ]
+        entered = []
+        for profile, found, own, joins in held:
+            if own and not self._own(e, profile):
+                continue
+            change(found, e)
+            if not kind:
+                entered.append(profile)
+            for join, sources, targets, groups in joins:
                 if add:
                     if e[0] in sources and e[2] in targets:
                         entered.append(join)
-                        for end in {e[0], e[2]}:
-                            groups.setdefault(end, set()).add(e)
+                        groups.setdefault(e[0], set()).add(e)
+                        groups.setdefault(e[2], set()).add(e)  # once, for a loop
                 elif e in groups.get(e[0], ()):
-                    for end in {e[0], e[2]}:
+                    for end in (e[0],) if e[0] == e[2] else (e[0], e[2]):
                         groups[end].remove(e)
                         if not groups[end]:
                             del groups[end]
-        return entered if kind else profiles
-
-    def profiles(self, e: ElementKey, key: Tuple[bool, TypeRef]) -> List[tuple]:
-        """The profiles asked of this index so far that the model's element `e` carries, given
-        `key`, its kind (whether it is an arrow) and its direct type."""
-        if key not in self.held:
-            n = self.model.level
-            self.held[key] = [
-                (p, any(lvl >= n for lvl, _ in p))
-                for arrows, p in self.found
-                if arrows == key[0] and self._holds(key[1], p)
-            ]
-        return [p for p, own in self.held[key] if not own or self._own(e, p)]
+        return entered
 
     def candidates(self, arrows: bool, profile: tuple) -> Set[ElementKey]:
         """The model's arrows, or nodes, that carry `profile`."""
@@ -205,6 +211,7 @@ class TypeIndex:
                 a for a in self.candidates(True, profile) if a[0] in sources and a[2] in targets
             )
             self.joined.setdefault(profile, []).append((key, sources, targets, groups))
+            self.held.clear()
         return self.ends[key]
 
     def pools(self, pattern: Dict[ElementKey, tuple]) -> tuple:
@@ -351,6 +358,19 @@ class TwoLevelRule(Record):
         images: nodes sorted, then arrows sorted."""
         order = sorted(self.lhs.nodes) + sorted(self.lhs.arrows)
         return {e: self.level_types[e] for e in order}
+
+    @cached_property
+    def pattern_keys(self) -> Tuple[Tuple[str, ...], Tuple[Arrow, ...]]:
+        """The node keys and the arrow keys of `pattern`, each in its order."""
+        order, n = tuple(self.pattern), len(self.lhs.nodes)
+        return order[:n], order[n:]
+
+    @cached_property
+    def shown_names(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The names a trace step shows for the elements of `pattern`: its node keys, and its
+        arrows' labels in its order."""
+        nodes, arrows = self.pattern_keys
+        return nodes, tuple([a[1] for a in arrows])
 
     @cached_property
     def created(self) -> Tuple[ElementKey, ...]:

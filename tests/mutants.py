@@ -31,6 +31,9 @@ SCHEDULE = "tests/test_scheduler.py"
 MAINTAINED = "tests/test_matcher_order.py::test_maintained_matches_equal_fresh_ones"
 STEPS = "tests/test_graphs.py::TestDerivedGraphs::test_randomized_chain_of_steps"
 POOLS = "tests/test_matching.py::TestSharedPools::test_each_rule_keeps_its_own_test[filtered-{}-{}]"
+ASKED_BETWEEN_STEPS = (
+    "tests/test_engine.py::TestTypeIndex::test_a_profile_or_join_first_asked_between_steps_is_kept"
+)
 POOL_KEY = "key = (arrow, profile, el.name if el.constant else None, el.potency, el.multiplicity)"
 
 MUTANTS = [
@@ -153,8 +156,8 @@ MUTANTS = [
     {
         "name": "the type index gives an element every profile of its direct type",
         "file": "mlmt/matching.py",
-        "old": "return [p for p, own in self.held[key] if not own or self._own(e, p)]",
-        "new": "return [p for p, own in self.held[key]]",
+        "old": "if own and not self._own(e, profile):",
+        "new": "if False:",
         "tests": [
             "tests/test_engine.py::test_typed_matches_are_total_and_keep_ends",
             "tests/test_matcher_order.py::test_anchored_matches_agree_with_the_brute_force_oracle",
@@ -255,8 +258,8 @@ MUTANTS = [
     {
         "name": "the join check admits every anchor",
         "file": "mlmt/engine.py",
-        "old": "if all(x[end] in groups for groups, end in joins):",
-        "new": "if True:",
+        "old": "if x[end] not in groups:",
+        "new": "if False:",
         "tests": [
             "tests/test_engine.py::TestRun::test_a_run_plans_and_searches_only_where_a_match_can_exist",
         ],
@@ -271,12 +274,26 @@ MUTANTS = [
     {
         "name": "a stored join adds an arrow under its source end only",
         "file": "mlmt/matching.py",
-        "old": "groups.setdefault(end, set()).add(e)",
+        "old": "groups.setdefault(e[2], set()).add(e)",
         "new": "groups.setdefault(e[0], set()).add(e)",
         "tests": [
             MAINTAINED,
             "tests/test_matcher_order.py::test_anchor_table_steps_agree_with_the_exhaustive_search",
         ],
+    },
+    {
+        "name": "the type index's per-type memberships survive a new profile",
+        "file": "mlmt/matching.py",
+        "old": "            self.held.clear()\n        return self.found[key]",
+        "new": "        return self.found[key]",
+        "tests": [ASKED_BETWEEN_STEPS],
+    },
+    {
+        "name": "the type index's per-type memberships survive a new join",
+        "file": "mlmt/matching.py",
+        "old": "append((key, sources, targets, groups))\n            self.held.clear()",
+        "new": "append((key, sources, targets, groups))",
+        "tests": [ASKED_BETWEEN_STEPS],
     },
 ]
 

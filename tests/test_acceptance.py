@@ -232,7 +232,7 @@ def test_criterion_7_randomized_construction_oracles(pls, pls_module):
                 except DanglingDeletion:
                     pass
             else:
-                T, _ = pullback_complement(R, d)
+                T = pullback_complement(R, d)
                 assert (T.nodes, T.arrows) == expected
             checked += 1
 

@@ -393,13 +393,19 @@ class TestChainRewriting:
         # deleting rule: keep only m1 on the right
         keep = build_graph("L", ["m1"], [])
         keep_chain = refactor_inclusion_chain(keep, [keep])
-        t_chain, t_in = chain_pullback_complement(keep_chain, d_morph)
+        t_chain = chain_pullback_complement(keep_chain, d_morph)
         assert "p1$0" not in t_chain.graph_at(0).nodes
         assert "p1$0" not in t_chain.graph_at(1).nodes
         assert "g2" in t_chain.graph_at(0).nodes
         assert t_chain.is_inclusion_chain()
-        assert t_in.src is keep_chain and t_in.dst is t_chain
-        assert t_in.component(1).node_map == {"m1": "g1"}
+        # d restricted to the kept chain maps it into T at every level
+        for i, kept in enumerate(keep_chain.graphs):
+            d_i, t_i = d_morph.component(i), t_chain.graph_at(d_morph.level_map[i])
+            assert all(d_i.node_map[n] in t_i.nodes for n in kept.nodes)
+            assert all(d_i.arrow_map[a] in t_i.arrows for a in kept.arrows)
+        assert {n: d_morph.component(1).node_map[n] for n in keep_chain.graph_at(1).nodes} == {
+            "m1": "g1"
+        }
 
     def test_pushout_rejects_rule_chains_of_unequal_depth(self):
         lhs, inter, _, l_chain, _, _ = two_level_rule_chains()

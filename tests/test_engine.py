@@ -269,30 +269,30 @@ class TestDirectApplication:
         the chain pushout and pullback complement, at every match of every
         compiled rule over the states of a seeded run, is valid, and its
         component at each level is its level-0 component restricted there.
-        S is a subgraph of D, and T of D, at every level."""
+        S is a subgraph of D, and T of D, at every level, and d maps R into
+        T at every level."""
         from test_matcher_order import run_states
 
         seen = []
         included = []  # (sub, sup) chains: S and D, then T and D
+        kept = []  # (R, d, T) of each pullback complement
 
-        def recording(construction, sub_sup):
-            def wrapper(leg, morphism):
-                seen.append(morphism)
-                result = construction(leg, morphism)
-                seen.append(result[1])
-                included.append(sub_sup(morphism.dst, result[0]))
-                return result
+        def pushout_recorded(leg, m):
+            seen.append(m)
+            D, d = chain_pushout(leg, m)
+            seen.append(d)
+            included.append((m.dst, D))
+            return D, d
 
-            return wrapper
+        def pullback_complement_recorded(leg, d):
+            seen.append(d)
+            T = chain_pullback_complement(leg, d)
+            included.append((T, d.dst))
+            kept.append((leg, d, T))
+            return T
 
-        monkeypatch.setattr(
-            engine, "chain_pushout", recording(chain_pushout, lambda s, d: (s, d))
-        )
-        monkeypatch.setattr(
-            engine,
-            "chain_pullback_complement",
-            recording(chain_pullback_complement, lambda d, t: (t, d)),
-        )
+        monkeypatch.setattr(engine, "chain_pushout", pushout_recorded)
+        monkeypatch.setattr(engine, "chain_pullback_complement", pullback_complement_recorded)
         compiled, states = run_states(pls_module.rules, pls, seed=0)
         variants = [
             (tl, expanded_mcmt_for(tl, pls_rules[tl.source_rule], pls)) for tl in compiled
@@ -308,8 +308,14 @@ class TestDirectApplication:
                     except DanglingDeletion:
                         pass
         assert applied > 0
-        assert len(seen) >= 4 * applied
+        assert len(seen) >= 3 * applied
         assert len(included) >= 2 * applied
+        assert len(kept) >= applied
+        for R, d, T in kept:
+            for i, g in enumerate(R.graphs):
+                d_i, t_i = d.component(i), T.graph_at(d.level_map[i])
+                assert all(d_i.node_map[n] in t_i.nodes for n in g.nodes)
+                assert all(d_i.arrow_map[a] in t_i.arrows for a in g.arrows)
         for sub, sup in included:
             assert sub.length == sup.length
             for g, h in zip(sub.graphs, sup.graphs):
@@ -373,6 +379,19 @@ def test_compiled_and_direct_routes_agree_on_generated_inputs():
     assert seen["ambiguous"] >= 10, seen
 
 
+def assert_index_equals_fresh(index, state, model):
+    """Every cached list and bucket of `index` holds what a fresh index's does, each element
+    once."""
+    fresh = TypeIndex(state, model)
+    for (arrows, profile), found in index.found.items():
+        assert sorted(found) == sorted(fresh.candidates(arrows, profile))
+    for key, buckets in index.ends.items():
+        want = fresh.by_ends(*key)
+        assert {k: sorted(v) for k, v in buckets.items()} == {
+            k: sorted(v) for k, v in want.items()
+        }
+
+
 class TestTypeIndex:
     def test_one_index_serves_every_state_of_a_run(self, pls, pls_module):
         from test_matcher_order import run_states
@@ -388,16 +407,38 @@ class TestTypeIndex:
                 assert typed_matches(
                     tl_rule, model, state, pools=index.pools(tl_rule.pattern)
                 ) == typed_matches(tl_rule, model, state)
-            # every cached list and bucket holds what a fresh index's does,
-            # each element once
-            fresh = TypeIndex(state, model)
-            for (arrows, profile), found in index.found.items():
-                assert sorted(found) == sorted(fresh.candidates(arrows, profile))
-            for key, buckets in index.ends.items():
-                want = fresh.by_ends(*key)
-                assert {k: sorted(v) for k, v in buckets.items()} == {
-                    k: sorted(v) for k, v in want.items()
-                }
+            assert_index_equals_fresh(index, state, model)
+
+    def test_a_profile_or_join_first_asked_between_steps_is_kept(self, pls, pls_module):
+        # the index resolves each element type's memberships once, so a profile
+        # or a join asked between two steps must drop what was resolved before
+        # it: every later step keeps the new set and groups as a fresh index's
+        from test_matcher_order import run_states
+
+        compiled, states = run_states(pls_module.rules, pls, seed=2)
+        trace = run(pls_module.rules, pls, "hammer_config", 50, seed=2)
+        index = TypeIndex(pls, pls.model("hammer_config"))
+        for tl_rule in compiled:
+            index.pools(tl_rule.pattern)
+        part = ((1, "Part"),)  # a node of any part type
+        contains = ((1, ("Container", "contains", "Part")),)
+        join = (contains, ((2, "Conveyor"), (1, "Container")), part)
+        parts_after, joined_after = 0, 0
+        for n, (state, step) in enumerate(zip(states[1:], trace.steps), 1):
+            model = state.model("hammer_config")
+            entered = index.step(model, step.created, step.deleted)
+            if n > 10:
+                parts_after += sum(part in keys for keys in entered.values())
+                joined_after += sum(join in keys for keys in entered.values())
+                assert_index_equals_fresh(index, state, model)
+            if n == 10:
+                assert (False, part) not in index.found and (True, contains) not in index.found
+                index.candidates(False, part)
+                index.candidates(True, contains)
+            if n == 20:  # its profiles are served, and it is its arrow profile's first join
+                assert join not in index.ends and contains not in index.joined
+                index.by_ends(*join)
+        assert parts_after > 0 and joined_after > 0
 
     def test_elements_typed_sideways_have_no_upper_types(self, pls):
         # z types itself and w types z: neither direct type lies on a
